@@ -1,0 +1,486 @@
+"""Command-line surface: localize / basis / persistent / verify.
+
+Exit codes: 0 on success, 2 on unreadable or malformed input, 3 on semantic
+failure (chain is not a cycle, non-monotone filtration, oracle budget,
+verification miss).  Reports are JSON with sorted keys, so identical inputs
+produce byte-identical output regardless of thread count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional
+
+from .complexes import ComplexLike, PointCloud
+from .filtrations import (
+    Filtration,
+    Interval,
+    compute_persistence,
+    lower_star_filtration,
+    rips_filtration,
+)
+from .io import (
+    InputError,
+    read_cycle,
+    read_filtration,
+    read_off,
+    read_points,
+    read_scalars,
+    write_obj_polylines,
+)
+from .optimize import (
+    OptimalCycleResult,
+    opt_homologous_cycle,
+    opt_homology_basis,
+    opt_pers_hom_rep,
+    shorten_cycle,
+)
+from .oracle import (
+    BudgetExceededError,
+    OracleBudget,
+    exact_min_basis,
+    exact_min_persistent_rep,
+    exact_optimal_homologous_cycle,
+)
+
+EXIT_OK = 0
+EXIT_INPUT = 2
+EXIT_INVALID = 3
+
+
+class ConfigError(RuntimeError):
+    """Inconsistent command-line configuration."""
+
+
+@dataclass
+class RunConfig:
+    problem: str
+    p: int = 1
+    complex_path: Optional[str] = None
+    cycle_path: Optional[str] = None
+    points_path: Optional[str] = None
+    rips_scale: Optional[float] = None
+    rips_maxdim: int = 2
+    lower_star_path: Optional[str] = None
+    filtration_path: Optional[str] = None
+    sites: float = 1.0
+    threads: int = 1
+    shorten: bool = False
+    out: Optional[str] = None
+    export_obj: Optional[str] = None
+    bars: Optional[int] = None
+    budget: int = 12
+
+    def filtration_sources(self) -> int:
+        return sum(
+            x is not None
+            for x in (self.rips_scale, self.filtration_path, self.lower_star_path)
+        )
+
+    def validate(self) -> None:
+        if self.problem in ("localize", "basis") and self.p < 1:
+            raise ConfigError(f"{self.problem} needs a positive dimension p")
+        if not 0 < self.sites <= 1:
+            raise ConfigError("--sites must be a fraction in (0, 1]")
+        if self.threads < 1:
+            raise ConfigError("--threads must be positive")
+        if self.problem == "localize":
+            if not (self.complex_path and self.cycle_path):
+                raise ConfigError("localize needs --complex and --cycle")
+        elif self.problem == "basis":
+            if not self.complex_path:
+                raise ConfigError("basis needs --complex")
+        elif self.problem == "persistent":
+            self._validate_filtration_source()
+        elif self.problem == "verify":
+            if self.cycle_path:
+                if not self.complex_path:
+                    raise ConfigError("verify with --cycle needs --complex")
+            elif self.filtration_sources():
+                self._validate_filtration_source()
+            elif not self.complex_path:
+                raise ConfigError("verify needs --complex, --cycle, or a filtration source")
+        else:
+            raise ConfigError(f"unknown problem {self.problem!r}")
+
+    def _validate_filtration_source(self) -> None:
+        if self.filtration_sources() != 1:
+            raise ConfigError(
+                "need exactly one filtration source: --rips, --filtration, or --lower-star"
+            )
+        if self.rips_scale is not None and not self.points_path:
+            raise ConfigError("--rips needs --points")
+        if self.filtration_path is not None and not self.points_path:
+            raise ConfigError("--filtration needs --points for the geometry")
+        if self.lower_star_path is not None and not self.complex_path:
+            raise ConfigError("--lower-star needs --complex")
+
+
+# -- serialization ----------------------------------------------------------
+
+
+def _sphere_json(cert) -> dict:
+    center = None if cert.center is None else [float(x) for x in cert.center]
+    return {"center": center, "radius": float(cert.radius)}
+
+
+def _interval_json(iv: Optional[Interval]):
+    if iv is None:
+        return None
+    return {
+        "birth": int(iv.birth),
+        "death": "inf" if iv.death is None else int(iv.death),
+        "birth_value": float(iv.birth_value),
+        "death_value": "inf" if iv.death_value is None else float(iv.death_value),
+    }
+
+
+def _cycle_json(complex_like: ComplexLike, result: OptimalCycleResult) -> list[list[int]]:
+    return [
+        [int(v) for v in s]
+        for s in complex_like.chain_simplices(result.cycle, result.dim)
+    ]
+
+
+def _result_json(
+    complex_like: ComplexLike,
+    problem: str,
+    before: OptimalCycleResult,
+    after: OptimalCycleResult,
+) -> dict:
+    return {
+        "problem": problem,
+        "interval": _interval_json(before.interval),
+        "dim": int(after.dim),
+        "site": None if after.site is None else int(after.site),
+        "r_v": float(after.r_v),
+        "r_exact": float(after.r_exact),
+        "sphere": _sphere_json(after.certificate),
+        "cycle": _cycle_json(complex_like, after),
+        "edge_count_before": len(before.cycle),
+        "edge_count_after": len(after.cycle),
+    }
+
+
+def _emit(report: dict, out: Optional[str]) -> None:
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _export_obj(cfg: RunConfig, complex_like, rows: list[OptimalCycleResult]) -> None:
+    if not cfg.export_obj:
+        return
+    out_dir = Path(cfg.export_obj)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for i, res in enumerate(rows):
+        if res.dim != 1:
+            continue
+        write_obj_polylines(
+            out_dir / f"{cfg.problem}_{i:03d}.obj", complex_like, [res.cycle]
+        )
+
+
+# -- shared plumbing --------------------------------------------------------
+
+
+def _pick_sites(complex_like: ComplexLike, fraction: float) -> Optional[list[int]]:
+    """Deterministic evenly strided subsample of the vertex set."""
+    if fraction >= 1.0:
+        return None
+    ids = sorted(complex_like.vertex_ids())
+    m = max(1, round(len(ids) * fraction))
+    return [ids[(i * len(ids)) // m] for i in range(m)]
+
+
+def _maybe_shorten(
+    cfg: RunConfig, complex_like, result: OptimalCycleResult
+) -> OptimalCycleResult:
+    if cfg.shorten and result.dim == 1:
+        return shorten_cycle(result, complex_like)
+    return result
+
+
+def _build_filtration(cfg: RunConfig) -> Filtration:
+    if cfg.rips_scale is not None:
+        cloud = PointCloud(read_points(cfg.points_path))
+        return rips_filtration(cloud, cfg.rips_scale, cfg.rips_maxdim)
+    if cfg.filtration_path is not None:
+        cloud = PointCloud(read_points(cfg.points_path))
+        return read_filtration(cfg.filtration_path, cloud)
+    complex_ = read_off(cfg.complex_path)
+    return lower_star_filtration(complex_, read_scalars(cfg.lower_star_path))
+
+
+def _select_bars(filtration: Filtration, p: int, top: Optional[int]) -> list[Interval]:
+    """Positive-length bars, most persistent first; essential bars lead."""
+    intervals = compute_persistence(filtration, p).intervals()
+    alive = [
+        iv
+        for iv in intervals
+        if iv.death_value is None or iv.death_value > iv.birth_value
+    ]
+    alive.sort(key=lambda iv: (-iv.value_length(), iv.birth))
+    return alive if top is None else alive[:top]
+
+
+# -- subcommands ------------------------------------------------------------
+
+
+def _run_localize(cfg: RunConfig) -> tuple[dict, int]:
+    complex_ = read_off(cfg.complex_path)
+    cycle = read_cycle(cfg.cycle_path, complex_, cfg.p)
+    res = opt_homologous_cycle(
+        complex_, cycle, cfg.p, sites=_pick_sites(complex_, cfg.sites), threads=cfg.threads
+    )
+    final = _maybe_shorten(cfg, complex_, res)
+    _export_obj(cfg, complex_, [final])
+    report = {
+        "problem": "localize",
+        "p": cfg.p,
+        "results": [_result_json(complex_, "localize", res, final)],
+    }
+    return report, EXIT_OK
+
+
+def _run_basis(cfg: RunConfig) -> tuple[dict, int]:
+    complex_ = read_off(cfg.complex_path)
+    basis = opt_homology_basis(
+        complex_, cfg.p, sites=_pick_sites(complex_, cfg.sites), threads=cfg.threads
+    )
+    finals = [_maybe_shorten(cfg, complex_, r) for r in basis.cycles]
+    _export_obj(cfg, complex_, finals)
+    report = {
+        "problem": "basis",
+        "p": cfg.p,
+        "betti": len(finals),
+        "total_weight": float(sum(r.r_v for r in finals)),
+        "results": [
+            _result_json(complex_, "basis", before, after)
+            for before, after in zip(basis.cycles, finals)
+        ],
+    }
+    return report, EXIT_OK
+
+
+def _run_persistent(cfg: RunConfig) -> tuple[dict, int]:
+    filtration = _build_filtration(cfg)
+    complex_ = filtration.complex
+    sites = _pick_sites(complex_, cfg.sites)
+    chosen = _select_bars(filtration, cfg.p, cfg.bars)
+    rows = []
+    finals = []
+    for iv in chosen:
+        res = opt_pers_hom_rep(filtration, iv, sites=sites, threads=cfg.threads)
+        final = _maybe_shorten(cfg, complex_, res)
+        finals.append(final)
+        rows.append(_result_json(complex_, "persistent", res, final))
+    _export_obj(cfg, complex_, finals)
+    report = {
+        "problem": "persistent",
+        "p": cfg.p,
+        "n_simplices": len(filtration),
+        "barcode": [
+            [float(b), "inf" if d is None else float(d)]
+            for b, d in compute_persistence(filtration, cfg.p).barcode.value_pairs(cfg.p)
+        ],
+        "results": rows,
+    }
+    return report, EXIT_OK
+
+
+def _run_verify(cfg: RunConfig) -> tuple[dict, int]:
+    budget = OracleBudget(max_vertices=cfg.budget)
+    tol = 1e-9
+    checks = []
+
+    if cfg.cycle_path:
+        mode = "localize"
+        complex_ = read_off(cfg.complex_path)
+        cycle = read_cycle(cfg.cycle_path, complex_, cfg.p)
+        res = opt_homologous_cycle(
+            complex_, cycle, cfg.p, sites=_pick_sites(complex_, cfg.sites), threads=cfg.threads
+        )
+        opt = exact_optimal_homologous_cycle(complex_, cycle, cfg.p, budget)
+        if opt.radius > 0:
+            ratio = res.r_v / opt.radius
+        else:
+            ratio = 1.0 if res.r_v == 0 else float("inf")
+        checks.append(
+            {
+                "kind": "localize",
+                "algorithm": _result_json(complex_, "verify", res, res),
+                "oracle": {
+                    "radius": float(opt.radius),
+                    "center": None if opt.center is None else [float(x) for x in opt.center],
+                    "cycle": [
+                        [int(v) for v in s]
+                        for s in complex_.chain_simplices(opt.cycle, cfg.p)
+                    ],
+                },
+                "ratio": float(ratio),
+                "ok": bool(opt.radius * (1 - tol) <= res.r_v <= 2 * opt.radius * (1 + tol)),
+            }
+        )
+    elif cfg.filtration_sources():
+        mode = "persistent"
+        filtration = _build_filtration(cfg)
+        complex_ = filtration.complex
+        for iv in _select_bars(filtration, cfg.p, cfg.bars):
+            res = opt_pers_hom_rep(
+                filtration, iv, sites=_pick_sites(complex_, cfg.sites), threads=cfg.threads
+            )
+            rep = exact_min_persistent_rep(filtration, iv, budget)
+            ratio = res.r_v / rep.weight if rep.weight > 0 else 1.0
+            checks.append(
+                {
+                    "kind": "persistent",
+                    "interval": _interval_json(iv),
+                    "algorithm": _result_json(complex_, "verify", res, res),
+                    "oracle": {"weight": float(rep.weight), "site": rep.site},
+                    "ratio": float(ratio),
+                    "ok": bool(abs(res.r_v - rep.weight) <= tol * max(1.0, rep.weight)),
+                }
+            )
+    else:
+        mode = "basis"
+        complex_ = read_off(cfg.complex_path)
+        greedy = opt_homology_basis(
+            complex_, cfg.p, sites=_pick_sites(complex_, cfg.sites), threads=cfg.threads
+        )
+        oracle = exact_min_basis(complex_, cfg.p, budget, weight="site")
+        checks.append(
+            {
+                "kind": "basis",
+                "algorithm": {"total_weight": float(greedy.total_weight)},
+                "oracle": {"total_weight": float(oracle.total_weight)},
+                "ok": bool(
+                    greedy.total_weight <= oracle.total_weight * (1 + tol) + 1e-12
+                ),
+            }
+        )
+
+    ok = all(c["ok"] for c in checks)
+    report = {"problem": "verify", "mode": mode, "ok": ok, "checks": checks}
+    return report, EXIT_OK if ok else EXIT_INVALID
+
+
+# -- argument parsing -------------------------------------------------------
+
+
+def _parse_bars(text: str) -> int:
+    head, sep, tail = text.partition(":")
+    if head != "top" or not sep:
+        raise argparse.ArgumentTypeError("expected top:k")
+    try:
+        k = int(tail)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("expected top:k") from exc
+    if k < 1:
+        raise argparse.ArgumentTypeError("k must be positive")
+    return k
+
+
+def _add_common(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("-p", type=int, default=1, help="homology dimension")
+    sp.add_argument("--sites", type=float, default=1.0, metavar="FRAC",
+                    help="fraction of vertices used as sites")
+    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--shorten", action="store_true",
+                    help="post-process 1-cycles with the edge-count shortener")
+    sp.add_argument("--out", metavar="FILE", help="write the JSON report here")
+    sp.add_argument("--export-obj", dest="export_obj", metavar="DIR",
+                    help="write 1-cycles as OBJ polylines into DIR")
+
+
+def _add_filtration_source(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--points", dest="points_path", metavar="P.csv")
+    sp.add_argument("--rips", dest="rips_scale", type=float, metavar="SCALE")
+    sp.add_argument("--maxdim", dest="rips_maxdim", type=int, default=2)
+    sp.add_argument("--filtration", dest="filtration_path", metavar="F.flt")
+    sp.add_argument("--complex", dest="complex_path", metavar="F.off")
+    sp.add_argument("--lower-star", dest="lower_star_path", metavar="S.csv")
+    sp.add_argument("--bars", type=_parse_bars, default=None, metavar="top:k",
+                    help="only the k most persistent bars")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(
+        prog="cyclerad",
+        description="Geometrically small homology cycles under the enclosing-sphere radius.",
+    )
+    sub = ap.add_subparsers(dest="problem", required=True)
+
+    loc = sub.add_parser("localize", help="smallest cycle homologous to a given one")
+    loc.add_argument("--complex", dest="complex_path", required=True, metavar="F.off")
+    loc.add_argument("--cycle", dest="cycle_path", required=True, metavar="C.txt")
+    _add_common(loc)
+
+    bas = sub.add_parser("basis", help="minimum-radius homology basis")
+    bas.add_argument("--complex", dest="complex_path", required=True, metavar="F.off")
+    _add_common(bas)
+
+    per = sub.add_parser("persistent", help="minimum bar representatives of a filtration")
+    _add_filtration_source(per)
+    _add_common(per)
+
+    ver = sub.add_parser("verify", help="compare the algorithms against the exact oracle")
+    ver.add_argument("--cycle", dest="cycle_path", metavar="C.txt")
+    _add_filtration_source(ver)
+    ver.add_argument("--budget", type=int, default=12,
+                     help="oracle vertex cap")
+    _add_common(ver)
+
+    return ap
+
+
+def config_from_args(args: argparse.Namespace) -> RunConfig:
+    cfg = RunConfig(problem=args.problem)
+    for name in vars(cfg):
+        if hasattr(args, name):
+            setattr(cfg, name, getattr(args, name))
+    return cfg
+
+
+_RUNNERS = {
+    "localize": _run_localize,
+    "basis": _run_basis,
+    "persistent": _run_persistent,
+    "verify": _run_verify,
+}
+
+
+def run(cfg: RunConfig) -> int:
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        print(f"cyclerad: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
+        report, code = _RUNNERS[cfg.problem](cfg)
+    except InputError as exc:
+        print(f"cyclerad: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except BudgetExceededError as exc:
+        print(f"cyclerad: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except ValueError as exc:
+        print(f"cyclerad: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    _emit(report, cfg.out)
+    return code
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    return run(config_from_args(args))
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,0 +1,353 @@
+"""Simplexwise filtrations, barcodes, and persistence computation over Z2.
+
+A filtration is a total order on the simplices of a complex (faces first)
+together with non-decreasing real values. Persistence reduces the one square
+boundary matrix over all simplices in filtration order; pairs of the
+reduction become finite intervals, unpaired positions become essential
+classes. All interval bookkeeping is index-based; values are carried along
+for reporting.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from itertools import combinations
+from typing import Iterable, Mapping, Optional, Sequence, Union
+
+import numpy as np
+
+from .complexes import (
+    ComplexLike,
+    EmbeddedComplex,
+    PointCloud,
+    Simplex,
+    SubcomplexView,
+    faces_of,
+)
+from .z2 import ChainVector, Z2Matrix, standard_reduction
+
+
+class Filtration:
+    """Total order on all simplices of a complex, faces before cofaces, with
+    non-decreasing values."""
+
+    __slots__ = ("complex", "order", "values", "_index")
+
+    def __init__(
+        self,
+        complex_like: ComplexLike,
+        order: Sequence[Iterable[int]],
+        values: Sequence[float],
+        validate: bool = True,
+    ):
+        self.complex = complex_like
+        self.order: tuple[Simplex, ...] = tuple(tuple(s) for s in order)
+        self.values: tuple[float, ...] = tuple(float(v) for v in values)
+        self._index = {s: i for i, s in enumerate(self.order)}
+        if validate:
+            self._validate()
+
+    def _validate(self) -> None:
+        if len(self.order) != len(self.values):
+            raise ValueError("order and values must have equal length")
+        if len(self._index) != len(self.order):
+            raise ValueError("filtration repeats a simplex")
+        total = self.complex.total_simplices()
+        if len(self.order) != total:
+            raise ValueError(
+                f"filtration covers {len(self.order)} simplices, complex has {total}"
+            )
+        for i, s in enumerate(self.order):
+            if not self.complex.has(s):
+                raise ValueError(f"simplex {s} not in the complex")
+            for f in faces_of(s):
+                j = self._index.get(f)
+                if j is None or j > i:
+                    raise ValueError(f"face {f} of {s} does not precede it")
+        for a, b in zip(self.values, self.values[1:]):
+            if b < a:
+                raise ValueError("filtration values must be non-decreasing")
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def simplex_at(self, i: int) -> Simplex:
+        return self.order[i]
+
+    def value_at(self, i: int) -> float:
+        return self.values[i]
+
+    def index_of(self, simplex: Iterable[int]) -> int:
+        return self._index[tuple(simplex)]
+
+    def prefix_view(self, i: int) -> SubcomplexView:
+        """The complex formed by the first i+1 simplices, as a view on the
+        root complex."""
+        parent = self.complex.parent if isinstance(self.complex, SubcomplexView) else self.complex
+        return SubcomplexView(parent, self.order[: i + 1], validate=False)
+
+    def boundary_matrix(self) -> Z2Matrix:
+        """The square boundary matrix over all simplices in filtration order."""
+        cols = []
+        for s in self.order:
+            mask = 0
+            for f in faces_of(s):
+                mask |= 1 << self._index[f]
+            cols.append(mask)
+        return Z2Matrix(len(self.order), cols)
+
+
+@dataclass(frozen=True)
+class Interval:
+    """A barcode interval [birth, death) in filtration indices; death None
+    means the class is essential."""
+
+    dim: int
+    birth: int
+    death: Optional[int]
+    creator: Simplex
+    destroyer: Optional[Simplex]
+    birth_value: float
+    death_value: Optional[float]
+
+    @property
+    def finite(self) -> bool:
+        return self.death is not None
+
+    def value_length(self) -> float:
+        if self.death_value is None:
+            return float("inf")
+        return self.death_value - self.birth_value
+
+
+@dataclass(frozen=True)
+class Barcode:
+    intervals: tuple[Interval, ...]
+
+    def __post_init__(self):
+        creators: set[tuple[int, Simplex]] = set()
+        destroyers: set[Simplex] = set()
+        for iv in self.intervals:
+            if len(iv.creator) - 1 != iv.dim:
+                raise ValueError("creator dimension does not match the interval")
+            if iv.destroyer is not None and len(iv.destroyer) - 1 != iv.dim + 1:
+                raise ValueError("destroyer must be one dimension above the interval")
+            key = (iv.dim, iv.creator)
+            if key in creators:
+                raise ValueError(f"{iv.creator} creates two intervals")
+            creators.add(key)
+            if iv.destroyer is not None:
+                if iv.destroyer in destroyers:
+                    raise ValueError(f"{iv.destroyer} destroys two intervals")
+                destroyers.add(iv.destroyer)
+
+    def in_dim(self, p: int) -> list[Interval]:
+        return [iv for iv in self.intervals if iv.dim == p]
+
+    def betti(self, p: int) -> int:
+        return sum(1 for iv in self.intervals if iv.dim == p and iv.death is None)
+
+    def value_pairs(self, p: int, drop_zero_length: bool = True) -> list[tuple[float, Optional[float]]]:
+        """(birth value, death value) pairs; zero-length intervals dropped by
+        default, matching how coarse (value-level) barcodes are read."""
+        out = []
+        for iv in sorted(self.in_dim(p), key=lambda iv: iv.birth):
+            if iv.death is None:
+                out.append((iv.birth_value, None))
+            elif not drop_zero_length and iv.death_value == iv.birth_value:
+                out.append((iv.birth_value, iv.death_value))
+            elif iv.death_value > iv.birth_value:
+                out.append((iv.birth_value, iv.death_value))
+        return out
+
+
+@dataclass(frozen=True)
+class PersistenceResult:
+    """Barcode of a filtration plus, for one dimension p, a representative
+    cycle per interval and the essential cycles in order of appearance.
+
+    Finite intervals are represented by the reduced destroyer column (it
+    contains the creator, bounds once the destroyer is in, and is not a
+    boundary before that); essential intervals by the basis-change column at
+    the creator. Chains live in the filtration complex's canonical p-basis.
+    """
+
+    filtration: Filtration
+    dim: int
+    barcode: Barcode
+    representatives: Mapping[Interval, ChainVector]
+    essential_cycles: tuple[ChainVector, ...]
+
+    def intervals(self) -> list[Interval]:
+        return sorted(self.barcode.in_dim(self.dim), key=lambda iv: iv.birth)
+
+
+def compute_persistence(filtration: Filtration, p: int) -> PersistenceResult:
+    if p < 0:
+        raise ValueError("dimension must be non-negative")
+    order = filtration.order
+    values = filtration.values
+    complex_like = filtration.complex
+    reduction = standard_reduction(filtration.boundary_matrix())
+
+    intervals: list[Interval] = []
+    for row, col in reduction.pairs:
+        d = len(order[row]) - 1
+        intervals.append(
+            Interval(
+                dim=d,
+                birth=row,
+                death=col,
+                creator=order[row],
+                destroyer=order[col],
+                birth_value=values[row],
+                death_value=values[col],
+            )
+        )
+    for j in reduction.unpaired:
+        d = len(order[j]) - 1
+        intervals.append(
+            Interval(
+                dim=d,
+                birth=j,
+                death=None,
+                creator=order[j],
+                destroyer=None,
+                birth_value=values[j],
+                death_value=None,
+            )
+        )
+    intervals.sort(key=lambda iv: (iv.dim, iv.birth))
+    barcode = Barcode(tuple(intervals))
+
+    n_p = complex_like.n_simplices(p)
+
+    def chain_from_positions(mask: int) -> ChainVector:
+        out = 0
+        while mask:
+            lowbit = mask & -mask
+            pos = lowbit.bit_length() - 1
+            s = order[pos]
+            # reduction only mixes columns of equal dimension
+            assert len(s) - 1 == p
+            out |= 1 << complex_like.position(s)
+            mask ^= lowbit
+        return ChainVector(n_p, mask=out)
+
+    representatives: dict[Interval, ChainVector] = {}
+    essentials: list[tuple[int, ChainVector]] = []
+    for iv in barcode.in_dim(p):
+        if iv.death is not None:
+            rep = chain_from_positions(reduction.reduced.column_mask(iv.death))
+        else:
+            rep = chain_from_positions(reduction.basis_change.column_mask(iv.birth))
+            essentials.append((iv.birth, rep))
+        representatives[iv] = rep
+    essentials.sort(key=lambda t: t[0])
+
+    return PersistenceResult(
+        filtration=filtration,
+        dim=p,
+        barcode=barcode,
+        representatives=representatives,
+        essential_cycles=tuple(c for _, c in essentials),
+    )
+
+
+# -- filtration constructors ----------------------------------------------
+
+
+def rips_filtration(cloud: PointCloud, max_scale: float, max_dim: int = 2) -> Filtration:
+    """Vietoris-Rips filtration: a simplex enters at its diameter; simplices
+    with diameter above max_scale are excluded. Ties are ordered by
+    (value, dimension, lexicographic vertex tuple)."""
+    if max_scale < 0:
+        raise ValueError("max_scale must be non-negative")
+    if max_dim < 0:
+        raise ValueError("max_dim must be non-negative")
+    n = cloud.n_points
+    coords = cloud.coords
+    diff = coords[:, None, :] - coords[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+
+    value: dict[Simplex, float] = {(v,): 0.0 for v in range(n)}
+    edges: list[Simplex] = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dist[i, j] <= max_scale:
+                edges.append((i, j))
+                value[(i, j)] = float(dist[i, j])
+    adjacency = [set() for _ in range(n)]
+    for i, j in edges:
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+
+    previous = edges
+    for d in range(2, max_dim + 1):
+        current: list[Simplex] = []
+        for s in previous:
+            common = set.intersection(*(adjacency[v] for v in s)) if s else set()
+            for w in sorted(common):
+                if w > s[-1]:
+                    t = s + (w,)
+                    current.append(t)
+                    value[t] = max(
+                        value[s], max(float(dist[v, w]) for v in s)
+                    )
+        previous = current
+
+    complex_ = EmbeddedComplex(cloud, value.keys(), close=False)
+    order = sorted(value, key=lambda s: (value[s], len(s), s))
+    return Filtration(complex_, order, [value[s] for s in order], validate=False)
+
+
+def lower_star_filtration(complex_like: ComplexLike, vertex_values) -> Filtration:
+    """Lower-star filtration of a vertex scalar field: a simplex enters at the
+    maximum value over its vertices."""
+    if isinstance(vertex_values, Mapping):
+        lookup = dict(vertex_values)
+    else:
+        arr = np.asarray(vertex_values, dtype=float)
+        lookup = {v: float(arr[v]) for v in complex_like.vertex_ids()}
+    for v in complex_like.vertex_ids():
+        if v not in lookup:
+            raise ValueError(f"missing scalar value for vertex {v}")
+    value = {
+        s: max(lookup[v] for v in s) for s in complex_like.all_simplices()
+    }
+    order = sorted(value, key=lambda s: (value[s], len(s), s))
+    return Filtration(complex_like, order, [value[s] for s in order], validate=False)
+
+
+# -- site orderings --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SiteOrdering:
+    """Total order of a complex's simplices around one site: a simplex is
+    ranked by the farthest distance from the site to its vertices, with faces
+    always preceding cofaces; ties break by (dimension, lexicographic
+    tuple)."""
+
+    site: int
+    complex: ComplexLike = field(compare=False)
+    order: tuple[Simplex, ...]
+    r_values: tuple[float, ...]
+
+    def as_filtration(self) -> Filtration:
+        return Filtration(self.complex, self.order, self.r_values, validate=False)
+
+
+def site_ordering(complex_like: ComplexLike, site: int) -> SiteOrdering:
+    center = complex_like.cloud.point(site)
+    dist = np.linalg.norm(complex_like.cloud.coords - center, axis=1)
+    entries = []
+    for s in complex_like.all_simplices():
+        r = float(max(dist[v] for v in s))
+        entries.append((r, len(s), s))
+    entries.sort()
+    return SiteOrdering(
+        site=site,
+        complex=complex_like,
+        order=tuple(s for _, _, s in entries),
+        r_values=tuple(r for r, _, _ in entries),
+    )

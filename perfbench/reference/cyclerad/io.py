@@ -1,0 +1,258 @@
+"""File formats: OFF meshes, CSV points and scalars, filtration and cycle
+text files, OBJ polyline export.
+
+All readers raise InputError with file and line context on malformed input;
+semantic failures (a chain that is not a cycle, a non-monotone filtration)
+surface as ValueError from the validating constructors instead.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+from typing import Optional, Sequence, Union
+
+import numpy as np
+
+from .complexes import ComplexLike, EmbeddedComplex, PointCloud
+from .filtrations import Filtration
+from .z2 import ChainVector
+
+PathLike = Union[str, Path]
+
+
+class InputError(RuntimeError):
+    """Malformed input file; carries file and line context."""
+
+    def __init__(self, path: PathLike, message: str, line: Optional[int] = None):
+        self.path = str(path)
+        self.line = line
+        where = self.path if line is None else f"{self.path}:{line}"
+        super().__init__(f"{where}: {message}")
+
+
+def _data_lines(path: PathLike):
+    """(line number, stripped text) for non-blank, non-comment lines."""
+    try:
+        raw = Path(path).read_text()
+    except OSError as exc:
+        raise InputError(path, str(exc)) from exc
+    for i, line in enumerate(raw.splitlines(), start=1):
+        text = line.split("#", 1)[0].strip()
+        if text:
+            yield i, text
+
+
+def _split_fields(text: str) -> list[str]:
+    return text.replace(",", " ").split()
+
+
+# -- OFF meshes -------------------------------------------------------------
+
+
+def read_off(path: PathLike) -> EmbeddedComplex:
+    """OFF mesh as a complex: every listed vertex, plus the closure of the
+    face rows.  Faces of two vertices are accepted so wireframes load too."""
+    lines = list(_data_lines(path))
+    if not lines or lines[0][1].upper() != "OFF":
+        raise InputError(path, "expected an OFF header", lines[0][0] if lines else None)
+    if len(lines) < 2:
+        raise InputError(path, "missing the counts line")
+    ln, counts = lines[1]
+    fields = _split_fields(counts)
+    if len(fields) < 2:
+        raise InputError(path, "counts line needs vertex and face counts", ln)
+    try:
+        n_vertices, n_faces = int(fields[0]), int(fields[1])
+    except ValueError as exc:
+        raise InputError(path, f"bad counts line: {exc}", ln) from exc
+
+    body = lines[2:]
+    if len(body) < n_vertices + n_faces:
+        raise InputError(path, f"expected {n_vertices} vertices and {n_faces} faces")
+
+    coords = []
+    dim = None
+    for ln, text in body[:n_vertices]:
+        try:
+            row = [float(x) for x in _split_fields(text)]
+        except ValueError as exc:
+            raise InputError(path, f"bad vertex row: {exc}", ln) from exc
+        if len(row) < 2:
+            raise InputError(path, "vertex row needs at least two coordinates", ln)
+        if dim is None:
+            dim = len(row)
+        elif len(row) != dim:
+            raise InputError(path, "vertex rows mix dimensions", ln)
+        coords.append(row)
+
+    simplices: list[tuple[int, ...]] = [(v,) for v in range(n_vertices)]
+    for ln, text in body[n_vertices : n_vertices + n_faces]:
+        fields = _split_fields(text)
+        try:
+            k = int(fields[0])
+            verts = [int(x) for x in fields[1 : 1 + k]]
+        except (ValueError, IndexError) as exc:
+            raise InputError(path, f"bad face row: {exc}", ln) from exc
+        if len(verts) != k:
+            raise InputError(path, f"face row promises {k} vertices", ln)
+        if any(v < 0 or v >= n_vertices for v in verts):
+            raise InputError(path, "face references a missing vertex", ln)
+        if len(set(verts)) != len(verts):
+            raise InputError(path, "face repeats a vertex", ln)
+        simplices.append(tuple(sorted(verts)))
+
+    try:
+        return EmbeddedComplex(PointCloud(coords), simplices)
+    except ValueError as exc:
+        raise InputError(path, str(exc)) from exc
+
+
+def _maximal_simplices(complex_like: ComplexLike) -> list[tuple[int, ...]]:
+    every = set(complex_like.all_simplices())
+    covered: set[tuple[int, ...]] = set()
+    for s in every:
+        for drop in range(len(s)):
+            covered.add(s[:drop] + s[drop + 1 :])
+    return sorted(s for s in every if s not in covered and len(s) >= 2)
+
+
+def write_off(path: PathLike, complex_like: ComplexLike) -> None:
+    faces = _maximal_simplices(complex_like)
+    ids = complex_like.vertex_ids()
+    if ids != tuple(range(len(ids))):
+        raise ValueError("OFF export needs contiguous vertex ids")
+    with open(path, "w") as fh:
+        fh.write("OFF\n")
+        fh.write(f"{len(ids)} {len(faces)} 0\n")
+        for v in ids:
+            fh.write(" ".join(repr(float(x)) for x in complex_like.cloud.point(v)))
+            fh.write("\n")
+        for s in faces:
+            fh.write(" ".join(str(x) for x in (len(s), *s)))
+            fh.write("\n")
+
+
+# -- CSV points and scalars -------------------------------------------------
+
+
+def read_points(path: PathLike) -> np.ndarray:
+    """Point cloud from CSV or whitespace rows; every column is a coordinate."""
+    rows = []
+    width = None
+    for ln, text in _data_lines(path):
+        try:
+            row = [float(x) for x in _split_fields(text)]
+        except ValueError as exc:
+            raise InputError(path, f"bad point row: {exc}", ln) from exc
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise InputError(path, "point rows mix widths", ln)
+        rows.append(row)
+    if not rows:
+        raise InputError(path, "no points")
+    return np.asarray(rows, dtype=float)
+
+
+def read_scalars(path: PathLike) -> np.ndarray:
+    """One scalar per row, taken from the last column, so a points file with
+    a trailing value column works unchanged."""
+    values = []
+    for ln, text in _data_lines(path):
+        fields = _split_fields(text)
+        try:
+            values.append(float(fields[-1]))
+        except (ValueError, IndexError) as exc:
+            raise InputError(path, f"bad scalar row: {exc}", ln) from exc
+    if not values:
+        raise InputError(path, "no scalars")
+    return np.asarray(values, dtype=float)
+
+
+# -- filtration text --------------------------------------------------------
+
+
+def read_filtration(path: PathLike, cloud: PointCloud) -> Filtration:
+    """One line per simplex, `value v0 v1 ...`, in filtration order.  The
+    geometry comes separately; the file only carries the combinatorics."""
+    order = []
+    values = []
+    for ln, text in _data_lines(path):
+        fields = _split_fields(text)
+        if len(fields) < 2:
+            raise InputError(path, "need a value and at least one vertex", ln)
+        try:
+            values.append(float(fields[0]))
+            order.append(tuple(sorted(int(x) for x in fields[1:])))
+        except ValueError as exc:
+            raise InputError(path, f"bad filtration row: {exc}", ln) from exc
+    if not order:
+        raise InputError(path, "empty filtration")
+    complex_ = EmbeddedComplex(cloud, order, close=False)
+    return Filtration(complex_, order, values)
+
+
+def write_filtration(path: PathLike, filtration: Filtration) -> None:
+    with open(path, "w") as fh:
+        for simplex, value in zip(filtration.order, filtration.values):
+            fh.write(" ".join([repr(float(value)), *map(str, simplex)]))
+            fh.write("\n")
+
+
+# -- cycle files ------------------------------------------------------------
+
+
+def read_cycle(
+    path: PathLike, complex_like: ComplexLike, p: Optional[int] = None
+) -> ChainVector:
+    """One simplex per line as vertex indices; must be a cycle of the
+    complex."""
+    simplices = []
+    for ln, text in _data_lines(path):
+        try:
+            simplices.append(tuple(sorted(int(x) for x in _split_fields(text))))
+        except ValueError as exc:
+            raise InputError(path, f"bad simplex row: {exc}", ln) from exc
+        if not complex_like.has(simplices[-1]):
+            raise InputError(path, f"simplex {simplices[-1]} not in the complex", ln)
+    if not simplices:
+        raise InputError(path, "empty cycle file")
+    if p is None:
+        p = len(simplices[0]) - 1
+    elif len(simplices[0]) - 1 != p:
+        raise InputError(
+            path, f"file holds {len(simplices[0]) - 1}-simplices, expected dimension {p}"
+        )
+    chain = complex_like.chain(simplices, p)
+    if not complex_like.is_cycle(chain, p):
+        raise ValueError(f"{path}: the chain has a non-zero boundary")
+    return chain
+
+
+def write_cycle(path: PathLike, complex_like: ComplexLike, chain: ChainVector, p: int) -> None:
+    with open(path, "w") as fh:
+        for s in complex_like.chain_simplices(chain, p):
+            fh.write(" ".join(map(str, s)))
+            fh.write("\n")
+
+
+# -- OBJ polylines ----------------------------------------------------------
+
+
+def write_obj_polylines(
+    path: PathLike, complex_like: ComplexLike, cycles: Sequence[ChainVector]
+) -> None:
+    """1-cycles as OBJ line elements over the full vertex set; flat complexes
+    get a zero z."""
+    ids = complex_like.vertex_ids()
+    if ids != tuple(range(len(ids))):
+        raise ValueError("OBJ export needs contiguous vertex ids")
+    with open(path, "w") as fh:
+        for v in ids:
+            xyz = list(float(x) for x in complex_like.cloud.point(v))
+            while len(xyz) < 3:
+                xyz.append(0.0)
+            fh.write("v " + " ".join(repr(x) for x in xyz[:3]) + "\n")
+        for chain in cycles:
+            for a, b in complex_like.chain_simplices(chain, 1):
+                fh.write(f"l {a + 1} {b + 1}\n")

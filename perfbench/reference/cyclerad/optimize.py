@@ -1,0 +1,427 @@
+"""Site-restricted cycle optimization.
+
+Three solvers share one engine: order the complex around a site by farthest
+vertex distance, reduce once, and read essential cycles off the basis-change
+columns. Because reduced columns have pairwise distinct leading positions,
+the leading position of any combination is the max over its parts, which is
+what makes the greedy and binary-search steps below exact rather than
+heuristic.
+"""
+from __future__ import annotations
+
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, TypeVar
+
+from .complexes import (
+    ComplexLike,
+    Simplex,
+    SubcomplexView,
+    ball_induced_subcomplex,
+    boundary_columns,
+)
+from .filtrations import Filtration, Interval, compute_persistence, site_ordering
+from .radius import SphereCertificate, exact_radius, site_radius
+from .z2 import ChainVector, IncrementalSpan, Z2Matrix, solve_by_reduction
+
+T = TypeVar("T")
+U = TypeVar("U")
+
+
+def _map_sites(fn: Callable[[T], U], items: Sequence[T], threads: int) -> list[U]:
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
+def _default_sites(complex_like: ComplexLike) -> tuple[int, ...]:
+    return tuple(sorted(complex_like.vertex_ids()))
+
+
+def _root_complex(complex_like: ComplexLike) -> ComplexLike:
+    return complex_like.parent if isinstance(complex_like, SubcomplexView) else complex_like
+
+
+@dataclass(frozen=True)
+class OptimalCycleResult:
+    """A cycle with its measured radii: r_v is the farthest-vertex radius at
+    the chosen site, r_exact the radius of the cycle's own smallest enclosing
+    sphere (so r_exact <= r_v always)."""
+
+    cycle: ChainVector
+    dim: int
+    site: Optional[int]
+    r_v: float
+    r_exact: float
+    certificate: SphereCertificate
+    context: str
+    interval: Optional[Interval] = None
+
+    def edge_count(self) -> int:
+        return len(self.cycle)
+
+
+@dataclass(frozen=True)
+class HomologyBasisResult:
+    cycles: tuple[OptimalCycleResult, ...]
+    total_weight: float
+
+
+def _result_for_cycle(
+    complex_like: ComplexLike,
+    cycle: ChainVector,
+    p: int,
+    site: Optional[int],
+    context: str,
+    interval: Optional[Interval] = None,
+) -> OptimalCycleResult:
+    if cycle.is_zero():
+        return OptimalCycleResult(
+            cycle, p, site, 0.0, 0.0, SphereCertificate(None, 0.0, ()), context, interval
+        )
+    cert = exact_radius(complex_like, cycle, p)
+    r_v = site_radius(complex_like, site, cycle, p) if site is not None else cert.radius
+    return OptimalCycleResult(cycle, p, site, r_v, cert.radius, cert, context, interval)
+
+
+def describe_cycle(
+    complex_like: ComplexLike,
+    cycle: ChainVector,
+    p: int,
+    site: Optional[int] = None,
+    context: str = "input",
+) -> OptimalCycleResult:
+    """Measure a given cycle without optimizing it; with no site given, the
+    best site (smallest r_v, lowest index) is chosen."""
+    if not complex_like.is_cycle(cycle, p):
+        raise ValueError("chain is not a cycle")
+    if site is None and not cycle.is_zero():
+        site = min(
+            _default_sites(complex_like),
+            key=lambda v: (site_radius(complex_like, v, cycle, p), v),
+        )
+    return _result_for_cycle(complex_like, cycle, p, site, context)
+
+
+def _site_essential_cycles(complex_like: ComplexLike, site: int, p: int):
+    """Essential p-cycles of the site ordering, earliest first, as chains in
+    the complex's canonical p-basis, with the site radius each enters at."""
+    ordering = site_ordering(complex_like, site)
+    result = compute_persistence(ordering.as_filtration(), p)
+    radii = []
+    for iv in result.intervals():
+        if iv.death is None:
+            radii.append(iv.birth_value)
+    return result.essential_cycles, tuple(radii)
+
+
+def optimal_hom_cycle_for_site(
+    complex_like: ComplexLike, cycle: ChainVector, site: int, p: int = 1
+) -> OptimalCycleResult:
+    """Smallest cycle homologous to the input as seen from one site: solve
+    the input against [essential cycles | boundaries] of the site ordering
+    and keep the essential part of the solution."""
+    if not complex_like.is_cycle(cycle, p):
+        raise ValueError("input chain is not a cycle")
+    essential, _ = _site_essential_cycles(complex_like, site, p)
+    bounds = boundary_columns(complex_like, p)
+    system = Z2Matrix.from_chains(
+        complex_like.n_simplices(p),
+        list(essential) + [bounds.column(j) for j in range(bounds.n_cols)],
+    )
+    selection = solve_by_reduction(system, cycle)
+    # essential cycles and boundaries together span every cycle
+    assert selection is not None
+    out = ChainVector(complex_like.n_simplices(p), [])
+    for j in selection:
+        if j < len(essential):
+            out = out ^ essential[j]
+    return _result_for_cycle(complex_like, out, p, site, "homologous-cycle")
+
+
+def opt_homologous_cycle(
+    complex_like: ComplexLike,
+    cycle: ChainVector,
+    p: int = 1,
+    sites: Optional[Sequence[int]] = None,
+    threads: int = 1,
+) -> OptimalCycleResult:
+    """Best homologous cycle over every site; ties broken toward the lowest
+    site index."""
+    chosen = tuple(sites) if sites is not None else _default_sites(complex_like)
+    if not chosen:
+        raise ValueError("need at least one site")
+    results = _map_sites(
+        lambda v: optimal_hom_cycle_for_site(complex_like, cycle, v, p), chosen, threads
+    )
+    return min(zip(results, chosen), key=lambda t: (t[0].r_v, t[1]))[0]
+
+
+def opt_homology_basis(
+    complex_like: ComplexLike,
+    p: int,
+    sites: Optional[Sequence[int]] = None,
+    threads: int = 1,
+) -> HomologyBasisResult:
+    """Greedy minimum-weight homology basis from the pooled essential cycles
+    of every site ordering."""
+    if p < 1:
+        raise ValueError("basis dimension must be positive")
+    chosen = tuple(sites) if sites is not None else _default_sites(complex_like)
+    if not chosen:
+        raise ValueError("need at least one site")
+    per_site = _map_sites(
+        lambda v: _site_essential_cycles(complex_like, v, p), chosen, threads
+    )
+    beta = len(per_site[0][0])
+    pool = []
+    for v, (cycles, radii) in zip(chosen, per_site):
+        assert len(cycles) == beta  # homology rank cannot depend on the site
+        for rank_in_site, (c, r) in enumerate(zip(cycles, radii)):
+            pool.append((r, v, rank_in_site, c))
+    pool.sort(key=lambda t: t[:3])
+
+    n_p = complex_like.n_simplices(p)
+    bounds = boundary_columns(complex_like, p)
+    span = IncrementalSpan(n_p, (bounds.column(j) for j in range(bounds.n_cols)))
+    admitted: list[OptimalCycleResult] = []
+    for r, v, _, c in pool:
+        if len(admitted) == beta:
+            break
+        if span.add(c):
+            admitted.append(_result_for_cycle(complex_like, c, p, v, "homology-basis"))
+    assert len(admitted) == beta
+    return HomologyBasisResult(tuple(admitted), sum(x.r_v for x in admitted))
+
+
+def _persistent_candidates(
+    filtration: Filtration, interval: Interval, site: int
+):
+    """Essential cycles of the site ordering of the birth prefix, rotated so
+    only the first creator-containing column keeps the creator."""
+    p = interval.dim
+    prefix = filtration.prefix_view(interval.birth)
+    parent = prefix.parent
+    essential, _ = _site_essential_cycles(prefix, site, p)
+    extended = [prefix.extend(c, p) for c in essential]
+    creator_bit = parent.position(interval.creator)
+    alpha = next(
+        (j for j, c in enumerate(extended) if creator_bit in c), None
+    )
+    # the interval's class is born here, so some essential cycle meets it
+    assert alpha is not None
+    anchor = extended[alpha]
+    others = []
+    for j, c in enumerate(extended):
+        if j == alpha:
+            continue
+        others.append(c ^ anchor if creator_bit in c else c)
+    return anchor, others
+
+
+def opt_pers_cycle_site(
+    filtration: Filtration, interval: Interval, site: int
+) -> OptimalCycleResult:
+    """Bar representative at one site: anchor on the first essential cycle of the birth
+    prefix that contains the creator, then binary-search how many of the
+    remaining cycles must be admitted before the anchor's class bounds by the
+    death time."""
+    p = interval.dim
+    root = _root_complex(filtration.complex)
+    anchor, others = _persistent_candidates(filtration, interval, site)
+    if interval.death is None:
+        # nothing below the anchor's leading position can represent an
+        # essential class, so the anchor itself is optimal
+        return _result_for_cycle(
+            root, anchor, p, site, "persistent-representative", interval
+        )
+
+    n_p = root.n_simplices(p)
+    death_bounds = []
+    if p + 1 <= root.max_dim:
+        higher = root.simplices(p + 1)
+        full = root.boundary_matrix(p + 1)
+        for j, tau in enumerate(higher):
+            if filtration.complex.has(tau) and filtration.index_of(tau) <= interval.death:
+                death_bounds.append(full.column(j))
+
+    def feasible(i: int) -> Optional[list[int]]:
+        system = Z2Matrix.from_chains(n_p, death_bounds + others[:i])
+        return solve_by_reduction(system, anchor)
+
+    lo, hi = 0, len(others)
+    assert feasible(hi) is not None  # the bar dies, so the full span works
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(mid) is not None:
+            hi = mid
+        else:
+            lo = mid + 1
+    selection = feasible(lo)
+    out = anchor
+    for j in selection:
+        if j >= len(death_bounds):
+            out = out ^ others[j - len(death_bounds)]
+    return _result_for_cycle(
+        root, out, p, site, "persistent-representative", interval
+    )
+
+
+def opt_pers_hom_rep(
+    filtration: Filtration,
+    interval: Interval,
+    sites: Optional[Sequence[int]] = None,
+    threads: int = 1,
+) -> OptimalCycleResult:
+    chosen = tuple(sites) if sites is not None else _default_sites(filtration.complex)
+    if not chosen:
+        raise ValueError("need at least one site")
+    results = _map_sites(
+        lambda v: opt_pers_cycle_site(filtration, interval, v), chosen, threads
+    )
+    return min(zip(results, chosen), key=lambda t: (t[0].r_v, t[1]))[0]
+
+
+def opt_persistent_basis(
+    filtration: Filtration,
+    p: int,
+    sites: Optional[Sequence[int]] = None,
+    threads: int = 1,
+) -> list[OptimalCycleResult]:
+    """One optimal representative per dimension-p interval; per-bar minima
+    assemble into the minimum persistent basis."""
+    persistence = compute_persistence(filtration, p)
+    intervals = persistence.intervals()
+    return _map_sites(
+        lambda iv: opt_pers_hom_rep(filtration, iv, sites=sites, threads=1),
+        intervals,
+        threads,
+    )
+
+
+# -- cycle shortening ------------------------------------------------------
+
+
+def _cycle_loops(edges: list[Simplex]) -> list[list[int]]:
+    """Closed vertex walks covering the edge set, smallest neighbor first."""
+    neighbors: dict[int, list[int]] = {}
+    for a, b in edges:
+        neighbors.setdefault(a, []).append(b)
+        neighbors.setdefault(b, []).append(a)
+    for v in neighbors:
+        neighbors[v].sort()
+    unused = set(edges)
+    loops = []
+    while unused:
+        start = min(min(e) for e in unused)
+        walk = [start]
+        current = start
+        while True:
+            step = next(
+                w
+                for w in neighbors[current]
+                if tuple(sorted((current, w))) in unused
+            )
+            unused.discard(tuple(sorted((current, step))))
+            if step == start:
+                break
+            walk.append(step)
+            current = step
+        loops.append(walk)
+    return loops
+
+
+def _shortest_path(adjacency: dict[int, list[int]], a: int, b: int) -> Optional[list[int]]:
+    if a == b:
+        return [a]
+    parent = {a: a}
+    queue = deque([a])
+    while queue:
+        u = queue.popleft()
+        for w in adjacency.get(u, ()):
+            if w not in parent:
+                parent[w] = u
+                if w == b:
+                    path = [b]
+                    while path[-1] != a:
+                        path.append(parent[path[-1]])
+                    return path[::-1]
+                queue.append(w)
+    return None
+
+
+def shorten_cycle(
+    result: OptimalCycleResult, complex_like: ComplexLike, max_passes: int = 50
+) -> OptimalCycleResult:
+    """Replace arcs of the cycle by shorter homologous paths found inside the
+    site ball of the result. The class never changes (every swap is checked
+    against the boundary space), the edge count never grows, and because all
+    replacement paths stay inside the same ball the site radius never grows
+    either."""
+    if result.dim != 1:
+        raise ValueError("shortening is defined for 1-cycles only")
+    if result.cycle.is_zero() or result.site is None:
+        return result
+
+    center = complex_like.cloud.point(result.site)
+    ball = ball_induced_subcomplex(complex_like, center, result.r_v)
+    adjacency: dict[int, list[int]] = {}
+    for a, b in ball.simplices(1) if ball.max_dim >= 1 else ():
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    for v in adjacency:
+        adjacency[v].sort()
+    bounds = boundary_columns(complex_like, 1)
+
+    cycle = result.cycle
+    n_edges = complex_like.n_simplices(1)
+    for _ in range(max_passes):
+        edges = complex_like.chain_simplices(cycle, 1)
+        count = len(edges)
+        proposals = []
+        for loop in _cycle_loops(edges):
+            n = len(loop)
+            for i in range(n):
+                for j in range(i + 2, n):
+                    if i == 0 and j == n - 1:
+                        continue  # adjacent around the wrap
+                    for arc in (loop[i : j + 1], loop[j:] + loop[: i + 1]):
+                        path = _shortest_path(adjacency, arc[0], arc[-1])
+                        if path is None:
+                            continue
+                        saving = (len(arc) - 1) - (len(path) - 1)
+                        if saving > 0:
+                            proposals.append((-saving, arc, path))
+        proposals.sort(key=lambda t: (t[0], t[1], t[2]))
+        changed = False
+        for _, arc, path in proposals:
+            detour = complex_like.chain(
+                [tuple(sorted(e)) for e in zip(arc, arc[1:])], p=1
+            )
+            replacement = complex_like.chain(
+                [tuple(sorted(e)) for e in zip(path, path[1:])], p=1
+            )
+            difference = detour ^ replacement
+            candidate = cycle ^ difference
+            if len(candidate) >= count:
+                continue
+            if not complex_like.is_cycle(candidate, 1):
+                continue
+            if solve_by_reduction(bounds, difference) is None:
+                continue
+            cycle = candidate
+            changed = True
+            break
+        if not changed:
+            break
+
+    if cycle == result.cycle:
+        return result
+    out = _result_for_cycle(
+        complex_like, cycle, 1, result.site, result.context, result.interval
+    )
+    assert out.r_v <= result.r_v * (1 + 1e-12)
+    assert len(out.cycle) <= len(result.cycle)
+    return out

@@ -1,0 +1,432 @@
+"""Exhaustive reference implementations, usable only at toy scale.
+
+Everything here trades time for certainty: candidate spheres are enumerated
+from vertex subsets, homology classes are unrolled element by element, and
+search spaces are walked completely.  None of it is meant to run beyond a
+dozen vertices; the budget guard exists so a test that outgrows the oracle
+fails loudly instead of hanging.
+
+The linear algebra is redone locally on dense bitmasks rather than routed
+through the reduction code in ``z2``, so the reference results do not inherit
+a bug from the machinery they are supposed to check.  Two deliberately
+different routes to the same optimum exist (sphere enumeration in
+``exact_optimal_homologous_cycle``, class unrolling in ``enumerate_class``);
+tests compare them against each other as well as against the fast paths.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Callable, Optional, Sequence
+
+from .complexes import (
+    ComplexLike,
+    EmbeddedComplex,
+    ball_induced_subcomplex,
+    boundary_columns,
+)
+from .filtrations import Filtration, Interval
+from .radius import exact_radius, min_enclosing_sphere, site_radius
+from .z2 import ChainVector
+
+
+class BudgetExceededError(RuntimeError):
+    """An exhaustive enumeration would exceed the configured budget."""
+
+
+@dataclass(frozen=True)
+class OracleBudget:
+    """Caps on the exhaustive searches; the defaults fit the test fixtures."""
+
+    max_vertices: int = 12
+    max_simplices: int = 400
+    max_cycle_space_dim: int = 16
+
+    def check_complex(self, complex_like: ComplexLike) -> None:
+        n_v = len(complex_like.vertex_ids())
+        if n_v > self.max_vertices:
+            raise BudgetExceededError(
+                f"{n_v} vertices exceed the oracle cap of {self.max_vertices}"
+            )
+        n_s = complex_like.total_simplices()
+        if n_s > self.max_simplices:
+            raise BudgetExceededError(
+                f"{n_s} simplices exceed the oracle cap of {self.max_simplices}"
+            )
+
+    def check_span(self, dim: int) -> None:
+        if dim > self.max_cycle_space_dim:
+            raise BudgetExceededError(
+                f"enumerating a span of dimension {dim} exceeds the"
+                f" 2^{self.max_cycle_space_dim} oracle cap"
+            )
+
+
+DEFAULT_BUDGET = OracleBudget()
+
+
+# -- dense Z2 helpers on int masks -----------------------------------------
+
+
+def _reduce_mask(mask: int, rows: dict[int, int]) -> int:
+    """Eliminate against rows keyed by leading bit until stuck or zero."""
+    while mask:
+        row = rows.get(mask.bit_length() - 1)
+        if row is None:
+            break
+        mask ^= row
+    return mask
+
+
+def _insert_mask(mask: int, rows: dict[int, int]) -> bool:
+    """Grow the span; True when the mask was independent of it."""
+    residue = _reduce_mask(mask, rows)
+    if residue:
+        rows[residue.bit_length() - 1] = residue
+        return True
+    return False
+
+
+def _span_rows(masks) -> dict[int, int]:
+    rows: dict[int, int] = {}
+    for m in masks:
+        _insert_mask(m, rows)
+    return rows
+
+
+def _independent_masks(masks) -> list[int]:
+    """Greedy independent subset, keeping the original unreduced masks."""
+    rows: dict[int, int] = {}
+    kept = []
+    for m in masks:
+        if _insert_mask(m, rows):
+            kept.append(m)
+    return kept
+
+
+def _mask_rank(masks) -> int:
+    return len(_span_rows(masks))
+
+
+def _solve_masks(columns: Sequence[int], target: int) -> Optional[int]:
+    """Coefficient mask c with XOR_{j in c} columns[j] = target, or None."""
+    rows: dict[int, tuple[int, int]] = {}
+    for j, col in enumerate(columns):
+        value, coeffs = col, 1 << j
+        while value:
+            top = value.bit_length() - 1
+            if top in rows:
+                rv, rc = rows[top]
+                value ^= rv
+                coeffs ^= rc
+            else:
+                rows[top] = (value, coeffs)
+                break
+    value, coeffs = target, 0
+    while value:
+        top = value.bit_length() - 1
+        if top not in rows:
+            return None
+        rv, rc = rows[top]
+        value ^= rv
+        coeffs ^= rc
+    return coeffs
+
+
+def _kernel_coefficients(columns: Sequence[int]) -> list[int]:
+    """Coefficient masks of a basis of {c : XOR_{j in c} columns[j] = 0}."""
+    rows: dict[int, tuple[int, int]] = {}
+    kernel = []
+    for j, col in enumerate(columns):
+        value, coeffs = col, 1 << j
+        while value:
+            top = value.bit_length() - 1
+            if top in rows:
+                rv, rc = rows[top]
+                value ^= rv
+                coeffs ^= rc
+            else:
+                rows[top] = (value, coeffs)
+                break
+        if not value:
+            kernel.append(coeffs)
+    return kernel
+
+
+def _xor_select(masks: Sequence[int], bits: int) -> int:
+    out = 0
+    rem = bits
+    while rem:
+        j = (rem & -rem).bit_length() - 1
+        out ^= masks[j]
+        rem &= rem - 1
+    return out
+
+
+def _cycle_space_masks(complex_like: ComplexLike, p: int) -> list[int]:
+    """Masks, over the complex's own p-basis, of a basis of the p-cycles.
+
+    Kernel coefficients over the boundary columns are themselves chains in
+    the p-basis, so no translation step is needed.
+    """
+    n_p = complex_like.n_simplices(p)
+    if n_p == 0:
+        return []
+    if p == 0:
+        return [1 << j for j in range(n_p)]
+    bmat = complex_like.boundary_matrix(p)
+    return _kernel_coefficients([bmat.column_mask(j) for j in range(bmat.n_cols)])
+
+
+def _boundary_masks(complex_like: ComplexLike, p: int) -> list[int]:
+    bounds = boundary_columns(complex_like, p)
+    return [bounds.column_mask(j) for j in range(bounds.n_cols)]
+
+
+def _weight_fn(
+    complex_like: ComplexLike, p: int, weight: str
+) -> Callable[[ChainVector], float]:
+    if weight == "exact":
+        return lambda c: exact_radius(complex_like, c, p).radius
+    if weight == "site":
+        ids = complex_like.vertex_ids()
+        return lambda c: min(site_radius(complex_like, v, c, p) for v in ids)
+    raise ValueError("weight must be 'exact' or 'site'")
+
+
+# -- results ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ExactOptimum:
+    """Smallest sphere admitting a homologous cycle, with a witness."""
+
+    radius: float
+    cycle: ChainVector
+    center: Optional[tuple[float, ...]]
+
+
+@dataclass(frozen=True)
+class ExactBasis:
+    cycles: tuple[ChainVector, ...]
+    weights: tuple[float, ...]
+    total_weight: float
+
+
+@dataclass(frozen=True)
+class ExactRepresentative:
+    cycle: ChainVector
+    weight: float
+    site: Optional[int]
+
+
+# -- sphere enumeration path ------------------------------------------------
+
+
+def _candidate_spheres(complex_like: EmbeddedComplex) -> list[tuple[float, tuple]]:
+    """Smallest enclosing spheres of every vertex subset of size 1..dim+1,
+    deduplicated, smallest radius first.
+
+    Any optimal ball is the smallest enclosing sphere of the winning cycle's
+    vertices, which is pinned by at most dim+1 of them, so it shows up here.
+    """
+    ids = complex_like.vertex_ids()
+    pts = {v: complex_like.cloud.point(v) for v in ids}
+    top = min(complex_like.cloud.dim + 1, len(ids))
+    seen: dict[tuple, tuple[float, tuple]] = {}
+    for k in range(1, top + 1):
+        for subset in combinations(ids, k):
+            cert = min_enclosing_sphere([pts[v] for v in subset])
+            center = tuple(float(x) for x in cert.center)
+            key = (round(cert.radius, 12), tuple(round(x, 12) for x in center))
+            if key not in seen:
+                seen[key] = (cert.radius, center)
+    return sorted(seen.values())
+
+
+def exact_optimal_homologous_cycle(
+    complex_like: EmbeddedComplex,
+    cycle: ChainVector,
+    p: int = 1,
+    budget: OracleBudget = DEFAULT_BUDGET,
+) -> ExactOptimum:
+    """Minimum-radius cycle in the input's homology class, by trying every
+    candidate sphere in radius order and asking whether the subcomplex it
+    induces holds a homologous cycle."""
+    budget.check_complex(complex_like)
+    if not complex_like.is_cycle(cycle, p):
+        raise ValueError("input chain is not a cycle")
+    bmasks = _boundary_masks(complex_like, p)
+    n_p = complex_like.n_simplices(p)
+    for radius, center in _candidate_spheres(complex_like):
+        sub = ball_induced_subcomplex(complex_like, center, radius)
+        kernel = _cycle_space_masks(sub, p)
+        ext = [
+            sub.extend(ChainVector(sub.n_simplices(p), mask=m), p).mask
+            for m in kernel
+        ]
+        coeffs = _solve_masks(ext + bmasks, cycle.mask)
+        if coeffs is None:
+            continue
+        mask = 0
+        for j in range(len(ext)):
+            if coeffs >> j & 1:
+                mask ^= ext[j]
+        # the rest of the solution is boundaries, so the witness stays put
+        assert _solve_masks(bmasks, cycle.mask ^ mask) is not None
+        return ExactOptimum(radius=radius, cycle=ChainVector(n_p, mask=mask), center=center)
+    raise RuntimeError("no candidate sphere admitted the class")
+
+
+# -- class unrolling path ----------------------------------------------------
+
+
+def enumerate_class(
+    complex_like: ComplexLike,
+    cycle: ChainVector,
+    p: int = 1,
+    budget: OracleBudget = DEFAULT_BUDGET,
+) -> list[ChainVector]:
+    """Every cycle homologous to the input: the input shifted by each element
+    of the boundary span, 2^rank of them."""
+    budget.check_complex(complex_like)
+    if not complex_like.is_cycle(cycle, p):
+        raise ValueError("input chain is not a cycle")
+    basis = _independent_masks(_boundary_masks(complex_like, p))
+    budget.check_span(len(basis))
+    n_p = complex_like.n_simplices(p)
+    return [
+        ChainVector(n_p, mask=cycle.mask ^ _xor_select(basis, bits))
+        for bits in range(1 << len(basis))
+    ]
+
+
+def exact_min_basis(
+    complex_like: ComplexLike,
+    p: int = 1,
+    budget: OracleBudget = DEFAULT_BUDGET,
+    weight: str = "exact",
+) -> ExactBasis:
+    """Minimum-weight homology basis by full enumeration: the cheapest cycle
+    of every class, then the cheapest independent set of classes."""
+    budget.check_complex(complex_like)
+    weigh = _weight_fn(complex_like, p, weight)
+    n_p = complex_like.n_simplices(p)
+    bbasis = _independent_masks(_boundary_masks(complex_like, p))
+    budget.check_span(len(bbasis))
+
+    rows = _span_rows(bbasis)
+    hbasis = []
+    for m in _cycle_space_masks(complex_like, p):
+        if _insert_mask(m, rows):
+            hbasis.append(m)
+    beta = len(hbasis)
+    if beta == 0:
+        return ExactBasis((), (), 0.0)
+    budget.check_span(beta)
+    if math.comb((1 << beta) - 1, beta) > 1 << budget.max_cycle_space_dim:
+        raise BudgetExceededError(
+            f"enumerating bases over {beta} classes exceeds the oracle cap"
+        )
+
+    # cheapest member of every nonzero class; a class never holds the zero
+    # cycle, so the weight functions are safe
+    class_best: dict[int, tuple[float, int]] = {}
+    for cls in range(1, 1 << beta):
+        base = _xor_select(hbasis, cls)
+        best = None
+        for bits in range(1 << len(bbasis)):
+            m = base ^ _xor_select(bbasis, bits)
+            cand = (weigh(ChainVector(n_p, mask=m)), m)
+            if best is None or cand < best:
+                best = cand
+        class_best[cls] = best
+
+    best_total = None
+    best_subset = None
+    for subset in combinations(sorted(class_best), beta):
+        if _mask_rank(subset) < beta:
+            continue
+        total = sum(class_best[c][0] for c in subset)
+        if best_total is None or total < best_total:
+            best_total = total
+            best_subset = subset
+    assert best_subset is not None  # the hbasis classes themselves qualify
+
+    picked = sorted((class_best[c] for c in best_subset))
+    return ExactBasis(
+        cycles=tuple(ChainVector(n_p, mask=m) for _, m in picked),
+        weights=tuple(w for w, _ in picked),
+        total_weight=float(sum(w for w, _ in picked)),
+    )
+
+
+def exact_min_persistent_rep(
+    filtration: Filtration,
+    interval: Interval,
+    budget: OracleBudget = DEFAULT_BUDGET,
+    weight: str = "site",
+) -> ExactRepresentative:
+    """Minimum-weight representative of a bar by walking the whole cycle
+    space of the birth prefix and keeping every chain that is a valid
+    representative: contains the creator, stays non-bounding until the bar
+    dies, bounds once it does (never, for essential bars)."""
+    complex_like = filtration.complex
+    budget.check_complex(complex_like)
+    p = interval.dim
+    weigh = _weight_fn(complex_like, p, weight)
+    n_p = complex_like.n_simplices(p)
+    creator_bit = complex_like.position(interval.creator)
+
+    prefix = filtration.prefix_view(interval.birth)
+    kernel = _cycle_space_masks(prefix, p)
+    budget.check_span(len(kernel))
+    ext = [
+        prefix.extend(ChainVector(prefix.n_simplices(p), mask=m), p).mask
+        for m in kernel
+    ]
+
+    full = _boundary_masks(complex_like, p)
+    if interval.death is None:
+        pre_rows = _span_rows(full)
+        death_rows = None
+    else:
+        higher = complex_like.simplices(p + 1)
+        pre = [
+            full[j]
+            for j, tau in enumerate(higher)
+            if filtration.index_of(tau) <= interval.death - 1
+        ]
+        at_death = [
+            full[j]
+            for j, tau in enumerate(higher)
+            if filtration.index_of(tau) <= interval.death
+        ]
+        pre_rows = _span_rows(pre)
+        death_rows = _span_rows(at_death)
+
+    best = None
+    for bits in range(1, 1 << len(kernel)):
+        m = _xor_select(ext, bits)
+        if not m >> creator_bit & 1:
+            continue
+        if _reduce_mask(m, pre_rows) == 0:
+            continue
+        if death_rows is not None and _reduce_mask(m, death_rows) != 0:
+            continue
+        cand = (weigh(ChainVector(n_p, mask=m)), m)
+        if best is None or cand < best:
+            best = cand
+    # the bar exists, so at least one representative does
+    assert best is not None
+    w, m = best
+    out = ChainVector(n_p, mask=m)
+    site = None
+    if weight == "site":
+        site = min(
+            complex_like.vertex_ids(),
+            key=lambda v: (site_radius(complex_like, v, out, p), v),
+        )
+    return ExactRepresentative(cycle=out, weight=w, site=site)

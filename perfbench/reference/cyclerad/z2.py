@@ -1,0 +1,314 @@
+"""Sparse linear algebra over Z2: column matrices, left-to-right reduction,
+and feasibility solves.
+
+Columns are stored as arbitrary-precision integers used as bitmasks (bit i set
+means row i is nonzero). Addition over Z2 is XOR; the lowest-one of a column
+(its largest nonzero row index) is ``bit_length() - 1``. Externally every
+column is built from and reported as a strictly increasing list of row indices.
+
+All functions here are pure: inputs are never mutated and no module state is
+shared.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence
+
+
+def _mask_from_support(support: Iterable[int], n_rows: int) -> int:
+    mask = 0
+    last = -1
+    for i in support:
+        if i <= last:
+            raise ValueError("support must be strictly increasing")
+        if i < 0 or i >= n_rows:
+            raise ValueError(f"row index {i} out of range [0, {n_rows})")
+        mask |= 1 << i
+        last = i
+    return mask
+
+
+def _support_from_mask(mask: int) -> list[int]:
+    out = []
+    i = 0
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class ChainVector:
+    """A Z2 vector in a fixed ambient basis of size ``ambient_size``."""
+
+    __slots__ = ("ambient_size", "mask")
+
+    def __init__(self, ambient_size: int, support: Iterable[int] = (), *, mask: Optional[int] = None):
+        self.ambient_size = int(ambient_size)
+        if mask is not None:
+            if mask < 0 or mask >> self.ambient_size:
+                raise ValueError("mask exceeds ambient size")
+            self.mask = mask
+        else:
+            self.mask = _mask_from_support(support, self.ambient_size)
+
+    @property
+    def support(self) -> list[int]:
+        return _support_from_mask(self.mask)
+
+    def is_zero(self) -> bool:
+        return self.mask == 0
+
+    def __len__(self) -> int:
+        return bin(self.mask).count("1")
+
+    def __contains__(self, index: int) -> bool:
+        return bool((self.mask >> index) & 1)
+
+    def __xor__(self, other: "ChainVector") -> "ChainVector":
+        if self.ambient_size != other.ambient_size:
+            raise ValueError("ambient sizes differ")
+        return ChainVector(self.ambient_size, mask=self.mask ^ other.mask)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, ChainVector)
+            and self.ambient_size == other.ambient_size
+            and self.mask == other.mask
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_size, self.mask))
+
+    def __repr__(self) -> str:
+        return f"ChainVector({self.ambient_size}, {self.support})"
+
+
+def low(column: ChainVector) -> Optional[int]:
+    """Largest nonzero row index of a column, or None for the zero column."""
+    if column.mask == 0:
+        return None
+    return column.mask.bit_length() - 1
+
+
+class Z2Matrix:
+    """A Z2 matrix held column-wise."""
+
+    __slots__ = ("n_rows", "_cols")
+
+    def __init__(self, n_rows: int, column_masks: Iterable[int] = ()):
+        self.n_rows = int(n_rows)
+        self._cols = list(column_masks)
+        limit = 1 << self.n_rows
+        for mask in self._cols:
+            if mask < 0 or mask >= limit:
+                raise ValueError("column mask exceeds row count")
+
+    @classmethod
+    def from_columns(cls, n_rows: int, supports: Iterable[Iterable[int]]) -> "Z2Matrix":
+        return cls(n_rows, (_mask_from_support(s, n_rows) for s in supports))
+
+    @classmethod
+    def from_chains(cls, n_rows: int, chains: Iterable[ChainVector]) -> "Z2Matrix":
+        masks = []
+        for c in chains:
+            if c.ambient_size != n_rows:
+                raise ValueError("chain ambient size must equal the row count")
+            masks.append(c.mask)
+        return cls(n_rows, masks)
+
+    @classmethod
+    def identity(cls, n: int) -> "Z2Matrix":
+        return cls(n, (1 << i for i in range(n)))
+
+    @property
+    def n_cols(self) -> int:
+        return len(self._cols)
+
+    def column_mask(self, j: int) -> int:
+        return self._cols[j]
+
+    def column(self, j: int) -> ChainVector:
+        return ChainVector(self.n_rows, mask=self._cols[j])
+
+    def column_support(self, j: int) -> list[int]:
+        return _support_from_mask(self._cols[j])
+
+    def columns(self) -> Iterator[ChainVector]:
+        for mask in self._cols:
+            yield ChainVector(self.n_rows, mask=mask)
+
+    def low(self, j: int) -> Optional[int]:
+        mask = self._cols[j]
+        return mask.bit_length() - 1 if mask else None
+
+    def entry(self, i: int, j: int) -> bool:
+        return bool((self._cols[j] >> i) & 1)
+
+    def copy(self) -> "Z2Matrix":
+        return Z2Matrix(self.n_rows, self._cols)
+
+    def with_column(self, column: ChainVector) -> "Z2Matrix":
+        """A copy with one extra column appended on the right."""
+        if column.ambient_size != self.n_rows:
+            raise ValueError("column ambient size must equal the row count")
+        return Z2Matrix(self.n_rows, self._cols + [column.mask])
+
+    def hstack(self, other: "Z2Matrix") -> "Z2Matrix":
+        if other.n_rows != self.n_rows:
+            raise ValueError("row counts differ")
+        return Z2Matrix(self.n_rows, self._cols + other._cols)
+
+    def __matmul__(self, other: "Z2Matrix") -> "Z2Matrix":
+        if other.n_rows != self.n_cols:
+            raise ValueError("inner dimensions differ")
+        out = []
+        for j in range(other.n_cols):
+            acc = 0
+            mask = other._cols[j]
+            while mask:
+                lowbit = mask & -mask
+                acc ^= self._cols[lowbit.bit_length() - 1]
+                mask ^= lowbit
+            out.append(acc)
+        return Z2Matrix(self.n_rows, out)
+
+    def apply(self, vector: ChainVector) -> ChainVector:
+        """Matrix-vector product over Z2."""
+        if vector.ambient_size != self.n_cols:
+            raise ValueError("vector ambient size must equal the column count")
+        acc = 0
+        mask = vector.mask
+        while mask:
+            lowbit = mask & -mask
+            acc ^= self._cols[lowbit.bit_length() - 1]
+            mask ^= lowbit
+        return ChainVector(self.n_rows, mask=acc)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Z2Matrix)
+            and self.n_rows == other.n_rows
+            and self._cols == other._cols
+        )
+
+    def __repr__(self) -> str:
+        return f"Z2Matrix({self.n_rows}x{self.n_cols})"
+
+
+@dataclass(frozen=True)
+class ReductionResult:
+    """Outcome of the left-to-right column reduction.
+
+    ``reduced`` is the reduced matrix, ``basis_change`` the unitriangular V
+    with reduced = matrix @ V. ``pairs`` lists (low row, column) for every
+    nonzero reduced column. ``unpaired`` lists the zero columns whose index is
+    not the low row of any pair; when the input is the square boundary matrix
+    of a filtration these are exactly the essential columns.
+    """
+
+    reduced: Z2Matrix
+    basis_change: Z2Matrix
+    pairs: tuple[tuple[int, int], ...]
+    unpaired: tuple[int, ...]
+
+
+def standard_reduction(matrix: Z2Matrix) -> ReductionResult:
+    """Reduce columns left to right; whenever a column shares its low row with
+    an earlier one, add the earlier column into it (and track the same
+    operation in V)."""
+    m = matrix.n_cols
+    cols = [matrix.column_mask(j) for j in range(m)]
+    basis = [1 << j for j in range(m)]
+    owner: dict[int, int] = {}
+    pairs: list[tuple[int, int]] = []
+    for j in range(m):
+        c = cols[j]
+        while c:
+            pivot = c.bit_length() - 1
+            j0 = owner.get(pivot)
+            if j0 is None:
+                break
+            c ^= cols[j0]
+            basis[j] ^= basis[j0]
+        cols[j] = c
+        if c:
+            pivot = c.bit_length() - 1
+            owner[pivot] = j
+            pairs.append((pivot, j))
+    low_rows = {r for r, _ in pairs}
+    unpaired = tuple(j for j in range(m) if not cols[j] and j not in low_rows)
+    return ReductionResult(
+        reduced=Z2Matrix(matrix.n_rows, cols),
+        basis_change=Z2Matrix(m, basis),
+        pairs=tuple(pairs),
+        unpaired=unpaired,
+    )
+
+
+def solve_by_reduction(matrix: Z2Matrix, rhs: ChainVector) -> Optional[list[int]]:
+    """Find column indices of ``matrix`` whose Z2 sum equals ``rhs``.
+
+    Reduces [matrix | rhs]; the system is feasible iff the appended column
+    reduces to zero, and then the solution is read off the last basis-change
+    column with its final index (the appended column itself) dropped. Returns
+    the sorted index list, or None when infeasible.
+    """
+    if rhs.ambient_size != matrix.n_rows:
+        raise ValueError("rhs ambient size must equal the matrix row count")
+    augmented = matrix.with_column(rhs)
+    result = standard_reduction(augmented)
+    last = augmented.n_cols - 1
+    if result.reduced.column_mask(last) != 0:
+        return None
+    support = result.basis_change.column_support(last)
+    # V is unitriangular, so the appended column is always the final index.
+    assert support and support[-1] == last
+    return support[:-1]
+
+
+def in_span(basis: Z2Matrix, vector: ChainVector) -> bool:
+    """Whether ``vector`` lies in the column span of ``basis``. The zero
+    vector is in every span, including the empty one."""
+    return solve_by_reduction(basis, vector) is not None
+
+
+def rank(matrix: Z2Matrix) -> int:
+    return len(standard_reduction(matrix).pairs)
+
+
+class IncrementalSpan:
+    """Growing column space with O(cols) membership insertion: kept fully
+    reduced so each stored column has a distinct lowest-one row."""
+
+    def __init__(self, n_rows: int, columns: Iterable[ChainVector] = ()):
+        self.n_rows = n_rows
+        self._by_low: dict[int, int] = {}
+        for c in columns:
+            self.add(c)
+
+    @property
+    def rank(self) -> int:
+        return len(self._by_low)
+
+    def reduce(self, vector: ChainVector) -> int:
+        if vector.ambient_size != self.n_rows:
+            raise ValueError("vector ambient size must equal the row count")
+        mask = vector.mask
+        while mask:
+            pivot = self._by_low.get(mask.bit_length() - 1)
+            if pivot is None:
+                break
+            mask ^= pivot
+        return mask
+
+    def contains(self, vector: ChainVector) -> bool:
+        return self.reduce(vector) == 0
+
+    def add(self, vector: ChainVector) -> bool:
+        """Insert the vector; True when it enlarged the span."""
+        mask = self.reduce(vector)
+        if mask == 0:
+            return False
+        self._by_low[mask.bit_length() - 1] = mask
+        return True
