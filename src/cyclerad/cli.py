@@ -3,7 +3,7 @@
 Exit codes: 0 on success, 2 on unreadable or malformed input, 3 on semantic
 failure (chain is not a cycle, non-monotone filtration, oracle budget,
 verification miss).  Reports are JSON with sorted keys, so identical inputs
-produce byte-identical output regardless of thread count.
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .complexes import ComplexLike, PointCloud
 from .filtrations import (
     Filtration,
     Interval,
+    PersistenceResult,
     compute_persistence,
     lower_star_filtration,
     rips_filtration,
@@ -68,7 +69,6 @@ class RunConfig:
     lower_star_path: Optional[str] = None
     filtration_path: Optional[str] = None
     sites: float = 1.0
-    threads: int = 1
     shorten: bool = False
     out: Optional[str] = None
     export_obj: Optional[str] = None
@@ -86,8 +86,6 @@ class RunConfig:
             raise ConfigError(f"{self.problem} needs a positive dimension p")
         if not 0 < self.sites <= 1:
             raise ConfigError("--sites must be a fraction in (0, 1]")
-        if self.threads < 1:
-            raise ConfigError("--threads must be positive")
         if self.problem == "localize":
             if not (self.complex_path and self.cycle_path):
                 raise ConfigError("localize needs --complex and --cycle")
@@ -218,12 +216,11 @@ def _build_filtration(cfg: RunConfig) -> Filtration:
     return lower_star_filtration(complex_, read_scalars(cfg.lower_star_path))
 
 
-def _select_bars(filtration: Filtration, p: int, top: Optional[int]) -> list[Interval]:
+def _select_bars(persistence: PersistenceResult, top: Optional[int]) -> list[Interval]:
     """Positive-length bars, most persistent first; essential bars lead."""
-    intervals = compute_persistence(filtration, p).intervals()
     alive = [
         iv
-        for iv in intervals
+        for iv in persistence.intervals()
         if iv.death_value is None or iv.death_value > iv.birth_value
     ]
     alive.sort(key=lambda iv: (-iv.value_length(), iv.birth))
@@ -236,9 +233,7 @@ def _select_bars(filtration: Filtration, p: int, top: Optional[int]) -> list[Int
 def _run_localize(cfg: RunConfig) -> tuple[dict, int]:
     complex_ = read_off(cfg.complex_path)
     cycle = read_cycle(cfg.cycle_path, complex_, cfg.p)
-    res = opt_homologous_cycle(
-        complex_, cycle, cfg.p, sites=_pick_sites(complex_, cfg.sites), threads=cfg.threads
-    )
+    res = opt_homologous_cycle(complex_, cycle, cfg.p, sites=_pick_sites(complex_, cfg.sites))
     final = _maybe_shorten(cfg, complex_, res)
     _export_obj(cfg, complex_, [final])
     report = {
@@ -251,9 +246,7 @@ def _run_localize(cfg: RunConfig) -> tuple[dict, int]:
 
 def _run_basis(cfg: RunConfig) -> tuple[dict, int]:
     complex_ = read_off(cfg.complex_path)
-    basis = opt_homology_basis(
-        complex_, cfg.p, sites=_pick_sites(complex_, cfg.sites), threads=cfg.threads
-    )
+    basis = opt_homology_basis(complex_, cfg.p, sites=_pick_sites(complex_, cfg.sites))
     finals = [_maybe_shorten(cfg, complex_, r) for r in basis.cycles]
     _export_obj(cfg, complex_, finals)
     report = {
@@ -273,11 +266,11 @@ def _run_persistent(cfg: RunConfig) -> tuple[dict, int]:
     filtration = _build_filtration(cfg)
     complex_ = filtration.complex
     sites = _pick_sites(complex_, cfg.sites)
-    chosen = _select_bars(filtration, cfg.p, cfg.bars)
+    persistence = compute_persistence(filtration, cfg.p)
     rows = []
     finals = []
-    for iv in chosen:
-        res = opt_pers_hom_rep(filtration, iv, sites=sites, threads=cfg.threads)
+    for iv in _select_bars(persistence, cfg.bars):
+        res = opt_pers_hom_rep(filtration, iv, sites=sites)
         final = _maybe_shorten(cfg, complex_, res)
         finals.append(final)
         rows.append(_result_json(complex_, "persistent", res, final))
@@ -288,7 +281,7 @@ def _run_persistent(cfg: RunConfig) -> tuple[dict, int]:
         "n_simplices": len(filtration),
         "barcode": [
             [float(b), "inf" if d is None else float(d)]
-            for b, d in compute_persistence(filtration, cfg.p).barcode.value_pairs(cfg.p)
+            for b, d in persistence.barcode.value_pairs(cfg.p)
         ],
         "results": rows,
     }
@@ -304,9 +297,7 @@ def _run_verify(cfg: RunConfig) -> tuple[dict, int]:
         mode = "localize"
         complex_ = read_off(cfg.complex_path)
         cycle = read_cycle(cfg.cycle_path, complex_, cfg.p)
-        res = opt_homologous_cycle(
-            complex_, cycle, cfg.p, sites=_pick_sites(complex_, cfg.sites), threads=cfg.threads
-        )
+        res = opt_homologous_cycle(complex_, cycle, cfg.p, sites=_pick_sites(complex_, cfg.sites))
         opt = exact_optimal_homologous_cycle(complex_, cycle, cfg.p, budget)
         if opt.radius > 0:
             ratio = res.r_v / opt.radius
@@ -332,10 +323,8 @@ def _run_verify(cfg: RunConfig) -> tuple[dict, int]:
         mode = "persistent"
         filtration = _build_filtration(cfg)
         complex_ = filtration.complex
-        for iv in _select_bars(filtration, cfg.p, cfg.bars):
-            res = opt_pers_hom_rep(
-                filtration, iv, sites=_pick_sites(complex_, cfg.sites), threads=cfg.threads
-            )
+        for iv in _select_bars(compute_persistence(filtration, cfg.p), cfg.bars):
+            res = opt_pers_hom_rep(filtration, iv, sites=_pick_sites(complex_, cfg.sites))
             rep = exact_min_persistent_rep(filtration, iv, budget)
             ratio = res.r_v / rep.weight if rep.weight > 0 else 1.0
             checks.append(
@@ -351,9 +340,7 @@ def _run_verify(cfg: RunConfig) -> tuple[dict, int]:
     else:
         mode = "basis"
         complex_ = read_off(cfg.complex_path)
-        greedy = opt_homology_basis(
-            complex_, cfg.p, sites=_pick_sites(complex_, cfg.sites), threads=cfg.threads
-        )
+        greedy = opt_homology_basis(complex_, cfg.p, sites=_pick_sites(complex_, cfg.sites))
         oracle = exact_min_basis(complex_, cfg.p, budget, weight="site")
         checks.append(
             {
@@ -391,7 +378,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("-p", type=int, default=1, help="homology dimension")
     sp.add_argument("--sites", type=float, default=1.0, metavar="FRAC",
                     help="fraction of vertices used as sites")
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--shorten", action="store_true",
                     help="post-process 1-cycles with the edge-count shortener")
     sp.add_argument("--out", metavar="FILE", help="write the JSON report here")

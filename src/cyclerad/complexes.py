@@ -35,6 +35,8 @@ class PointCloud:
         arr = np.asarray(coords, dtype=float)
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] < 1:
             raise ValueError("point cloud must be a nonempty (n, d) array with d >= 1")
+        if not np.isfinite(arr).all():
+            raise ValueError("point coordinates must be finite")
         seen = {}
         for i, row in enumerate(arr):
             key = tuple(row.tolist())
@@ -67,6 +69,20 @@ def faces_of(simplex: Simplex) -> list[Simplex]:
     if len(simplex) == 1:
         return []
     return [simplex[:k] + simplex[k + 1 :] for k in range(len(simplex))]
+
+
+def _is_cycle(complex_like, chain: ChainVector, p: int) -> bool:
+    """Whether the chain's boundary vanishes, summed over its own support
+    rather than through the full boundary matrix."""
+    if p == 0 or chain.is_zero():
+        return True
+    if chain.ambient_size != complex_like.n_simplices(p):
+        raise ValueError("chain does not live in the complex's p-basis")
+    mask = 0
+    for s in complex_like.chain_simplices(chain, p):
+        for f in faces_of(s):
+            mask ^= 1 << complex_like.position(f)
+    return mask == 0
 
 
 def _normalize_simplex(simplex: Iterable[int]) -> Simplex:
@@ -193,15 +209,8 @@ class EmbeddedComplex:
             cols.append(mask)
         return Z2Matrix(n_rows, cols)
 
-    def boundary_of(self, chain: ChainVector, p: int) -> ChainVector:
-        if p < 1:
-            return ChainVector(0)
-        return self.boundary_matrix(p).apply(chain)
-
     def is_cycle(self, chain: ChainVector, p: int) -> bool:
-        if p == 0 or chain.is_zero():
-            return True
-        return self.boundary_of(chain, p).is_zero()
+        return _is_cycle(self, chain, p)
 
 
 class SubcomplexView:
@@ -289,9 +298,7 @@ class SubcomplexView:
         return Z2Matrix(n_rows, cols)
 
     def is_cycle(self, chain: ChainVector, p: int) -> bool:
-        if p == 0 or chain.is_zero():
-            return True
-        return self.boundary_matrix(p).apply(chain).is_zero()
+        return _is_cycle(self, chain, p)
 
     def chain(self, simplices: Iterable[Iterable[int]], p: Optional[int] = None) -> ChainVector:
         indices = []

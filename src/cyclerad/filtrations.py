@@ -63,6 +63,8 @@ class Filtration:
                 j = self._index.get(f)
                 if j is None or j > i:
                     raise ValueError(f"face {f} of {s} does not precede it")
+        if not np.isfinite(self.values).all():
+            raise ValueError("filtration values must be finite")
         for a, b in zip(self.values, self.values[1:]):
             if b < a:
                 raise ValueError("filtration values must be non-decreasing")

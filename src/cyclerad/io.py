@@ -8,6 +8,7 @@ surface as ValueError from the validating constructors instead.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -46,6 +47,17 @@ def _split_fields(text: str) -> list[str]:
     return text.replace(",", " ").split()
 
 
+def _floats(path: PathLike, line: int, fields: list[str], what: str) -> list[float]:
+    """Parse one row of numbers; NaN and infinities are rejected."""
+    try:
+        row = [float(x) for x in fields]
+    except ValueError as exc:
+        raise InputError(path, f"bad {what} row: {exc}", line) from exc
+    if not all(math.isfinite(x) for x in row):
+        raise InputError(path, f"non-finite value in {what} row", line)
+    return row
+
+
 # -- OFF meshes -------------------------------------------------------------
 
 
@@ -73,10 +85,7 @@ def read_off(path: PathLike) -> EmbeddedComplex:
     coords = []
     dim = None
     for ln, text in body[:n_vertices]:
-        try:
-            row = [float(x) for x in _split_fields(text)]
-        except ValueError as exc:
-            raise InputError(path, f"bad vertex row: {exc}", ln) from exc
+        row = _floats(path, ln, _split_fields(text), "vertex")
         if len(row) < 2:
             raise InputError(path, "vertex row needs at least two coordinates", ln)
         if dim is None:
@@ -140,10 +149,7 @@ def read_points(path: PathLike) -> np.ndarray:
     rows = []
     width = None
     for ln, text in _data_lines(path):
-        try:
-            row = [float(x) for x in _split_fields(text)]
-        except ValueError as exc:
-            raise InputError(path, f"bad point row: {exc}", ln) from exc
+        row = _floats(path, ln, _split_fields(text), "point")
         if width is None:
             width = len(row)
         elif len(row) != width:
@@ -160,10 +166,9 @@ def read_scalars(path: PathLike) -> np.ndarray:
     values = []
     for ln, text in _data_lines(path):
         fields = _split_fields(text)
-        try:
-            values.append(float(fields[-1]))
-        except (ValueError, IndexError) as exc:
-            raise InputError(path, f"bad scalar row: {exc}", ln) from exc
+        if not fields:
+            raise InputError(path, "bad scalar row: no value", ln)
+        values += _floats(path, ln, fields[-1:], "scalar")
     if not values:
         raise InputError(path, "no scalars")
     return np.asarray(values, dtype=float)
@@ -181,8 +186,8 @@ def read_filtration(path: PathLike, cloud: PointCloud) -> Filtration:
         fields = _split_fields(text)
         if len(fields) < 2:
             raise InputError(path, "need a value and at least one vertex", ln)
+        values += _floats(path, ln, fields[:1], "filtration")
         try:
-            values.append(float(fields[0]))
             order.append(tuple(sorted(int(x) for x in fields[1:])))
         except ValueError as exc:
             raise InputError(path, f"bad filtration row: {exc}", ln) from exc

@@ -6,15 +6,23 @@ columns. Because reduced columns have pairwise distinct leading positions,
 the leading position of any combination is the max over its parts, which is
 what makes the greedy and binary-search steps below exact rather than
 heuristic.
+
+Each per-site answer is a minimum over a chain set that does not depend on
+the site, so r_w >= r_v - |p_v - p_w|. The localize and bar solvers skip
+every site whose lower bound exceeds the best radius found so far; the
+answer, lowest-site-index tie-break included, is identical to visiting every
+site.
 """
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .complexes import (
+    MEMBERSHIP_REL_TOL,
     ComplexLike,
     Simplex,
     SubcomplexView,
@@ -25,19 +33,15 @@ from .filtrations import Filtration, Interval, compute_persistence, site_orderin
 from .radius import SphereCertificate, exact_radius, site_radius
 from .z2 import ChainVector, IncrementalSpan, Z2Matrix, solve_by_reduction
 
-T = TypeVar("T")
-U = TypeVar("U")
+# evaluate(site) -> (site radius, chain), closing over the site-invariant work
+SiteEvaluator = Callable[[int], tuple[float, ChainVector]]
 
 
-def _map_sites(fn: Callable[[T], U], items: Sequence[T], threads: int) -> list[U]:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _default_sites(complex_like: ComplexLike) -> tuple[int, ...]:
-    return tuple(sorted(complex_like.vertex_ids()))
+def _chosen_sites(complex_like: ComplexLike, sites: Optional[Sequence[int]]) -> list[int]:
+    chosen = sorted(set(complex_like.vertex_ids() if sites is None else sites))
+    if not chosen:
+        raise ValueError("need at least one site")
+    return chosen
 
 
 def _root_complex(complex_like: ComplexLike) -> ComplexLike:
@@ -86,6 +90,32 @@ def _result_for_cycle(
     return OptimalCycleResult(cycle, p, site, r_v, cert.radius, cert, context, interval)
 
 
+def _best_site(
+    complex_like: ComplexLike, sites: Optional[Sequence[int]], evaluate: SiteEvaluator
+) -> tuple[int, ChainVector]:
+    """Site and chain with the lexicographically smallest (radius, site).
+    Sites are visited by smallest lower bound, lowest index first, until every
+    remaining bound exceeds the best radius by more than the membership
+    tolerance, so a site that ties with the best is never skipped."""
+    chosen = _chosen_sites(complex_like, sites)
+    points = complex_like.cloud.coords[chosen]
+    bound = np.zeros(len(chosen))
+    unvisited = np.ones(len(chosen), dtype=bool)
+    best = (np.inf, -1, None)  # (radius, position in chosen, chain)
+    while unvisited.any():
+        k = int(np.argmin(np.where(unvisited, bound, np.inf)))
+        if bound[k] > best[0] + MEMBERSHIP_REL_TOL * max(1.0, best[0]):
+            break
+        unvisited[k] = False
+        r, chain = evaluate(chosen[k])
+        if (r, k) < best[:2]:
+            best = (r, k, chain)
+            if r == 0.0:  # no higher index can beat a zero radius
+                unvisited[k:] = False
+        np.maximum(bound, r - np.linalg.norm(points - points[k], axis=1), out=bound)
+    return chosen[best[1]], best[2]
+
+
 def describe_cycle(
     complex_like: ComplexLike,
     cycle: ChainVector,
@@ -99,7 +129,7 @@ def describe_cycle(
         raise ValueError("chain is not a cycle")
     if site is None and not cycle.is_zero():
         site = min(
-            _default_sites(complex_like),
+            _chosen_sites(complex_like, None),
             key=lambda v: (site_radius(complex_like, v, cycle, p), v),
         )
     return _result_for_cycle(complex_like, cycle, p, site, context)
@@ -117,28 +147,36 @@ def _site_essential_cycles(complex_like: ComplexLike, site: int, p: int):
     return result.essential_cycles, tuple(radii)
 
 
+def _homologous_evaluator(
+    complex_like: ComplexLike, cycle: ChainVector, p: int
+) -> SiteEvaluator:
+    """Per site, solve the input against [essential cycles | boundaries] of
+    the site ordering and keep the essential part of the solution."""
+    if not complex_like.is_cycle(cycle, p):
+        raise ValueError("input chain is not a cycle")
+    n_p = complex_like.n_simplices(p)
+    bound_chains = list(boundary_columns(complex_like, p).columns())
+
+    def evaluate(site: int) -> tuple[float, ChainVector]:
+        essential, _ = _site_essential_cycles(complex_like, site, p)
+        system = Z2Matrix.from_chains(n_p, list(essential) + bound_chains)
+        selection = solve_by_reduction(system, cycle)
+        # essential cycles and boundaries together span every cycle
+        assert selection is not None
+        out = ChainVector(n_p, [])
+        for j in selection:
+            if j < len(essential):
+                out = out ^ essential[j]
+        return (0.0 if out.is_zero() else site_radius(complex_like, site, out, p)), out
+
+    return evaluate
+
+
 def optimal_hom_cycle_for_site(
     complex_like: ComplexLike, cycle: ChainVector, site: int, p: int = 1
 ) -> OptimalCycleResult:
-    """Smallest cycle homologous to the input as seen from one site: solve
-    the input against [essential cycles | boundaries] of the site ordering
-    and keep the essential part of the solution."""
-    if not complex_like.is_cycle(cycle, p):
-        raise ValueError("input chain is not a cycle")
-    essential, _ = _site_essential_cycles(complex_like, site, p)
-    bounds = boundary_columns(complex_like, p)
-    system = Z2Matrix.from_chains(
-        complex_like.n_simplices(p),
-        list(essential) + [bounds.column(j) for j in range(bounds.n_cols)],
-    )
-    selection = solve_by_reduction(system, cycle)
-    # essential cycles and boundaries together span every cycle
-    assert selection is not None
-    out = ChainVector(complex_like.n_simplices(p), [])
-    for j in selection:
-        if j < len(essential):
-            out = out ^ essential[j]
-    return _result_for_cycle(complex_like, out, p, site, "homologous-cycle")
+    """Smallest cycle homologous to the input as seen from one site."""
+    return opt_homologous_cycle(complex_like, cycle, p, sites=[site])
 
 
 def opt_homologous_cycle(
@@ -146,35 +184,25 @@ def opt_homologous_cycle(
     cycle: ChainVector,
     p: int = 1,
     sites: Optional[Sequence[int]] = None,
-    threads: int = 1,
 ) -> OptimalCycleResult:
-    """Best homologous cycle over every site; ties broken toward the lowest
+    """Best homologous cycle over the sites; ties broken toward the lowest
     site index."""
-    chosen = tuple(sites) if sites is not None else _default_sites(complex_like)
-    if not chosen:
-        raise ValueError("need at least one site")
-    results = _map_sites(
-        lambda v: optimal_hom_cycle_for_site(complex_like, cycle, v, p), chosen, threads
-    )
-    return min(zip(results, chosen), key=lambda t: (t[0].r_v, t[1]))[0]
+    evaluate = _homologous_evaluator(complex_like, cycle, p)
+    site, out = _best_site(complex_like, sites, evaluate)
+    return _result_for_cycle(complex_like, out, p, site, "homologous-cycle")
 
 
 def opt_homology_basis(
     complex_like: ComplexLike,
     p: int,
     sites: Optional[Sequence[int]] = None,
-    threads: int = 1,
 ) -> HomologyBasisResult:
     """Greedy minimum-weight homology basis from the pooled essential cycles
     of every site ordering."""
     if p < 1:
         raise ValueError("basis dimension must be positive")
-    chosen = tuple(sites) if sites is not None else _default_sites(complex_like)
-    if not chosen:
-        raise ValueError("need at least one site")
-    per_site = _map_sites(
-        lambda v: _site_essential_cycles(complex_like, v, p), chosen, threads
-    )
+    chosen = _chosen_sites(complex_like, sites)
+    per_site = [_site_essential_cycles(complex_like, v, p) for v in chosen]
     beta = len(per_site[0][0])
     pool = []
     for v, (cycles, radii) in zip(chosen, per_site):
@@ -185,7 +213,7 @@ def opt_homology_basis(
 
     n_p = complex_like.n_simplices(p)
     bounds = boundary_columns(complex_like, p)
-    span = IncrementalSpan(n_p, (bounds.column(j) for j in range(bounds.n_cols)))
+    span = IncrementalSpan(n_p, bounds.columns())
     admitted: list[OptimalCycleResult] = []
     for r, v, _, c in pool:
         if len(admitted) == beta:
@@ -196,17 +224,11 @@ def opt_homology_basis(
     return HomologyBasisResult(tuple(admitted), sum(x.r_v for x in admitted))
 
 
-def _persistent_candidates(
-    filtration: Filtration, interval: Interval, site: int
-):
+def _rotated_candidates(prefix: SubcomplexView, creator_bit: int, site: int, p: int):
     """Essential cycles of the site ordering of the birth prefix, rotated so
     only the first creator-containing column keeps the creator."""
-    p = interval.dim
-    prefix = filtration.prefix_view(interval.birth)
-    parent = prefix.parent
     essential, _ = _site_essential_cycles(prefix, site, p)
     extended = [prefix.extend(c, p) for c in essential]
-    creator_bit = parent.position(interval.creator)
     alpha = next(
         (j for j, c in enumerate(extended) if creator_bit in c), None
     )
@@ -221,84 +243,85 @@ def _persistent_candidates(
     return anchor, others
 
 
-def opt_pers_cycle_site(
-    filtration: Filtration, interval: Interval, site: int
-) -> OptimalCycleResult:
-    """Bar representative at one site: anchor on the first essential cycle of the birth
-    prefix that contains the creator, then binary-search how many of the
-    remaining cycles must be admitted before the anchor's class bounds by the
-    death time."""
+def _persistent_candidates(filtration: Filtration, interval: Interval, site: int):
+    prefix = filtration.prefix_view(interval.birth)
+    return _rotated_candidates(prefix, prefix.parent.position(interval.creator), site, interval.dim)
+
+
+def _bar_evaluator(filtration: Filtration, interval: Interval) -> SiteEvaluator:
+    """Per site, anchor on the first essential cycle of the birth prefix that
+    contains the creator, then binary-search how many of the remaining cycles
+    must be admitted before the anchor's class bounds by the death time."""
     p = interval.dim
     root = _root_complex(filtration.complex)
-    anchor, others = _persistent_candidates(filtration, interval, site)
-    if interval.death is None:
-        # nothing below the anchor's leading position can represent an
-        # essential class, so the anchor itself is optimal
-        return _result_for_cycle(
-            root, anchor, p, site, "persistent-representative", interval
-        )
-
+    prefix = filtration.prefix_view(interval.birth)
+    creator_bit = root.position(interval.creator)
     n_p = root.n_simplices(p)
     death_bounds = []
-    if p + 1 <= root.max_dim:
-        higher = root.simplices(p + 1)
+    if interval.death is not None and p + 1 <= root.max_dim:
         full = root.boundary_matrix(p + 1)
-        for j, tau in enumerate(higher):
+        for j, tau in enumerate(root.simplices(p + 1)):
             if filtration.complex.has(tau) and filtration.index_of(tau) <= interval.death:
                 death_bounds.append(full.column(j))
 
-    def feasible(i: int) -> Optional[list[int]]:
-        system = Z2Matrix.from_chains(n_p, death_bounds + others[:i])
-        return solve_by_reduction(system, anchor)
+    def evaluate(site: int) -> tuple[float, ChainVector]:
+        anchor, others = _rotated_candidates(prefix, creator_bit, site, p)
+        if interval.death is None:
+            # nothing below the anchor's leading position can represent an
+            # essential class, so the anchor itself is optimal
+            return site_radius(root, site, anchor, p), anchor
 
-    lo, hi = 0, len(others)
-    assert feasible(hi) is not None  # the bar dies, so the full span works
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    selection = feasible(lo)
-    out = anchor
-    for j in selection:
-        if j >= len(death_bounds):
-            out = out ^ others[j - len(death_bounds)]
-    return _result_for_cycle(
-        root, out, p, site, "persistent-representative", interval
-    )
+        def feasible(i: int) -> Optional[list[int]]:
+            system = Z2Matrix.from_chains(n_p, death_bounds + others[:i])
+            return solve_by_reduction(system, anchor)
+
+        lo, hi = 0, len(others)
+        assert feasible(hi) is not None  # the bar dies, so the full span works
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if feasible(mid) is not None:
+                hi = mid
+            else:
+                lo = mid + 1
+        out = anchor
+        for j in feasible(lo):
+            if j >= len(death_bounds):
+                out = out ^ others[j - len(death_bounds)]
+        return site_radius(root, site, out, p), out
+
+    return evaluate
+
+
+def opt_pers_cycle_site(
+    filtration: Filtration, interval: Interval, site: int
+) -> OptimalCycleResult:
+    """Bar representative at one site."""
+    return opt_pers_hom_rep(filtration, interval, sites=[site])
 
 
 def opt_pers_hom_rep(
     filtration: Filtration,
     interval: Interval,
     sites: Optional[Sequence[int]] = None,
-    threads: int = 1,
 ) -> OptimalCycleResult:
-    chosen = tuple(sites) if sites is not None else _default_sites(filtration.complex)
-    if not chosen:
-        raise ValueError("need at least one site")
-    results = _map_sites(
-        lambda v: opt_pers_cycle_site(filtration, interval, v), chosen, threads
+    """Best bar representative over the sites; ties broken toward the lowest
+    site index."""
+    root = _root_complex(filtration.complex)
+    site, out = _best_site(filtration.complex, sites, _bar_evaluator(filtration, interval))
+    return _result_for_cycle(
+        root, out, interval.dim, site, "persistent-representative", interval
     )
-    return min(zip(results, chosen), key=lambda t: (t[0].r_v, t[1]))[0]
 
 
 def opt_persistent_basis(
     filtration: Filtration,
     p: int,
     sites: Optional[Sequence[int]] = None,
-    threads: int = 1,
 ) -> list[OptimalCycleResult]:
     """One optimal representative per dimension-p interval; per-bar minima
     assemble into the minimum persistent basis."""
-    persistence = compute_persistence(filtration, p)
-    intervals = persistence.intervals()
-    return _map_sites(
-        lambda iv: opt_pers_hom_rep(filtration, iv, sites=sites, threads=1),
-        intervals,
-        threads,
-    )
+    intervals = compute_persistence(filtration, p).intervals()
+    return [opt_pers_hom_rep(filtration, iv, sites=sites) for iv in intervals]
 
 
 # -- cycle shortening ------------------------------------------------------

@@ -117,10 +117,6 @@ class Z2Matrix:
             masks.append(c.mask)
         return cls(n_rows, masks)
 
-    @classmethod
-    def identity(cls, n: int) -> "Z2Matrix":
-        return cls(n, (1 << i for i in range(n)))
-
     @property
     def n_cols(self) -> int:
         return len(self._cols)
@@ -142,22 +138,11 @@ class Z2Matrix:
         mask = self._cols[j]
         return mask.bit_length() - 1 if mask else None
 
-    def entry(self, i: int, j: int) -> bool:
-        return bool((self._cols[j] >> i) & 1)
-
-    def copy(self) -> "Z2Matrix":
-        return Z2Matrix(self.n_rows, self._cols)
-
     def with_column(self, column: ChainVector) -> "Z2Matrix":
         """A copy with one extra column appended on the right."""
         if column.ambient_size != self.n_rows:
             raise ValueError("column ambient size must equal the row count")
         return Z2Matrix(self.n_rows, self._cols + [column.mask])
-
-    def hstack(self, other: "Z2Matrix") -> "Z2Matrix":
-        if other.n_rows != self.n_rows:
-            raise ValueError("row counts differ")
-        return Z2Matrix(self.n_rows, self._cols + other._cols)
 
     def __matmul__(self, other: "Z2Matrix") -> "Z2Matrix":
         if other.n_rows != self.n_cols:
@@ -172,18 +157,6 @@ class Z2Matrix:
                 mask ^= lowbit
             out.append(acc)
         return Z2Matrix(self.n_rows, out)
-
-    def apply(self, vector: ChainVector) -> ChainVector:
-        """Matrix-vector product over Z2."""
-        if vector.ambient_size != self.n_cols:
-            raise ValueError("vector ambient size must equal the column count")
-        acc = 0
-        mask = vector.mask
-        while mask:
-            lowbit = mask & -mask
-            acc ^= self._cols[lowbit.bit_length() - 1]
-            mask ^= lowbit
-        return ChainVector(self.n_rows, mask=acc)
 
     def __eq__(self, other: object) -> bool:
         return (

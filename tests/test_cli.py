@@ -194,6 +194,46 @@ def test_exit_code_open_chain(tmp_path, annulus_files):
     assert code == 3
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_exit_code_non_finite_points(tmp_path, bad):
+    csv = tmp_path / "pts.csv"
+    csv.write_text(f"0,0\n1,0\n0,{bad}\n")
+    code = main(["persistent", "--points", str(csv), "--rips", "2.0",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+
+
+def test_exit_code_non_finite_off_vertex(tmp_path):
+    off = tmp_path / "tri.off"
+    off.write_text("OFF\n3 3 0\n0 0\n1 0\nnan 1\n2 0 1\n2 1 2\n2 0 2\n")
+    cyc = tmp_path / "loop.txt"
+    cyc.write_text("0 1\n1 2\n0 2\n")
+    code = main(["localize", "--complex", str(off), "--cycle", str(cyc),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+
+
+def test_exit_code_non_finite_scalars(tmp_path):
+    off = tmp_path / "tri.off"
+    write_off(off, fixtures.hollow_triangle().complex)
+    vals = tmp_path / "vals.csv"
+    vals.write_text("0.0\nnan\n2.0\n")
+    code = main(["persistent", "--complex", str(off), "--lower-star", str(vals),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+
+
+def test_exit_code_non_finite_filtration(tmp_path, two_loop_files):
+    _, csv, flt = two_loop_files
+    lines = open(flt).read().splitlines()
+    lines[-1] = "inf " + lines[-1].split(" ", 1)[1]
+    bad = tmp_path / "bad.flt"
+    bad.write_text("\n".join(lines) + "\n")
+    code = main(["persistent", "--points", csv, "--filtration", str(bad),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+
+
 def test_exit_code_two_sources(tmp_path, two_loop_files):
     _, csv, flt = two_loop_files
     code = main(["persistent", "--points", csv, "--filtration", flt,
@@ -216,17 +256,6 @@ def test_bad_bars_flag_rejected(tmp_path, two_loop_files):
 
 
 # -- determinism and round-trips -------------------------------------------
-
-
-def test_reports_identical_across_thread_counts(tmp_path, two_loop_files):
-    _, csv, flt = two_loop_files
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    assert main(["persistent", "--points", csv, "--filtration", flt,
-                 "--threads", "1", "--out", str(a)]) == 0
-    assert main(["persistent", "--points", csv, "--filtration", flt,
-                 "--threads", "4", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_reported_cycle_reingests(tmp_path, annulus_files):

@@ -24,6 +24,12 @@ def test_point_cloud_rejects_duplicates():
         PointCloud([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_point_cloud_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        PointCloud([(0.0, 0.0), (1.0, bad)])
+
+
 def test_point_cloud_distance():
     cloud = PointCloud([(0.0, 0.0), (3.0, 4.0)])
     assert cloud.distance(0, 1) == pytest.approx(5.0)

@@ -61,6 +61,14 @@ def test_filtration_values_must_be_monotone():
         Filtration(complex_, order, [0, 0, 0, 2, 1, 2])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_filtration_values_must_be_finite(bad):
+    complex_ = fixtures.hollow_triangle().complex
+    order = [(0,), (1,), (2,), (0, 1), (1, 2), (0, 2)]
+    with pytest.raises(ValueError):
+        Filtration(complex_, order, [0, 0, 0, 1, 1, bad])
+
+
 def test_prefix_view():
     f = hollow_triangle_filtration()
     view = f.prefix_view(3)

@@ -92,13 +92,6 @@ def test_rejects_non_cycle():
         describe_cycle(inst.complex, broken, 1)
 
 
-def test_threads_do_not_change_the_answer():
-    inst = fixtures.annulus()
-    a = opt_homologous_cycle(inst.complex, inst.outer_loop, 1, threads=1)
-    b = opt_homologous_cycle(inst.complex, inst.outer_loop, 1, threads=4)
-    assert a == b
-
-
 def test_site_subset_restricts_search():
     inst = fixtures.annulus()
     res = opt_homologous_cycle(inst.complex, inst.outer_loop, 1, sites=[0])
@@ -121,11 +114,42 @@ def test_output_is_homologous_to_input(args):
 @settings(max_examples=50, deadline=None)
 @given(complex_with_cycle())
 def test_global_result_never_beats_per_site(args):
+    """The pruned search returns exactly the (r_v, site)-argmin over every
+    site, so skipping sites never changes the answer."""
     complex_, cycle = args
     best = opt_homologous_cycle(complex_, cycle, 1)
-    for v in sorted(complex_.vertex_ids()):
-        per = optimal_hom_cycle_for_site(complex_, cycle, v, 1)
-        assert best.r_v <= per.r_v * (1 + REL)
+    per_site = [
+        optimal_hom_cycle_for_site(complex_, cycle, v, 1)
+        for v in sorted(complex_.vertex_ids())
+    ]
+    assert best == min(per_site, key=lambda r: (r.r_v, r.site))
+
+
+def test_exact_tie_reports_lowest_site():
+    # at side 3 the three site radii are bitwise equal
+    inst = fixtures.hollow_triangle(3.0)
+    radii = {optimal_hom_cycle_for_site(inst.complex, inst.loop, v, 1).r_v for v in range(3)}
+    assert radii == {3.0}
+    assert opt_homologous_cycle(inst.complex, inst.loop, 1).site == 0
+
+
+def test_tie_at_a_tight_lower_bound_is_not_skipped():
+    # site 0 is visited first and bounds site 1 at exactly its own radius 5;
+    # site 2 reaches radius 5 first, and site 1 must still win the tie
+    from cyclerad.complexes import EmbeddedComplex, PointCloud
+
+    cloud = PointCloud([(8, 6), (4, 3), (4, -3), (0, 0), (8, 0), (4, 1)])
+    complex_ = EmbeddedComplex(cloud, [(0,), (1,), (2,), (3, 4), (4, 5), (3, 5)])
+    loop = complex_.chain([(3, 4), (4, 5), (3, 5)])
+    res = opt_homologous_cycle(complex_, loop, 1, sites=[0, 1, 2])
+    assert (res.site, res.r_v) == (1, 5.0)
+
+
+def test_tie_break_ignores_site_order():
+    inst = fixtures.wheel_rim()
+    res = opt_homologous_cycle(inst.complex, inst.loop, 1, sites=[3, 2, 1])
+    assert res.site == 1
+    assert res.r_v == 2.0
 
 
 # -- homology basis --------------------------------------------------------
@@ -272,10 +296,13 @@ def test_two_loop_bar_representatives():
 @given(filtered_complexes())
 def test_persistent_representatives_on_random_filtrations(filtration):
     res = compute_persistence(filtration, 1)
+    sites = sorted(filtration.complex.vertex_ids())
     for interval in res.barcode.in_dim(1):
         out = opt_pers_hom_rep(filtration, interval)
         interval_conditions_hold(filtration, interval, out)
         assert out.r_exact <= out.r_v * (1 + REL)
+        per_site = [opt_pers_cycle_site(filtration, interval, v) for v in sites]
+        assert out == min(per_site, key=lambda r: (r.r_v, r.site))
 
 
 @settings(max_examples=30, deadline=None)
