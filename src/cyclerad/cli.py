@@ -459,6 +459,9 @@ def run(cfg: RunConfig) -> int:
     except ValueError as exc:
         print(f"cyclerad: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:  # last resort: a message, never a traceback
+        print(f"cyclerad: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     _emit(report, cfg.out)
     return code
 

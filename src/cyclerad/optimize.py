@@ -7,11 +7,11 @@ the leading position of any combination is the max over its parts, which is
 what makes the greedy and binary-search steps below exact rather than
 heuristic.
 
-Each per-site answer is a minimum over a chain set that does not depend on
-the site, so r_w >= r_v - |p_v - p_w|. The localize and bar solvers skip
-every site whose lower bound exceeds the best radius found so far; the
-answer, lowest-site-index tie-break included, is identical to visiting every
-site.
+All three solvers share one best-first site search: per-site answers are
+minima over site-independent chain sets, so r_w >= r_v - |p_v - p_w|, and
+sites whose bound exceeds a cutoff (the best radius so far, or the last
+radius the basis greedy admits) are skipped. Every answer, lowest-site-index
+tie-break included, is identical to visiting every site.
 """
 from __future__ import annotations
 
@@ -90,30 +90,40 @@ def _result_for_cycle(
     return OptimalCycleResult(cycle, p, site, r_v, cert.radius, cert, context, interval)
 
 
-def _best_site(
-    complex_like: ComplexLike, sites: Optional[Sequence[int]], evaluate: SiteEvaluator
-) -> tuple[int, ChainVector]:
-    """Site and chain with the lexicographically smallest (radius, site).
-    Sites are visited by smallest lower bound, lowest index first, until every
-    remaining bound exceeds the best radius by more than the membership
-    tolerance, so a site that ties with the best is never skipped."""
+def _site_search(complex_like: ComplexLike, sites: Optional[Sequence[int]],
+                 evaluate: Callable[[int], float], cutoff: Callable[[], float]) -> None:
+    """Evaluate sites by smallest lower bound, lowest index first, until every
+    remaining bound exceeds cutoff() by more than the membership tolerance.
+    evaluate(site) returns a radius r_v with r_w >= r_v - |p_v - p_w|."""
     chosen = _chosen_sites(complex_like, sites)
     points = complex_like.cloud.coords[chosen]
     bound = np.zeros(len(chosen))
     unvisited = np.ones(len(chosen), dtype=bool)
-    best = (np.inf, -1, None)  # (radius, position in chosen, chain)
     while unvisited.any():
         k = int(np.argmin(np.where(unvisited, bound, np.inf)))
-        if bound[k] > best[0] + MEMBERSHIP_REL_TOL * max(1.0, best[0]):
+        limit = cutoff()
+        if bound[k] > limit + MEMBERSHIP_REL_TOL * max(1.0, limit):
             break
         unvisited[k] = False
-        r, chain = evaluate(chosen[k])
-        if (r, k) < best[:2]:
-            best = (r, k, chain)
-            if r == 0.0:  # no higher index can beat a zero radius
-                unvisited[k:] = False
+        r = evaluate(chosen[k])
         np.maximum(bound, r - np.linalg.norm(points - points[k], axis=1), out=bound)
-    return chosen[best[1]], best[2]
+
+
+def _best_site(
+    complex_like: ComplexLike, sites: Optional[Sequence[int]], evaluate: SiteEvaluator
+) -> tuple[int, ChainVector]:
+    """Site and chain with the lexicographically smallest (radius, site)."""
+    best = [np.inf, -1, None]  # (radius, site, chain)
+
+    def visit(site: int) -> float:
+        r, chain = evaluate(site)
+        if (r, site) < (best[0], best[1]):
+            best[:] = r, site, chain
+        return r
+
+    # a zero radius is the zero chain, reached first, so nothing can beat it
+    _site_search(complex_like, sites, visit, lambda: -np.inf if best[0] == 0.0 else best[0])
+    return best[1], best[2]
 
 
 def describe_cycle(
@@ -198,30 +208,37 @@ def opt_homology_basis(
     sites: Optional[Sequence[int]] = None,
 ) -> HomologyBasisResult:
     """Greedy minimum-weight homology basis from the pooled essential cycles
-    of every site ordering."""
+    of every site ordering, skipping sites the greedy cannot reach."""
     if p < 1:
         raise ValueError("basis dimension must be positive")
-    chosen = _chosen_sites(complex_like, sites)
-    per_site = [_site_essential_cycles(complex_like, v, p) for v in chosen]
-    beta = len(per_site[0][0])
-    pool = []
-    for v, (cycles, radii) in zip(chosen, per_site):
-        assert len(cycles) == beta  # homology rank cannot depend on the site
-        for rank_in_site, (c, r) in enumerate(zip(cycles, radii)):
-            pool.append((r, v, rank_in_site, c))
-    pool.sort(key=lambda t: t[:3])
+    boundaries = IncrementalSpan(complex_like.n_simplices(p), boundary_columns(complex_like, p).columns())
+    admitted: Optional[list[tuple[float, int, int, ChainVector]]] = None  # (r, site, rank, cycle)
 
-    n_p = complex_like.n_simplices(p)
-    bounds = boundary_columns(complex_like, p)
-    span = IncrementalSpan(n_p, bounds.columns())
-    admitted: list[OptimalCycleResult] = []
-    for r, v, _, c in pool:
-        if len(admitted) == beta:
-            break
-        if span.add(c):
-            admitted.append(_result_for_cycle(complex_like, c, p, v, "homology-basis"))
-    assert len(admitted) == beta
-    return HomologyBasisResult(tuple(admitted), sum(x.r_v for x in admitted))
+    def evaluate(site: int) -> float:
+        nonlocal admitted
+        cycles, radii = _site_essential_cycles(complex_like, site, p)
+        # classes form a matroid: the old greedy basis stands in for the old
+        # pool, and no cycle born after its last entry can displace one
+        fresh = [(r, site, k, c) for k, (c, r) in enumerate(zip(cycles, radii)) if r <= threshold()]
+        if fresh or admitted is None:
+            span = boundaries.copy()
+            pool = sorted((admitted or []) + fresh, key=lambda t: t[:3])
+            admitted = [t for t in pool if span.add(t[3])]
+        assert len(admitted) == len(cycles)  # homology rank cannot depend on the site
+        return radii[0] if radii else 0.0
+
+    def threshold() -> float:
+        # more sites only lower the last admitted radius, and a site bounded
+        # above it holds no cycle the greedy over every site would reach
+        if admitted is None:
+            return np.inf
+        return admitted[-1][0] if admitted else -np.inf
+
+    _site_search(complex_like, sites, evaluate, threshold)
+    cycles = tuple(
+        _result_for_cycle(complex_like, c, p, v, "homology-basis") for _, v, _, c in admitted
+    )
+    return HomologyBasisResult(cycles, sum(x.r_v for x in cycles))
 
 
 def _rotated_candidates(prefix: SubcomplexView, creator_bit: int, site: int, p: int):

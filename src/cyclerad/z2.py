@@ -30,7 +30,6 @@ def _mask_from_support(support: Iterable[int], n_rows: int) -> int:
 
 def _support_from_mask(mask: int) -> list[int]:
     out = []
-    i = 0
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
@@ -263,6 +262,11 @@ class IncrementalSpan:
     @property
     def rank(self) -> int:
         return len(self._by_low)
+
+    def copy(self) -> "IncrementalSpan":
+        out = IncrementalSpan(self.n_rows)
+        out._by_low = dict(self._by_low)
+        return out
 
     def reduce(self, vector: ChainVector) -> int:
         if vector.ambient_size != self.n_rows:

@@ -55,6 +55,35 @@ def embedded_complexes(draw, min_points=3, max_points=8, max_dim=2, max_top_cell
 
 
 @st.composite
+def loopy_complexes(draw, min_points=6, max_points=14):
+    """A random graph on short edges of a point cloud, with some of the
+    triangles it spans filled in: several holes of different sizes, so a
+    minimum basis has more than one cycle to choose."""
+    cloud = draw(point_clouds(min_points=min_points, max_points=max_points))
+    n = cloud.n_points
+    coords = cloud.coords
+    near = [
+        (a, b)
+        for a in range(n)
+        for b in range(a + 1, n)
+        if ((coords[a] - coords[b]) ** 2).sum() <= 2.5**2
+    ]
+    mostly = st.sampled_from([True, True, True, False])
+    keep = draw(st.lists(mostly, min_size=len(near), max_size=len(near)))
+    edges = {e for e, k in zip(near, keep) if k}
+    spanned = [
+        (a, b, c)
+        for a, b in sorted(edges)
+        for c in range(b + 1, n)
+        if (a, c) in edges and (b, c) in edges
+    ]
+    rarely = st.sampled_from([False, False, True])
+    fill = draw(st.lists(rarely, min_size=len(spanned), max_size=len(spanned)))
+    triangles = [t for t, f in zip(spanned, fill) if f]
+    return EmbeddedComplex(cloud, sorted(edges) + triangles + [(v,) for v in range(n)])
+
+
+@st.composite
 def filtered_complexes(draw, min_points=3, max_points=8, max_dim=2, max_top_cells=10):
     """A random complex together with a random valid simplexwise filtration."""
     complex_ = draw(

@@ -248,6 +248,27 @@ def test_exit_code_budget(tmp_path, annulus_files):
     assert code == 3
 
 
+@pytest.mark.parametrize("error", [RecursionError, RuntimeError])
+def test_unexpected_error_exits_invalid_without_traceback(
+    tmp_path, monkeypatch, capsys, error
+):
+    import cyclerad.cli as cli
+
+    def fail(cfg):
+        raise error("maximum depth exceeded")
+
+    fe = fixtures.figure_eight()
+    off = tmp_path / "fe.off"
+    write_off(off, fe.complex)
+    monkeypatch.setitem(cli._RUNNERS, "basis", fail)
+    code = main(["basis", "--complex", str(off), "--out", str(tmp_path / "r.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == f"cyclerad: internal error: {error.__name__}: maximum depth exceeded\n"
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_bad_bars_flag_rejected(tmp_path, two_loop_files):
     _, csv, flt = two_loop_files
     with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complex_with_cycle, embedded_complexes, filtered_complexes
+from conftest import complex_with_cycle, embedded_complexes, filtered_complexes, loopy_complexes
 from oracles import bounds_in_view, gf2_in_span
 
 from cyclerad.complexes import boundary_columns
@@ -12,6 +13,8 @@ from cyclerad.filtrations import compute_persistence, lower_star_filtration, sit
 from cyclerad.optimize import (
     HomologyBasisResult,
     _persistent_candidates,
+    _result_for_cycle,
+    _site_essential_cycles,
     describe_cycle,
     opt_homologous_cycle,
     opt_homology_basis,
@@ -21,7 +24,7 @@ from cyclerad.optimize import (
     optimal_hom_cycle_for_site,
     shorten_cycle,
 )
-from cyclerad.z2 import ChainVector, Z2Matrix, solve_by_reduction
+from cyclerad.z2 import ChainVector, IncrementalSpan, Z2Matrix, solve_by_reduction
 from cyclerad import fixtures
 
 REL = 1e-9
@@ -133,14 +136,18 @@ def test_exact_tie_reports_lowest_site():
     assert opt_homologous_cycle(inst.complex, inst.loop, 1).site == 0
 
 
-def test_tie_at_a_tight_lower_bound_is_not_skipped():
+def tight_tie_triangle():
     # site 0 is visited first and bounds site 1 at exactly its own radius 5;
     # site 2 reaches radius 5 first, and site 1 must still win the tie
     from cyclerad.complexes import EmbeddedComplex, PointCloud
 
     cloud = PointCloud([(8, 6), (4, 3), (4, -3), (0, 0), (8, 0), (4, 1)])
     complex_ = EmbeddedComplex(cloud, [(0,), (1,), (2,), (3, 4), (4, 5), (3, 5)])
-    loop = complex_.chain([(3, 4), (4, 5), (3, 5)])
+    return complex_, complex_.chain([(3, 4), (4, 5), (3, 5)])
+
+
+def test_tie_at_a_tight_lower_bound_is_not_skipped():
+    complex_, loop = tight_tie_triangle()
     res = opt_homologous_cycle(complex_, loop, 1, sites=[0, 1, 2])
     assert (res.site, res.r_v) == (1, 5.0)
 
@@ -222,6 +229,106 @@ def test_basis_spans_and_is_independent(complex_):
     assert gf2_rank(dense_from_columns(n, cols)) == base_rank + beta
     weights = [e.r_v for e in basis.cycles]
     assert weights == sorted(weights)
+
+
+def exhaustive_basis(complex_, p, sites=None):
+    """The greedy over the essential cycles of every site, none skipped."""
+    chosen = sorted(set(complex_.vertex_ids() if sites is None else sites))
+    pool = []
+    for v in chosen:
+        cycles, radii = _site_essential_cycles(complex_, v, p)
+        pool += [(r, v, k, c) for k, (c, r) in enumerate(zip(cycles, radii))]
+    pool.sort(key=lambda t: t[:3])
+    span = IncrementalSpan(complex_.n_simplices(p), boundary_columns(complex_, p).columns())
+    admitted = [
+        _result_for_cycle(complex_, c, p, v, "homology-basis")
+        for _, v, _, c in pool
+        if span.add(c)
+    ]
+    return HomologyBasisResult(tuple(admitted), sum(x.r_v for x in admitted))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        embedded_complexes(max_points=14, max_top_cells=16),
+        loopy_complexes(),
+    ),
+    st.data(),
+)
+def test_pruned_basis_equals_exhaustive_basis(complex_, data):
+    """Skipping sites the greedy cannot reach changes no cycle, site, radius
+    or order, on every site and on a drawn subset of sites."""
+    assert opt_homology_basis(complex_, 1) == exhaustive_basis(complex_, 1)
+    subset = data.draw(
+        st.lists(st.sampled_from(sorted(complex_.vertex_ids())), min_size=1, unique=True)
+    )
+    assert opt_homology_basis(complex_, 1, sites=subset) == exhaustive_basis(
+        complex_, 1, subset
+    )
+
+
+def test_pruned_basis_ties_to_the_lowest_site():
+    # at side 3 the three site radii are bitwise equal, so site 0 must win
+    inst = fixtures.hollow_triangle(3.0)
+    basis = opt_homology_basis(inst.complex, 1)
+    assert basis == exhaustive_basis(inst.complex, 1)
+    assert basis.cycles[0].site == 0
+
+
+def test_basis_tie_at_a_tight_lower_bound_is_not_skipped():
+    complex_, loop = tight_tie_triangle()
+    basis = opt_homology_basis(complex_, 1, sites=[0, 1, 2])
+    assert basis == exhaustive_basis(complex_, 1, [0, 1, 2])
+    assert [(c.site, c.r_v, c.cycle) for c in basis.cycles] == [(1, 5.0, loop)]
+
+
+def test_pruned_basis_empty_homology_stops_after_one_site(monkeypatch):
+    import cyclerad.optimize as optimize
+
+    inst = fixtures.filled_triangle()
+    visited = []
+    original = optimize._site_essential_cycles
+    monkeypatch.setattr(
+        optimize,
+        "_site_essential_cycles",
+        lambda c, v, p: visited.append(v) or original(c, v, p),
+    )
+    assert opt_homology_basis(inst.complex, 1) == exhaustive_basis(inst.complex, 1)
+    assert visited == [0]
+
+
+def test_basis_skips_sites_the_greedy_cannot_reach(monkeypatch):
+    import cyclerad.optimize as optimize
+
+    inst = fixtures.annulus()
+    visited = []
+    original = optimize._site_essential_cycles
+    monkeypatch.setattr(
+        optimize,
+        "_site_essential_cycles",
+        lambda c, v, p: visited.append(v) or original(c, v, p),
+    )
+    basis = opt_homology_basis(inst.complex, 1)
+    assert basis == exhaustive_basis(inst.complex, 1)
+    assert basis.cycles[0].site == inst.center_vertex
+    assert len(visited) < len(inst.complex.vertex_ids())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(embedded_complexes(max_points=10, max_top_cells=14), loopy_complexes(max_points=10)))
+def test_first_essential_radius_is_lipschitz_in_the_site(complex_):
+    """r1(w) >= r1(v) - |p_v - p_w|: the bound the basis pruning rests on."""
+    coords = complex_.cloud.coords
+    for p in (1, 2):
+        first = {}
+        for v in complex_.vertex_ids():
+            _, radii = _site_essential_cycles(complex_, v, p)
+            if radii:
+                first[v] = radii[0]
+        for v, r_v in first.items():
+            for w, r_w in first.items():
+                assert r_w >= r_v - float(np.linalg.norm(coords[v] - coords[w])) - 1e-12
 
 
 # -- persistent representatives -------------------------------------------

@@ -1,0 +1,27 @@
+"""Smoke runs of the demo scripts: each must exit 0."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scripts/annulus_demo.py"],
+        ["scripts/rips_circle_scaling.py", "--points", "25"],
+        ["scripts/shorten_gallery.py"],
+    ],
+)
+def test_demo_script_exits_zero(argv):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -219,6 +219,16 @@ def test_incremental_span_tracks_rank():
     assert not span.contains(ChainVector(4, [3]))
 
 
+def test_incremental_span_copy_diverges_independently():
+    span = IncrementalSpan(4, [ChainVector(4, [0, 1])])
+    twin = span.copy()
+    assert twin.add(ChainVector(4, [2]))
+    assert span.add(ChainVector(4, [3]))
+    assert (span.rank, twin.rank) == (2, 2)
+    assert twin.contains(ChainVector(4, [0, 1, 2])) and not span.contains(ChainVector(4, [2]))
+    assert span.contains(ChainVector(4, [0, 1, 3])) and not twin.contains(ChainVector(4, [3]))
+
+
 def test_incremental_span_seeded_matches_batch_rank():
     cols = [ChainVector(5, s) for s in ([0, 1], [1, 2], [0, 2], [3])]
     span = IncrementalSpan(5, cols)
