@@ -85,6 +85,50 @@ def _is_cycle(complex_like, chain: ChainVector, p: int) -> bool:
     return mask == 0
 
 
+def simplex_tables(complex_like, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (vertex ids, face positions) of the d-simplices in canonical
+    order, built once per complex and dimension. Row i of the face table holds
+    the canonical (d-1)-positions of faces_of(simplex i), so per-site work only
+    re-ranks these arrays."""
+    cached = complex_like._tables.get(d)
+    if cached is None:
+        group = complex_like.simplices(d)
+        vertices = np.array(group, dtype=np.intp).reshape(len(group), d + 1)
+        faces = np.array(
+            [[complex_like.position(f) for f in faces_of(s)] for s in group], dtype=np.intp
+        ).reshape(len(group), d + 1 if d else 0)
+        vertices.setflags(write=False)
+        faces.setflags(write=False)
+        cached = complex_like._tables[d] = (vertices, faces)
+    return cached
+
+
+def _boundary_matrix(complex_like, p: int) -> Z2Matrix:
+    """Boundary operator from p-chains to (p-1)-chains in canonical order."""
+    if p < 1 or p > complex_like.max_dim:
+        raise ValueError(f"boundary matrix needs 1 <= p <= {complex_like.max_dim}, got {p}")
+    _, faces = simplex_tables(complex_like, p)
+    return Z2Matrix(complex_like.n_simplices(p - 1), face_masks(faces))
+
+
+def face_masks(rows: np.ndarray) -> list[int]:
+    """One bitmask column per row of an (n, k) index array, k >= 1."""
+    return np.bitwise_or.reduce(np.left_shift(1, rows.astype(object)), axis=1).tolist()
+
+
+def _describe(complex_like) -> str:
+    """Point count, simplex count per dimension, and the maximal simplices
+    (the first 12 of them), which generate the complex."""
+    groups = [complex_like.simplices(d) for d in range(complex_like.max_dim + 1)]
+    top = []
+    for d, group in enumerate(groups):
+        covered = set() if d == len(groups) - 1 else {f for s in groups[d + 1] for f in faces_of(s)}
+        top += [s for s in group if s not in covered]
+    shown = ", ".join(map(str, top[:12])) + (", ..." if len(top) > 12 else "")
+    counts = [len(g) for g in groups]
+    return f"points={complex_like.cloud.n_points}, simplices={counts}, top=[{shown}]"
+
+
 def _normalize_simplex(simplex: Iterable[int]) -> Simplex:
     s = tuple(int(v) for v in simplex)
     if len(set(s)) != len(s):
@@ -97,7 +141,7 @@ def _normalize_simplex(simplex: Iterable[int]) -> Simplex:
 class EmbeddedComplex:
     """A finite simplicial complex whose vertices index into a point cloud."""
 
-    __slots__ = ("cloud", "_by_dim", "_positions")
+    __slots__ = ("cloud", "_by_dim", "_positions", "_tables")
 
     def __init__(self, cloud: PointCloud, simplices: Iterable[Iterable[int]], close: bool = True):
         self.cloud = cloud
@@ -132,6 +176,10 @@ class EmbeddedComplex:
         for d, group in enumerate(self._by_dim):
             for i, s in enumerate(group):
                 self._positions[s] = (d, i)
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def __repr__(self) -> str:
+        return f"EmbeddedComplex({_describe(self)})"
 
     # -- structure queries -------------------------------------------------
 
@@ -196,18 +244,7 @@ class EmbeddedComplex:
         return [group[i] for i in chain.support]
 
     def boundary_matrix(self, p: int) -> Z2Matrix:
-        """Boundary operator from p-chains to (p-1)-chains in canonical order."""
-        if p < 1 or p > self.max_dim:
-            raise ValueError(f"boundary matrix needs 1 <= p <= {self.max_dim}, got {p}")
-        n_rows = self.n_simplices(p - 1)
-        cols = []
-        for s in self.simplices(p):
-            support = sorted(self._positions[f][1] for f in faces_of(s))
-            mask = 0
-            for i in support:
-                mask |= 1 << i
-            cols.append(mask)
-        return Z2Matrix(n_rows, cols)
+        return _boundary_matrix(self, p)
 
     def is_cycle(self, chain: ChainVector, p: int) -> bool:
         return _is_cycle(self, chain, p)
@@ -216,7 +253,7 @@ class EmbeddedComplex:
 class SubcomplexView:
     """A face-closed subset of a parent complex, stored as membership flags."""
 
-    __slots__ = ("parent", "_member", "_local", "_parent_index")
+    __slots__ = ("parent", "_member", "_local", "_parent_index", "_tables")
 
     def __init__(self, parent: EmbeddedComplex, members: Iterable[Iterable[int]], validate: bool = True):
         self.parent = parent
@@ -241,6 +278,10 @@ class SubcomplexView:
         for d, group in enumerate(self._local):
             for i, s in enumerate(group):
                 self._parent_index[s] = i
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def __repr__(self) -> str:
+        return f"SubcomplexView({_describe(self)})"
 
     @property
     def cloud(self) -> PointCloud:
@@ -286,16 +327,7 @@ class SubcomplexView:
         return self.parent.cloud.point(v)
 
     def boundary_matrix(self, p: int) -> Z2Matrix:
-        if p < 1 or p > self.max_dim:
-            raise ValueError(f"boundary matrix needs 1 <= p <= {self.max_dim}, got {p}")
-        n_rows = self.n_simplices(p - 1)
-        cols = []
-        for s in self.simplices(p):
-            mask = 0
-            for f in faces_of(s):
-                mask |= 1 << self._parent_index[f]
-            cols.append(mask)
-        return Z2Matrix(n_rows, cols)
+        return _boundary_matrix(self, p)
 
     def is_cycle(self, chain: ChainVector, p: int) -> bool:
         return _is_cycle(self, chain, p)

@@ -6,6 +6,10 @@ boundary matrix over all simplices in filtration order; pairs of the
 reduction become finite intervals, unpaired positions become essential
 classes. All interval bookkeeping is index-based; values are carried along
 for reporting.
+
+The solvers read only the essential p-cycles of each site ordering, so
+``site_essential_cycles`` reduces just the p and p+1 columns, with clearing;
+``compute_persistence`` over ``site_ordering`` is its reference.
 """
 from __future__ import annotations
 
@@ -21,7 +25,9 @@ from .complexes import (
     PointCloud,
     Simplex,
     SubcomplexView,
+    face_masks,
     faces_of,
+    simplex_tables,
 )
 from .z2 import ChainVector, Z2Matrix, standard_reduction
 
@@ -353,3 +359,70 @@ def site_ordering(complex_like: ComplexLike, site: int) -> SiteOrdering:
         order=tuple(s for _, _, s in entries),
         r_values=tuple(r for r, _, _ in entries),
     )
+
+
+def site_essential_cycles(
+    complex_like: ComplexLike, site: int, p: int
+) -> tuple[tuple[ChainVector, ...], tuple[float, ...]]:
+    """The essential p-cycles of site_ordering(complex_like, site), earliest
+    first, as chains in the complex's canonical p-basis, with the r value each
+    is born at: the same chains as compute_persistence on that ordering, from
+    the p and p+1 columns alone.
+
+    A reduction only ever mixes columns of one dimension, so each dimension is
+    ranked on its own; a stable sort of the canonical (lexicographic) order by
+    r is the ordering's (r, dimension, tuple) rule. The (p+1)-columns are
+    reduced first, and the p-simplices their pivots name are cleared: they
+    reduce to zero and are paired, so they are skipped (Chen & Kerber,
+    "Persistent homology computation with a twist", 2011). The remaining
+    p-columns are reduced with their basis change, which is kept in canonical
+    positions; the zero ones are the essential cycles."""
+    if p < 0:
+        raise ValueError("dimension must be non-negative")
+    n_p = complex_like.n_simplices(p)
+    if n_p == 0:
+        return (), ()
+    dist = np.linalg.norm(complex_like.cloud.coords - complex_like.cloud.point(site), axis=1)
+
+    def ranked(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """r values and site order of the d-simplices, and each one's rank."""
+        r = dist[simplex_tables(complex_like, d)[0]].max(axis=1)
+        order = np.argsort(r, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        return r, order, rank
+
+    def columns(d: int, order: np.ndarray, row_rank: np.ndarray) -> list[int]:
+        """Boundary columns of the d-simplices in site order, rows ranked."""
+        return face_masks(row_rank[simplex_tables(complex_like, d)[1][order]])
+
+    r_p, order_p, rank_p = ranked(p)
+    cleared: dict[int, int] = {}  # pivot rank -> reduced (p+1)-column
+    if p < complex_like.max_dim:
+        for c in columns(p + 1, ranked(p + 1)[1], rank_p):
+            while c:
+                low = c.bit_length() - 1
+                other = cleared.get(low)
+                if other is None:
+                    cleared[low] = c
+                    break
+                c ^= other
+    owners: dict[int, tuple[int, int]] = {}  # pivot rank -> (reduced column, basis change)
+    cycles, radii = [], []
+    columns_p = columns(p, order_p, ranked(p - 1)[2]) if p else [0] * n_p
+    for j, (c, position) in enumerate(zip(columns_p, order_p.tolist())):
+        if j in cleared:
+            continue
+        v = 1 << position
+        while c:
+            low = c.bit_length() - 1
+            other = owners.get(low)
+            if other is None:
+                owners[low] = (c, v)
+                break
+            c ^= other[0]
+            v ^= other[1]
+        if not c:
+            cycles.append(ChainVector(n_p, mask=v))
+            radii.append(float(r_p[position]))
+    return tuple(cycles), tuple(radii)

@@ -1,11 +1,12 @@
 """Site-restricted cycle optimization.
 
-Three solvers share one engine: order the complex around a site by farthest
-vertex distance, reduce once, and read essential cycles off the basis-change
-columns. Because reduced columns have pairwise distinct leading positions,
-the leading position of any combination is the max over its parts, which is
-what makes the greedy and binary-search steps below exact rather than
-heuristic.
+Three solvers share one engine: rank the p- and (p+1)-simplices around a
+site by farthest vertex distance, reduce the (p+1)-columns to clear the
+p-columns they pair, and read the essential cycles off the basis change of
+the remaining p-columns (``filtrations.site_essential_cycles``). Because
+reduced columns have pairwise distinct leading positions, the leading
+position of any combination is the max over its parts, which is what makes
+the greedy and the incremental bar pass below exact rather than heuristic.
 
 All three solvers share one best-first site search: per-site answers are
 minima over site-independent chain sets, so r_w >= r_v - |p_v - p_w|, and
@@ -29,9 +30,9 @@ from .complexes import (
     ball_induced_subcomplex,
     boundary_columns,
 )
-from .filtrations import Filtration, Interval, compute_persistence, site_ordering
+from .filtrations import Filtration, Interval, compute_persistence, site_essential_cycles
 from .radius import SphereCertificate, exact_radius, site_radius
-from .z2 import ChainVector, IncrementalSpan, Z2Matrix, solve_by_reduction
+from .z2 import ChainVector, IncrementalSpan, solve_by_reduction
 
 # evaluate(site) -> (site radius, chain), closing over the site-invariant work
 SiteEvaluator = Callable[[int], tuple[float, ChainVector]]
@@ -147,36 +148,31 @@ def describe_cycle(
 
 def _site_essential_cycles(complex_like: ComplexLike, site: int, p: int):
     """Essential p-cycles of the site ordering, earliest first, as chains in
-    the complex's canonical p-basis, with the site radius each enters at."""
-    ordering = site_ordering(complex_like, site)
-    result = compute_persistence(ordering.as_filtration(), p)
-    radii = []
-    for iv in result.intervals():
-        if iv.death is None:
-            radii.append(iv.birth_value)
-    return result.essential_cycles, tuple(radii)
+    the complex's canonical p-basis, with the site radius each enters at.
+    Every solver reaches the per-site kernel through this one name."""
+    return site_essential_cycles(complex_like, site, p)
 
 
 def _homologous_evaluator(
     complex_like: ComplexLike, cycle: ChainVector, p: int
 ) -> SiteEvaluator:
-    """Per site, solve the input against [essential cycles | boundaries] of
-    the site ordering and keep the essential part of the solution."""
+    """Per site, express the input over the boundaries and the essential
+    cycles of the site ordering and keep the essential part. The essential
+    cycles are a homology basis, so that part is the input's class in it
+    whatever the order of reduction, and the boundaries are reduced once."""
     if not complex_like.is_cycle(cycle, p):
         raise ValueError("input chain is not a cycle")
     n_p = complex_like.n_simplices(p)
-    bound_chains = list(boundary_columns(complex_like, p).columns())
+    boundaries = IncrementalSpan(n_p, boundary_columns(complex_like, p).columns())
 
     def evaluate(site: int) -> tuple[float, ChainVector]:
-        essential, _ = _site_essential_cycles(complex_like, site, p)
-        system = Z2Matrix.from_chains(n_p, list(essential) + bound_chains)
-        selection = solve_by_reduction(system, cycle)
+        span = boundaries.copy()
+        for c in _site_essential_cycles(complex_like, site, p)[0]:
+            span.add(c, c.mask)
+        mask = span.express(cycle)
         # essential cycles and boundaries together span every cycle
-        assert selection is not None
-        out = ChainVector(n_p, [])
-        for j in selection:
-            if j < len(essential):
-                out = out ^ essential[j]
+        assert mask is not None
+        out = ChainVector(n_p, mask=mask)
         return (0.0 if out.is_zero() else site_radius(complex_like, site, out, p)), out
 
     return evaluate
@@ -267,8 +263,9 @@ def _persistent_candidates(filtration: Filtration, interval: Interval, site: int
 
 def _bar_evaluator(filtration: Filtration, interval: Interval) -> SiteEvaluator:
     """Per site, anchor on the first essential cycle of the birth prefix that
-    contains the creator, then binary-search how many of the remaining cycles
-    must be admitted before the anchor's class bounds by the death time."""
+    contains the creator, then admit the remaining cycles in order, after the
+    boundaries born by the death time, until the anchor lies in their span;
+    the representative is the anchor plus the admitted cycles it needs."""
     p = interval.dim
     root = _root_complex(filtration.complex)
     prefix = filtration.prefix_view(interval.birth)
@@ -280,6 +277,7 @@ def _bar_evaluator(filtration: Filtration, interval: Interval) -> SiteEvaluator:
         for j, tau in enumerate(root.simplices(p + 1)):
             if filtration.complex.has(tau) and filtration.index_of(tau) <= interval.death:
                 death_bounds.append(full.column(j))
+    death_span = IncrementalSpan(n_p, death_bounds)
 
     def evaluate(site: int) -> tuple[float, ChainVector]:
         anchor, others = _rotated_candidates(prefix, creator_bit, site, p)
@@ -288,22 +286,15 @@ def _bar_evaluator(filtration: Filtration, interval: Interval) -> SiteEvaluator:
             # essential class, so the anchor itself is optimal
             return site_radius(root, site, anchor, p), anchor
 
-        def feasible(i: int) -> Optional[list[int]]:
-            system = Z2Matrix.from_chains(n_p, death_bounds + others[:i])
-            return solve_by_reduction(system, anchor)
-
-        lo, hi = 0, len(others)
-        assert feasible(hi) is not None  # the bar dies, so the full span works
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if feasible(mid) is not None:
-                hi = mid
-            else:
-                lo = mid + 1
-        out = anchor
-        for j in feasible(lo):
-            if j >= len(death_bounds):
-                out = out ^ others[j - len(death_bounds)]
+        span = death_span.copy()
+        mask = span.express(anchor)
+        for c in others:
+            if mask is not None:
+                break
+            span.add(c, c.mask)
+            mask = span.express(anchor)
+        assert mask is not None  # the bar dies, so the full span works
+        out = anchor ^ ChainVector(n_p, mask=mask)
         return site_radius(root, site, out, p), out
 
     return evaluate

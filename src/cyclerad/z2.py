@@ -250,12 +250,14 @@ def rank(matrix: Z2Matrix) -> int:
 
 
 class IncrementalSpan:
-    """Growing column space with O(cols) membership insertion: kept fully
-    reduced so each stored column has a distinct lowest-one row."""
+    """Growing column space with O(cols) membership insertion: kept reduced
+    so each stored column has a distinct lowest-one row. Each added column
+    may carry a tag mask that is summed along with it, so ``express`` can say
+    which added columns a vector is the sum of."""
 
     def __init__(self, n_rows: int, columns: Iterable[ChainVector] = ()):
         self.n_rows = n_rows
-        self._by_low: dict[int, int] = {}
+        self._by_low: dict[int, tuple[int, int]] = {}  # low row -> (mask, tag)
         for c in columns:
             self.add(c)
 
@@ -268,24 +270,35 @@ class IncrementalSpan:
         out._by_low = dict(self._by_low)
         return out
 
-    def reduce(self, vector: ChainVector) -> int:
+    def reduce(self, vector: ChainVector, tag: int = 0) -> tuple[int, int]:
+        """The vector's remainder against the span, and the tag plus the tags
+        of the stored columns taken off it."""
         if vector.ambient_size != self.n_rows:
             raise ValueError("vector ambient size must equal the row count")
         mask = vector.mask
         while mask:
-            pivot = self._by_low.get(mask.bit_length() - 1)
-            if pivot is None:
+            stored = self._by_low.get(mask.bit_length() - 1)
+            if stored is None:
                 break
-            mask ^= pivot
-        return mask
+            mask ^= stored[0]
+            tag ^= stored[1]
+        return mask, tag
 
     def contains(self, vector: ChainVector) -> bool:
-        return self.reduce(vector) == 0
+        return self.reduce(vector)[0] == 0
 
-    def add(self, vector: ChainVector) -> bool:
-        """Insert the vector; True when it enlarged the span."""
-        mask = self.reduce(vector)
+    def add(self, vector: ChainVector, tag: int = 0) -> bool:
+        """Insert the vector with its tag; True when it enlarged the span."""
+        mask, tag = self.reduce(vector, tag)
         if mask == 0:
             return False
-        self._by_low[mask.bit_length() - 1] = mask
+        self._by_low[mask.bit_length() - 1] = (mask, tag)
         return True
+
+    def express(self, vector: ChainVector) -> Optional[int]:
+        """The sum of the tags of added columns that sum to the vector, or
+        None when the vector lies outside the span. The reduction is the
+        left-to-right one of ``solve_by_reduction`` on the added columns, so
+        the combination is the one it finds."""
+        mask, tag = self.reduce(vector)
+        return None if mask else tag

@@ -183,6 +183,23 @@ def test_view_boundary_matrix_is_restriction():
         assert list(d2.column_support(j)) == expect
 
 
+def test_complexes_print_counts_and_maximal_simplices():
+    assert repr(fixtures.filled_triangle().complex) == (
+        "EmbeddedComplex(points=3, simplices=[3, 3, 1], top=[(0, 1, 2)])"
+    )
+    annulus = fixtures.annulus().complex
+    assert repr(annulus) == (
+        "EmbeddedComplex(points=9, simplices=[9, 16, 8], top=[(8,), (0, 1, 4), (0, 3, 7), "
+        "(0, 4, 7), (1, 2, 5), (1, 4, 5), (2, 3, 6), (2, 5, 6), (3, 6, 7)])"
+    )
+    assert repr(induced_subcomplex(annulus, [0, 1, 4, 8])) == (
+        "SubcomplexView(points=9, simplices=[4, 3, 1], top=[(8,), (0, 1, 4)])"
+    )
+    ring = EmbeddedComplex(PointCloud([(float(i), float(i * i)) for i in range(14)]),
+                           [(i, i + 1) for i in range(13)])
+    assert repr(ring).endswith("(10, 11), (11, 12), ...])")
+
+
 def test_ball_induced_subcomplex_tolerance():
     inst = fixtures.annulus()
     r_in = math.sqrt(0.5)

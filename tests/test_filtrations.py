@@ -2,8 +2,9 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import embedded_complexes, filtered_complexes
+from conftest import embedded_complexes, filtered_complexes, loopy_complexes
 from oracles import betti_by_rank, bounds_in_view
 
 from cyclerad.complexes import EmbeddedComplex, PointCloud
@@ -14,6 +15,7 @@ from cyclerad.filtrations import (
     compute_persistence,
     lower_star_filtration,
     rips_filtration,
+    site_essential_cycles,
     site_ordering,
 )
 from cyclerad import fixtures
@@ -282,3 +284,55 @@ def test_site_ordering_valid_for_every_site(complex_):
                     for v in s
                 )
             )
+
+
+# -- the per-site essential-cycle kernel ------------------------------------
+
+
+def essential_by_full_persistence(complex_like, site, p):
+    """The reference: full persistence of the site ordering, essential
+    intervals only."""
+    result = compute_persistence(site_ordering(complex_like, site).as_filtration(), p)
+    radii = tuple(iv.birth_value for iv in result.intervals() if iv.death is None)
+    return result.essential_cycles, radii
+
+
+def assert_kernel_matches_full_persistence(complex_like, dims=(0, 1, 2, 3)):
+    # every point is a site, also those outside a view, as for bar prefixes
+    for site in range(complex_like.cloud.n_points):
+        for p in dims:
+            expect = essential_by_full_persistence(complex_like, site, p)
+            assert site_essential_cycles(complex_like, site, p) == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(embedded_complexes(max_dim=3, max_top_cells=12), loopy_complexes()))
+def test_site_essential_cycles_match_full_persistence(complex_):
+    """Same cycles, in the same order, with bitwise-equal birth radii."""
+    assert_kernel_matches_full_persistence(complex_)
+
+
+@settings(max_examples=40, deadline=None)
+@given(filtered_complexes(max_dim=3), st.data())
+def test_site_essential_cycles_match_on_prefix_views(filtration, data):
+    view = filtration.prefix_view(data.draw(st.integers(0, len(filtration) - 1)))
+    assert_kernel_matches_full_persistence(view)
+
+
+def test_site_essential_cycles_keep_the_lexicographic_tie_break():
+    # at side 3 every edge is bitwise 3.0 from every site
+    inst = fixtures.hollow_triangle(3.0)
+    assert_kernel_matches_full_persistence(inst.complex)
+    assert site_essential_cycles(inst.complex, 0, 1) == ((inst.loop,), (3.0,))
+
+
+def test_site_essential_cycles_at_and_above_the_top_dimension():
+    filled = fixtures.filled_triangle().complex
+    annulus = fixtures.annulus().complex
+    # p = max_dim has no (p+1)-columns to clear with
+    assert_kernel_matches_full_persistence(filled, dims=(2,))
+    assert_kernel_matches_full_persistence(annulus, dims=(2,))
+    assert site_essential_cycles(filled, 0, 2) == ((), ())
+    assert site_essential_cycles(fixtures.hollow_triangle().complex, 1, 2) == ((), ())
+    with pytest.raises(ValueError):
+        site_essential_cycles(filled, 0, -1)

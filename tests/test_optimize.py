@@ -412,6 +412,20 @@ def test_persistent_representatives_on_random_filtrations(filtration):
         assert out == min(per_site, key=lambda r: (r.r_v, r.site))
 
 
+def bounds_born_by_death(filtration, interval):
+    """Boundaries of the (p+1)-simplices in the filtration by the death index."""
+    complex_ = filtration.complex
+    p = interval.dim
+    if complex_.max_dim < p + 1:
+        return []
+    full = complex_.boundary_matrix(p + 1)
+    return [
+        full.column(j)
+        for j, tau in enumerate(complex_.simplices(p + 1))
+        if filtration.index_of(tau) <= interval.death
+    ]
+
+
 @settings(max_examples=30, deadline=None)
 @given(filtered_complexes(), st.integers(0, 7))
 def test_binary_search_boundary(filtration, site_seed):
@@ -426,12 +440,7 @@ def test_binary_search_boundary(filtration, site_seed):
     site = sorted(complex_.vertex_ids())[site_seed % complex_.cloud.n_points]
     anchor, others = _persistent_candidates(filtration, interval, site)
     n_p = complex_.n_simplices(1)
-    death_bounds = []
-    if complex_.max_dim >= 2:
-        full = complex_.boundary_matrix(2)
-        for j, tau in enumerate(complex_.simplices(2)):
-            if filtration.index_of(tau) <= interval.death:
-                death_bounds.append(full.column(j))
+    death_bounds = bounds_born_by_death(filtration, interval)
 
     def feasible(i):
         return (
@@ -445,6 +454,43 @@ def test_binary_search_boundary(filtration, site_seed):
     if i_star > 0:
         assert not feasible(i_star - 1)
     interval_conditions_hold(filtration, interval, out)
+
+
+def binary_search_representative(filtration, interval, site):
+    """The bar pass as it was: a binary search of solve_by_reduction calls
+    over how many candidate cycles are admitted. The incremental pass must
+    pick the same chain."""
+    anchor, others = _persistent_candidates(filtration, interval, site)
+    n_p = filtration.complex.n_simplices(interval.dim)
+    death_bounds = bounds_born_by_death(filtration, interval)
+
+    def feasible(i):
+        return solve_by_reduction(Z2Matrix.from_chains(n_p, death_bounds + others[:i]), anchor)
+
+    lo, hi = 0, len(others)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(mid) is not None:
+            hi = mid
+        else:
+            lo = mid + 1
+    out = anchor
+    for j in feasible(lo):
+        if j >= len(death_bounds):
+            out = out ^ others[j - len(death_bounds)]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(filtered_complexes(max_dim=3, max_top_cells=12))
+def test_incremental_bar_pass_matches_binary_search(filtration):
+    for p in (1, 2):
+        for interval in compute_persistence(filtration, p).barcode.in_dim(p):
+            if interval.death is None:
+                continue
+            for site in filtration.complex.vertex_ids():
+                out = opt_pers_cycle_site(filtration, interval, site)
+                assert out.cycle == binary_search_representative(filtration, interval, site)
 
 
 def test_persistent_basis_two_loop_counts():

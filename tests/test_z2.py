@@ -233,3 +233,18 @@ def test_incremental_span_seeded_matches_batch_rank():
     cols = [ChainVector(5, s) for s in ([0, 1], [1, 2], [0, 2], [3])]
     span = IncrementalSpan(5, cols)
     assert span.rank == rank(Z2Matrix.from_chains(5, cols))
+
+
+@given(simple_matrix, st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_incremental_span_express_finds_the_solve_combination(data, rng):
+    """Tagging column k with bit k, express returns solve_by_reduction's
+    selection as a mask, and None exactly when the solve is infeasible."""
+    n_rows, cols = data
+    m = Z2Matrix.from_columns(n_rows, cols)
+    span = IncrementalSpan(n_rows)
+    for k, c in enumerate(m.columns()):
+        span.add(c, 1 << k)
+    rhs = ChainVector(n_rows, sorted({i for i in range(n_rows) if rng.random() < 0.3}))
+    got = solve_by_reduction(m, rhs)
+    assert span.express(rhs) == (None if got is None else sum(1 << j for j in got))
