@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .complexes import ComplexLike, PointCloud
+from .complexes import EmbeddedComplex, PointCloud
 from .filtrations import (
     Filtration,
     Interval,
@@ -84,6 +84,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.problem in ("localize", "basis") and self.p < 1:
             raise ConfigError(f"{self.problem} needs a positive dimension p")
+        if self.p < 0:
+            raise ConfigError("-p must be non-negative")
+        if self.rips_maxdim < 0:
+            raise ConfigError("--maxdim must be non-negative")
         if not 0 < self.sites <= 1:
             raise ConfigError("--sites must be a fraction in (0, 1]")
         if self.problem == "localize":
@@ -137,7 +141,7 @@ def _interval_json(iv: Optional[Interval]):
     }
 
 
-def _cycle_json(complex_like: ComplexLike, result: OptimalCycleResult) -> list[list[int]]:
+def _cycle_json(complex_like: EmbeddedComplex, result: OptimalCycleResult) -> list[list[int]]:
     return [
         [int(v) for v in s]
         for s in complex_like.chain_simplices(result.cycle, result.dim)
@@ -145,7 +149,7 @@ def _cycle_json(complex_like: ComplexLike, result: OptimalCycleResult) -> list[l
 
 
 def _result_json(
-    complex_like: ComplexLike,
+    complex_like: EmbeddedComplex,
     problem: str,
     before: OptimalCycleResult,
     after: OptimalCycleResult,
@@ -188,7 +192,7 @@ def _export_obj(cfg: RunConfig, complex_like, rows: list[OptimalCycleResult]) ->
 # -- shared plumbing --------------------------------------------------------
 
 
-def _pick_sites(complex_like: ComplexLike, fraction: float) -> Optional[list[int]]:
+def _pick_sites(complex_like: EmbeddedComplex, fraction: float) -> Optional[list[int]]:
     """Deterministic evenly strided subsample of the vertex set."""
     if fraction >= 1.0:
         return None

@@ -6,13 +6,14 @@ cloud. Within each dimension the simplices are kept sorted lexicographically;
 row/column in the package, so moving chains between a complex and a
 subcomplex is a pure re-indexing.
 
-Complexes are immutable once built; restricted views (``SubcomplexView``)
-overlay membership flags on a parent complex instead of copying it.
+Complexes are immutable once built. A view (``SubcomplexView``) is a
+complex cut from a parent: its canonical order is the parent's, restricted to
+its members, so it answers every query as a complex built from those members
+would, and ``extend``/``contract`` move chains to and from the parent.
 """
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -71,20 +72,6 @@ def faces_of(simplex: Simplex) -> list[Simplex]:
     return [simplex[:k] + simplex[k + 1 :] for k in range(len(simplex))]
 
 
-def _is_cycle(complex_like, chain: ChainVector, p: int) -> bool:
-    """Whether the chain's boundary vanishes, summed over its own support
-    rather than through the full boundary matrix."""
-    if p == 0 or chain.is_zero():
-        return True
-    if chain.ambient_size != complex_like.n_simplices(p):
-        raise ValueError("chain does not live in the complex's p-basis")
-    mask = 0
-    for s in complex_like.chain_simplices(chain, p):
-        for f in faces_of(s):
-            mask ^= 1 << complex_like.position(f)
-    return mask == 0
-
-
 def simplex_tables(complex_like, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (vertex ids, face positions) of the d-simplices in canonical
     order, built once per complex and dimension. Row i of the face table holds
@@ -103,30 +90,9 @@ def simplex_tables(complex_like, d: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def _boundary_matrix(complex_like, p: int) -> Z2Matrix:
-    """Boundary operator from p-chains to (p-1)-chains in canonical order."""
-    if p < 1 or p > complex_like.max_dim:
-        raise ValueError(f"boundary matrix needs 1 <= p <= {complex_like.max_dim}, got {p}")
-    _, faces = simplex_tables(complex_like, p)
-    return Z2Matrix(complex_like.n_simplices(p - 1), face_masks(faces))
-
-
 def face_masks(rows: np.ndarray) -> list[int]:
     """One bitmask column per row of an (n, k) index array, k >= 1."""
     return np.bitwise_or.reduce(np.left_shift(1, rows.astype(object)), axis=1).tolist()
-
-
-def _describe(complex_like) -> str:
-    """Point count, simplex count per dimension, and the maximal simplices
-    (the first 12 of them), which generate the complex."""
-    groups = [complex_like.simplices(d) for d in range(complex_like.max_dim + 1)]
-    top = []
-    for d, group in enumerate(groups):
-        covered = set() if d == len(groups) - 1 else {f for s in groups[d + 1] for f in faces_of(s)}
-        top += [s for s in group if s not in covered]
-    shown = ", ".join(map(str, top[:12])) + (", ..." if len(top) > 12 else "")
-    counts = [len(g) for g in groups]
-    return f"points={complex_like.cloud.n_points}, simplices={counts}, top=[{shown}]"
 
 
 def _normalize_simplex(simplex: Iterable[int]) -> Simplex:
@@ -139,12 +105,13 @@ def _normalize_simplex(simplex: Iterable[int]) -> Simplex:
 
 
 class EmbeddedComplex:
-    """A finite simplicial complex whose vertices index into a point cloud."""
+    """A finite simplicial complex whose vertices index into a point cloud.
+    A root complex has ``parent`` None; a ``SubcomplexView`` names the
+    complex it was cut from."""
 
-    __slots__ = ("cloud", "_by_dim", "_positions", "_tables")
+    __slots__ = ("cloud", "parent", "_by_dim", "_positions", "_tables")
 
     def __init__(self, cloud: PointCloud, simplices: Iterable[Iterable[int]], close: bool = True):
-        self.cloud = cloud
         collected: set[Simplex] = set()
         for raw in simplices:
             s = _normalize_simplex(raw)
@@ -168,18 +135,26 @@ class EmbeddedComplex:
                     if f not in collected:
                         raise ValueError(f"complex is not closed under faces: {s} misses {f}")
         max_dim = max((len(s) - 1 for s in collected), default=-1)
-        self._by_dim: list[tuple[Simplex, ...]] = [
-            tuple(sorted(s for s in collected if len(s) - 1 == d))
-            for d in range(max_dim + 1)
-        ]
-        self._positions: dict[Simplex, tuple[int, int]] = {}
-        for d, group in enumerate(self._by_dim):
-            for i, s in enumerate(group):
-                self._positions[s] = (d, i)
+        self.parent = None
+        self._index(cloud, [
+            tuple(sorted(s for s in collected if len(s) - 1 == d)) for d in range(max_dim + 1)
+        ])
+
+    def _index(self, cloud: PointCloud, by_dim: list[tuple[Simplex, ...]]) -> None:
+        """Adopt the simplices in canonical order, one tuple per dimension
+        with no trailing empty ones."""
+        self.cloud = cloud
+        self._by_dim = by_dim
+        self._positions: dict[Simplex, tuple[int, int]] = {
+            s: (d, i) for d, group in enumerate(by_dim) for i, s in enumerate(group)
+        }
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def __repr__(self) -> str:
-        return f"EmbeddedComplex({_describe(self)})"
+        top = self.maximal_simplices()
+        shown = ", ".join(map(str, top[:12])) + (", ..." if len(top) > 12 else "")
+        counts = [len(g) for g in self._by_dim]
+        return f"{type(self).__name__}(points={self.cloud.n_points}, simplices={counts}, top=[{shown}])"
 
     # -- structure queries -------------------------------------------------
 
@@ -188,9 +163,7 @@ class EmbeddedComplex:
         return len(self._by_dim) - 1
 
     def n_simplices(self, p: int) -> int:
-        if p < 0 or p > self.max_dim:
-            return 0
-        return len(self._by_dim[p])
+        return len(self.simplices(p))
 
     def simplices(self, p: int) -> tuple[Simplex, ...]:
         if p < 0 or p > self.max_dim:
@@ -202,7 +175,16 @@ class EmbeddedComplex:
             yield from group
 
     def total_simplices(self) -> int:
-        return sum(len(g) for g in self._by_dim)
+        return len(self._positions)
+
+    def maximal_simplices(self) -> list[Simplex]:
+        """Simplices that are no face of another, in canonical order; they
+        generate the complex."""
+        top = []
+        for d, group in enumerate(self._by_dim):
+            covered = {f for s in self.simplices(d + 1) for f in faces_of(s)}
+            top += [s for s in group if s not in covered]
+        return top
 
     def has(self, simplex: Iterable[int]) -> bool:
         return tuple(simplex) in self._positions
@@ -244,19 +226,34 @@ class EmbeddedComplex:
         return [group[i] for i in chain.support]
 
     def boundary_matrix(self, p: int) -> Z2Matrix:
-        return _boundary_matrix(self, p)
+        """Boundary operator from p-chains to (p-1)-chains in canonical order."""
+        if p < 1 or p > self.max_dim:
+            raise ValueError(f"boundary matrix needs 1 <= p <= {self.max_dim}, got {p}")
+        _, faces = simplex_tables(self, p)
+        return Z2Matrix(self.n_simplices(p - 1), face_masks(faces))
 
     def is_cycle(self, chain: ChainVector, p: int) -> bool:
-        return _is_cycle(self, chain, p)
+        """Whether the chain's boundary vanishes, summed over its own support
+        rather than through the full boundary matrix."""
+        if p == 0 or chain.is_zero():
+            return True
+        if chain.ambient_size != self.n_simplices(p):
+            raise ValueError("chain does not live in the complex's p-basis")
+        mask = 0
+        for s in self.chain_simplices(chain, p):
+            for f in faces_of(s):
+                mask ^= 1 << self.position(f)
+        return mask == 0
 
 
-class SubcomplexView:
-    """A face-closed subset of a parent complex, stored as membership flags."""
+class SubcomplexView(EmbeddedComplex):
+    """A face-closed subset of a parent complex. Its canonical order is the
+    parent's restricted to the members, so chains move between the two by
+    re-indexing alone."""
 
-    __slots__ = ("parent", "_member", "_local", "_parent_index", "_tables")
+    __slots__ = ()
 
     def __init__(self, parent: EmbeddedComplex, members: Iterable[Iterable[int]], validate: bool = True):
-        self.parent = parent
         chosen: set[Simplex] = set()
         for raw in members:
             s = tuple(raw)
@@ -268,100 +265,19 @@ class SubcomplexView:
                 for f in faces_of(s):
                     if f not in chosen:
                         raise ValueError(f"view is not closed under faces: {s} misses {f}")
-        self._member = chosen
-        # local canonical order per dimension = subsequence of the parent's
-        self._local: list[tuple[Simplex, ...]] = [
-            tuple(s for s in parent.simplices(d) if s in chosen)
-            for d in range(parent.max_dim + 1)
-        ]
-        self._parent_index: dict[Simplex, int] = {}
-        for d, group in enumerate(self._local):
-            for i, s in enumerate(group):
-                self._parent_index[s] = i
-        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def __repr__(self) -> str:
-        return f"SubcomplexView({_describe(self)})"
-
-    @property
-    def cloud(self) -> PointCloud:
-        return self.parent.cloud
-
-    @property
-    def max_dim(self) -> int:
-        for d in range(len(self._local) - 1, -1, -1):
-            if self._local[d]:
-                return d
-        return -1
-
-    def n_simplices(self, p: int) -> int:
-        if p < 0 or p >= len(self._local):
-            return 0
-        return len(self._local[p])
-
-    def simplices(self, p: int) -> tuple[Simplex, ...]:
-        if p < 0 or p >= len(self._local):
-            return ()
-        return self._local[p]
-
-    def all_simplices(self):
-        for group in self._local:
-            yield from group
-
-    def total_simplices(self) -> int:
-        return len(self._member)
-
-    def has(self, simplex: Iterable[int]) -> bool:
-        return tuple(simplex) in self._member
-
-    def position(self, simplex: Iterable[int]) -> int:
-        s = tuple(simplex)
-        if s not in self._parent_index:
-            raise KeyError(f"simplex {s} not in view")
-        return self._parent_index[s]
-
-    def vertex_ids(self) -> tuple[int, ...]:
-        return tuple(s[0] for s in self.simplices(0))
-
-    def vertex_point(self, v: int) -> np.ndarray:
-        return self.parent.cloud.point(v)
-
-    def boundary_matrix(self, p: int) -> Z2Matrix:
-        return _boundary_matrix(self, p)
-
-    def is_cycle(self, chain: ChainVector, p: int) -> bool:
-        return _is_cycle(self, chain, p)
-
-    def chain(self, simplices: Iterable[Iterable[int]], p: Optional[int] = None) -> ChainVector:
-        indices = []
-        for raw in simplices:
-            s = tuple(raw)
-            if s not in self._member:
-                raise KeyError(f"simplex {s} not in view")
-            d = len(s) - 1
-            if p is None:
-                p = d
-            elif d != p:
-                raise ValueError("chain mixes dimensions")
-            indices.append(self._parent_index[s])
-        if p is None:
-            raise ValueError("cannot infer dimension of an empty chain")
-        return ChainVector(self.n_simplices(p), sorted(set(indices)))
-
-    def chain_simplices(self, chain: ChainVector, p: int) -> list[Simplex]:
-        group = self.simplices(p)
-        return [group[i] for i in chain.support]
-
-    # -- moving chains between the view's basis and the parent's -----------
+        n_dims = max((len(s) for s in chosen), default=0)
+        self.parent = parent
+        self._index(parent.cloud, [
+            tuple(s for s in parent.simplices(d) if s in chosen) for d in range(n_dims)
+        ])
 
     def extend(self, chain: ChainVector, p: int) -> ChainVector:
         """Re-index a p-chain of the view into the parent's canonical basis."""
         if chain.ambient_size != self.n_simplices(p):
             raise ValueError("chain does not live in the view's p-basis")
-        group = self.simplices(p)
         mask = 0
-        for i in chain.support:
-            mask |= 1 << self.parent.position(group[i])
+        for s in self.chain_simplices(chain, p):
+            mask |= 1 << self.parent.position(s)
         return ChainVector(self.parent.n_simplices(p), mask=mask)
 
     def contract(self, chain: ChainVector, p: int) -> ChainVector:
@@ -369,17 +285,12 @@ class SubcomplexView:
         simplex is missing from the view."""
         if chain.ambient_size != self.parent.n_simplices(p):
             raise ValueError("chain does not live in the parent's p-basis")
-        parent_group = self.parent.simplices(p)
         mask = 0
-        for i in chain.support:
-            s = parent_group[i]
-            if s not in self._member:
+        for s in self.parent.chain_simplices(chain, p):
+            if s not in self._positions:
                 raise ValueError(f"chain support {s} lies outside the view")
-            mask |= 1 << self._parent_index[s]
+            mask |= 1 << self._positions[s][1]
         return ChainVector(self.n_simplices(p), mask=mask)
-
-
-ComplexLike = Union[EmbeddedComplex, SubcomplexView]
 
 
 def induced_subcomplex(parent: EmbeddedComplex, vertices: Iterable[int]) -> SubcomplexView:
@@ -401,7 +312,7 @@ def ball_induced_subcomplex(parent: EmbeddedComplex, center, radius: float) -> S
     return induced_subcomplex(parent, inside)
 
 
-def boundary_columns(complex_like: ComplexLike, p: int) -> Z2Matrix:
+def boundary_columns(complex_like: EmbeddedComplex, p: int) -> Z2Matrix:
     """Boundaries of the (p+1)-simplices as columns over the p-basis; the
     empty matrix when there are no (p+1)-simplices."""
     if p + 1 <= complex_like.max_dim:

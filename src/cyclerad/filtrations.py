@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .complexes import (
-    ComplexLike,
     EmbeddedComplex,
     PointCloud,
     Simplex,
@@ -40,7 +39,7 @@ class Filtration:
 
     def __init__(
         self,
-        complex_like: ComplexLike,
+        complex_like: EmbeddedComplex,
         order: Sequence[Iterable[int]],
         values: Sequence[float],
         validate: bool = True,
@@ -90,8 +89,7 @@ class Filtration:
     def prefix_view(self, i: int) -> SubcomplexView:
         """The complex formed by the first i+1 simplices, as a view on the
         root complex."""
-        parent = self.complex.parent if isinstance(self.complex, SubcomplexView) else self.complex
-        return SubcomplexView(parent, self.order[: i + 1], validate=False)
+        return SubcomplexView(self.complex.parent or self.complex, self.order[: i + 1], validate=False)
 
     def boundary_matrix(self) -> Z2Matrix:
         """The square boundary matrix over all simplices in filtration order."""
@@ -308,7 +306,7 @@ def rips_filtration(cloud: PointCloud, max_scale: float, max_dim: int = 2) -> Fi
     return Filtration(complex_, order, [value[s] for s in order], validate=False)
 
 
-def lower_star_filtration(complex_like: ComplexLike, vertex_values) -> Filtration:
+def lower_star_filtration(complex_like: EmbeddedComplex, vertex_values) -> Filtration:
     """Lower-star filtration of a vertex scalar field: a simplex enters at the
     maximum value over its vertices."""
     if isinstance(vertex_values, Mapping):
@@ -337,7 +335,7 @@ class SiteOrdering:
     tuple)."""
 
     site: int
-    complex: ComplexLike = field(compare=False)
+    complex: EmbeddedComplex = field(compare=False)
     order: tuple[Simplex, ...]
     r_values: tuple[float, ...]
 
@@ -345,7 +343,7 @@ class SiteOrdering:
         return Filtration(self.complex, self.order, self.r_values, validate=False)
 
 
-def site_ordering(complex_like: ComplexLike, site: int) -> SiteOrdering:
+def site_ordering(complex_like: EmbeddedComplex, site: int) -> SiteOrdering:
     center = complex_like.cloud.point(site)
     dist = np.linalg.norm(complex_like.cloud.coords - center, axis=1)
     entries = []
@@ -362,7 +360,7 @@ def site_ordering(complex_like: ComplexLike, site: int) -> SiteOrdering:
 
 
 def site_essential_cycles(
-    complex_like: ComplexLike, site: int, p: int
+    complex_like: EmbeddedComplex, site: int, p: int
 ) -> tuple[tuple[ChainVector, ...], tuple[float, ...]]:
     """The essential p-cycles of site_ordering(complex_like, site), earliest
     first, as chains in the complex's canonical p-basis, with the r value each

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .complexes import ComplexLike, EmbeddedComplex, PointCloud
+from .complexes import EmbeddedComplex, PointCloud
 from .filtrations import Filtration
 from .z2 import ChainVector
 
@@ -116,17 +116,8 @@ def read_off(path: PathLike) -> EmbeddedComplex:
         raise InputError(path, str(exc)) from exc
 
 
-def _maximal_simplices(complex_like: ComplexLike) -> list[tuple[int, ...]]:
-    every = set(complex_like.all_simplices())
-    covered: set[tuple[int, ...]] = set()
-    for s in every:
-        for drop in range(len(s)):
-            covered.add(s[:drop] + s[drop + 1 :])
-    return sorted(s for s in every if s not in covered and len(s) >= 2)
-
-
-def write_off(path: PathLike, complex_like: ComplexLike) -> None:
-    faces = _maximal_simplices(complex_like)
+def write_off(path: PathLike, complex_like: EmbeddedComplex) -> None:
+    faces = sorted(s for s in complex_like.maximal_simplices() if len(s) >= 2)
     ids = complex_like.vertex_ids()
     if ids != tuple(range(len(ids))):
         raise ValueError("OFF export needs contiguous vertex ids")
@@ -208,7 +199,7 @@ def write_filtration(path: PathLike, filtration: Filtration) -> None:
 
 
 def read_cycle(
-    path: PathLike, complex_like: ComplexLike, p: Optional[int] = None
+    path: PathLike, complex_like: EmbeddedComplex, p: Optional[int] = None
 ) -> ChainVector:
     """One simplex per line as vertex indices; must be a cycle of the
     complex."""
@@ -234,7 +225,7 @@ def read_cycle(
     return chain
 
 
-def write_cycle(path: PathLike, complex_like: ComplexLike, chain: ChainVector, p: int) -> None:
+def write_cycle(path: PathLike, complex_like: EmbeddedComplex, chain: ChainVector, p: int) -> None:
     with open(path, "w") as fh:
         for s in complex_like.chain_simplices(chain, p):
             fh.write(" ".join(map(str, s)))
@@ -245,7 +236,7 @@ def write_cycle(path: PathLike, complex_like: ComplexLike, chain: ChainVector, p
 
 
 def write_obj_polylines(
-    path: PathLike, complex_like: ComplexLike, cycles: Sequence[ChainVector]
+    path: PathLike, complex_like: EmbeddedComplex, cycles: Sequence[ChainVector]
 ) -> None:
     """1-cycles as OBJ line elements over the full vertex set; flat complexes
     get a zero z."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from .complexes import (
     MEMBERSHIP_REL_TOL,
-    ComplexLike,
+    EmbeddedComplex,
     Simplex,
     SubcomplexView,
     ball_induced_subcomplex,
@@ -38,15 +38,11 @@ from .z2 import ChainVector, IncrementalSpan, solve_by_reduction
 SiteEvaluator = Callable[[int], tuple[float, ChainVector]]
 
 
-def _chosen_sites(complex_like: ComplexLike, sites: Optional[Sequence[int]]) -> list[int]:
+def _chosen_sites(complex_like: EmbeddedComplex, sites: Optional[Sequence[int]]) -> list[int]:
     chosen = sorted(set(complex_like.vertex_ids() if sites is None else sites))
     if not chosen:
         raise ValueError("need at least one site")
     return chosen
-
-
-def _root_complex(complex_like: ComplexLike) -> ComplexLike:
-    return complex_like.parent if isinstance(complex_like, SubcomplexView) else complex_like
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,7 @@ class HomologyBasisResult:
 
 
 def _result_for_cycle(
-    complex_like: ComplexLike,
+    complex_like: EmbeddedComplex,
     cycle: ChainVector,
     p: int,
     site: Optional[int],
@@ -91,7 +87,7 @@ def _result_for_cycle(
     return OptimalCycleResult(cycle, p, site, r_v, cert.radius, cert, context, interval)
 
 
-def _site_search(complex_like: ComplexLike, sites: Optional[Sequence[int]],
+def _site_search(complex_like: EmbeddedComplex, sites: Optional[Sequence[int]],
                  evaluate: Callable[[int], float], cutoff: Callable[[], float]) -> None:
     """Evaluate sites by smallest lower bound, lowest index first, until every
     remaining bound exceeds cutoff() by more than the membership tolerance.
@@ -111,7 +107,7 @@ def _site_search(complex_like: ComplexLike, sites: Optional[Sequence[int]],
 
 
 def _best_site(
-    complex_like: ComplexLike, sites: Optional[Sequence[int]], evaluate: SiteEvaluator
+    complex_like: EmbeddedComplex, sites: Optional[Sequence[int]], evaluate: SiteEvaluator
 ) -> tuple[int, ChainVector]:
     """Site and chain with the lexicographically smallest (radius, site)."""
     best = [np.inf, -1, None]  # (radius, site, chain)
@@ -128,7 +124,7 @@ def _best_site(
 
 
 def describe_cycle(
-    complex_like: ComplexLike,
+    complex_like: EmbeddedComplex,
     cycle: ChainVector,
     p: int,
     site: Optional[int] = None,
@@ -146,7 +142,7 @@ def describe_cycle(
     return _result_for_cycle(complex_like, cycle, p, site, context)
 
 
-def _site_essential_cycles(complex_like: ComplexLike, site: int, p: int):
+def _site_essential_cycles(complex_like: EmbeddedComplex, site: int, p: int):
     """Essential p-cycles of the site ordering, earliest first, as chains in
     the complex's canonical p-basis, with the site radius each enters at.
     Every solver reaches the per-site kernel through this one name."""
@@ -154,7 +150,7 @@ def _site_essential_cycles(complex_like: ComplexLike, site: int, p: int):
 
 
 def _homologous_evaluator(
-    complex_like: ComplexLike, cycle: ChainVector, p: int
+    complex_like: EmbeddedComplex, cycle: ChainVector, p: int
 ) -> SiteEvaluator:
     """Per site, express the input over the boundaries and the essential
     cycles of the site ordering and keep the essential part. The essential
@@ -179,14 +175,14 @@ def _homologous_evaluator(
 
 
 def optimal_hom_cycle_for_site(
-    complex_like: ComplexLike, cycle: ChainVector, site: int, p: int = 1
+    complex_like: EmbeddedComplex, cycle: ChainVector, site: int, p: int = 1
 ) -> OptimalCycleResult:
     """Smallest cycle homologous to the input as seen from one site."""
     return opt_homologous_cycle(complex_like, cycle, p, sites=[site])
 
 
 def opt_homologous_cycle(
-    complex_like: ComplexLike,
+    complex_like: EmbeddedComplex,
     cycle: ChainVector,
     p: int = 1,
     sites: Optional[Sequence[int]] = None,
@@ -199,7 +195,7 @@ def opt_homologous_cycle(
 
 
 def opt_homology_basis(
-    complex_like: ComplexLike,
+    complex_like: EmbeddedComplex,
     p: int,
     sites: Optional[Sequence[int]] = None,
 ) -> HomologyBasisResult:
@@ -267,8 +263,8 @@ def _bar_evaluator(filtration: Filtration, interval: Interval) -> SiteEvaluator:
     boundaries born by the death time, until the anchor lies in their span;
     the representative is the anchor plus the admitted cycles it needs."""
     p = interval.dim
-    root = _root_complex(filtration.complex)
     prefix = filtration.prefix_view(interval.birth)
+    root = prefix.parent
     creator_bit = root.position(interval.creator)
     n_p = root.n_simplices(p)
     death_bounds = []
@@ -314,7 +310,7 @@ def opt_pers_hom_rep(
 ) -> OptimalCycleResult:
     """Best bar representative over the sites; ties broken toward the lowest
     site index."""
-    root = _root_complex(filtration.complex)
+    root = filtration.complex.parent or filtration.complex
     site, out = _best_site(filtration.complex, sites, _bar_evaluator(filtration, interval))
     return _result_for_cycle(
         root, out, interval.dim, site, "persistent-representative", interval
@@ -384,7 +380,7 @@ def _shortest_path(adjacency: dict[int, list[int]], a: int, b: int) -> Optional[
 
 
 def shorten_cycle(
-    result: OptimalCycleResult, complex_like: ComplexLike, max_passes: int = 50
+    result: OptimalCycleResult, complex_like: EmbeddedComplex, max_passes: int = 50
 ) -> OptimalCycleResult:
     """Replace arcs of the cycle by shorter homologous paths found inside the
     site ball of the result. The class never changes (every swap is checked

@@ -22,7 +22,6 @@ from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from .complexes import (
-    ComplexLike,
     EmbeddedComplex,
     ball_induced_subcomplex,
     boundary_columns,
@@ -44,7 +43,7 @@ class OracleBudget:
     max_simplices: int = 400
     max_cycle_space_dim: int = 16
 
-    def check_complex(self, complex_like: ComplexLike) -> None:
+    def check_complex(self, complex_like: EmbeddedComplex) -> None:
         n_v = len(complex_like.vertex_ids())
         if n_v > self.max_vertices:
             raise BudgetExceededError(
@@ -165,7 +164,7 @@ def _xor_select(masks: Sequence[int], bits: int) -> int:
     return out
 
 
-def _cycle_space_masks(complex_like: ComplexLike, p: int) -> list[int]:
+def _cycle_space_masks(complex_like: EmbeddedComplex, p: int) -> list[int]:
     """Masks, over the complex's own p-basis, of a basis of the p-cycles.
 
     Kernel coefficients over the boundary columns are themselves chains in
@@ -180,13 +179,13 @@ def _cycle_space_masks(complex_like: ComplexLike, p: int) -> list[int]:
     return _kernel_coefficients([bmat.column_mask(j) for j in range(bmat.n_cols)])
 
 
-def _boundary_masks(complex_like: ComplexLike, p: int) -> list[int]:
+def _boundary_masks(complex_like: EmbeddedComplex, p: int) -> list[int]:
     bounds = boundary_columns(complex_like, p)
     return [bounds.column_mask(j) for j in range(bounds.n_cols)]
 
 
 def _weight_fn(
-    complex_like: ComplexLike, p: int, weight: str
+    complex_like: EmbeddedComplex, p: int, weight: str
 ) -> Callable[[ChainVector], float]:
     if weight == "exact":
         return lambda c: exact_radius(complex_like, c, p).radius
@@ -284,7 +283,7 @@ def exact_optimal_homologous_cycle(
 
 
 def enumerate_class(
-    complex_like: ComplexLike,
+    complex_like: EmbeddedComplex,
     cycle: ChainVector,
     p: int = 1,
     budget: OracleBudget = DEFAULT_BUDGET,
@@ -304,7 +303,7 @@ def enumerate_class(
 
 
 def exact_min_basis(
-    complex_like: ComplexLike,
+    complex_like: EmbeddedComplex,
     p: int = 1,
     budget: OracleBudget = DEFAULT_BUDGET,
     weight: str = "exact",

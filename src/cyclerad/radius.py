@@ -1,11 +1,12 @@
 """Radius measures for chains: the site-restricted radius (farthest vertex
 from a chosen site) and the unrestricted minimum enclosing sphere.
 
-The enclosing-sphere solver is a deterministic Welzl recursion over the
-points in index order. Boundary sets that end up affinely dependent (exactly
-collinear inputs can force this) are repaired locally by enumerating the
-dependent set's own subsets, which is cheap because boundary sets never
-exceed d+1 points.
+The enclosing-sphere solver is Welzl's deterministic algorithm over the
+points in index order, with the recursion on the points unrolled into a
+loop, so it nests at most d+2 calls deep whatever the point count. Boundary
+sets that end up affinely dependent (exactly collinear inputs can force
+this) are repaired locally by enumerating the dependent set's own subsets,
+which is cheap because boundary sets never exceed d+1 points.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .complexes import ComplexLike, MEMBERSHIP_REL_TOL, within_radius
+from .complexes import MEMBERSHIP_REL_TOL, EmbeddedComplex, within_radius
 from .z2 import ChainVector
 
 
@@ -35,7 +36,7 @@ class SphereCertificate:
         return within_radius(d, self.radius)
 
 
-def chain_vertices(complex_like: ComplexLike, chain: ChainVector, p: int) -> tuple[int, ...]:
+def chain_vertices(complex_like: EmbeddedComplex, chain: ChainVector, p: int) -> tuple[int, ...]:
     """Sorted vertex ids touched by the chain's support simplices."""
     seen: set[int] = set()
     for s in complex_like.chain_simplices(chain, p):
@@ -43,7 +44,7 @@ def chain_vertices(complex_like: ComplexLike, chain: ChainVector, p: int) -> tup
     return tuple(sorted(seen))
 
 
-def site_radius(complex_like: ComplexLike, site: int, chain: ChainVector, p: int) -> float:
+def site_radius(complex_like: EmbeddedComplex, site: int, chain: ChainVector, p: int) -> float:
     """Radius of the smallest sphere centered at the site's point that
     contains every vertex of the chain."""
     vertices = chain_vertices(complex_like, chain, p)
@@ -106,14 +107,16 @@ def min_enclosing_sphere(points) -> SphereCertificate:
     n, d = pts.shape
 
     def solve(i: int, boundary: list[int]):
-        if i == n or len(boundary) == d + 1:
-            return _sphere_of_boundary(pts, boundary)
-        sphere = solve(i + 1, boundary)
-        if sphere is not None:
-            center, radius = sphere
-            if within_radius(float(np.linalg.norm(pts[i] - center)), radius):
-                return sphere
-        return solve(i + 1, boundary + [i])
+        # Welzl's recursion on the points i..n-1 unrolled from the last point
+        # back: the same calls in the same order, nested only once per
+        # boundary point, so at most d+2 deep
+        sphere = _sphere_of_boundary(pts, boundary)
+        if len(boundary) == d + 1:
+            return sphere
+        for k in range(n - 1, i - 1, -1):
+            if sphere is None or not within_radius(float(np.linalg.norm(pts[k] - sphere[0])), sphere[1]):
+                sphere = solve(k + 1, boundary + [k])
+        return sphere
 
     sphere = solve(0, [])
     assert sphere is not None
@@ -126,7 +129,7 @@ def min_enclosing_sphere(points) -> SphereCertificate:
     return SphereCertificate(tuple(float(x) for x in center), radius, support)
 
 
-def exact_radius(complex_like: ComplexLike, chain: ChainVector, p: int) -> SphereCertificate:
+def exact_radius(complex_like: EmbeddedComplex, chain: ChainVector, p: int) -> SphereCertificate:
     """Minimum enclosing sphere of the chain's vertices; support reported as
     vertex ids of the complex. The empty chain gets radius zero."""
     vertices = chain_vertices(complex_like, chain, p)

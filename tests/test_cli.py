@@ -241,6 +241,18 @@ def test_exit_code_two_sources(tmp_path, two_loop_files):
     assert code == 2
 
 
+
+@pytest.mark.parametrize("args", [
+    ["persistent", "-p", "-1"],
+    ["verify", "-p", "-1"],
+    ["persistent", "--maxdim", "-1"],
+])
+def test_exit_code_negative_dimension(tmp_path, two_loop_files, capsys, args):
+    _, csv, _ = two_loop_files
+    code = main(args + ["--points", csv, "--rips", "1.0", "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "must be non-negative" in capsys.readouterr().err
+
 def test_exit_code_budget(tmp_path, annulus_files):
     _, off, cyc = annulus_files
     code = main(["verify", "--complex", off, "--cycle", cyc, "--budget", "4",

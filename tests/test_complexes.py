@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import embedded_complexes
+from conftest import embedded_complexes, filtered_complexes, loopy_complexes
 from oracles import boundary_support, dense_from_columns, gf2_rank
 
 from cyclerad.complexes import (
@@ -17,6 +18,7 @@ from cyclerad.complexes import (
     induced_subcomplex,
 )
 from cyclerad import fixtures
+from cyclerad.z2 import ChainVector
 
 
 def test_point_cloud_rejects_duplicates():
@@ -163,6 +165,11 @@ def test_view_extend_contract_roundtrip():
     assert back == local
 
 
+
+def test_view_chain_accepts_unsorted_vertex_tuples():
+    view = induced_subcomplex(fixtures.annulus().complex, [4, 5, 6, 7])
+    assert view.chain([(5, 4), (6, 5)]) == view.chain([(4, 5), (5, 6)])
+
 def test_view_contract_rejects_outside_support():
     inst = fixtures.annulus()
     view = induced_subcomplex(inst.complex, [4, 5, 6, 7])
@@ -199,6 +206,48 @@ def test_complexes_print_counts_and_maximal_simplices():
                            [(i, i + 1) for i in range(13)])
     assert repr(ring).endswith("(10, 11), (11, 12), ...])")
 
+
+
+@st.composite
+def views(draw):
+    """A prefix of a drawn filtration, or the subcomplex induced by a drawn
+    vertex subset of a drawn complex."""
+    if draw(st.booleans()):
+        filtration = draw(filtered_complexes(max_dim=3))
+        return filtration.prefix_view(draw(st.integers(0, len(filtration) - 1)))
+    parent = draw(st.one_of(embedded_complexes(max_dim=3), loopy_complexes()))
+    return induced_subcomplex(parent, draw(st.sets(st.sampled_from(parent.vertex_ids()))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(views(), st.data())
+def test_views_answer_like_the_complex_of_their_members(view, data):
+    alone = EmbeddedComplex(view.cloud, list(view.all_simplices()), close=False)
+    assert view.max_dim == alone.max_dim
+    assert view.total_simplices() == alone.total_simplices()
+    assert view.maximal_simplices() == alone.maximal_simplices()
+    for s in view.parent.all_simplices():
+        assert view.has(s) == alone.has(s)
+        if alone.has(s):
+            assert view.position(s) == alone.position(s)
+    for p in range(-1, view.max_dim + 2):
+        assert view.simplices(p) == alone.simplices(p)
+        assert view.n_simplices(p) == alone.n_simplices(p)
+
+    def some(n):
+        return sorted(data.draw(st.sets(st.integers(0, n - 1)))) if n else []
+
+    for p in range(view.max_dim + 1):
+        if p >= 1:
+            assert view.boundary_matrix(p) == alone.boundary_matrix(p)
+        # a sum of boundaries, so a cycle unless the drawn chain is added
+        bounds = boundary_columns(alone, p)
+        chain = ChainVector(view.n_simplices(p), [])
+        for j in some(bounds.n_cols):
+            chain = chain ^ bounds.column(j)
+        if data.draw(st.booleans()):
+            chain = chain ^ ChainVector(view.n_simplices(p), some(view.n_simplices(p)))
+        assert view.is_cycle(chain, p) == alone.is_cycle(chain, p)
 
 def test_ball_induced_subcomplex_tolerance():
     inst = fixtures.annulus()

@@ -12,9 +12,11 @@ from cyclerad.radius import (
     SphereCertificate,
     chain_vertices,
     exact_radius,
+    _sphere_of_boundary,
     min_enclosing_sphere,
     site_radius,
 )
+from cyclerad.complexes import within_radius
 from cyclerad import fixtures
 
 REL = 1e-9
@@ -66,6 +68,63 @@ def test_sphere_matches_brute_force(cloud):
     for p in pts:
         assert cert.contains(p)
 
+
+
+def recursive_welzl(pts):
+    """Welzl's recursion on the points, as the solver ran before its loop:
+    (center, radius) of the minimum enclosing sphere."""
+    n, d = pts.shape
+
+    def solve(i, boundary):
+        if i == n or len(boundary) == d + 1:
+            return _sphere_of_boundary(pts, boundary)
+        sphere = solve(i + 1, boundary)
+        if sphere is not None:
+            center, radius = sphere
+            if within_radius(float(np.linalg.norm(pts[i] - center)), radius):
+                return sphere
+        return solve(i + 1, boundary + [i])
+
+    return solve(0, [])
+
+
+@st.composite
+def awkward_point_sets(draw):
+    """Up to 200 points in R^1..R^3: uniform, rounded to half-integers
+    (repeats and exact ties), on one line, or on one sphere."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 200))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["uniform", "half-integer", "collinear", "cospherical"]))
+    rng = np.random.default_rng(seed)
+    if kind == "collinear":
+        pts = rng.uniform(-5, 5, size=(n, 1)) * rng.normal(size=d) + rng.normal(size=d)
+    elif kind == "cospherical":
+        directions = rng.normal(size=(n, d))
+        pts = 3.0 * directions / np.linalg.norm(directions, axis=1, keepdims=True) + 1.0
+    else:
+        pts = rng.uniform(-5, 5, size=(n, d))
+        if kind == "half-integer":
+            pts = np.round(pts * 2) / 2
+    return pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(awkward_point_sets())
+def test_sphere_loop_equals_recursion(pts):
+    center, radius = recursive_welzl(pts)
+    cert = min_enclosing_sphere(pts)
+    assert cert.center == tuple(float(x) for x in center)
+    assert cert.radius == radius
+
+
+def test_sphere_of_five_thousand_points():
+    pts = np.random.default_rng(11).normal(size=(5000, 3))
+    cert = min_enclosing_sphere(pts)
+    assert all(cert.contains(p) for p in pts)
+    assert 1 <= len(cert.support) <= 4
+    for i in cert.support:
+        assert float(np.linalg.norm(pts[i] - cert.center)) == pytest.approx(cert.radius, rel=1e-9)
 
 def test_chain_vertices():
     inst = fixtures.annulus()
