@@ -82,8 +82,9 @@ class RunConfig:
         )
 
     def validate(self) -> None:
-        if self.problem in ("localize", "basis") and self.p < 1:
-            raise ConfigError(f"{self.problem} needs a positive dimension p")
+        verify_basis = self.problem == "verify" and not (self.cycle_path or self.filtration_sources())
+        if (self.problem in ("localize", "basis") or verify_basis) and self.p < 1:
+            raise ConfigError(f"{'basis' if verify_basis else self.problem} needs a positive dimension p")
         if self.p < 0:
             raise ConfigError("-p must be non-negative")
         if self.rips_maxdim < 0:

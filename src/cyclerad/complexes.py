@@ -10,12 +10,16 @@ Complexes are immutable once built. A view (``SubcomplexView``) is a
 complex cut from a parent: its canonical order is the parent's, restricted to
 its members, so it answers every query as a complex built from those members
 would, and ``extend``/``contract`` move chains to and from the parent.
+
+Geometry is plain Python: points are float tuples, and every distance comes
+from ``distances_from``, whose float operations are fixed, so radii do not
+depend on the interpreter or on an array library.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
-import numpy as np
+import math
+from operator import add, mul, or_
+from typing import Iterable, Optional, Sequence
 
 from .z2 import ChainVector, Z2Matrix
 
@@ -27,39 +31,61 @@ def within_radius(distance: float, radius: float) -> bool:
     return distance <= radius + MEMBERSHIP_REL_TOL * max(1.0, abs(radius))
 
 
-class PointCloud:
-    """Finite set of distinct points in R^d, d >= 1."""
+Point = tuple[float, ...]
 
-    __slots__ = ("coords",)
+
+def as_rows(coords) -> tuple[Point, ...]:
+    """A nonempty sequence of equal-length, nonempty rows (lists, tuples, a
+    2-d array) as a tuple of float tuples."""
+    rows = tuple(tuple(map(float, row)) for row in coords)
+    if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("points must be a nonempty sequence of equal-length rows")
+    return rows
+
+
+def distances_from(center: Point, columns: Iterable[Sequence[float]]) -> list[float]:
+    """Euclidean distance from the center to each point, given as coordinate
+    columns (``PointCloud.columns`` or ``zip(*rows)``): squared differences
+    summed left to right (0.0 + x is x, so the first is taken as is), then a
+    correctly rounded sqrt, as numpy's row norms do below eight columns."""
+    acc = None
+    for c, column in zip(center, columns, strict=True):
+        t = [x - c for x in column]
+        acc = list(map(mul, t, t) if acc is None else map(add, acc, map(mul, t, t)))
+    return list(map(math.sqrt, acc))
+
+
+class PointCloud:
+    """Finite set of distinct points in R^d, d >= 1: ``coords`` holds a float
+    tuple per point, ``columns`` one per coordinate."""
+
+    __slots__ = ("coords", "columns")
 
     def __init__(self, coords):
-        arr = np.asarray(coords, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] < 1:
-            raise ValueError("point cloud must be a nonempty (n, d) array with d >= 1")
-        if not np.isfinite(arr).all():
+        rows = as_rows(coords)
+        if not all(math.isfinite(x) for row in rows for x in row):
             raise ValueError("point coordinates must be finite")
         seen = {}
-        for i, row in enumerate(arr):
-            key = tuple(row.tolist())
-            if key in seen:
-                raise ValueError(f"duplicate point at indices {seen[key]} and {i}")
-            seen[key] = i
-        self.coords = arr
-        self.coords.setflags(write=False)
+        for i, row in enumerate(rows):
+            if row in seen:
+                raise ValueError(f"duplicate point at indices {seen[row]} and {i}")
+            seen[row] = i
+        self.coords = rows
+        self.columns = tuple(zip(*rows))
 
     @property
     def n_points(self) -> int:
-        return self.coords.shape[0]
+        return len(self.coords)
 
     @property
     def dim(self) -> int:
-        return self.coords.shape[1]
+        return len(self.coords[0])
 
-    def point(self, i: int) -> np.ndarray:
+    def point(self, i: int) -> Point:
         return self.coords[i]
 
     def distance(self, i: int, j: int) -> float:
-        return float(np.linalg.norm(self.coords[i] - self.coords[j]))
+        return distances_from(self.coords[i], zip(self.coords[j]))[0]
 
 
 Simplex = tuple[int, ...]
@@ -72,27 +98,25 @@ def faces_of(simplex: Simplex) -> list[Simplex]:
     return [simplex[:k] + simplex[k + 1 :] for k in range(len(simplex))]
 
 
-def simplex_tables(complex_like, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (vertex ids, face positions) of the d-simplices in canonical
-    order, built once per complex and dimension. Row i of the face table holds
-    the canonical (d-1)-positions of faces_of(simplex i), so per-site work only
-    re-ranks these arrays."""
+def face_columns(complex_like, d: int) -> tuple[tuple[int, ...], ...]:
+    """The canonical (d-1)-positions of the d-simplices' faces, one column
+    per face in faces_of order: entry i of each column belongs to the simplex
+    at canonical position i. Built once per complex and dimension, so
+    per-site work only maps over these columns."""
     cached = complex_like._tables.get(d)
     if cached is None:
-        group = complex_like.simplices(d)
-        vertices = np.array(group, dtype=np.intp).reshape(len(group), d + 1)
-        faces = np.array(
-            [[complex_like.position(f) for f in faces_of(s)] for s in group], dtype=np.intp
-        ).reshape(len(group), d + 1 if d else 0)
-        vertices.setflags(write=False)
-        faces.setflags(write=False)
-        cached = complex_like._tables[d] = (vertices, faces)
+        positions = complex_like._positions
+        faces = [[positions[f][1] for f in faces_of(s)] for s in complex_like.simplices(d)]
+        cached = complex_like._tables[d] = tuple(zip(*faces))
     return cached
 
 
-def face_masks(rows: np.ndarray) -> list[int]:
-    """One bitmask column per row of an (n, k) index array, k >= 1."""
-    return np.bitwise_or.reduce(np.left_shift(1, rows.astype(object)), axis=1).tolist()
+def face_masks(faces: Sequence[Iterable[int]], row_bits: Sequence[int]) -> list[int]:
+    """Per simplex, the OR of row_bits over its faces, given as face_columns."""
+    masks = map(row_bits.__getitem__, faces[0])
+    for column in faces[1:]:
+        masks = map(or_, masks, map(row_bits.__getitem__, column))
+    return list(masks)
 
 
 def _normalize_simplex(simplex: Iterable[int]) -> Simplex:
@@ -109,7 +133,7 @@ class EmbeddedComplex:
     A root complex has ``parent`` None; a ``SubcomplexView`` names the
     complex it was cut from."""
 
-    __slots__ = ("cloud", "parent", "_by_dim", "_positions", "_tables")
+    __slots__ = ("cloud", "parent", "_by_dim", "_positions", "_tables", "_powers")
 
     def __init__(self, cloud: PointCloud, simplices: Iterable[Iterable[int]], close: bool = True):
         collected: set[Simplex] = set()
@@ -148,7 +172,8 @@ class EmbeddedComplex:
         self._positions: dict[Simplex, tuple[int, int]] = {
             s: (d, i) for d, group in enumerate(by_dim) for i, s in enumerate(group)
         }
-        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._tables: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._powers: list[int] = []
 
     def __repr__(self) -> str:
         top = self.maximal_simplices()
@@ -196,10 +221,19 @@ class EmbeddedComplex:
             raise KeyError(f"simplex {s} not in complex")
         return self._positions[s][1]
 
+    def powers(self, n: int) -> list[int]:
+        """A list whose first n entries are 1 << k. Allocating these big
+        integers afresh was a large share of the per-site work, so up to 2^14
+        of them (17 MB) are kept with the complex."""
+        if n > 1 << 14:
+            return list(map((1).__lshift__, range(n)))
+        self._powers.extend(map((1).__lshift__, range(len(self._powers), n)))
+        return self._powers
+
     def vertex_ids(self) -> tuple[int, ...]:
         return tuple(s[0] for s in self.simplices(0))
 
-    def vertex_point(self, v: int) -> np.ndarray:
+    def vertex_point(self, v: int) -> Point:
         return self.cloud.point(v)
 
     # -- chains and matrices ----------------------------------------------
@@ -229,8 +263,8 @@ class EmbeddedComplex:
         """Boundary operator from p-chains to (p-1)-chains in canonical order."""
         if p < 1 or p > self.max_dim:
             raise ValueError(f"boundary matrix needs 1 <= p <= {self.max_dim}, got {p}")
-        _, faces = simplex_tables(self, p)
-        return Z2Matrix(self.n_simplices(p - 1), face_masks(faces))
+        rows = self.n_simplices(p - 1)
+        return Z2Matrix(rows, face_masks(face_columns(self, p), self.powers(rows)))
 
     def is_cycle(self, chain: ChainVector, p: int) -> bool:
         """Whether the chain's boundary vanishes, summed over its own support
@@ -303,13 +337,8 @@ def induced_subcomplex(parent: EmbeddedComplex, vertices: Iterable[int]) -> Subc
 def ball_induced_subcomplex(parent: EmbeddedComplex, center, radius: float) -> SubcomplexView:
     """Subcomplex induced by the vertices inside the closed ball, with a
     relative membership tolerance so on-sphere vertices are kept."""
-    c = np.asarray(center, dtype=float)
-    inside = [
-        v
-        for v in parent.vertex_ids()
-        if within_radius(float(np.linalg.norm(parent.cloud.point(v) - c)), radius)
-    ]
-    return induced_subcomplex(parent, inside)
+    dist = distances_from(tuple(map(float, center)), parent.cloud.columns)
+    return induced_subcomplex(parent, [v for v in parent.vertex_ids() if within_radius(dist[v], radius)])
 
 
 def boundary_columns(complex_like: EmbeddedComplex, p: int) -> Z2Matrix:

@@ -13,20 +13,20 @@ The solvers read only the essential p-cycles of each site ordering, so
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
 
 from .complexes import (
     EmbeddedComplex,
     PointCloud,
     Simplex,
     SubcomplexView,
+    distances_from,
+    face_columns,
     face_masks,
     faces_of,
-    simplex_tables,
 )
 from .z2 import ChainVector, Z2Matrix, standard_reduction
 
@@ -68,7 +68,7 @@ class Filtration:
                 j = self._index.get(f)
                 if j is None or j > i:
                     raise ValueError(f"face {f} of {s} does not precede it")
-        if not np.isfinite(self.values).all():
+        if not all(map(math.isfinite, self.values)):
             raise ValueError("filtration values must be finite")
         for a, b in zip(self.values, self.values[1:]):
             if b < a:
@@ -272,16 +272,15 @@ def rips_filtration(cloud: PointCloud, max_scale: float, max_dim: int = 2) -> Fi
         raise ValueError("max_dim must be non-negative")
     n = cloud.n_points
     coords = cloud.coords
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    max_scale = float(max_scale)
 
     value: dict[Simplex, float] = {(v,): 0.0 for v in range(n)}
     edges: list[Simplex] = []
     for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i, j] <= max_scale:
-                edges.append((i, j))
-                value[(i, j)] = float(dist[i, j])
+        row = distances_from(coords[i], [column[i + 1 :] for column in cloud.columns])
+        for j in compress(range(i + 1, n), map(max_scale.__ge__, row)):
+            edges.append((i, j))
+            value[(i, j)] = row[j - i - 1]
     adjacency = [set() for _ in range(n)]
     for i, j in edges:
         adjacency[i].add(j)
@@ -296,9 +295,7 @@ def rips_filtration(cloud: PointCloud, max_scale: float, max_dim: int = 2) -> Fi
                 if w > s[-1]:
                     t = s + (w,)
                     current.append(t)
-                    value[t] = max(
-                        value[s], max(float(dist[v, w]) for v in s)
-                    )
+                    value[t] = max(value[s], max(value[(v, w)] for v in s))
         previous = current
 
     complex_ = EmbeddedComplex(cloud, value.keys(), close=False)
@@ -312,8 +309,7 @@ def lower_star_filtration(complex_like: EmbeddedComplex, vertex_values) -> Filtr
     if isinstance(vertex_values, Mapping):
         lookup = dict(vertex_values)
     else:
-        arr = np.asarray(vertex_values, dtype=float)
-        lookup = {v: float(arr[v]) for v in complex_like.vertex_ids()}
+        lookup = {v: float(vertex_values[v]) for v in complex_like.vertex_ids()}
     for v in complex_like.vertex_ids():
         if v not in lookup:
             raise ValueError(f"missing scalar value for vertex {v}")
@@ -344,11 +340,10 @@ class SiteOrdering:
 
 
 def site_ordering(complex_like: EmbeddedComplex, site: int) -> SiteOrdering:
-    center = complex_like.cloud.point(site)
-    dist = np.linalg.norm(complex_like.cloud.coords - center, axis=1)
+    dist = distances_from(complex_like.cloud.point(site), complex_like.cloud.columns)
     entries = []
     for s in complex_like.all_simplices():
-        r = float(max(dist[v] for v in s))
+        r = max(dist[v] for v in s)
         entries.append((r, len(s), s))
     entries.sort()
     return SiteOrdering(
@@ -380,24 +375,29 @@ def site_essential_cycles(
     n_p = complex_like.n_simplices(p)
     if n_p == 0:
         return (), ()
-    dist = np.linalg.norm(complex_like.cloud.coords - complex_like.cloud.point(site), axis=1)
+    dist = distances_from(complex_like.cloud.point(site), complex_like.cloud.columns)
+    r = [[dist[v] for v in complex_like.vertex_ids()]]  # per dimension, canonical order
+    for d in range(1, min(p + 1, complex_like.max_dim) + 1):
+        # a simplex's first and last faces hold all its vertices
+        below, faces = r[-1].__getitem__, face_columns(complex_like, d)
+        r.append([x if x >= y else y for x, y in zip(map(below, faces[0]), map(below, faces[-1]))])
 
-    def ranked(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """r values and site order of the d-simplices, and each one's rank."""
-        r = dist[simplex_tables(complex_like, d)[0]].max(axis=1)
-        order = np.argsort(r, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        return r, order, rank
+    def site_order(d: int) -> list[int]:
+        return sorted(range(len(r[d])), key=r[d].__getitem__)
 
-    def columns(d: int, order: np.ndarray, row_rank: np.ndarray) -> list[int]:
-        """Boundary columns of the d-simplices in site order, rows ranked."""
-        return face_masks(row_rank[simplex_tables(complex_like, d)[1][order]])
+    def columns(d: int, positions: list[int], row_order: list[int]) -> list[int]:
+        """Boundary columns of the d-simplices at these canonical positions,
+        the (d-1)-simplices ranked by row_order."""
+        bits = [0] * len(row_order)
+        for j, bit in zip(row_order, complex_like.powers(len(row_order))):
+            bits[j] = bit
+        faces = face_columns(complex_like, d)
+        return face_masks([map(column.__getitem__, positions) for column in faces], bits)
 
-    r_p, order_p, rank_p = ranked(p)
+    order_p = site_order(p)
     cleared: dict[int, int] = {}  # pivot rank -> reduced (p+1)-column
     if p < complex_like.max_dim:
-        for c in columns(p + 1, ranked(p + 1)[1], rank_p):
+        for c in columns(p + 1, site_order(p + 1), order_p):
             while c:
                 low = c.bit_length() - 1
                 other = cleared.get(low)
@@ -407,11 +407,11 @@ def site_essential_cycles(
                 c ^= other
     owners: dict[int, tuple[int, int]] = {}  # pivot rank -> (reduced column, basis change)
     cycles, radii = [], []
-    columns_p = columns(p, order_p, ranked(p - 1)[2]) if p else [0] * n_p
-    for j, (c, position) in enumerate(zip(columns_p, order_p.tolist())):
-        if j in cleared:
-            continue
-        v = 1 << position
+    survivors = [position for j, position in enumerate(order_p) if j not in cleared]
+    columns_p = columns(p, survivors, site_order(p - 1)) if p else [0] * len(survivors)
+    bit_at = complex_like.powers(n_p)
+    for c, position in zip(columns_p, survivors):
+        v = bit_at[position]
         while c:
             low = c.bit_length() - 1
             other = owners.get(low)
@@ -422,5 +422,5 @@ def site_essential_cycles(
             v ^= other[1]
         if not c:
             cycles.append(ChainVector(n_p, mask=v))
-            radii.append(float(r_p[position]))
+            radii.append(r[p][position])
     return tuple(cycles), tuple(radii)

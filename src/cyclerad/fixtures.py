@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .complexes import EmbeddedComplex, PointCloud
 from .filtrations import Filtration
 from .z2 import ChainVector

@@ -12,8 +12,6 @@ import math
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .complexes import EmbeddedComplex, PointCloud
 from .filtrations import Filtration
 from .z2 import ChainVector
@@ -135,7 +133,7 @@ def write_off(path: PathLike, complex_like: EmbeddedComplex) -> None:
 # -- CSV points and scalars -------------------------------------------------
 
 
-def read_points(path: PathLike) -> np.ndarray:
+def read_points(path: PathLike) -> list[list[float]]:
     """Point cloud from CSV or whitespace rows; every column is a coordinate."""
     rows = []
     width = None
@@ -148,10 +146,10 @@ def read_points(path: PathLike) -> np.ndarray:
         rows.append(row)
     if not rows:
         raise InputError(path, "no points")
-    return np.asarray(rows, dtype=float)
+    return rows
 
 
-def read_scalars(path: PathLike) -> np.ndarray:
+def read_scalars(path: PathLike) -> list[float]:
     """One scalar per row, taken from the last column, so a points file with
     a trailing value column works unchanged."""
     values = []
@@ -162,7 +160,7 @@ def read_scalars(path: PathLike) -> np.ndarray:
         values += _floats(path, ln, fields[-1:], "scalar")
     if not values:
         raise InputError(path, "no scalars")
-    return np.asarray(values, dtype=float)
+    return values
 
 
 # -- filtration text --------------------------------------------------------

@@ -16,11 +16,10 @@ tie-break included, is identical to visiting every site.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from .complexes import (
     MEMBERSHIP_REL_TOL,
@@ -29,6 +28,7 @@ from .complexes import (
     SubcomplexView,
     ball_induced_subcomplex,
     boundary_columns,
+    distances_from,
 )
 from .filtrations import Filtration, Interval, compute_persistence, site_essential_cycles
 from .radius import SphereCertificate, exact_radius, site_radius
@@ -93,24 +93,24 @@ def _site_search(complex_like: EmbeddedComplex, sites: Optional[Sequence[int]],
     remaining bound exceeds cutoff() by more than the membership tolerance.
     evaluate(site) returns a radius r_v with r_w >= r_v - |p_v - p_w|."""
     chosen = _chosen_sites(complex_like, sites)
-    points = complex_like.cloud.coords[chosen]
-    bound = np.zeros(len(chosen))
-    unvisited = np.ones(len(chosen), dtype=bool)
-    while unvisited.any():
-        k = int(np.argmin(np.where(unvisited, bound, np.inf)))
+    columns = [[column[v] for v in chosen] for column in complex_like.cloud.columns]
+    bound = [0.0] * len(chosen)  # visited sites hold +inf
+    while True:
+        k = bound.index(min(bound))
         limit = cutoff()
-        if bound[k] > limit + MEMBERSHIP_REL_TOL * max(1.0, limit):
+        if bound[k] == math.inf or bound[k] > limit + MEMBERSHIP_REL_TOL * max(1.0, limit):
             break
-        unvisited[k] = False
+        bound[k] = math.inf
         r = evaluate(chosen[k])
-        np.maximum(bound, r - np.linalg.norm(points - points[k], axis=1), out=bound)
+        near = distances_from(complex_like.cloud.point(chosen[k]), columns)
+        bound = [b if b >= r - x else r - x for b, x in zip(bound, near)]
 
 
 def _best_site(
     complex_like: EmbeddedComplex, sites: Optional[Sequence[int]], evaluate: SiteEvaluator
 ) -> tuple[int, ChainVector]:
     """Site and chain with the lexicographically smallest (radius, site)."""
-    best = [np.inf, -1, None]  # (radius, site, chain)
+    best = [math.inf, -1, None]  # (radius, site, chain)
 
     def visit(site: int) -> float:
         r, chain = evaluate(site)
@@ -119,7 +119,7 @@ def _best_site(
         return r
 
     # a zero radius is the zero chain, reached first, so nothing can beat it
-    _site_search(complex_like, sites, visit, lambda: -np.inf if best[0] == 0.0 else best[0])
+    _site_search(complex_like, sites, visit, lambda: -math.inf if best[0] == 0.0 else best[0])
     return best[1], best[2]
 
 
@@ -203,8 +203,9 @@ def opt_homology_basis(
     of every site ordering, skipping sites the greedy cannot reach."""
     if p < 1:
         raise ValueError("basis dimension must be positive")
-    boundaries = IncrementalSpan(complex_like.n_simplices(p), boundary_columns(complex_like, p).columns())
     admitted: Optional[list[tuple[float, int, int, ChainVector]]] = None  # (r, site, rank, cycle)
+    # spans[i]: the boundaries plus the first i admitted cycles
+    spans = [IncrementalSpan(complex_like.n_simplices(p), boundary_columns(complex_like, p).columns())]
 
     def evaluate(site: int) -> float:
         nonlocal admitted
@@ -213,9 +214,15 @@ def opt_homology_basis(
         # pool, and no cycle born after its last entry can displace one
         fresh = [(r, site, k, c) for k, (c, r) in enumerate(zip(cycles, radii)) if r <= threshold()]
         if fresh or admitted is None:
-            span = boundaries.copy()
             pool = sorted((admitted or []) + fresh, key=lambda t: t[:3])
-            admitted = [t for t in pool if span.add(t[3])]
+            # the greedy is unchanged up to the first fresh cycle: resume there
+            start = next((i for i, t in enumerate(pool) if t[1] == site), len(pool))
+            del spans[start + 1 :]
+            admitted, span = pool[:start], spans[start].copy()
+            for t in pool[start:]:
+                if span.add(t[3]):
+                    admitted.append(t)
+                    spans.append(span.copy())
         assert len(admitted) == len(cycles)  # homology rank cannot depend on the site
         return radii[0] if radii else 0.0
 
@@ -223,8 +230,8 @@ def opt_homology_basis(
         # more sites only lower the last admitted radius, and a site bounded
         # above it holds no cycle the greedy over every site would reach
         if admitted is None:
-            return np.inf
-        return admitted[-1][0] if admitted else -np.inf
+            return math.inf
+        return admitted[-1][0] if admitted else -math.inf
 
     _site_search(complex_like, sites, evaluate, threshold)
     cycles = tuple(
@@ -250,11 +257,6 @@ def _rotated_candidates(prefix: SubcomplexView, creator_bit: int, site: int, p: 
             continue
         others.append(c ^ anchor if creator_bit in c else c)
     return anchor, others
-
-
-def _persistent_candidates(filtration: Filtration, interval: Interval, site: int):
-    prefix = filtration.prefix_view(interval.birth)
-    return _rotated_candidates(prefix, prefix.parent.position(interval.creator), site, interval.dim)
 
 
 def _bar_evaluator(filtration: Filtration, interval: Interval) -> SiteEvaluator:

@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 
@@ -39,6 +40,19 @@ def point_clouds(draw, min_points=3, max_points=10, dim=2):
 
 
 @st.composite
+def coordinate_rows(draw, min_dim=1, max_dim=12, min_points=2, max_points=9):
+    """Distinct points in R^d for a drawn d, as tuples: uniform floats of
+    mixed magnitude, or half-integers, which make exact distance ties."""
+    d = draw(st.integers(min_dim, max_dim))
+    if draw(st.booleans()):
+        coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    else:
+        coord = st.integers(-8, 8).map(lambda k: k / 2)
+    row = st.tuples(*[coord] * d)
+    return draw(st.lists(row, min_size=min_points, max_size=max_points, unique=True))
+
+
+@st.composite
 def embedded_complexes(draw, min_points=3, max_points=8, max_dim=2, max_top_cells=10):
     cloud = draw(point_clouds(min_points=min_points, max_points=max_points))
     n = cloud.n_points
@@ -66,7 +80,7 @@ def loopy_complexes(draw, min_points=6, max_points=14):
         (a, b)
         for a in range(n)
         for b in range(a + 1, n)
-        if ((coords[a] - coords[b]) ** 2).sum() <= 2.5**2
+        if math.dist(coords[a], coords[b]) <= 2.5
     ]
     mostly = st.sampled_from([True, True, True, False])
     keep = draw(st.lists(mostly, min_size=len(near), max_size=len(near)))

@@ -155,3 +155,154 @@ def bounds_in_view(view, complex_, chain, p) -> bool:
         cols.append(sorted(index[f] for f in boundary_support(s)))
     target = [index[s] for s in complex_.chain_simplices(chain, p)]
     return gf2_in_span(cols, len(lower), target)
+
+
+# -- numpy references for the package's plain-Python geometry ---------------
+# These are the numpy formulations the package used before it dropped numpy;
+# the differential tests hold the plain-Python code to them.
+
+
+def numpy_distances(center, points) -> list[float]:
+    """np.linalg.norm(points - center, axis=1)."""
+    import numpy as np
+
+    return np.linalg.norm(np.asarray(points, dtype=float) - np.asarray(center, dtype=float), axis=1).tolist()
+
+
+def numpy_rips(coords, max_scale: float, max_dim: int):
+    """(order, values) of the Rips filtration from the dense distance matrix
+    sqrt(sum(diff * diff, axis=2)); ties by (value, dimension, tuple)."""
+    import numpy as np
+
+    coords = np.asarray(coords, dtype=float)
+    n = len(coords)
+    diff = coords[:, None, :] - coords[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    value = {(v,): 0.0 for v in range(n)}
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if dist[i, j] <= max_scale]
+    adjacency = [set() for _ in range(n)]
+    for i, j in edges:
+        value[(i, j)] = float(dist[i, j])
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+    previous = edges
+    for _ in range(2, max_dim + 1):
+        current = []
+        for s in previous:
+            for w in sorted(set.intersection(*(adjacency[v] for v in s))):
+                if w > s[-1]:
+                    current.append(s + (w,))
+                    value[s + (w,)] = max(value[s], max(float(dist[v, w]) for v in s))
+        previous = current
+    order = sorted(value, key=lambda s: (value[s], len(s), s))
+    return order, [value[s] for s in order]
+
+
+def numpy_site_essential_cycles(complex_, site: int, p: int):
+    """The per-site kernel with numpy ranking: each dimension's r from a
+    vertex table, a stable argsort over canonical order, and face masks from
+    the ranked face table. Returns (cycle masks, radii)."""
+    import numpy as np
+
+    coords = np.asarray(complex_.cloud.coords, dtype=float)
+    dist = np.linalg.norm(coords - coords[site], axis=1)
+
+    def tables(d):
+        group = complex_.simplices(d)
+        vertices = np.array(group, dtype=np.intp).reshape(len(group), d + 1)
+        faces = np.array([[complex_.position(f) for f in boundary_support(s)] for s in group],
+                         dtype=np.intp).reshape(len(group), d + 1 if d else 0)
+        return vertices, faces
+
+    def ranked(d):
+        r = dist[tables(d)[0]].max(axis=1)
+        order = np.argsort(r, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        return r, order, rank
+
+    def columns(d, order, row_rank):
+        rows = row_rank[tables(d)[1][order]]
+        return np.bitwise_or.reduce(np.left_shift(1, rows.astype(object)), axis=1).tolist()
+
+    n_p = complex_.n_simplices(p)
+    if n_p == 0:
+        return [], []
+    r_p, order_p, rank_p = ranked(p)
+    cleared = {}
+    if p < complex_.max_dim:
+        for c in columns(p + 1, ranked(p + 1)[1], rank_p):
+            while c:
+                low = c.bit_length() - 1
+                if low not in cleared:
+                    cleared[low] = c
+                    break
+                c ^= cleared[low]
+    owners = {}
+    cycles, radii = [], []
+    columns_p = columns(p, order_p, ranked(p - 1)[2]) if p else [0] * n_p
+    for j, (c, position) in enumerate(zip(columns_p, order_p.tolist())):
+        if j in cleared:
+            continue
+        v = 1 << position
+        while c:
+            low = c.bit_length() - 1
+            if low not in owners:
+                owners[low] = (c, v)
+                break
+            c ^= owners[low][0]
+            v ^= owners[low][1]
+        if not c:
+            cycles.append(v)
+            radii.append(float(r_p[position]))
+    return cycles, radii
+
+
+def lstsq_min_enclosing_sphere(points) -> tuple[tuple[float, ...], float]:
+    """Welzl's loop with each boundary set's circumsphere from
+    np.linalg.lstsq on its Gram system: (center, radius)."""
+    import numpy as np
+
+    pts = np.asarray(points, dtype=float)
+    n, d = pts.shape
+
+    def covers(center, radius, i):
+        return float(np.linalg.norm(pts[i] - center)) <= radius + 1e-9 * max(1.0, abs(radius))
+
+    def circumsphere(ids):
+        base = pts[ids[0]]
+        if len(ids) == 1:
+            return base.copy(), 0.0
+        u = pts[ids[1:]] - base
+        solution, _, rank, _ = np.linalg.lstsq(2.0 * (u @ u.T), np.sum(u * u, axis=1), rcond=None)
+        if rank < len(ids) - 1:
+            return None
+        center = base + solution @ u
+        return center, float(np.max(np.linalg.norm(pts[ids] - center, axis=1)))
+
+    def of_boundary(boundary):
+        if not boundary:
+            return None
+        direct = circumsphere(boundary)
+        if direct is not None:
+            return direct
+        best = None
+        for k in range(1, len(boundary) + 1):
+            for subset in combinations(boundary, k):
+                sphere = circumsphere(list(subset))
+                if sphere is not None and all(covers(*sphere, i) for i in boundary):
+                    if best is None or sphere[1] < best[1]:
+                        best = sphere
+        return best
+
+    def solve(i, boundary):
+        sphere = of_boundary(boundary)
+        if len(boundary) == d + 1:
+            return sphere
+        for k in range(n - 1, i - 1, -1):
+            if sphere is None or not covers(*sphere, k):
+                sphere = solve(k + 1, boundary + [k])
+        return sphere
+
+    center, radius = solve(0, [])
+    return tuple(float(x) for x in center), radius

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +257,13 @@ def test_exit_code_negative_dimension(tmp_path, two_loop_files, capsys, args):
     assert code == 2
     assert "must be non-negative" in capsys.readouterr().err
 
+def test_exit_code_basis_mode_verify_needs_positive_dimension(tmp_path, annulus_files, capsys):
+    _, off, _ = annulus_files
+    code = main(["verify", "--complex", off, "-p", "0", "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "needs a positive dimension" in capsys.readouterr().err
+
+
 def test_exit_code_budget(tmp_path, annulus_files):
     _, off, cyc = annulus_files
     code = main(["verify", "--complex", off, "--cycle", cyc, "--budget", "4",
@@ -361,3 +372,32 @@ def test_cycle_reader_rejects_unknown_simplex(tmp_path, annulus_files):
     with pytest.raises(InputError) as exc:
         read_cycle(bad, ann.complex, 1)
     assert ":2" in str(exc.value)
+
+
+# -- no numpy on the request path --------------------------------------------
+
+
+@pytest.mark.parametrize("args", [
+    ["localize", "--complex", "{off}", "--cycle", "{cyc}"],
+    ["basis", "--complex", "{off}"],
+    ["persistent", "--points", "{ring}", "--rips", "0.9"],
+    ["verify", "--complex", "{off}", "--cycle", "{cyc}"],
+    ["verify", "--complex", "{off}"],
+    ["verify", "--points", "{ring}", "--rips", "0.9"],
+])
+def test_no_subcommand_imports_numpy(tmp_path, annulus_files, args):
+    _, off, cyc = annulus_files
+    ring = tmp_path / "ring.csv"
+    circle = fixtures.circle_cloud(12)
+    ring.write_text("".join(f"{x!r},{y!r}\n" for x, y in circle.coords))
+    argv = [a.format(off=off, cyc=cyc, ring=ring) for a in args] + ["--out", str(tmp_path / "r.json")]
+    script = (
+        "import sys\n"
+        "from cyclerad.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import embedded_complexes, filtered_complexes, loopy_complexes
-from oracles import boundary_support, dense_from_columns, gf2_rank
+from conftest import coordinate_rows, embedded_complexes, filtered_complexes, loopy_complexes
+from oracles import boundary_support, dense_from_columns, gf2_rank, numpy_distances
 
 from cyclerad.complexes import (
     EmbeddedComplex,
@@ -14,6 +14,7 @@ from cyclerad.complexes import (
     SubcomplexView,
     ball_induced_subcomplex,
     boundary_columns,
+    distances_from,
     faces_of,
     induced_subcomplex,
 )
@@ -39,10 +40,41 @@ def test_point_cloud_distance():
     assert cloud.distance(0, 0) == 0.0
 
 
+def test_point_cloud_takes_any_equal_length_rows():
+    rows = [(0.0, 0.0), (3.0, 4.0)]
+    for given_rows in (rows, [list(r) for r in rows], np.array(rows), (r for r in rows)):
+        cloud = PointCloud(given_rows)
+        assert cloud.coords == ((0.0, 0.0), (3.0, 4.0))
+        assert all(type(x) is float for x in cloud.coords[1])
+    for bad in ([], [(0.0, 0.0), (1.0,)], [()]):
+        with pytest.raises(ValueError):
+            PointCloud(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coordinate_rows())
+def test_distances_match_numpy_row_norms(rows):
+    """Bit for bit up to seven coordinates; from eight on numpy sums the
+    squares pairwise in eight lanes, so only to rounding."""
+    got = distances_from(rows[0], zip(*rows))
+    expect = numpy_distances(rows[0], rows)
+    if len(rows[0]) <= 7:
+        assert got == expect
+    else:
+        assert got == pytest.approx(expect, rel=1e-15, abs=0.0)
+
+
+def test_distances_reject_points_of_another_dimension():
+    with pytest.raises(ValueError):
+        distances_from((0.0, 0.0), zip(*[(1.0, 2.0, 3.0)]))
+
+
 def test_point_cloud_coords_read_only():
     cloud = PointCloud([(0.0, 0.0), (1.0, 0.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         cloud.coords[0, 0] = 7.0
+    with pytest.raises(TypeError):
+        cloud.coords[0][0] = 7.0
 
 
 def test_faces_of():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import embedded_complexes, filtered_complexes, loopy_complexes
-from oracles import betti_by_rank, bounds_in_view
+from conftest import coordinate_rows, embedded_complexes, filtered_complexes, loopy_complexes
+from oracles import betti_by_rank, bounds_in_view, numpy_rips, numpy_site_essential_cycles
 
 from cyclerad.complexes import EmbeddedComplex, PointCloud
 from cyclerad.filtrations import (
@@ -226,6 +226,25 @@ def test_rips_higher_dimension():
     assert f.value_at(f.index_of((0, 1, 2, 3))) == pytest.approx(math.sqrt(2))
 
 
+@settings(max_examples=150, deadline=None)
+@given(coordinate_rows(max_points=8), st.floats(0.0, 1.5), st.integers(1, 3))
+def test_rips_matches_the_numpy_build(rows, share, max_dim):
+    """The same simplices, order and values as from numpy's dense distance
+    matrix: bit for bit up to seven coordinates, to rounding from eight."""
+    diameter = max(math.dist(a, b) for a in rows for b in rows)
+    filtration = rips_filtration(PointCloud(rows), share * diameter, max_dim)
+    if len(rows[0]) <= 7:
+        assert (list(filtration.order), list(filtration.values)) == numpy_rips(rows, share * diameter, max_dim)
+    else:
+        # past the diameter no distance sits at the scale, so the sets agree
+        filtration = rips_filtration(PointCloud(rows), 2 * diameter, max_dim)
+        order, values = numpy_rips(rows, 2 * diameter, max_dim)
+        expect = dict(zip(order, values))
+        assert set(filtration.order) == set(expect)
+        for s, value in zip(filtration.order, filtration.values):
+            assert value == pytest.approx(expect[s], rel=1e-15, abs=0.0)
+
+
 def test_lower_star_hollow_triangle():
     complex_ = fixtures.hollow_triangle().complex
     f = lower_star_filtration(complex_, {0: 0.0, 1: 1.0, 2: 2.0})
@@ -317,6 +336,16 @@ def test_site_essential_cycles_match_full_persistence(complex_):
 def test_site_essential_cycles_match_on_prefix_views(filtration, data):
     view = filtration.prefix_view(data.draw(st.integers(0, len(filtration) - 1)))
     assert_kernel_matches_full_persistence(view)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(embedded_complexes(max_dim=3, max_top_cells=12), loopy_complexes()))
+def test_site_essential_cycles_match_the_numpy_kernel(complex_):
+    """Plain-Python ranking gives the numpy-ranked kernel's cycles and radii."""
+    for site in range(complex_.cloud.n_points):
+        for p in (0, 1, 2, 3):
+            cycles, radii = site_essential_cycles(complex_, site, p)
+            assert ([c.mask for c in cycles], list(radii)) == numpy_site_essential_cycles(complex_, site, p)
 
 
 def test_site_essential_cycles_keep_the_lexicographic_tie_break():

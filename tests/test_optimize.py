@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +11,8 @@ from cyclerad.complexes import boundary_columns
 from cyclerad.filtrations import compute_persistence, lower_star_filtration, site_ordering
 from cyclerad.optimize import (
     HomologyBasisResult,
-    _persistent_candidates,
     _result_for_cycle,
+    _rotated_candidates,
     _site_essential_cycles,
     describe_cycle,
     opt_homologous_cycle,
@@ -328,7 +327,7 @@ def test_first_essential_radius_is_lipschitz_in_the_site(complex_):
                 first[v] = radii[0]
         for v, r_v in first.items():
             for w, r_w in first.items():
-                assert r_w >= r_v - float(np.linalg.norm(coords[v] - coords[w])) - 1e-12
+                assert r_w >= r_v - math.dist(coords[v], coords[w]) - 1e-12
 
 
 # -- persistent representatives -------------------------------------------
@@ -438,7 +437,8 @@ def test_binary_search_boundary(filtration, site_seed):
     interval = finite[site_seed % len(finite)]
     complex_ = filtration.complex
     site = sorted(complex_.vertex_ids())[site_seed % complex_.cloud.n_points]
-    anchor, others = _persistent_candidates(filtration, interval, site)
+    prefix = filtration.prefix_view(interval.birth)
+    anchor, others = _rotated_candidates(prefix, prefix.parent.position(interval.creator), site, interval.dim)
     n_p = complex_.n_simplices(1)
     death_bounds = bounds_born_by_death(filtration, interval)
 
@@ -460,7 +460,8 @@ def binary_search_representative(filtration, interval, site):
     """The bar pass as it was: a binary search of solve_by_reduction calls
     over how many candidate cycles are admitted. The incremental pass must
     pick the same chain."""
-    anchor, others = _persistent_candidates(filtration, interval, site)
+    prefix = filtration.prefix_view(interval.birth)
+    anchor, others = _rotated_candidates(prefix, prefix.parent.position(interval.creator), site, interval.dim)
     n_p = filtration.complex.n_simplices(interval.dim)
     death_bounds = bounds_born_by_death(filtration, interval)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import embedded_complexes, point_clouds
-from oracles import brute_min_enclosing_radius
+from oracles import brute_min_enclosing_radius, lstsq_min_enclosing_sphere
 
 from cyclerad.radius import (
     SphereCertificate,
@@ -16,7 +16,7 @@ from cyclerad.radius import (
     min_enclosing_sphere,
     site_radius,
 )
-from cyclerad.complexes import within_radius
+from cyclerad.complexes import as_rows, distances_from, within_radius
 from cyclerad import fixtures
 
 REL = 1e-9
@@ -73,15 +73,16 @@ def test_sphere_matches_brute_force(cloud):
 def recursive_welzl(pts):
     """Welzl's recursion on the points, as the solver ran before its loop:
     (center, radius) of the minimum enclosing sphere."""
-    n, d = pts.shape
+    rows = as_rows(pts)
+    n, d = len(rows), len(rows[0])
 
     def solve(i, boundary):
         if i == n or len(boundary) == d + 1:
-            return _sphere_of_boundary(pts, boundary)
+            return _sphere_of_boundary(rows, boundary)
         sphere = solve(i + 1, boundary)
         if sphere is not None:
             center, radius = sphere
-            if within_radius(float(np.linalg.norm(pts[i] - center)), radius):
+            if within_radius(distances_from(center, zip(rows[i]))[0], radius):
                 return sphere
         return solve(i + 1, boundary + [i])
 
@@ -116,6 +117,18 @@ def test_sphere_loop_equals_recursion(pts):
     cert = min_enclosing_sphere(pts)
     assert cert.center == tuple(float(x) for x in center)
     assert cert.radius == radius
+
+
+@settings(max_examples=150, deadline=None)
+@given(awkward_point_sets())
+def test_sphere_matches_the_lstsq_solver(pts):
+    """Elimination with a rank test finds the radius the least-squares
+    circumsphere found, and the sphere covers every point."""
+    _, radius = lstsq_min_enclosing_sphere(pts)
+    cert = min_enclosing_sphere(pts)
+    assert cert.radius == pytest.approx(radius, rel=1e-9, abs=1e-12)
+    assert all(cert.contains(p) for p in pts)
+    assert 1 <= len(cert.support) <= pts.shape[1] + 1
 
 
 def test_sphere_of_five_thousand_points():

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
     "argv",
     [
         ["scripts/annulus_demo.py"],
-        ["scripts/rips_circle_scaling.py", "--points", "25"],
+        ["scripts/bench.py", "--quick"],
         ["scripts/shorten_gallery.py"],
     ],
 )
