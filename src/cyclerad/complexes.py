@@ -18,7 +18,7 @@ depend on the interpreter or on an array library.
 from __future__ import annotations
 
 import math
-from operator import add, mul, or_
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from .z2 import ChainVector, Z2Matrix
@@ -102,7 +102,7 @@ def face_columns(complex_like, d: int) -> tuple[tuple[int, ...], ...]:
     """The canonical (d-1)-positions of the d-simplices' faces, one column
     per face in faces_of order: entry i of each column belongs to the simplex
     at canonical position i. Built once per complex and dimension, so
-    per-site work only maps over these columns."""
+    per-site work only indexes these columns."""
     cached = complex_like._tables.get(d)
     if cached is None:
         positions = complex_like._positions
@@ -111,12 +111,13 @@ def face_columns(complex_like, d: int) -> tuple[tuple[int, ...], ...]:
     return cached
 
 
-def face_masks(faces: Sequence[Iterable[int]], row_bits: Sequence[int]) -> list[int]:
-    """Per simplex, the OR of row_bits over its faces, given as face_columns."""
-    masks = map(row_bits.__getitem__, faces[0])
-    for column in faces[1:]:
-        masks = map(or_, masks, map(row_bits.__getitem__, column))
-    return list(masks)
+def face_masks(faces: Sequence[Sequence[int]], row_bits: Sequence[int], positions: Sequence[int]) -> list[int]:
+    """Per simplex at these positions, the OR of row_bits over its faces (face_columns)."""
+    first, *rest = faces
+    masks = [row_bits[first[i]] for i in positions]
+    for column in rest:
+        masks = [m | row_bits[column[i]] for m, i in zip(masks, positions)]
+    return masks
 
 
 def _normalize_simplex(simplex: Iterable[int]) -> Simplex:
@@ -264,7 +265,7 @@ class EmbeddedComplex:
         if p < 1 or p > self.max_dim:
             raise ValueError(f"boundary matrix needs 1 <= p <= {self.max_dim}, got {p}")
         rows = self.n_simplices(p - 1)
-        return Z2Matrix(rows, face_masks(face_columns(self, p), self.powers(rows)))
+        return Z2Matrix(rows, face_masks(face_columns(self, p), self.powers(rows), range(self.n_simplices(p))))
 
     def is_cycle(self, chain: ChainVector, p: int) -> bool:
         """Whether the chain's boundary vanishes, summed over its own support

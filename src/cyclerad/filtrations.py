@@ -379,8 +379,8 @@ def site_essential_cycles(
     r = [[dist[v] for v in complex_like.vertex_ids()]]  # per dimension, canonical order
     for d in range(1, min(p + 1, complex_like.max_dim) + 1):
         # a simplex's first and last faces hold all its vertices
-        below, faces = r[-1].__getitem__, face_columns(complex_like, d)
-        r.append([x if x >= y else y for x, y in zip(map(below, faces[0]), map(below, faces[-1]))])
+        below, faces = r[-1], face_columns(complex_like, d)
+        r.append([below[i] if below[i] >= below[j] else below[j] for i, j in zip(faces[0], faces[-1])])
 
     def site_order(d: int) -> list[int]:
         return sorted(range(len(r[d])), key=r[d].__getitem__)
@@ -391,8 +391,7 @@ def site_essential_cycles(
         bits = [0] * len(row_order)
         for j, bit in zip(row_order, complex_like.powers(len(row_order))):
             bits[j] = bit
-        faces = face_columns(complex_like, d)
-        return face_masks([map(column.__getitem__, positions) for column in faces], bits)
+        return face_masks(face_columns(complex_like, d), bits, positions)
 
     order_p = site_order(p)
     cleared: dict[int, int] = {}  # pivot rank -> reduced (p+1)-column

@@ -204,8 +204,9 @@ def opt_homology_basis(
     if p < 1:
         raise ValueError("basis dimension must be positive")
     admitted: Optional[list[tuple[float, int, int, ChainVector]]] = None  # (r, site, rank, cycle)
-    # spans[i]: the boundaries plus the first i admitted cycles
-    spans = [IncrementalSpan(complex_like.n_simplices(p), boundary_columns(complex_like, p).columns())]
+    # the boundaries, then the admitted cycles in order, one column each
+    span = IncrementalSpan(complex_like.n_simplices(p), boundary_columns(complex_like, p).columns())
+    boundary_rank = span.rank
 
     def evaluate(site: int) -> float:
         nonlocal admitted
@@ -217,12 +218,9 @@ def opt_homology_basis(
             pool = sorted((admitted or []) + fresh, key=lambda t: t[:3])
             # the greedy is unchanged up to the first fresh cycle: resume there
             start = next((i for i, t in enumerate(pool) if t[1] == site), len(pool))
-            del spans[start + 1 :]
-            admitted, span = pool[:start], spans[start].copy()
-            for t in pool[start:]:
-                if span.add(t[3]):
-                    admitted.append(t)
-                    spans.append(span.copy())
+            admitted = pool[:start]
+            span.truncate(boundary_rank + start)
+            admitted += [t for t in pool[start:] if span.add(t[3])]
         assert len(admitted) == len(cycles)  # homology rank cannot depend on the site
         return radii[0] if radii else 0.0
 

@@ -270,6 +270,12 @@ class IncrementalSpan:
         out._by_low = dict(self._by_low)
         return out
 
+    def truncate(self, rank: int) -> None:
+        """Drop the columns inserted after the span reached this rank. ``add``
+        only ever inserts, so what stays is the span of the earlier adds."""
+        while len(self._by_low) > rank:
+            self._by_low.popitem()
+
     def reduce(self, vector: ChainVector, tag: int = 0) -> tuple[int, int]:
         """The vector's remainder against the span, and the tag plus the tags
         of the stored columns taken off it."""

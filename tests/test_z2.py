@@ -229,6 +229,16 @@ def test_incremental_span_copy_diverges_independently():
     assert span.contains(ChainVector(4, [0, 1, 3])) and not twin.contains(ChainVector(4, [3]))
 
 
+def test_incremental_span_truncate_drops_the_latest_adds():
+    span = IncrementalSpan(4, [ChainVector(4, [0, 1])])
+    assert span.add(ChainVector(4, [1, 2]), 1)
+    assert span.add(ChainVector(4, [3]), 2)
+    span.truncate(2)
+    assert span.rank == 2 and not span.contains(ChainVector(4, [3]))
+    assert span.express(ChainVector(4, [0, 2])) == 1
+    assert span.add(ChainVector(4, [2, 3]))
+
+
 def test_incremental_span_seeded_matches_batch_rank():
     cols = [ChainVector(5, s) for s in ([0, 1], [1, 2], [0, 2], [3])]
     span = IncrementalSpan(5, cols)
