@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -40,13 +39,6 @@ from .optimize import (
     opt_pers_hom_rep,
     shorten_cycle,
 )
-from .oracle import (
-    BudgetExceededError,
-    OracleBudget,
-    exact_min_basis,
-    exact_min_persistent_rep,
-    exact_optimal_homologous_cycle,
-)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -57,23 +49,25 @@ class ConfigError(RuntimeError):
     """Inconsistent command-line configuration."""
 
 
-@dataclass
 class RunConfig:
-    problem: str
-    p: int = 1
-    complex_path: Optional[str] = None
-    cycle_path: Optional[str] = None
-    points_path: Optional[str] = None
-    rips_scale: Optional[float] = None
-    rips_maxdim: int = 2
-    lower_star_path: Optional[str] = None
-    filtration_path: Optional[str] = None
-    sites: float = 1.0
-    shorten: bool = False
-    out: Optional[str] = None
-    export_obj: Optional[str] = None
-    bars: Optional[int] = None
-    budget: int = 12
+    """One request's settings: the problem, and a default for every flag."""
+
+    def __init__(self, problem: str) -> None:
+        self.problem = problem
+        self.p: int = 1
+        self.complex_path: Optional[str] = None
+        self.cycle_path: Optional[str] = None
+        self.points_path: Optional[str] = None
+        self.rips_scale: Optional[float] = None
+        self.rips_maxdim: int = 2
+        self.lower_star_path: Optional[str] = None
+        self.filtration_path: Optional[str] = None
+        self.sites: float = 1.0
+        self.shorten: bool = False
+        self.out: Optional[str] = None
+        self.export_obj: Optional[str] = None
+        self.bars: Optional[int] = None
+        self.budget: int = 12
 
     def filtration_sources(self) -> int:
         return sum(
@@ -294,6 +288,14 @@ def _run_persistent(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _run_verify(cfg: RunConfig) -> tuple[dict, int]:
+    # the oracle is loaded here, so the other subcommands never import it
+    from .oracle import (
+        OracleBudget,
+        exact_min_basis,
+        exact_min_persistent_rep,
+        exact_optimal_homologous_cycle,
+    )
+
     budget = OracleBudget(max_vertices=cfg.budget)
     tol = 1e-9
     checks = []
@@ -432,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(problem=args.problem)
+    cfg = RunConfig(args.problem)
     for name in vars(cfg):
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
@@ -458,10 +460,7 @@ def run(cfg: RunConfig) -> int:
     except InputError as exc:
         print(f"cyclerad: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except BudgetExceededError as exc:
-        print(f"cyclerad: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except ValueError as exc:  # an oracle BudgetExceededError among them
         print(f"cyclerad: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:  # last resort: a message, never a traceback

@@ -14,9 +14,8 @@ The solvers read only the essential p-cycles of each site ordering, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations, compress
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .complexes import (
     EmbeddedComplex,
@@ -102,8 +101,7 @@ class Filtration:
         return Z2Matrix(len(self.order), cols)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """A barcode interval [birth, death) in filtration indices; death None
     means the class is essential."""
 
@@ -125,14 +123,16 @@ class Interval:
         return self.death_value - self.birth_value
 
 
-@dataclass(frozen=True)
-class Barcode:
-    intervals: tuple[Interval, ...]
+class Barcode(NamedTuple("Barcode", [("intervals", tuple)])):
+    """Intervals, each creator and destroyer used once; a subclass so that
+    the constructor can check them."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, intervals: tuple[Interval, ...]):
         creators: set[tuple[int, Simplex]] = set()
         destroyers: set[Simplex] = set()
-        for iv in self.intervals:
+        for iv in intervals:
             if len(iv.creator) - 1 != iv.dim:
                 raise ValueError("creator dimension does not match the interval")
             if iv.destroyer is not None and len(iv.destroyer) - 1 != iv.dim + 1:
@@ -145,6 +145,7 @@ class Barcode:
                 if iv.destroyer in destroyers:
                     raise ValueError(f"{iv.destroyer} destroys two intervals")
                 destroyers.add(iv.destroyer)
+        return super().__new__(cls, intervals)
 
     def in_dim(self, p: int) -> list[Interval]:
         return [iv for iv in self.intervals if iv.dim == p]
@@ -166,8 +167,7 @@ class Barcode:
         return out
 
 
-@dataclass(frozen=True)
-class PersistenceResult:
+class PersistenceResult(NamedTuple):
     """Barcode of a filtration plus, for one dimension p, a representative
     cycle per interval and the essential cycles in order of appearance.
 
@@ -323,15 +323,14 @@ def lower_star_filtration(complex_like: EmbeddedComplex, vertex_values) -> Filtr
 # -- site orderings --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SiteOrdering:
+class SiteOrdering(NamedTuple):
     """Total order of a complex's simplices around one site: a simplex is
     ranked by the farthest distance from the site to its vertices, with faces
     always preceding cofaces; ties break by (dimension, lexicographic
     tuple)."""
 
     site: int
-    complex: EmbeddedComplex = field(compare=False)
+    complex: EmbeddedComplex
     order: tuple[Simplex, ...]
     r_values: tuple[float, ...]
 

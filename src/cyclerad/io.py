@@ -177,9 +177,14 @@ def read_filtration(path: PathLike, cloud: PointCloud) -> Filtration:
             raise InputError(path, "need a value and at least one vertex", ln)
         values += _floats(path, ln, fields[:1], "filtration")
         try:
-            order.append(tuple(sorted(int(x) for x in fields[1:])))
+            simplex = tuple(sorted(int(x) for x in fields[1:]))
         except ValueError as exc:
             raise InputError(path, f"bad filtration row: {exc}", ln) from exc
+        if simplex[0] < 0 or simplex[-1] >= cloud.n_points:
+            raise InputError(path, "simplex references a missing vertex", ln)
+        if len(set(simplex)) != len(simplex):
+            raise InputError(path, "simplex repeats a vertex", ln)
+        order.append(simplex)
     if not order:
         raise InputError(path, "empty filtration")
     complex_ = EmbeddedComplex(cloud, order, close=False)
@@ -199,24 +204,23 @@ def write_filtration(path: PathLike, filtration: Filtration) -> None:
 def read_cycle(
     path: PathLike, complex_like: EmbeddedComplex, p: Optional[int] = None
 ) -> ChainVector:
-    """One simplex per line as vertex indices; must be a cycle of the
-    complex."""
+    """One simplex per line as vertex indices, all of dimension p (by
+    default the first row's); must be a cycle of the complex."""
     simplices = []
     for ln, text in _data_lines(path):
         try:
-            simplices.append(tuple(sorted(int(x) for x in _split_fields(text))))
+            simplex = tuple(sorted(int(x) for x in _split_fields(text)))
         except ValueError as exc:
             raise InputError(path, f"bad simplex row: {exc}", ln) from exc
-        if not complex_like.has(simplices[-1]):
-            raise InputError(path, f"simplex {simplices[-1]} not in the complex", ln)
+        if not complex_like.has(simplex):
+            raise InputError(path, f"simplex {simplex} not in the complex", ln)
+        if p is None:
+            p = len(simplex) - 1
+        elif len(simplex) - 1 != p:
+            raise InputError(path, f"row holds a {len(simplex) - 1}-simplex, expected dimension {p}", ln)
+        simplices.append(simplex)
     if not simplices:
         raise InputError(path, "empty cycle file")
-    if p is None:
-        p = len(simplices[0]) - 1
-    elif len(simplices[0]) - 1 != p:
-        raise InputError(
-            path, f"file holds {len(simplices[0]) - 1}-simplices, expected dimension {p}"
-        )
     chain = complex_like.chain(simplices, p)
     if not complex_like.is_cycle(chain, p):
         raise ValueError(f"{path}: the chain has a non-zero boundary")

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .complexes import (
     MEMBERSHIP_REL_TOL,
@@ -29,6 +28,8 @@ from .complexes import (
     ball_induced_subcomplex,
     boundary_columns,
     distances_from,
+    face_columns,
+    face_masks,
 )
 from .filtrations import Filtration, Interval, compute_persistence, site_essential_cycles
 from .radius import SphereCertificate, exact_radius, site_radius
@@ -45,8 +46,7 @@ def _chosen_sites(complex_like: EmbeddedComplex, sites: Optional[Sequence[int]])
     return chosen
 
 
-@dataclass(frozen=True)
-class OptimalCycleResult:
+class OptimalCycleResult(NamedTuple):
     """A cycle with its measured radii: r_v is the farthest-vertex radius at
     the chosen site, r_exact the radius of the cycle's own smallest enclosing
     sphere (so r_exact <= r_v always)."""
@@ -64,8 +64,7 @@ class OptimalCycleResult:
         return len(self.cycle)
 
 
-@dataclass(frozen=True)
-class HomologyBasisResult:
+class HomologyBasisResult(NamedTuple):
     cycles: tuple[OptimalCycleResult, ...]
     total_weight: float
 
@@ -267,13 +266,15 @@ def _bar_evaluator(filtration: Filtration, interval: Interval) -> SiteEvaluator:
     root = prefix.parent
     creator_bit = root.position(interval.creator)
     n_p = root.n_simplices(p)
-    death_bounds = []
+    death_span = IncrementalSpan(n_p)
     if interval.death is not None and p + 1 <= root.max_dim:
-        full = root.boundary_matrix(p + 1)
-        for j, tau in enumerate(root.simplices(p + 1)):
-            if filtration.complex.has(tau) and filtration.index_of(tau) <= interval.death:
-                death_bounds.append(full.column(j))
-    death_span = IncrementalSpan(n_p, death_bounds)
+        # only the boundaries born by the death time, in canonical order
+        born = [
+            j for j, tau in enumerate(root.simplices(p + 1))
+            if filtration.complex.has(tau) and filtration.index_of(tau) <= interval.death
+        ]
+        for mask in face_masks(face_columns(root, p + 1), root.powers(n_p), born):
+            death_span.add(ChainVector(n_p, mask=mask))
 
     def evaluate(site: int) -> tuple[float, ChainVector]:
         anchor, others = _rotated_candidates(prefix, creator_bit, site, p)

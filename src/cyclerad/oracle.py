@@ -17,9 +17,8 @@ tests compare them against each other as well as against the fast paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .complexes import (
     EmbeddedComplex,
@@ -31,12 +30,13 @@ from .radius import exact_radius, min_enclosing_sphere, site_radius
 from .z2 import ChainVector
 
 
-class BudgetExceededError(RuntimeError):
-    """An exhaustive enumeration would exceed the configured budget."""
+class BudgetExceededError(ValueError):
+    """An exhaustive enumeration would exceed the configured budget; a
+    ValueError, so the CLI reports it with exit code 3 like other semantic
+    failures."""
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(NamedTuple):
     """Caps on the exhaustive searches; the defaults fit the test fixtures."""
 
     max_vertices: int = 12
@@ -198,8 +198,7 @@ def _weight_fn(
 # -- results ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExactOptimum:
+class ExactOptimum(NamedTuple):
     """Smallest sphere admitting a homologous cycle, with a witness."""
 
     radius: float
@@ -207,15 +206,13 @@ class ExactOptimum:
     center: Optional[tuple[float, ...]]
 
 
-@dataclass(frozen=True)
-class ExactBasis:
+class ExactBasis(NamedTuple):
     cycles: tuple[ChainVector, ...]
     weights: tuple[float, ...]
     total_weight: float
 
 
-@dataclass(frozen=True)
-class ExactRepresentative:
+class ExactRepresentative(NamedTuple):
     cycle: ChainVector
     weight: float
     site: Optional[int]

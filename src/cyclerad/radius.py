@@ -12,16 +12,14 @@ cheap because boundary sets never exceed d+1 points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .complexes import MEMBERSHIP_REL_TOL, EmbeddedComplex, Point, as_rows, distances_from, within_radius
 from .z2 import ChainVector
 
 
-@dataclass(frozen=True)
-class SphereCertificate:
+class SphereCertificate(NamedTuple):
     """A sphere together with the point ids that pin it down. An empty chain
     has radius zero and no center."""
 

@@ -11,8 +11,7 @@ shared.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 def _mask_from_support(support: Iterable[int], n_rows: int) -> int:
@@ -168,8 +167,7 @@ class Z2Matrix:
         return f"Z2Matrix({self.n_rows}x{self.n_cols})"
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     """Outcome of the left-to-right column reduction.
 
     ``reduced`` is the reduced matrix, ``basis_change`` the unitriangular V

@@ -238,6 +238,34 @@ def test_exit_code_non_finite_filtration(tmp_path, two_loop_files):
     assert code == 2
 
 
+def bad_filtration_file(tmp_path, flt, row):
+    """The filtration file with one more row at the end, as (path, line)."""
+    lines = open(flt).read().splitlines()
+    bad = tmp_path / "bad.flt"
+    bad.write_text("\n".join(lines + [row]) + "\n")
+    return str(bad), len(lines) + 1
+
+
+@pytest.mark.parametrize("row", ["9 1 1", "9 0 99"])
+def test_exit_code_bad_filtration_row(tmp_path, two_loop_files, capsys, row):
+    _, csv, flt = two_loop_files
+    bad, line = bad_filtration_file(tmp_path, flt, row)
+    code = main(["persistent", "--points", csv, "--filtration", bad,
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert f"{bad}:{line}:" in capsys.readouterr().err
+
+
+def test_exit_code_cycle_mixes_dimensions(tmp_path, annulus_files, capsys):
+    ann, off, cyc = annulus_files
+    bad = tmp_path / "mixed.txt"
+    bad.write_text(open(cyc).read() + " ".join(map(str, ann.complex.simplices(2)[0])) + "\n")
+    code = main(["localize", "--complex", off, "--cycle", str(bad),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert f"{bad}:{len(ann.outer_loop) + 1}:" in capsys.readouterr().err
+
+
 def test_exit_code_two_sources(tmp_path, two_loop_files):
     _, csv, flt = two_loop_files
     code = main(["persistent", "--points", csv, "--filtration", flt,
@@ -374,7 +402,33 @@ def test_cycle_reader_rejects_unknown_simplex(tmp_path, annulus_files):
     assert ":2" in str(exc.value)
 
 
-# -- no numpy on the request path --------------------------------------------
+def test_cycle_reader_rejects_mixed_dimensions(tmp_path, annulus_files):
+    ann, _, _ = annulus_files
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 1\n" + " ".join(map(str, ann.complex.simplices(2)[0])) + "\n")
+    for p in (None, 1):
+        with pytest.raises(InputError) as exc:
+            read_cycle(bad, ann.complex, p)
+        assert ":2" in str(exc.value) and "expected dimension 1" in str(exc.value)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("9 1 1", "repeats a vertex"),
+    ("9 0 99", "missing vertex"),
+])
+def test_filtration_reader_rejects_bad_rows(tmp_path, two_loop_files, row, message):
+    filt, _, flt = two_loop_files
+    bad, line = bad_filtration_file(tmp_path, flt, row)
+    with pytest.raises(InputError) as exc:
+        read_filtration(bad, filt.complex.cloud)
+    assert f":{line}:" in str(exc.value) and message in str(exc.value)
+
+
+# -- what a request imports ---------------------------------------------------
+
+# modules no request should load; numpy is a test and benchmark dependency only,
+# and dataclasses pulls in inspect
+NEVER_IMPORTED = ("numpy", "dataclasses", "inspect")
 
 
 @pytest.mark.parametrize("args", [
@@ -385,7 +439,8 @@ def test_cycle_reader_rejects_unknown_simplex(tmp_path, annulus_files):
     ["verify", "--complex", "{off}"],
     ["verify", "--points", "{ring}", "--rips", "0.9"],
 ])
-def test_no_subcommand_imports_numpy(tmp_path, annulus_files, args):
+def test_request_imports_only_what_it_runs(tmp_path, annulus_files, args):
+    """No request loads NEVER_IMPORTED, and only verify loads the oracle."""
     _, off, cyc = annulus_files
     ring = tmp_path / "ring.csv"
     circle = fixtures.circle_cloud(12)
@@ -395,9 +450,31 @@ def test_no_subcommand_imports_numpy(tmp_path, annulus_files, args):
         "import sys\n"
         "from cyclerad.cli import main\n"
         f"code = main({argv!r})\n"
-        "print(code, 'numpy' in sys.modules)\n"
+        f"print(code, *(m in sys.modules for m in {NEVER_IMPORTED + ('cyclerad.oracle',)!r}))\n"
     )
+    stdout = run_fresh(script)
+    assert stdout.split() == ["0", *["False"] * len(NEVER_IMPORTED), str(args[0] == "verify")]
+
+
+def test_package_root_loads_submodules_on_first_use():
+    script = (
+        "import sys\n"
+        "import cyclerad\n"
+        "print(sorted(m for m in sys.modules if m.startswith('cyclerad.')))\n"
+        "from cyclerad import *\n"
+        "print(all(globals()[name] is getattr(cyclerad, name) for name in cyclerad.__all__))\n"
+        "try:\n"
+        "    cyclerad.no_such_name\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n"
+    )
+    assert run_fresh(script).split() == ["[]", "True", "AttributeError"]
+
+
+def run_fresh(script: str) -> str:
+    """Standard output of the script in a fresh interpreter on this checkout's src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.stdout.split() == ["0", "False"], proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -577,3 +577,19 @@ def test_describe_cycle_picks_best_site():
     forced = describe_cycle(inst.complex, inst.inner_loop, 1, site=0)
     assert forced.site == 0
     assert forced.r_v > res.r_v
+
+
+# -- result records ----------------------------------------------------------
+
+
+def test_records_are_immutable_values():
+    inst = fixtures.annulus()
+    res = optimal_hom_cycle_for_site(inst.complex, inst.outer_loop, inst.center_vertex)
+    again = optimal_hom_cycle_for_site(inst.complex, inst.outer_loop, inst.center_vertex)
+    bar = compute_persistence(fixtures.two_loop_filtration(), 1).intervals()[0]
+    for record, name in [(res, "r_v"), (res.certificate, "radius"), (bar, "death")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert res == again and res.certificate == again.certificate
+    twin = type(bar)(*bar)
+    assert twin == bar and {bar: "kept"}[twin] == "kept"
