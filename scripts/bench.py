@@ -16,10 +16,13 @@ Ladders (inputs from perfbench/workloads.py, so they match the benchmark's):
 Requests run through `cyclerad.cli.main` in a worker process per package, so
 the two copies never share an interpreter. Workers alternate between the
 packages round by round, and each point keeps the fastest of its samples: on
-a shared machine noise only ever adds time. Small points get more samples,
-so each has as fair a chance as a large one at a quiet spell. The largest
-point of each ladder also runs once in a fresh interpreter of its own, which
-reports its peak RSS: the memory of that one request, imports included.
+a shared machine noise only ever adds time. The change-over-parent ratio of a
+point is the median of its per-round ratios, each round running the two
+packages back to back, with the lowest and highest round beside it. Small
+points get more samples, so each has as fair a chance as a large one at a
+quiet spell. The largest point of each ladder also runs once in a fresh
+interpreter of its own, which reports its peak RSS: the memory of that one
+request, imports included.
 The import time is the median wall time of fresh `import cyclerad.cli`
 processes, next to a bare interpreter's, with their peak RSS.
 """
@@ -178,9 +181,13 @@ def worker(src: Path, quick: bool) -> dict:
 
 
 def merge(columns: dict[str, list[dict]]) -> dict:
-    """One row per ladder point: its size, each column's fastest seconds, the
-    change/parent ratio, per column the ratio to the previous point, and on
-    the largest point each column's largest peak RSS."""
+    """One row per ladder point: its size, each column's fastest seconds, per
+    column the ratio to the previous point, and on the largest point each
+    column's largest peak RSS. With a parent column, change_over_parent is
+    the median over rounds of the change/parent ratio of the round's fastest
+    samples, since a round runs both packages back to back; ratio_min and
+    ratio_max are the extreme rounds, so a range that straddles 1 leaves the
+    point unresolved."""
     merged = {}
     first = next(iter(columns.values()))[0]
     for name, rows in first.items():
@@ -195,8 +202,11 @@ def merge(columns: dict[str, list[dict]]) -> dict:
                     entry[f"{col}_rips_s"] = min(run[name][i]["rips_s"] for run in runs)
                 if i:
                     entry[f"{col}_step"] = entry[f"{col}_s"] / out[-1][f"{col}_s"]
-            if "parent_s" in entry:
-                entry["change_over_parent"] = entry["change_s"] / entry["parent_s"]
+            if "parent" in columns:
+                ratios = [min(new[name][i]["samples"]) / min(old[name][i]["samples"])
+                          for old, new in zip(columns["parent"], columns["change"])]
+                entry["change_over_parent"] = statistics.median(ratios)
+                entry["ratio_min"], entry["ratio_max"] = min(ratios), max(ratios)
             out.append(entry)
         merged[name] = out
     return merged

@@ -13,12 +13,11 @@ request imports only the modules it runs.
 _EXPORTS = {
     name: module
     for module, names in (
-        ("z2", "ChainVector Z2Matrix ReductionResult IncrementalSpan low standard_reduction "
-               "solve_by_reduction in_span"),
+        ("z2", "ChainVector Z2Matrix IncrementalSpan"),
         ("complexes", "PointCloud EmbeddedComplex SubcomplexView induced_subcomplex "
                       "ball_induced_subcomplex boundary_columns"),
         ("filtrations", "Filtration Interval Barcode PersistenceResult compute_persistence "
-                        "rips_filtration lower_star_filtration site_ordering"),
+                        "rips_filtration lower_star_filtration"),
         ("radius", "SphereCertificate site_radius exact_radius min_enclosing_sphere chain_vertices"),
         ("optimize", "OptimalCycleResult HomologyBasisResult optimal_hom_cycle_for_site "
                      "opt_homologous_cycle opt_homology_basis opt_pers_cycle_site opt_pers_hom_rep "

@@ -1,21 +1,22 @@
 """Simplexwise filtrations, barcodes, and persistence computation over Z2.
 
 A filtration is a total order on the simplices of a complex (faces first)
-together with non-decreasing real values. Persistence reduces the one square
-boundary matrix over all simplices in filtration order; pairs of the
-reduction become finite intervals, unpaired positions become essential
-classes. All interval bookkeeping is index-based; values are carried along
-for reporting.
+together with non-decreasing real values. One kernel computes persistence,
+``_clearing_reduction``: it reduces the boundary columns one dimension at a
+time, from the top down, with clearing. Pairs of the reduction become finite
+intervals, unpaired simplices essential classes. All interval bookkeeping is
+index-based; values are carried along for reporting.
 
-The solvers read only the essential p-cycles of each site ordering, so
-``site_essential_cycles`` reduces just the p and p+1 columns, with clearing;
-``compute_persistence`` over ``site_ordering`` is its reference.
+``compute_persistence`` ranks each dimension by filtration index and reduces
+every dimension. The solvers read only the essential p-cycles of each site's
+filtration, so ``site_essential_cycles`` ranks by distance from the site and
+reduces just the (p+1)- and p-columns.
 """
 from __future__ import annotations
 
 import math
-from itertools import combinations, compress
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from itertools import compress, filterfalse
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .complexes import (
     EmbeddedComplex,
@@ -27,7 +28,7 @@ from .complexes import (
     face_masks,
     faces_of,
 )
-from .z2 import ChainVector, Z2Matrix, standard_reduction
+from .z2 import ChainVector
 
 
 class Filtration:
@@ -89,16 +90,6 @@ class Filtration:
         """The complex formed by the first i+1 simplices, as a view on the
         root complex."""
         return SubcomplexView(self.complex.parent or self.complex, self.order[: i + 1], validate=False)
-
-    def boundary_matrix(self) -> Z2Matrix:
-        """The square boundary matrix over all simplices in filtration order."""
-        cols = []
-        for s in self.order:
-            mask = 0
-            for f in faces_of(s):
-                mask |= 1 << self._index[f]
-            cols.append(mask)
-        return Z2Matrix(len(self.order), cols)
 
 
 class Interval(NamedTuple):
@@ -188,74 +179,60 @@ class PersistenceResult(NamedTuple):
 
 
 def compute_persistence(filtration: Filtration, p: int) -> PersistenceResult:
+    """The barcode of every dimension, by the clearing reduction with each
+    dimension ranked by filtration index."""
     if p < 0:
         raise ValueError("dimension must be non-negative")
-    order = filtration.order
-    values = filtration.values
     complex_like = filtration.complex
-    reduction = standard_reduction(filtration.boundary_matrix())
-
-    intervals: list[Interval] = []
-    for row, col in reduction.pairs:
-        d = len(order[row]) - 1
-        intervals.append(
-            Interval(
-                dim=d,
-                birth=row,
-                death=col,
-                creator=order[row],
-                destroyer=order[col],
-                birth_value=values[row],
-                death_value=values[col],
-            )
-        )
-    for j in reduction.unpaired:
-        d = len(order[j]) - 1
-        intervals.append(
-            Interval(
-                dim=d,
-                birth=j,
-                death=None,
-                creator=order[j],
-                destroyer=None,
-                birth_value=values[j],
-                death_value=None,
-            )
-        )
-    intervals.sort(key=lambda iv: (iv.dim, iv.birth))
-    barcode = Barcode(tuple(intervals))
+    order, values, index_of = filtration.order, filtration.values, filtration._index
+    top = complex_like.max_dim
+    indices, ranked = [], []  # per dimension: index of each position, positions in rank order
+    for d in range(top + 1):
+        index = [index_of[s] for s in complex_like.simplices(d)]
+        indices.append(index)
+        ranked.append(sorted(range(len(index)), key=index.__getitem__))
+    pairs, cycles, reduced = _clearing_reduction(complex_like, ranked, top, 0, p)
 
     n_p = complex_like.n_simplices(p)
+    bit_at = complex_like.powers(n_p)
 
-    def chain_from_positions(mask: int) -> ChainVector:
+    def canonical(mask: int) -> ChainVector:
+        """A chain over the p-ranks, in canonical p-positions."""
         out = 0
         while mask:
             lowbit = mask & -mask
-            pos = lowbit.bit_length() - 1
-            s = order[pos]
-            # reduction only mixes columns of equal dimension
-            assert len(s) - 1 == p
-            out |= 1 << complex_like.position(s)
+            out |= bit_at[ranked[p][lowbit.bit_length() - 1]]
             mask ^= lowbit
         return ChainVector(n_p, mask=out)
 
-    representatives: dict[Interval, ChainVector] = {}
-    essentials: list[tuple[int, ChainVector]] = []
-    for iv in barcode.in_dim(p):
-        if iv.death is not None:
-            rep = chain_from_positions(reduction.reduced.column_mask(iv.death))
-        else:
-            rep = chain_from_positions(reduction.basis_change.column_mask(iv.birth))
-            essentials.append((iv.birth, rep))
-        representatives[iv] = rep
-    essentials.sort(key=lambda t: t[0])
+    def interval(d: int, i: int, k: Optional[int]) -> Interval:
+        if k is None:
+            return Interval(d, i, None, order[i], None, values[i], None)
+        return Interval(d, i, k, order[i], order[k], values[i], values[k])
 
+    intervals: list[Interval] = []
+    unpaired = [set(range(len(index))) for index in indices]
+    killed = {ranked[p][low]: c for low, c in reduced.items()}  # birth position -> reduced column
+    chains: dict[int, ChainVector] = {}  # birth index -> representative
+    for d, pairing in pairs:
+        for birth, death in pairing:
+            unpaired[d].discard(birth)
+            unpaired[d + 1].discard(death)
+            intervals.append(interval(d, indices[d][birth], indices[d + 1][death]))
+            if d == p:
+                chains[indices[d][birth]] = canonical(killed[birth])
+    for d, positions in enumerate(unpaired):
+        intervals += [interval(d, indices[d][q], None) for q in positions]
+    essential_cycles = tuple(ChainVector(n_p, mask=v) for v in cycles.values())
+    chains.update((indices[p][q], c) for q, c in zip(cycles, essential_cycles))
+    intervals.sort(key=lambda iv: (iv.dim, iv.birth))
+    barcode = Barcode(tuple(intervals))
     return PersistenceResult(
         filtration=filtration,
         dim=p,
         barcode=barcode,
-        representatives=representatives,
-        essential_cycles=tuple(c for _, c in essentials),
+        representatives={iv: chains[iv.birth] for iv in barcode.in_dim(p)},
+        essential_cycles=essential_cycles,
     )
 
 
@@ -320,105 +297,109 @@ def lower_star_filtration(complex_like: EmbeddedComplex, vertex_values) -> Filtr
     return Filtration(complex_like, order, [value[s] for s in order], validate=False)
 
 
-# -- site orderings --------------------------------------------------------
+# -- the clearing reduction ------------------------------------------------
 
 
-class SiteOrdering(NamedTuple):
-    """Total order of a complex's simplices around one site: a simplex is
-    ranked by the farthest distance from the site to its vertices, with faces
-    always preceding cofaces; ties break by (dimension, lexicographic
-    tuple)."""
+def _clearing_reduction(
+    complex_like: EmbeddedComplex, ranked: Sequence[Sequence[int]], top: int, bottom: int, p: int
+) -> tuple[list[tuple[int, Iterator[tuple[int, int]]]], dict[int, int], dict[int, int]]:
+    """Z2 persistence of the boundary columns of dimensions top down to
+    bottom, where ranked[d] lists the canonical positions of the d-simplices
+    in the order of the filtration (it is read for bottom - 1 to top).
 
-    site: int
-    complex: EmbeddedComplex
-    order: tuple[Simplex, ...]
-    r_values: tuple[float, ...]
-
-    def as_filtration(self) -> Filtration:
-        return Filtration(self.complex, self.order, self.r_values, validate=False)
-
-
-def site_ordering(complex_like: EmbeddedComplex, site: int) -> SiteOrdering:
-    dist = distances_from(complex_like.cloud.point(site), complex_like.cloud.columns)
-    entries = []
-    for s in complex_like.all_simplices():
-        r = max(dist[v] for v in s)
-        entries.append((r, len(s), s))
-    entries.sort()
-    return SiteOrdering(
-        site=site,
-        complex=complex_like,
-        order=tuple(s for _, _, s in entries),
-        r_values=tuple(r for r, _, _ in entries),
-    )
+    A reduction only ever adds a column into a later one of its own
+    dimension, so each dimension is reduced on its own, left to right. The
+    simplices a d-column's pivot names are cleared: their (d-1)-columns would
+    reduce to zero, and a zero column never owns a pivot, so skipping them
+    changes no other column (Chen & Kerber, "Persistent homology computation
+    with a twist", 2011). Returns, with simplices named by canonical
+    position:
+    - the pairs, per reduced dimension d + 1 as (d, iterator of (birth,
+      death)): the (d+1)-simplex at death kills the class the d-simplex at
+      birth created;
+    - the essential p-cycles: position -> basis change in canonical
+      p-positions, in rank order (the zero p-columns, when the
+      (p+1)-columns were reduced or p is the top dimension);
+    - the reduced (p+1)-columns: pivot rank -> column over the p-ranks."""
+    pairs = []
+    cycles: dict[int, int] = {}
+    reduced: dict[int, int] = {}
+    cleared: dict = {}  # pivot rank -> reduced column, of the dimension above
+    for d in range(top, bottom - 1, -1):
+        order = ranked[d]
+        kept = [q for j, q in enumerate(order) if j not in cleared] if cleared else order
+        if d:
+            below = ranked[d - 1]
+            row_bits = [0] * len(below)
+            for position, bit in zip(below, complex_like.powers(len(below))):
+                row_bits[position] = bit
+            columns = face_masks(face_columns(complex_like, d), row_bits, kept)
+        else:
+            columns = [0] * len(kept)
+        owners: dict = {}
+        if d == p:
+            zero = cycles
+            bit_at = complex_like.powers(len(order))
+            for c, q in zip(columns, kept):
+                v = bit_at[q]
+                while c:
+                    low = c.bit_length() - 1
+                    other = owners.get(low)
+                    if other is None:
+                        owners[low] = (c, v)
+                        break
+                    c ^= other[0]
+                    v ^= other[1]
+                else:
+                    cycles[q] = v
+        else:
+            zero = set()
+            for c in columns:
+                while c:
+                    low = c.bit_length() - 1
+                    other = owners.get(low)
+                    if other is None:
+                        owners[low] = c
+                        break
+                    c ^= other
+                else:
+                    # each column so far left a pivot or a zero
+                    zero.add(kept[len(owners) + len(zero)])
+        if d:
+            # each nonzero column adds its pivot to owners: both run in column order
+            pairs.append((d - 1, zip(map(below.__getitem__, owners), filterfalse(zero.__contains__, kept))))
+        if d == p + 1:
+            reduced = owners
+        cleared = owners
+    return pairs, cycles, reduced
 
 
 def site_essential_cycles(
     complex_like: EmbeddedComplex, site: int, p: int
 ) -> tuple[tuple[ChainVector, ...], tuple[float, ...]]:
-    """The essential p-cycles of site_ordering(complex_like, site), earliest
-    first, as chains in the complex's canonical p-basis, with the r value each
-    is born at: the same chains as compute_persistence on that ordering, from
-    the p and p+1 columns alone.
+    """The essential p-cycles of the site's filtration, earliest first, as
+    chains in the complex's canonical p-basis, with the r value each is born
+    at. The site's filtration ranks a simplex by the distance from the site
+    to its farthest vertex, ties broken by (dimension, lexicographic tuple).
 
-    A reduction only ever mixes columns of one dimension, so each dimension is
-    ranked on its own; a stable sort of the canonical (lexicographic) order by
-    r is the ordering's (r, dimension, tuple) rule. The (p+1)-columns are
-    reduced first, and the p-simplices their pivots name are cleared: they
-    reduce to zero and are paired, so they are skipped (Chen & Kerber,
-    "Persistent homology computation with a twist", 2011). The remaining
-    p-columns are reduced with their basis change, which is kept in canonical
-    positions; the zero ones are the essential cycles."""
+    Only the p- and (p+1)-columns are reduced. Each dimension is ranked on
+    its own: a stable sort of the canonical (lexicographic) order by r is the
+    filtration's rule within one dimension."""
     if p < 0:
         raise ValueError("dimension must be non-negative")
     n_p = complex_like.n_simplices(p)
     if n_p == 0:
         return (), ()
     dist = distances_from(complex_like.cloud.point(site), complex_like.cloud.columns)
-    r = [[dist[v] for v in complex_like.vertex_ids()]]  # per dimension, canonical order
-    for d in range(1, min(p + 1, complex_like.max_dim) + 1):
+    top = min(p + 1, complex_like.max_dim)
+    r = [[dist[v] for v, in complex_like.simplices(0)]]  # per dimension, canonical order
+    for d in range(1, top + 1):
         # a simplex's first and last faces hold all its vertices
         below, faces = r[-1], face_columns(complex_like, d)
         r.append([below[i] if below[i] >= below[j] else below[j] for i, j in zip(faces[0], faces[-1])])
-
-    def site_order(d: int) -> list[int]:
-        return sorted(range(len(r[d])), key=r[d].__getitem__)
-
-    def columns(d: int, positions: list[int], row_order: list[int]) -> list[int]:
-        """Boundary columns of the d-simplices at these canonical positions,
-        the (d-1)-simplices ranked by row_order."""
-        bits = [0] * len(row_order)
-        for j, bit in zip(row_order, complex_like.powers(len(row_order))):
-            bits[j] = bit
-        return face_masks(face_columns(complex_like, d), bits, positions)
-
-    order_p = site_order(p)
-    cleared: dict[int, int] = {}  # pivot rank -> reduced (p+1)-column
-    if p < complex_like.max_dim:
-        for c in columns(p + 1, site_order(p + 1), order_p):
-            while c:
-                low = c.bit_length() - 1
-                other = cleared.get(low)
-                if other is None:
-                    cleared[low] = c
-                    break
-                c ^= other
-    owners: dict[int, tuple[int, int]] = {}  # pivot rank -> (reduced column, basis change)
-    cycles, radii = [], []
-    survivors = [position for j, position in enumerate(order_p) if j not in cleared]
-    columns_p = columns(p, survivors, site_order(p - 1)) if p else [0] * len(survivors)
-    bit_at = complex_like.powers(n_p)
-    for c, position in zip(columns_p, survivors):
-        v = bit_at[position]
-        while c:
-            low = c.bit_length() - 1
-            other = owners.get(low)
-            if other is None:
-                owners[low] = (c, v)
-                break
-            c ^= other[0]
-            v ^= other[1]
-        if not c:
-            cycles.append(ChainVector(n_p, mask=v))
-            radii.append(r[p][position])
-    return tuple(cycles), tuple(radii)
+    ranked = [sorted(range(len(r[d])), key=r[d].__getitem__) if d >= p - 1 else () for d in range(top + 1)]
+    _, cycles, _ = _clearing_reduction(complex_like, ranked, top, p, p)
+    return (
+        tuple(ChainVector(n_p, mask=v) for v in cycles.values()),
+        tuple(r[p][q] for q in cycles),
+    )

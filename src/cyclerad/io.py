@@ -12,7 +12,7 @@ import math
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .complexes import EmbeddedComplex, PointCloud
+from .complexes import EmbeddedComplex, PointCloud, faces_of
 from .filtrations import Filtration
 from .z2 import ChainVector
 
@@ -171,6 +171,7 @@ def read_filtration(path: PathLike, cloud: PointCloud) -> Filtration:
     geometry comes separately; the file only carries the combinatorics."""
     order = []
     values = []
+    listed = set()
     for ln, text in _data_lines(path):
         fields = _split_fields(text)
         if len(fields) < 2:
@@ -184,6 +185,12 @@ def read_filtration(path: PathLike, cloud: PointCloud) -> Filtration:
             raise InputError(path, "simplex references a missing vertex", ln)
         if len(set(simplex)) != len(simplex):
             raise InputError(path, "simplex repeats a vertex", ln)
+        if simplex in listed:
+            raise InputError(path, f"simplex {simplex} is listed twice", ln)
+        for face in faces_of(simplex):
+            if face not in listed:
+                raise InputError(path, f"face {face} of {simplex} is not listed before it", ln)
+        listed.add(simplex)
         order.append(simplex)
     if not order:
         raise InputError(path, "empty filtration")

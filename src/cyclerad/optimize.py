@@ -3,10 +3,12 @@
 Three solvers share one engine: rank the p- and (p+1)-simplices around a
 site by farthest vertex distance, reduce the (p+1)-columns to clear the
 p-columns they pair, and read the essential cycles off the basis change of
-the remaining p-columns (``filtrations.site_essential_cycles``). Because
-reduced columns have pairwise distinct leading positions, the leading
-position of any combination is the max over its parts, which is what makes
-the greedy and the incremental bar pass below exact rather than heuristic.
+the remaining p-columns (``filtrations.site_essential_cycles``). That is
+the package's one persistence kernel, ``filtrations._clearing_reduction``,
+which also computes the barcode of a filtration. Because reduced columns
+have pairwise distinct leading positions, the leading position of any
+combination is the max over its parts, which is what makes the greedy and
+the incremental bar pass below exact rather than heuristic.
 
 All three solvers share one best-first site search: per-site answers are
 minima over site-independent chain sets, so r_w >= r_v - |p_v - p_w|, and
@@ -33,7 +35,7 @@ from .complexes import (
 )
 from .filtrations import Filtration, Interval, compute_persistence, site_essential_cycles
 from .radius import SphereCertificate, exact_radius, site_radius
-from .z2 import ChainVector, IncrementalSpan, solve_by_reduction
+from .z2 import ChainVector, IncrementalSpan
 
 # evaluate(site) -> (site radius, chain), closing over the site-invariant work
 SiteEvaluator = Callable[[int], tuple[float, ChainVector]]
@@ -401,10 +403,9 @@ def shorten_cycle(
         adjacency.setdefault(b, []).append(a)
     for v in adjacency:
         adjacency[v].sort()
-    bounds = boundary_columns(complex_like, 1)
+    bounds = IncrementalSpan(complex_like.n_simplices(1), boundary_columns(complex_like, 1).columns())
 
     cycle = result.cycle
-    n_edges = complex_like.n_simplices(1)
     for _ in range(max_passes):
         edges = complex_like.chain_simplices(cycle, 1)
         count = len(edges)
@@ -437,7 +438,7 @@ def shorten_cycle(
                 continue
             if not complex_like.is_cycle(candidate, 1):
                 continue
-            if solve_by_reduction(bounds, difference) is None:
+            if not bounds.contains(difference):
                 continue
             cycle = candidate
             changed = True

@@ -1,5 +1,6 @@
-"""Sparse linear algebra over Z2: column matrices, left-to-right reduction,
-and feasibility solves.
+"""Sparse linear algebra over Z2: chains, column matrices, and a growing
+column span that answers membership and expresses a vector over its
+columns.
 
 Columns are stored as arbitrary-precision integers used as bitmasks (bit i set
 means row i is nonzero). Addition over Z2 is XOR; the lowest-one of a column
@@ -11,7 +12,7 @@ shared.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 
 def _mask_from_support(support: Iterable[int], n_rows: int) -> int:
@@ -82,13 +83,6 @@ class ChainVector:
         return f"ChainVector({self.ambient_size}, {self.support})"
 
 
-def low(column: ChainVector) -> Optional[int]:
-    """Largest nonzero row index of a column, or None for the zero column."""
-    if column.mask == 0:
-        return None
-    return column.mask.bit_length() - 1
-
-
 class Z2Matrix:
     """A Z2 matrix held column-wise."""
 
@@ -132,30 +126,6 @@ class Z2Matrix:
         for mask in self._cols:
             yield ChainVector(self.n_rows, mask=mask)
 
-    def low(self, j: int) -> Optional[int]:
-        mask = self._cols[j]
-        return mask.bit_length() - 1 if mask else None
-
-    def with_column(self, column: ChainVector) -> "Z2Matrix":
-        """A copy with one extra column appended on the right."""
-        if column.ambient_size != self.n_rows:
-            raise ValueError("column ambient size must equal the row count")
-        return Z2Matrix(self.n_rows, self._cols + [column.mask])
-
-    def __matmul__(self, other: "Z2Matrix") -> "Z2Matrix":
-        if other.n_rows != self.n_cols:
-            raise ValueError("inner dimensions differ")
-        out = []
-        for j in range(other.n_cols):
-            acc = 0
-            mask = other._cols[j]
-            while mask:
-                lowbit = mask & -mask
-                acc ^= self._cols[lowbit.bit_length() - 1]
-                mask ^= lowbit
-            out.append(acc)
-        return Z2Matrix(self.n_rows, out)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Z2Matrix)
@@ -165,86 +135,6 @@ class Z2Matrix:
 
     def __repr__(self) -> str:
         return f"Z2Matrix({self.n_rows}x{self.n_cols})"
-
-
-class ReductionResult(NamedTuple):
-    """Outcome of the left-to-right column reduction.
-
-    ``reduced`` is the reduced matrix, ``basis_change`` the unitriangular V
-    with reduced = matrix @ V. ``pairs`` lists (low row, column) for every
-    nonzero reduced column. ``unpaired`` lists the zero columns whose index is
-    not the low row of any pair; when the input is the square boundary matrix
-    of a filtration these are exactly the essential columns.
-    """
-
-    reduced: Z2Matrix
-    basis_change: Z2Matrix
-    pairs: tuple[tuple[int, int], ...]
-    unpaired: tuple[int, ...]
-
-
-def standard_reduction(matrix: Z2Matrix) -> ReductionResult:
-    """Reduce columns left to right; whenever a column shares its low row with
-    an earlier one, add the earlier column into it (and track the same
-    operation in V)."""
-    m = matrix.n_cols
-    cols = [matrix.column_mask(j) for j in range(m)]
-    basis = [1 << j for j in range(m)]
-    owner: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-    for j in range(m):
-        c = cols[j]
-        while c:
-            pivot = c.bit_length() - 1
-            j0 = owner.get(pivot)
-            if j0 is None:
-                break
-            c ^= cols[j0]
-            basis[j] ^= basis[j0]
-        cols[j] = c
-        if c:
-            pivot = c.bit_length() - 1
-            owner[pivot] = j
-            pairs.append((pivot, j))
-    low_rows = {r for r, _ in pairs}
-    unpaired = tuple(j for j in range(m) if not cols[j] and j not in low_rows)
-    return ReductionResult(
-        reduced=Z2Matrix(matrix.n_rows, cols),
-        basis_change=Z2Matrix(m, basis),
-        pairs=tuple(pairs),
-        unpaired=unpaired,
-    )
-
-
-def solve_by_reduction(matrix: Z2Matrix, rhs: ChainVector) -> Optional[list[int]]:
-    """Find column indices of ``matrix`` whose Z2 sum equals ``rhs``.
-
-    Reduces [matrix | rhs]; the system is feasible iff the appended column
-    reduces to zero, and then the solution is read off the last basis-change
-    column with its final index (the appended column itself) dropped. Returns
-    the sorted index list, or None when infeasible.
-    """
-    if rhs.ambient_size != matrix.n_rows:
-        raise ValueError("rhs ambient size must equal the matrix row count")
-    augmented = matrix.with_column(rhs)
-    result = standard_reduction(augmented)
-    last = augmented.n_cols - 1
-    if result.reduced.column_mask(last) != 0:
-        return None
-    support = result.basis_change.column_support(last)
-    # V is unitriangular, so the appended column is always the final index.
-    assert support and support[-1] == last
-    return support[:-1]
-
-
-def in_span(basis: Z2Matrix, vector: ChainVector) -> bool:
-    """Whether ``vector`` lies in the column span of ``basis``. The zero
-    vector is in every span, including the empty one."""
-    return solve_by_reduction(basis, vector) is not None
-
-
-def rank(matrix: Z2Matrix) -> int:
-    return len(standard_reduction(matrix).pairs)
 
 
 class IncrementalSpan:
@@ -301,8 +191,9 @@ class IncrementalSpan:
 
     def express(self, vector: ChainVector) -> Optional[int]:
         """The sum of the tags of added columns that sum to the vector, or
-        None when the vector lies outside the span. The reduction is the
-        left-to-right one of ``solve_by_reduction`` on the added columns, so
-        the combination is the one it finds."""
+        None when the vector lies outside the span. The vector is reduced
+        against the stored columns by their lowest-one rows, as a
+        left-to-right reduction of the added columns followed by the vector
+        would reduce it, so the combination is the one that reduction finds."""
         mask, tag = self.reduce(vector)
         return None if mask else tag

@@ -1,11 +1,14 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here is deliberately written against plain Python lists (dense
-0/1 rows) and brute force, sharing no code path with the package under test.
+0/1 rows, or columns as integer bitmasks) and brute force, sharing no code
+path with the package under test.
 """
 from __future__ import annotations
 
+import math
 from itertools import combinations
+from typing import NamedTuple
 
 
 def dense_from_columns(n_rows: int, columns: list[list[int]]) -> list[list[int]]:
@@ -306,3 +309,161 @@ def lstsq_min_enclosing_sphere(points) -> tuple[tuple[float, ...], float]:
 
     center, radius = solve(0, [])
     return tuple(float(x) for x in center), radius
+
+
+# -- the square-matrix persistence reference --------------------------------
+# The package reduces one dimension at a time with clearing; these reduce the
+# one square boundary matrix over all simplices, with a full basis change.
+# Matrices are lists of column masks (bit i set: row i is nonzero).
+
+
+def mask_support(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def columns_of(matrix) -> list[int]:
+    """The column masks of a package matrix."""
+    return [matrix.column_mask(j) for j in range(matrix.n_cols)]
+
+
+def matmul(a: list[int], b: list[int]) -> list[int]:
+    """a @ b over Z2: column j of the product sums the columns of a that
+    column j of b names."""
+    out = []
+    for mask in b:
+        acc = 0
+        for i in mask_support(mask):
+            acc ^= a[i]
+        out.append(acc)
+    return out
+
+
+class ReductionResult(NamedTuple):
+    """Outcome of the left-to-right column reduction.
+
+    ``reduced`` is the reduced matrix, ``basis_change`` the unitriangular V
+    with reduced = matrix @ V. ``pairs`` lists (low row, column) for every
+    nonzero reduced column. ``unpaired`` lists the zero columns whose index is
+    not the low row of any pair; when the input is the square boundary matrix
+    of a filtration these are exactly the essential columns.
+    """
+
+    reduced: list[int]
+    basis_change: list[int]
+    pairs: tuple[tuple[int, int], ...]
+    unpaired: tuple[int, ...]
+
+
+def standard_reduction(columns: list[int]) -> ReductionResult:
+    """Reduce columns left to right; whenever a column shares its low row with
+    an earlier one, add the earlier column into it (and track the same
+    operation in V)."""
+    cols = list(columns)
+    basis = [1 << j for j in range(len(cols))]
+    owner: dict[int, int] = {}
+    pairs = []
+    for j in range(len(cols)):
+        while cols[j] and cols[j].bit_length() - 1 in owner:
+            j0 = owner[cols[j].bit_length() - 1]
+            cols[j] ^= cols[j0]
+            basis[j] ^= basis[j0]
+        if cols[j]:
+            owner[cols[j].bit_length() - 1] = j
+            pairs.append((cols[j].bit_length() - 1, j))
+    low_rows = {r for r, _ in pairs}
+    unpaired = tuple(j for j in range(len(cols)) if not cols[j] and j not in low_rows)
+    return ReductionResult(cols, basis, tuple(pairs), unpaired)
+
+
+def solve_by_reduction(n_rows: int, columns: list[int], rhs: int) -> list[int] | None:
+    """Indices of columns whose Z2 sum is rhs, read off the basis change of
+    the reduced [columns | rhs] with the appended index dropped, or None when
+    the appended column does not reduce to zero."""
+    if rhs >> n_rows:
+        raise ValueError("rhs exceeds the row count")
+    result = standard_reduction(list(columns) + [rhs])
+    last = len(columns)
+    if result.reduced[last]:
+        return None
+    support = mask_support(result.basis_change[last])
+    assert support[-1] == last  # V is unitriangular
+    return support[:-1]
+
+
+def in_span(n_rows: int, columns: list[int], vector: int) -> bool:
+    return solve_by_reduction(n_rows, columns, vector) is not None
+
+
+def rank(columns: list[int]) -> int:
+    return len(standard_reduction(columns).pairs)
+
+
+def square_boundary_matrix(filtration) -> list[int]:
+    """The boundary matrix over all simplices in filtration order."""
+    index = {s: i for i, s in enumerate(filtration.order)}
+    return [sum(1 << index[f] for f in boundary_support(s)) for s in filtration.order]
+
+
+def square_persistence(filtration, p: int):
+    """Persistence of the filtration by the square reduction:
+    (intervals as sorted (dim, birth, death) index triples, death None when
+    essential; {birth: representative} for dimension p; the essential
+    p-cycles in birth order). Representatives are masks in the complex's
+    canonical p-positions: a finite bar's is the reduced column at its death,
+    an essential bar's the basis-change column at its birth."""
+    order = filtration.order
+    result = standard_reduction(square_boundary_matrix(filtration))
+    triples = sorted([(len(order[i]) - 1, i, j) for i, j in result.pairs]
+                     + [(len(order[j]) - 1, j, None) for j in result.unpaired],
+                     key=lambda t: t[:2])
+
+    def canonical(mask: int) -> int:
+        return sum(1 << filtration.complex.position(order[i]) for i in mask_support(mask))
+
+    representatives = {}
+    for d, i, j in triples:
+        if d == p:
+            representatives[i] = canonical(result.basis_change[i] if j is None else result.reduced[j])
+    essential = [representatives[i] for d, i, j in triples if d == p and j is None]
+    return triples, representatives, essential
+
+
+class SiteOrdering(NamedTuple):
+    """Total order of a complex's simplices around one site: a simplex is
+    ranked by the farthest distance from the site to its vertices, with faces
+    always preceding cofaces; ties break by (dimension, lexicographic
+    tuple)."""
+
+    site: int
+    complex: object
+    order: tuple
+    r_values: tuple
+
+    def as_filtration(self):
+        from cyclerad.filtrations import Filtration
+
+        return Filtration(self.complex, self.order, self.r_values, validate=False)
+
+
+def site_distances(cloud, site: int) -> list[float]:
+    """Distance from the site to every point: squared differences summed left
+    to right, then sqrt, the float operations the package's ranking uses."""
+    center = cloud.point(site)
+    out = []
+    for point in cloud.coords:
+        acc = 0.0
+        for x, c in zip(point, center):
+            acc += (x - c) * (x - c)
+        out.append(math.sqrt(acc))
+    return out
+
+
+def site_ordering(complex_, site: int) -> SiteOrdering:
+    dist = site_distances(complex_.cloud, site)
+    entries = sorted((max(dist[v] for v in s), len(s), s) for s in complex_.all_simplices())
+    return SiteOrdering(
+        site=site,
+        complex=complex_,
+        order=tuple(s for _, _, s in entries),
+        r_values=tuple(r for r, _, _ in entries),
+    )

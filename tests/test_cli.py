@@ -239,14 +239,15 @@ def test_exit_code_non_finite_filtration(tmp_path, two_loop_files):
 
 
 def bad_filtration_file(tmp_path, flt, row):
-    """The filtration file with one more row at the end, as (path, line)."""
+    """The filtration file with more rows at the end, as (path, line of the
+    first)."""
     lines = open(flt).read().splitlines()
     bad = tmp_path / "bad.flt"
     bad.write_text("\n".join(lines + [row]) + "\n")
     return str(bad), len(lines) + 1
 
 
-@pytest.mark.parametrize("row", ["9 1 1", "9 0 99"])
+@pytest.mark.parametrize("row", ["9 1 1", "9 0 99", "9 0 1", "9 0 1 4", "9 0 1 4\n9 0 4"])
 def test_exit_code_bad_filtration_row(tmp_path, two_loop_files, capsys, row):
     _, csv, flt = two_loop_files
     bad, line = bad_filtration_file(tmp_path, flt, row)
@@ -415,6 +416,9 @@ def test_cycle_reader_rejects_mixed_dimensions(tmp_path, annulus_files):
 @pytest.mark.parametrize("row, message", [
     ("9 1 1", "repeats a vertex"),
     ("9 0 99", "missing vertex"),
+    ("9 0 1", "listed twice"),
+    ("9 0 1 4", "face (0, 4) of (0, 1, 4) is not listed before it"),
+    ("9 0 1 4\n9 0 4", "face (0, 4) of (0, 1, 4) is not listed before it"),
 ])
 def test_filtration_reader_rejects_bad_rows(tmp_path, two_loop_files, row, message):
     filt, _, flt = two_loop_files

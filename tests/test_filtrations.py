@@ -5,7 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import coordinate_rows, embedded_complexes, filtered_complexes, loopy_complexes
-from oracles import betti_by_rank, bounds_in_view, numpy_rips, numpy_site_essential_cycles
+from oracles import (
+    betti_by_rank,
+    bounds_in_view,
+    mask_support,
+    numpy_rips,
+    numpy_site_essential_cycles,
+    site_ordering,
+    square_boundary_matrix,
+    square_persistence,
+)
 
 from cyclerad.complexes import EmbeddedComplex, PointCloud
 from cyclerad.filtrations import (
@@ -16,8 +25,8 @@ from cyclerad.filtrations import (
     lower_star_filtration,
     rips_filtration,
     site_essential_cycles,
-    site_ordering,
 )
+from cyclerad.z2 import ChainVector
 from cyclerad import fixtures
 
 
@@ -81,12 +90,12 @@ def test_prefix_view():
 
 def test_square_boundary_matrix():
     f = hollow_triangle_filtration()
-    m = f.boundary_matrix()
-    assert m.n_rows == m.n_cols == 6
-    assert m.column_support(3) == [0, 1]
-    assert m.column_support(4) == [1, 2]
-    assert m.column_support(5) == [0, 2]
-    assert m.column_support(0) == []
+    m = square_boundary_matrix(f)
+    assert len(m) == 6 and max(m).bit_length() <= 6
+    assert mask_support(m[3]) == [0, 1]
+    assert mask_support(m[4]) == [1, 2]
+    assert mask_support(m[5]) == [0, 2]
+    assert mask_support(m[0]) == []
 
 
 # -- persistence ----------------------------------------------------------
@@ -145,6 +154,44 @@ def test_representatives_satisfy_interval_conditions(filtration):
             assert bounds_in_view(after, complex_, rep, 1)
         else:
             assert not bounds_in_view(complex_, complex_, rep, 1)
+
+
+@st.composite
+def any_filtrations(draw):
+    """Random simplexwise filtrations, Rips builds and lower-star fields."""
+    kind = draw(st.sampled_from(["random", "rips", "lower-star"]))
+    if kind == "random":
+        return draw(filtered_complexes(max_dim=3))
+    if kind == "rips":
+        rows = draw(coordinate_rows(max_points=8))
+        diameter = max(math.dist(a, b) for a in rows for b in rows)
+        return rips_filtration(PointCloud(rows), draw(st.floats(0.0, 1.5)) * diameter, draw(st.integers(1, 3)))
+    complex_ = draw(st.one_of(embedded_complexes(max_dim=3, max_top_cells=12), loopy_complexes()))
+    field = st.integers(0, 4).map(float) | st.floats(-10.0, 10.0, allow_nan=False)
+    return lower_star_filtration(complex_, {v: draw(field) for v in complex_.vertex_ids()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_filtrations())
+def test_persistence_matches_the_square_reduction(filtration):
+    """Every interval of every dimension, every representative and the
+    essential cycles, as the square reduction of the whole boundary matrix
+    gives them."""
+    order, values = filtration.order, filtration.values
+    for p in range(filtration.complex.max_dim + 2):
+        intervals, representatives, essential = square_persistence(filtration, p)
+        result = compute_persistence(filtration, p)
+        expect = [
+            Interval(d, i, j, order[i], None if j is None else order[j],
+                     values[i], None if j is None else values[j])
+            for d, i, j in intervals
+        ]
+        assert list(result.barcode.intervals) == expect
+        n_p = filtration.complex.n_simplices(p)
+        assert result.representatives == {
+            iv: ChainVector(n_p, mask=representatives[iv.birth]) for iv in result.barcode.in_dim(p)
+        }
+        assert result.essential_cycles == tuple(ChainVector(n_p, mask=m) for m in essential)
 
 
 def test_two_loop_value_barcode():
@@ -309,11 +356,12 @@ def test_site_ordering_valid_for_every_site(complex_):
 
 
 def essential_by_full_persistence(complex_like, site, p):
-    """The reference: full persistence of the site ordering, essential
+    """The reference: the square reduction of the site ordering, essential
     intervals only."""
-    result = compute_persistence(site_ordering(complex_like, site).as_filtration(), p)
-    radii = tuple(iv.birth_value for iv in result.intervals() if iv.death is None)
-    return result.essential_cycles, radii
+    filtration = site_ordering(complex_like, site).as_filtration()
+    intervals, _, essential = square_persistence(filtration, p)
+    radii = tuple(filtration.values[i] for d, i, j in intervals if d == p and j is None)
+    return tuple(ChainVector(complex_like.n_simplices(p), mask=m) for m in essential), radii
 
 
 def assert_kernel_matches_full_persistence(complex_like, dims=(0, 1, 2, 3)):

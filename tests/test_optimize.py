@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complex_with_cycle, embedded_complexes, filtered_complexes, loopy_complexes
-from oracles import bounds_in_view, gf2_in_span
+from oracles import bounds_in_view, gf2_in_span, solve_by_reduction
 
 from cyclerad.complexes import boundary_columns
-from cyclerad.filtrations import compute_persistence, lower_star_filtration, site_ordering
+from cyclerad.filtrations import compute_persistence, lower_star_filtration
 from cyclerad.optimize import (
     HomologyBasisResult,
     _result_for_cycle,
@@ -23,7 +23,7 @@ from cyclerad.optimize import (
     optimal_hom_cycle_for_site,
     shorten_cycle,
 )
-from cyclerad.z2 import ChainVector, IncrementalSpan, Z2Matrix, solve_by_reduction
+from cyclerad.z2 import ChainVector, IncrementalSpan
 from cyclerad import fixtures
 
 REL = 1e-9
@@ -444,7 +444,7 @@ def test_binary_search_boundary(filtration, site_seed):
 
     def feasible(i):
         return (
-            solve_by_reduction(Z2Matrix.from_chains(n_p, death_bounds + others[:i]), anchor)
+            solve_by_reduction(n_p, [c.mask for c in death_bounds + others[:i]], anchor.mask)
             is not None
         )
 
@@ -466,7 +466,7 @@ def binary_search_representative(filtration, interval, site):
     death_bounds = bounds_born_by_death(filtration, interval)
 
     def feasible(i):
-        return solve_by_reduction(Z2Matrix.from_chains(n_p, death_bounds + others[:i]), anchor)
+        return solve_by_reduction(n_p, [c.mask for c in death_bounds + others[:i]], anchor.mask)
 
     lo, hi = 0, len(others)
     while lo < hi:

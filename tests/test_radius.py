@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import embedded_complexes, point_clouds
-from oracles import brute_min_enclosing_radius, lstsq_min_enclosing_sphere
+from oracles import brute_min_enclosing_radius, lstsq_min_enclosing_sphere, site_ordering
 
 from cyclerad.radius import (
     SphereCertificate,
@@ -169,8 +169,6 @@ def test_site_radius_rejects_empty_chain():
 def test_site_radius_is_last_simplex_entry():
     # the site ordering enters the chain's last simplex exactly at r_v(chain)
     inst = fixtures.annulus()
-    from cyclerad.filtrations import site_ordering
-
     so = site_ordering(inst.complex, 4)
     r = site_radius(inst.complex, 4, inst.inner_loop, 1)
     entry = max(
