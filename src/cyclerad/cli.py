@@ -83,6 +83,8 @@ class RunConfig:
             raise ConfigError("-p must be non-negative")
         if self.rips_maxdim < 0:
             raise ConfigError("--maxdim must be non-negative")
+        if self.rips_scale is not None and not self.rips_scale >= 0:
+            raise ConfigError("--rips must be non-negative")
         if not 0 < self.sites <= 1:
             raise ConfigError("--sites must be a fraction in (0, 1]")
         if self.problem == "localize":

@@ -9,7 +9,10 @@ subcomplex is a pure re-indexing.
 Complexes are immutable once built. A view (``SubcomplexView``) is a
 complex cut from a parent: its canonical order is the parent's, restricted to
 its members, so it answers every query as a complex built from those members
-would, and ``extend``/``contract`` move chains to and from the parent.
+would, and ``extend`` moves its chains into the parent. The solvers build no
+views: they pass a filtration prefix to the site kernel as membership flags
+and test ball membership per vertex. Views serve the exact oracle and the
+tests.
 
 Geometry is plain Python: points are float tuples, and every distance comes
 from ``distances_from``, whose float operations are fixed, so radii do not
@@ -130,11 +133,9 @@ def _normalize_simplex(simplex: Iterable[int]) -> Simplex:
 
 
 class EmbeddedComplex:
-    """A finite simplicial complex whose vertices index into a point cloud.
-    A root complex has ``parent`` None; a ``SubcomplexView`` names the
-    complex it was cut from."""
+    """A finite simplicial complex whose vertices index into a point cloud."""
 
-    __slots__ = ("cloud", "parent", "_by_dim", "_positions", "_tables", "_powers")
+    __slots__ = ("cloud", "_by_dim", "_positions", "_tables", "_powers")
 
     def __init__(self, cloud: PointCloud, simplices: Iterable[Iterable[int]], close: bool = True):
         collected: set[Simplex] = set()
@@ -160,7 +161,6 @@ class EmbeddedComplex:
                     if f not in collected:
                         raise ValueError(f"complex is not closed under faces: {s} misses {f}")
         max_dim = max((len(s) - 1 for s in collected), default=-1)
-        self.parent = None
         self._index(cloud, [
             tuple(sorted(s for s in collected if len(s) - 1 == d)) for d in range(max_dim + 1)
         ])
@@ -282,11 +282,11 @@ class EmbeddedComplex:
 
 
 class SubcomplexView(EmbeddedComplex):
-    """A face-closed subset of a parent complex. Its canonical order is the
-    parent's restricted to the members, so chains move between the two by
-    re-indexing alone."""
+    """A face-closed subset of a parent complex, which ``parent`` names. Its
+    canonical order is the parent's restricted to the members, so its chains
+    move into the parent by re-indexing alone."""
 
-    __slots__ = ()
+    __slots__ = ("parent",)
 
     def __init__(self, parent: EmbeddedComplex, members: Iterable[Iterable[int]], validate: bool = True):
         chosen: set[Simplex] = set()
@@ -314,18 +314,6 @@ class SubcomplexView(EmbeddedComplex):
         for s in self.chain_simplices(chain, p):
             mask |= 1 << self.parent.position(s)
         return ChainVector(self.parent.n_simplices(p), mask=mask)
-
-    def contract(self, chain: ChainVector, p: int) -> ChainVector:
-        """Re-index a parent p-chain into the view; errors if any support
-        simplex is missing from the view."""
-        if chain.ambient_size != self.parent.n_simplices(p):
-            raise ValueError("chain does not live in the parent's p-basis")
-        mask = 0
-        for s in self.parent.chain_simplices(chain, p):
-            if s not in self._positions:
-                raise ValueError(f"chain support {s} lies outside the view")
-            mask |= 1 << self._positions[s][1]
-        return ChainVector(self.n_simplices(p), mask=mask)
 
 
 def induced_subcomplex(parent: EmbeddedComplex, vertices: Iterable[int]) -> SubcomplexView:

@@ -88,8 +88,8 @@ class Filtration:
 
     def prefix_view(self, i: int) -> SubcomplexView:
         """The complex formed by the first i+1 simplices, as a view on the
-        root complex."""
-        return SubcomplexView(self.complex.parent or self.complex, self.order[: i + 1], validate=False)
+        filtration's complex."""
+        return SubcomplexView(self.complex, self.order[: i + 1], validate=False)
 
 
 class Interval(NamedTuple):
@@ -243,7 +243,7 @@ def rips_filtration(cloud: PointCloud, max_scale: float, max_dim: int = 2) -> Fi
     """Vietoris-Rips filtration: a simplex enters at its diameter; simplices
     with diameter above max_scale are excluded. Ties are ordered by
     (value, dimension, lexicographic vertex tuple)."""
-    if max_scale < 0:
+    if not max_scale >= 0:
         raise ValueError("max_scale must be non-negative")
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
@@ -305,7 +305,8 @@ def _clearing_reduction(
 ) -> tuple[list[tuple[int, Iterator[tuple[int, int]]]], dict[int, int], dict[int, int]]:
     """Z2 persistence of the boundary columns of dimensions top down to
     bottom, where ranked[d] lists the canonical positions of the d-simplices
-    in the order of the filtration (it is read for bottom - 1 to top).
+    of a face-closed subcomplex (all of them, or a prefix) in the order of
+    the filtration (it is read for bottom - 1 to top).
 
     A reduction only ever adds a column into a later one of its own
     dimension, so each dimension is reduced on its own, left to right. The
@@ -330,7 +331,7 @@ def _clearing_reduction(
         kept = [q for j, q in enumerate(order) if j not in cleared] if cleared else order
         if d:
             below = ranked[d - 1]
-            row_bits = [0] * len(below)
+            row_bits = [0] * complex_like.n_simplices(d - 1)
             for position, bit in zip(below, complex_like.powers(len(below))):
                 row_bits[position] = bit
             columns = face_masks(face_columns(complex_like, d), row_bits, kept)
@@ -339,7 +340,7 @@ def _clearing_reduction(
         owners: dict = {}
         if d == p:
             zero = cycles
-            bit_at = complex_like.powers(len(order))
+            bit_at = complex_like.powers(complex_like.n_simplices(d))
             for c, q in zip(columns, kept):
                 v = bit_at[q]
                 while c:
@@ -375,7 +376,7 @@ def _clearing_reduction(
 
 
 def site_essential_cycles(
-    complex_like: EmbeddedComplex, site: int, p: int
+    complex_like: EmbeddedComplex, site: int, p: int, members: Optional[Sequence[Sequence[bool]]] = None
 ) -> tuple[tuple[ChainVector, ...], tuple[float, ...]]:
     """The essential p-cycles of the site's filtration, earliest first, as
     chains in the complex's canonical p-basis, with the r value each is born
@@ -384,7 +385,9 @@ def site_essential_cycles(
 
     Only the p- and (p+1)-columns are reduced. Each dimension is ranked on
     its own: a stable sort of the canonical (lexicographic) order by r is the
-    filtration's rule within one dimension."""
+    filtration's rule within one dimension. Given members (per dimension, a
+    flag per canonical position), it is the filtration of the face-closed
+    subcomplex they flag, such as a birth prefix: the complex's ranks, filtered."""
     if p < 0:
         raise ValueError("dimension must be non-negative")
     n_p = complex_like.n_simplices(p)
@@ -397,7 +400,11 @@ def site_essential_cycles(
         # a simplex's first and last faces hold all its vertices
         below, faces = r[-1], face_columns(complex_like, d)
         r.append([below[i] if below[i] >= below[j] else below[j] for i, j in zip(faces[0], faces[-1])])
-    ranked = [sorted(range(len(r[d])), key=r[d].__getitem__) if d >= p - 1 else () for d in range(top + 1)]
+    ranked = []
+    for d, rd in enumerate(r):
+        # a stable sort of the members alone is their share of the full ranking
+        kept = range(len(rd)) if members is None else compress(range(len(rd)), members[d])
+        ranked.append(sorted(kept, key=rd.__getitem__) if d >= p - 1 else ())
     _, cycles, _ = _clearing_reduction(complex_like, ranked, top, p, p)
     return (
         tuple(ChainVector(n_p, mask=v) for v in cycles.values()),

@@ -26,12 +26,11 @@ from .complexes import (
     MEMBERSHIP_REL_TOL,
     EmbeddedComplex,
     Simplex,
-    SubcomplexView,
-    ball_induced_subcomplex,
     boundary_columns,
     distances_from,
     face_columns,
     face_masks,
+    within_radius,
 )
 from .filtrations import Filtration, Interval, compute_persistence, site_essential_cycles
 from .radius import SphereCertificate, exact_radius, site_radius
@@ -143,11 +142,11 @@ def describe_cycle(
     return _result_for_cycle(complex_like, cycle, p, site, context)
 
 
-def _site_essential_cycles(complex_like: EmbeddedComplex, site: int, p: int):
+def _site_essential_cycles(complex_like: EmbeddedComplex, site: int, p: int, members=None):
     """Essential p-cycles of the site ordering, earliest first, as chains in
     the complex's canonical p-basis, with the site radius each enters at.
     Every solver reaches the per-site kernel through this one name."""
-    return site_essential_cycles(complex_like, site, p)
+    return site_essential_cycles(complex_like, site, p, members)
 
 
 def _homologous_evaluator(
@@ -239,19 +238,18 @@ def opt_homology_basis(
     return HomologyBasisResult(cycles, sum(x.r_v for x in cycles))
 
 
-def _rotated_candidates(prefix: SubcomplexView, creator_bit: int, site: int, p: int):
-    """Essential cycles of the site ordering of the birth prefix, rotated so
-    only the first creator-containing column keeps the creator."""
-    essential, _ = _site_essential_cycles(prefix, site, p)
-    extended = [prefix.extend(c, p) for c in essential]
+def _rotated_candidates(complex_like: EmbeddedComplex, members, creator_bit: int, site: int, p: int):
+    """Essential cycles of the site ordering of the birth prefix members flags,
+    rotated so only the first creator-containing column keeps the creator."""
+    essential, _ = _site_essential_cycles(complex_like, site, p, members)
     alpha = next(
-        (j for j, c in enumerate(extended) if creator_bit in c), None
+        (j for j, c in enumerate(essential) if creator_bit in c), None
     )
     # the interval's class is born here, so some essential cycle meets it
     assert alpha is not None
-    anchor = extended[alpha]
+    anchor = essential[alpha]
     others = []
-    for j, c in enumerate(extended):
+    for j, c in enumerate(essential):
         if j == alpha:
             continue
         others.append(c ^ anchor if creator_bit in c else c)
@@ -264,26 +262,26 @@ def _bar_evaluator(filtration: Filtration, interval: Interval) -> SiteEvaluator:
     boundaries born by the death time, until the anchor lies in their span;
     the representative is the anchor plus the admitted cycles it needs."""
     p = interval.dim
-    prefix = filtration.prefix_view(interval.birth)
-    root = prefix.parent
-    creator_bit = root.position(interval.creator)
-    n_p = root.n_simplices(p)
+    complex_like = filtration.complex
+    index_of = filtration._index
+    members = [[index_of[s] <= interval.birth for s in complex_like.simplices(d)] for d in range(p + 2)]
+    creator_bit = complex_like.position(interval.creator)
+    n_p = complex_like.n_simplices(p)
     death_span = IncrementalSpan(n_p)
-    if interval.death is not None and p + 1 <= root.max_dim:
+    if interval.death is not None and p + 1 <= complex_like.max_dim:
         # only the boundaries born by the death time, in canonical order
         born = [
-            j for j, tau in enumerate(root.simplices(p + 1))
-            if filtration.complex.has(tau) and filtration.index_of(tau) <= interval.death
+            j for j, tau in enumerate(complex_like.simplices(p + 1)) if index_of[tau] <= interval.death
         ]
-        for mask in face_masks(face_columns(root, p + 1), root.powers(n_p), born):
+        for mask in face_masks(face_columns(complex_like, p + 1), complex_like.powers(n_p), born):
             death_span.add(ChainVector(n_p, mask=mask))
 
     def evaluate(site: int) -> tuple[float, ChainVector]:
-        anchor, others = _rotated_candidates(prefix, creator_bit, site, p)
+        anchor, others = _rotated_candidates(complex_like, members, creator_bit, site, p)
         if interval.death is None:
             # nothing below the anchor's leading position can represent an
             # essential class, so the anchor itself is optimal
-            return site_radius(root, site, anchor, p), anchor
+            return site_radius(complex_like, site, anchor, p), anchor
 
         span = death_span.copy()
         mask = span.express(anchor)
@@ -294,7 +292,7 @@ def _bar_evaluator(filtration: Filtration, interval: Interval) -> SiteEvaluator:
             mask = span.express(anchor)
         assert mask is not None  # the bar dies, so the full span works
         out = anchor ^ ChainVector(n_p, mask=mask)
-        return site_radius(root, site, out, p), out
+        return site_radius(complex_like, site, out, p), out
 
     return evaluate
 
@@ -313,10 +311,9 @@ def opt_pers_hom_rep(
 ) -> OptimalCycleResult:
     """Best bar representative over the sites; ties broken toward the lowest
     site index."""
-    root = filtration.complex.parent or filtration.complex
     site, out = _best_site(filtration.complex, sites, _bar_evaluator(filtration, interval))
     return _result_for_cycle(
-        root, out, interval.dim, site, "persistent-representative", interval
+        filtration.complex, out, interval.dim, site, "persistent-representative", interval
     )
 
 
@@ -395,12 +392,13 @@ def shorten_cycle(
     if result.cycle.is_zero() or result.site is None:
         return result
 
-    center = complex_like.cloud.point(result.site)
-    ball = ball_induced_subcomplex(complex_like, center, result.r_v)
+    # the edges of the complex with both endpoints in the site ball
+    dist = distances_from(complex_like.cloud.point(result.site), complex_like.cloud.columns)
     adjacency: dict[int, list[int]] = {}
-    for a, b in ball.simplices(1) if ball.max_dim >= 1 else ():
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
+    for a, b in complex_like.simplices(1):
+        if within_radius(dist[a], result.r_v) and within_radius(dist[b], result.r_v):
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
     for v in adjacency:
         adjacency[v].sort()
     bounds = IncrementalSpan(complex_like.n_simplices(1), boundary_columns(complex_like, 1).columns())

@@ -124,6 +124,15 @@ def filtered_complexes(draw, min_points=3, max_points=8, max_dim=2, max_top_cell
 
 
 @st.composite
+def prefix_filtrations(draw):
+    """The first simplices of a drawn filtration, as a filtration whose
+    complex is that prefix's view."""
+    filtration = draw(filtered_complexes())
+    i = draw(st.integers(0, len(filtration) - 1))
+    return Filtration(filtration.prefix_view(i), filtration.order[: i + 1], filtration.values[: i + 1])
+
+
+@st.composite
 def complex_with_cycle(draw):
     """A complex plus a 1-cycle assembled from essential cycles and
     boundaries of the lowest site's ordering."""

@@ -286,6 +286,15 @@ def test_exit_code_negative_dimension(tmp_path, two_loop_files, capsys, args):
     assert code == 2
     assert "must be non-negative" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("scale", ["nan", "-1"])
+def test_exit_code_bad_rips_scale(tmp_path, two_loop_files, capsys, scale):
+    _, csv, _ = two_loop_files
+    code = main(["persistent", "--points", csv, f"--rips={scale}", "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "--rips must be non-negative" in capsys.readouterr().err
+
+
 def test_exit_code_basis_mode_verify_needs_positive_dimension(tmp_path, annulus_files, capsys):
     _, off, _ = annulus_files
     code = main(["verify", "--complex", off, "-p", "0", "--out", str(tmp_path / "r.json")])

@@ -249,6 +249,12 @@ def test_rips_at_side_scale():
     Filtration(f.complex, f.order, f.values)
 
 
+@pytest.mark.parametrize("scale", [math.nan, -1.0])
+def test_rips_rejects_a_negative_or_nan_scale(scale):
+    with pytest.raises(ValueError, match="max_scale must be non-negative"):
+        rips_filtration(unit_square_cloud(), scale)
+
+
 def test_rips_at_diagonal_scale():
     scale = math.sqrt(2) + 1e-9
     f = rips_filtration(unit_square_cloud(), scale)
@@ -382,8 +388,18 @@ def test_site_essential_cycles_match_full_persistence(complex_):
 @settings(max_examples=40, deadline=None)
 @given(filtered_complexes(max_dim=3), st.data())
 def test_site_essential_cycles_match_on_prefix_views(filtration, data):
-    view = filtration.prefix_view(data.draw(st.integers(0, len(filtration) - 1)))
+    i = data.draw(st.integers(0, len(filtration) - 1))
+    view = filtration.prefix_view(i)
     assert_kernel_matches_full_persistence(view)
+    # the same prefix as membership flags: the view's cycles, in the root's basis
+    root = filtration.complex
+    members = [[filtration.index_of(s) <= i for s in root.simplices(d)] for d in range(root.max_dim + 1)]
+    for site in range(root.cloud.n_points):
+        for p in (0, 1, 2, 3):
+            cycles, radii = site_essential_cycles(view, site, p)
+            masked, masked_radii = site_essential_cycles(root, site, p, members)
+            assert masked == tuple(view.extend(c, p) for c in cycles)
+            assert list(map(float.hex, masked_radii)) == list(map(float.hex, radii))
 
 
 @settings(max_examples=60, deadline=None)

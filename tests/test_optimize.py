@@ -425,6 +425,17 @@ def bounds_born_by_death(filtration, interval):
     ]
 
 
+def birth_prefix_candidates(filtration, interval, site):
+    """The bar pass's anchor and other candidates at one site, with the birth
+    prefix flagged on the filtration's complex."""
+    complex_ = filtration.complex
+    members = [
+        [filtration.index_of(s) <= interval.birth for s in complex_.simplices(d)]
+        for d in range(interval.dim + 2)
+    ]
+    return _rotated_candidates(complex_, members, complex_.position(interval.creator), site, interval.dim)
+
+
 @settings(max_examples=30, deadline=None)
 @given(filtered_complexes(), st.integers(0, 7))
 def test_binary_search_boundary(filtration, site_seed):
@@ -437,8 +448,7 @@ def test_binary_search_boundary(filtration, site_seed):
     interval = finite[site_seed % len(finite)]
     complex_ = filtration.complex
     site = sorted(complex_.vertex_ids())[site_seed % complex_.cloud.n_points]
-    prefix = filtration.prefix_view(interval.birth)
-    anchor, others = _rotated_candidates(prefix, prefix.parent.position(interval.creator), site, interval.dim)
+    anchor, others = birth_prefix_candidates(filtration, interval, site)
     n_p = complex_.n_simplices(1)
     death_bounds = bounds_born_by_death(filtration, interval)
 
@@ -460,8 +470,7 @@ def binary_search_representative(filtration, interval, site):
     """The bar pass as it was: a binary search of solve_by_reduction calls
     over how many candidate cycles are admitted. The incremental pass must
     pick the same chain."""
-    prefix = filtration.prefix_view(interval.birth)
-    anchor, others = _rotated_candidates(prefix, prefix.parent.position(interval.creator), site, interval.dim)
+    anchor, others = birth_prefix_candidates(filtration, interval, site)
     n_p = filtration.complex.n_simplices(interval.dim)
     death_bounds = bounds_born_by_death(filtration, interval)
 

@@ -2,8 +2,9 @@ import math
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import complex_with_cycle, filtered_complexes
+from conftest import complex_with_cycle, filtered_complexes, prefix_filtrations
 from oracles import gf2_in_span
 
 from cyclerad import fixtures
@@ -221,8 +222,8 @@ def test_rep_oracle_matches_algorithm_on_two_loop():
         assert alg.r_v == pytest.approx(rep.weight, rel=REL)
 
 
-@settings(max_examples=20, deadline=None)
-@given(filtered_complexes())
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(filtered_complexes(), prefix_filtrations()))
 def test_rep_algorithm_is_exact_on_random_filtrations(filtration):
     pers = compute_persistence(filtration, 1)
     for iv in pers.intervals():
@@ -231,4 +232,5 @@ def test_rep_algorithm_is_exact_on_random_filtrations(filtration):
         except BudgetExceededError:
             continue
         alg = opt_pers_hom_rep(filtration, iv)
+        assert alg.cycle.ambient_size == filtration.complex.n_simplices(1)
         assert alg.r_v == pytest.approx(rep.weight, rel=REL, abs=1e-12)
