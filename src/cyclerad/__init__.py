@@ -13,9 +13,8 @@ request imports only the modules it runs.
 _EXPORTS = {
     name: module
     for module, names in (
-        ("z2", "ChainVector Z2Matrix IncrementalSpan"),
-        ("complexes", "PointCloud EmbeddedComplex SubcomplexView induced_subcomplex "
-                      "ball_induced_subcomplex boundary_columns"),
+        ("z2", "ChainVector IncrementalSpan"),
+        ("complexes", "PointCloud EmbeddedComplex boundary_columns"),
         ("filtrations", "Filtration Interval Barcode PersistenceResult compute_persistence "
                         "rips_filtration lower_star_filtration"),
         ("radius", "SphereCertificate site_radius exact_radius min_enclosing_sphere chain_vertices"),

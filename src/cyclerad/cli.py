@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .complexes import EmbeddedComplex, PointCloud
+from .complexes import EmbeddedComplex
 from .filtrations import (
     Filtration,
     Interval,
@@ -208,13 +208,14 @@ def _maybe_shorten(
 
 def _build_filtration(cfg: RunConfig) -> Filtration:
     if cfg.rips_scale is not None:
-        cloud = PointCloud(read_points(cfg.points_path))
-        return rips_filtration(cloud, cfg.rips_scale, cfg.rips_maxdim)
+        return rips_filtration(read_points(cfg.points_path), cfg.rips_scale, cfg.rips_maxdim)
     if cfg.filtration_path is not None:
-        cloud = PointCloud(read_points(cfg.points_path))
-        return read_filtration(cfg.filtration_path, cloud)
+        return read_filtration(cfg.filtration_path, read_points(cfg.points_path))
     complex_ = read_off(cfg.complex_path)
-    return lower_star_filtration(complex_, read_scalars(cfg.lower_star_path))
+    values = read_scalars(cfg.lower_star_path)
+    if len(values) != complex_.n_simplices(0):
+        raise InputError(cfg.lower_star_path, f"{len(values)} scalar rows for {complex_.n_simplices(0)} vertices")
+    return lower_star_filtration(complex_, values)
 
 
 def _select_bars(persistence: PersistenceResult, top: Optional[int]) -> list[Interval]:
@@ -362,7 +363,9 @@ def _run_verify(cfg: RunConfig) -> tuple[dict, int]:
             }
         )
 
-    ok = all(c["ok"] for c in checks)
+    if not checks:
+        print(f"cyclerad: nothing to verify: no positive-length {cfg.p}-bar", file=sys.stderr)
+    ok = bool(checks) and all(c["ok"] for c in checks)
     report = {"problem": "verify", "mode": mode, "ok": ok, "checks": checks}
     return report, EXIT_OK if ok else EXIT_INVALID
 

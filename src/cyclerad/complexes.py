@@ -3,16 +3,14 @@
 Simplices are strictly increasing tuples of vertex indices into a point
 cloud. Within each dimension the simplices are kept sorted lexicographically;
 (dimension, lexicographic tuple) is the canonical order used for every matrix
-row/column in the package, so moving chains between a complex and a
-subcomplex is a pure re-indexing.
+row/column in the package. A boundary matrix is a list of column masks over
+the canonical positions (``boundary_columns``).
 
-Complexes are immutable once built. A view (``SubcomplexView``) is a
-complex cut from a parent: its canonical order is the parent's, restricted to
-its members, so it answers every query as a complex built from those members
-would, and ``extend`` moves its chains into the parent. The solvers build no
-views: they pass a filtration prefix to the site kernel as membership flags
-and test ball membership per vertex. Views serve the exact oracle and the
-tests.
+Complexes are immutable once built. A subcomplex, such as a filtration
+prefix or the part of a complex inside a ball, is not a complex of its own:
+it is a flag per canonical position of the complex it lies in, so its chains
+need no re-indexing. The site kernel takes a prefix that way, and the exact
+oracle its balls and prefixes.
 
 Geometry is plain Python: points are float tuples, and every distance comes
 from ``distances_from``, whose float operations are fixed, so radii do not
@@ -24,7 +22,7 @@ import math
 from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
-from .z2 import ChainVector, Z2Matrix
+from .z2 import ChainVector
 
 # relative tolerance for sphere membership tests
 MEMBERSHIP_REL_TOL = 1e-9
@@ -145,33 +143,22 @@ class EmbeddedComplex:
                 raise ValueError("empty simplex")
             if s[-1] >= cloud.n_points or s[0] < 0:
                 raise ValueError(f"simplex {s} references a vertex outside the cloud")
+            collected.add(s)
+        levels = [set() for _ in range(max(map(len, collected), default=0))]
+        for s in collected:
+            levels[len(s) - 1].add(s)
+        for d in range(len(levels) - 1, 0, -1):
+            faces = {s[:k] + s[k + 1 :] for s in levels[d] for k in range(d + 1)}
             if close:
-                stack = [s]
-                while stack:
-                    t = stack.pop()
-                    if t in collected:
-                        continue
-                    collected.add(t)
-                    stack.extend(faces_of(t))
-            else:
-                collected.add(s)
-        if not close:
-            for s in collected:
-                for f in faces_of(s):
-                    if f not in collected:
-                        raise ValueError(f"complex is not closed under faces: {s} misses {f}")
-        max_dim = max((len(s) - 1 for s in collected), default=-1)
-        self._index(cloud, [
-            tuple(sorted(s for s in collected if len(s) - 1 == d)) for d in range(max_dim + 1)
-        ])
-
-    def _index(self, cloud: PointCloud, by_dim: list[tuple[Simplex, ...]]) -> None:
-        """Adopt the simplices in canonical order, one tuple per dimension
-        with no trailing empty ones."""
+                levels[d - 1] |= faces
+            elif not faces <= levels[d - 1]:
+                f = min(faces - levels[d - 1])
+                s = min(t for t in levels[d] if f in faces_of(t))
+                raise ValueError(f"complex is not closed under faces: {s} misses {f}")
         self.cloud = cloud
-        self._by_dim = by_dim
+        self._by_dim = [tuple(sorted(level)) for level in levels]
         self._positions: dict[Simplex, tuple[int, int]] = {
-            s: (d, i) for d, group in enumerate(by_dim) for i, s in enumerate(group)
+            s: (d, i) for d, group in enumerate(self._by_dim) for i, s in enumerate(group)
         }
         self._tables: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._powers: list[int] = []
@@ -260,13 +247,6 @@ class EmbeddedComplex:
         group = self.simplices(p)
         return [group[i] for i in chain.support]
 
-    def boundary_matrix(self, p: int) -> Z2Matrix:
-        """Boundary operator from p-chains to (p-1)-chains in canonical order."""
-        if p < 1 or p > self.max_dim:
-            raise ValueError(f"boundary matrix needs 1 <= p <= {self.max_dim}, got {p}")
-        rows = self.n_simplices(p - 1)
-        return Z2Matrix(rows, face_masks(face_columns(self, p), self.powers(rows), range(self.n_simplices(p))))
-
     def is_cycle(self, chain: ChainVector, p: int) -> bool:
         """Whether the chain's boundary vanishes, summed over its own support
         rather than through the full boundary matrix."""
@@ -281,58 +261,12 @@ class EmbeddedComplex:
         return mask == 0
 
 
-class SubcomplexView(EmbeddedComplex):
-    """A face-closed subset of a parent complex, which ``parent`` names. Its
-    canonical order is the parent's restricted to the members, so its chains
-    move into the parent by re-indexing alone."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, parent: EmbeddedComplex, members: Iterable[Iterable[int]], validate: bool = True):
-        chosen: set[Simplex] = set()
-        for raw in members:
-            s = tuple(raw)
-            if not parent.has(s):
-                raise ValueError(f"simplex {s} is not in the parent complex")
-            chosen.add(s)
-        if validate:
-            for s in chosen:
-                for f in faces_of(s):
-                    if f not in chosen:
-                        raise ValueError(f"view is not closed under faces: {s} misses {f}")
-        n_dims = max((len(s) for s in chosen), default=0)
-        self.parent = parent
-        self._index(parent.cloud, [
-            tuple(s for s in parent.simplices(d) if s in chosen) for d in range(n_dims)
-        ])
-
-    def extend(self, chain: ChainVector, p: int) -> ChainVector:
-        """Re-index a p-chain of the view into the parent's canonical basis."""
-        if chain.ambient_size != self.n_simplices(p):
-            raise ValueError("chain does not live in the view's p-basis")
-        mask = 0
-        for s in self.chain_simplices(chain, p):
-            mask |= 1 << self.parent.position(s)
-        return ChainVector(self.parent.n_simplices(p), mask=mask)
-
-
-def induced_subcomplex(parent: EmbeddedComplex, vertices: Iterable[int]) -> SubcomplexView:
-    """Subcomplex of all simplices whose vertices lie in the given set."""
-    allowed = set(int(v) for v in vertices)
-    members = [s for s in parent.all_simplices() if all(v in allowed for v in s)]
-    return SubcomplexView(parent, members, validate=False)
-
-
-def ball_induced_subcomplex(parent: EmbeddedComplex, center, radius: float) -> SubcomplexView:
-    """Subcomplex induced by the vertices inside the closed ball, with a
-    relative membership tolerance so on-sphere vertices are kept."""
-    dist = distances_from(tuple(map(float, center)), parent.cloud.columns)
-    return induced_subcomplex(parent, [v for v in parent.vertex_ids() if within_radius(dist[v], radius)])
-
-
-def boundary_columns(complex_like: EmbeddedComplex, p: int) -> Z2Matrix:
-    """Boundaries of the (p+1)-simplices as columns over the p-basis; the
-    empty matrix when there are no (p+1)-simplices."""
-    if p + 1 <= complex_like.max_dim:
-        return complex_like.boundary_matrix(p + 1)
-    return Z2Matrix(complex_like.n_simplices(p), [])
+def boundary_columns(complex_like: EmbeddedComplex, p: int) -> list[int]:
+    """Boundaries of the (p+1)-simplices as masks over the canonical
+    p-positions, in canonical order; [] when there are no (p+1)-simplices.
+    The boundary of the p-simplices is boundary_columns(complex_like, p - 1)."""
+    n_cols = complex_like.n_simplices(p + 1)
+    if p < 0 or not n_cols:
+        return []
+    row_bits = complex_like.powers(complex_like.n_simplices(p))
+    return face_masks(face_columns(complex_like, p + 1), row_bits, range(n_cols))

@@ -22,7 +22,6 @@ from .complexes import (
     EmbeddedComplex,
     PointCloud,
     Simplex,
-    SubcomplexView,
     distances_from,
     face_columns,
     face_masks,
@@ -85,11 +84,6 @@ class Filtration:
 
     def index_of(self, simplex: Iterable[int]) -> int:
         return self._index[tuple(simplex)]
-
-    def prefix_view(self, i: int) -> SubcomplexView:
-        """The complex formed by the first i+1 simplices, as a view on the
-        filtration's complex."""
-        return SubcomplexView(self.complex, self.order[: i + 1], validate=False)
 
 
 class Interval(NamedTuple):
@@ -286,7 +280,7 @@ def lower_star_filtration(complex_like: EmbeddedComplex, vertex_values) -> Filtr
     if isinstance(vertex_values, Mapping):
         lookup = dict(vertex_values)
     else:
-        lookup = {v: float(vertex_values[v]) for v in complex_like.vertex_ids()}
+        lookup = dict(enumerate(map(float, vertex_values)))
     for v in complex_like.vertex_ids():
         if v not in lookup:
             raise ValueError(f"missing scalar value for vertex {v}")

@@ -133,7 +133,7 @@ def write_off(path: PathLike, complex_like: EmbeddedComplex) -> None:
 # -- CSV points and scalars -------------------------------------------------
 
 
-def read_points(path: PathLike) -> list[list[float]]:
+def read_points(path: PathLike) -> PointCloud:
     """Point cloud from CSV or whitespace rows; every column is a coordinate."""
     rows = []
     width = None
@@ -146,7 +146,10 @@ def read_points(path: PathLike) -> list[list[float]]:
         rows.append(row)
     if not rows:
         raise InputError(path, "no points")
-    return rows
+    try:
+        return PointCloud(rows)
+    except ValueError as exc:
+        raise InputError(path, str(exc)) from exc
 
 
 def read_scalars(path: PathLike) -> list[float]:

@@ -159,13 +159,13 @@ def _homologous_evaluator(
     if not complex_like.is_cycle(cycle, p):
         raise ValueError("input chain is not a cycle")
     n_p = complex_like.n_simplices(p)
-    boundaries = IncrementalSpan(n_p, boundary_columns(complex_like, p).columns())
+    boundaries = IncrementalSpan(n_p, boundary_columns(complex_like, p))
 
     def evaluate(site: int) -> tuple[float, ChainVector]:
         span = boundaries.copy()
         for c in _site_essential_cycles(complex_like, site, p)[0]:
-            span.add(c, c.mask)
-        mask = span.express(cycle)
+            span.add(c.mask, c.mask)
+        mask = span.express(cycle.mask)
         # essential cycles and boundaries together span every cycle
         assert mask is not None
         out = ChainVector(n_p, mask=mask)
@@ -205,7 +205,7 @@ def opt_homology_basis(
         raise ValueError("basis dimension must be positive")
     admitted: Optional[list[tuple[float, int, int, ChainVector]]] = None  # (r, site, rank, cycle)
     # the boundaries, then the admitted cycles in order, one column each
-    span = IncrementalSpan(complex_like.n_simplices(p), boundary_columns(complex_like, p).columns())
+    span = IncrementalSpan(complex_like.n_simplices(p), boundary_columns(complex_like, p))
     boundary_rank = span.rank
 
     def evaluate(site: int) -> float:
@@ -220,7 +220,7 @@ def opt_homology_basis(
             start = next((i for i, t in enumerate(pool) if t[1] == site), len(pool))
             admitted = pool[:start]
             span.truncate(boundary_rank + start)
-            admitted += [t for t in pool[start:] if span.add(t[3])]
+            admitted += [t for t in pool[start:] if span.add(t[3].mask)]
         assert len(admitted) == len(cycles)  # homology rank cannot depend on the site
         return radii[0] if radii else 0.0
 
@@ -267,14 +267,14 @@ def _bar_evaluator(filtration: Filtration, interval: Interval) -> SiteEvaluator:
     members = [[index_of[s] <= interval.birth for s in complex_like.simplices(d)] for d in range(p + 2)]
     creator_bit = complex_like.position(interval.creator)
     n_p = complex_like.n_simplices(p)
-    death_span = IncrementalSpan(n_p)
+    born_by_death = []
     if interval.death is not None and p + 1 <= complex_like.max_dim:
         # only the boundaries born by the death time, in canonical order
         born = [
             j for j, tau in enumerate(complex_like.simplices(p + 1)) if index_of[tau] <= interval.death
         ]
-        for mask in face_masks(face_columns(complex_like, p + 1), complex_like.powers(n_p), born):
-            death_span.add(ChainVector(n_p, mask=mask))
+        born_by_death = face_masks(face_columns(complex_like, p + 1), complex_like.powers(n_p), born)
+    death_span = IncrementalSpan(n_p, born_by_death)
 
     def evaluate(site: int) -> tuple[float, ChainVector]:
         anchor, others = _rotated_candidates(complex_like, members, creator_bit, site, p)
@@ -284,12 +284,12 @@ def _bar_evaluator(filtration: Filtration, interval: Interval) -> SiteEvaluator:
             return site_radius(complex_like, site, anchor, p), anchor
 
         span = death_span.copy()
-        mask = span.express(anchor)
+        mask = span.express(anchor.mask)
         for c in others:
             if mask is not None:
                 break
-            span.add(c, c.mask)
-            mask = span.express(anchor)
+            span.add(c.mask, c.mask)
+            mask = span.express(anchor.mask)
         assert mask is not None  # the bar dies, so the full span works
         out = anchor ^ ChainVector(n_p, mask=mask)
         return site_radius(complex_like, site, out, p), out
@@ -401,7 +401,7 @@ def shorten_cycle(
             adjacency.setdefault(b, []).append(a)
     for v in adjacency:
         adjacency[v].sort()
-    bounds = IncrementalSpan(complex_like.n_simplices(1), boundary_columns(complex_like, 1).columns())
+    bounds = IncrementalSpan(complex_like.n_simplices(1), boundary_columns(complex_like, 1))
 
     cycle = result.cycle
     for _ in range(max_passes):
@@ -436,7 +436,7 @@ def shorten_cycle(
                 continue
             if not complex_like.is_cycle(candidate, 1):
                 continue
-            if not bounds.contains(difference):
+            if not bounds.contains(difference.mask):
                 continue
             cycle = candidate
             changed = True

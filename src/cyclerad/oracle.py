@@ -7,24 +7,23 @@ dozen vertices; the budget guard exists so a test that outgrows the oracle
 fails loudly instead of hanging.
 
 The linear algebra is redone locally on dense bitmasks rather than routed
-through the reduction code in ``z2``, so the reference results do not inherit
-a bug from the machinery they are supposed to check.  Two deliberately
-different routes to the same optimum exist (sphere enumeration in
-``exact_optimal_homologous_cycle``, class unrolling in ``enumerate_class``);
-tests compare them against each other as well as against the fast paths.
+through the site kernel in ``filtrations``, so the reference results do not
+inherit a bug from the machinery they are supposed to check; only the
+boundary columns come from ``complexes``. A candidate ball or a bar's birth
+prefix is a flag per canonical position of the complex, so every chain stays
+in the complex's own basis.  Two deliberately different routes to the same
+optimum exist (sphere enumeration in ``exact_optimal_homologous_cycle``,
+class unrolling in ``enumerate_class``); tests compare them against each
+other as well as against the fast paths.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .complexes import (
-    EmbeddedComplex,
-    ball_induced_subcomplex,
-    boundary_columns,
-)
+from .complexes import EmbeddedComplex, boundary_columns, distances_from, within_radius
 from .filtrations import Filtration, Interval
 from .radius import exact_radius, min_enclosing_sphere, site_radius
 from .z2 import ChainVector
@@ -164,24 +163,35 @@ def _xor_select(masks: Sequence[int], bits: int) -> int:
     return out
 
 
-def _cycle_space_masks(complex_like: EmbeddedComplex, p: int) -> list[int]:
-    """Masks, over the complex's own p-basis, of a basis of the p-cycles.
+def _cycle_space_masks(
+    complex_like: EmbeddedComplex, p: int, members: Optional[Sequence[bool]] = None
+) -> list[int]:
+    """Masks, over the complex's own p-basis, of a basis of the p-cycles of
+    the face-closed subcomplex whose p-simplices members flags (all of them
+    by default).
 
-    Kernel coefficients over the boundary columns are themselves chains in
-    the p-basis, so no translation step is needed.
+    Kernel coefficients over the member boundary columns name member
+    positions; each coefficient bit maps back through them. The columns keep
+    canonical order and their rows the complex's, which orders the rows as
+    the subcomplex's own basis would, so the basis found is the one the
+    subcomplex alone gives.
     """
-    n_p = complex_like.n_simplices(p)
-    if n_p == 0:
-        return []
+    positions = range(complex_like.n_simplices(p))
+    if members is not None:
+        positions = list(compress(positions, members))
+    bits = [1 << q for q in positions]
     if p == 0:
-        return [1 << j for j in range(n_p)]
-    bmat = complex_like.boundary_matrix(p)
-    return _kernel_coefficients([bmat.column_mask(j) for j in range(bmat.n_cols)])
+        return bits
+    columns = boundary_columns(complex_like, p - 1)
+    return [_xor_select(bits, c) for c in _kernel_coefficients([columns[q] for q in positions])]
 
 
-def _boundary_masks(complex_like: EmbeddedComplex, p: int) -> list[int]:
-    bounds = boundary_columns(complex_like, p)
-    return [bounds.column_mask(j) for j in range(bounds.n_cols)]
+def _ball_members(complex_like: EmbeddedComplex, center, radius: float, p: int) -> list[bool]:
+    """Flags over the canonical p-positions of the simplices whose vertices
+    all lie in the closed ball, with a relative membership tolerance so
+    on-sphere vertices are kept."""
+    inside = [within_radius(x, radius) for x in distances_from(center, complex_like.cloud.columns)]
+    return [all(inside[v] for v in s) for s in complex_like.simplices(p)]
 
 
 def _weight_fn(
@@ -254,22 +264,14 @@ def exact_optimal_homologous_cycle(
     budget.check_complex(complex_like)
     if not complex_like.is_cycle(cycle, p):
         raise ValueError("input chain is not a cycle")
-    bmasks = _boundary_masks(complex_like, p)
+    bmasks = boundary_columns(complex_like, p)
     n_p = complex_like.n_simplices(p)
     for radius, center in _candidate_spheres(complex_like):
-        sub = ball_induced_subcomplex(complex_like, center, radius)
-        kernel = _cycle_space_masks(sub, p)
-        ext = [
-            sub.extend(ChainVector(sub.n_simplices(p), mask=m), p).mask
-            for m in kernel
-        ]
-        coeffs = _solve_masks(ext + bmasks, cycle.mask)
+        cycles = _cycle_space_masks(complex_like, p, _ball_members(complex_like, center, radius, p))
+        coeffs = _solve_masks(cycles + bmasks, cycle.mask)
         if coeffs is None:
             continue
-        mask = 0
-        for j in range(len(ext)):
-            if coeffs >> j & 1:
-                mask ^= ext[j]
+        mask = _xor_select(cycles, coeffs & ((1 << len(cycles)) - 1))
         # the rest of the solution is boundaries, so the witness stays put
         assert _solve_masks(bmasks, cycle.mask ^ mask) is not None
         return ExactOptimum(radius=radius, cycle=ChainVector(n_p, mask=mask), center=center)
@@ -290,7 +292,7 @@ def enumerate_class(
     budget.check_complex(complex_like)
     if not complex_like.is_cycle(cycle, p):
         raise ValueError("input chain is not a cycle")
-    basis = _independent_masks(_boundary_masks(complex_like, p))
+    basis = _independent_masks(boundary_columns(complex_like, p))
     budget.check_span(len(basis))
     n_p = complex_like.n_simplices(p)
     return [
@@ -310,7 +312,7 @@ def exact_min_basis(
     budget.check_complex(complex_like)
     weigh = _weight_fn(complex_like, p, weight)
     n_p = complex_like.n_simplices(p)
-    bbasis = _independent_masks(_boundary_masks(complex_like, p))
+    bbasis = _independent_masks(boundary_columns(complex_like, p))
     budget.check_span(len(bbasis))
 
     rows = _span_rows(bbasis)
@@ -376,36 +378,25 @@ def exact_min_persistent_rep(
     n_p = complex_like.n_simplices(p)
     creator_bit = complex_like.position(interval.creator)
 
-    prefix = filtration.prefix_view(interval.birth)
-    kernel = _cycle_space_masks(prefix, p)
-    budget.check_span(len(kernel))
-    ext = [
-        prefix.extend(ChainVector(prefix.n_simplices(p), mask=m), p).mask
-        for m in kernel
-    ]
+    index_of = filtration._index
+    prefix = [index_of[s] <= interval.birth for s in complex_like.simplices(p)]
+    cycles = _cycle_space_masks(complex_like, p, prefix)
+    budget.check_span(len(cycles))
 
-    full = _boundary_masks(complex_like, p)
+    full = boundary_columns(complex_like, p)
     if interval.death is None:
         pre_rows = _span_rows(full)
         death_rows = None
     else:
         higher = complex_like.simplices(p + 1)
-        pre = [
-            full[j]
-            for j, tau in enumerate(higher)
-            if filtration.index_of(tau) <= interval.death - 1
-        ]
-        at_death = [
-            full[j]
-            for j, tau in enumerate(higher)
-            if filtration.index_of(tau) <= interval.death
-        ]
+        pre = [full[j] for j, tau in enumerate(higher) if index_of[tau] <= interval.death - 1]
+        at_death = [full[j] for j, tau in enumerate(higher) if index_of[tau] <= interval.death]
         pre_rows = _span_rows(pre)
         death_rows = _span_rows(at_death)
 
     best = None
-    for bits in range(1, 1 << len(kernel)):
-        m = _xor_select(ext, bits)
+    for bits in range(1, 1 << len(cycles)):
+        m = _xor_select(cycles, bits)
         if not m >> creator_bit & 1:
             continue
         if _reduce_mask(m, pre_rows) == 0:

@@ -1,18 +1,19 @@
-"""Sparse linear algebra over Z2: chains, column matrices, and a growing
-column span that answers membership and expresses a vector over its
-columns.
+"""Sparse linear algebra over Z2: chains, and a growing column span that
+answers membership and expresses a vector over its columns.
 
-Columns are stored as arbitrary-precision integers used as bitmasks (bit i set
-means row i is nonzero). Addition over Z2 is XOR; the lowest-one of a column
-(its largest nonzero row index) is ``bit_length() - 1``. Externally every
-column is built from and reported as a strictly increasing list of row indices.
+Vectors are arbitrary-precision integers used as bitmasks (bit i set means
+row i is nonzero). Addition over Z2 is XOR; the lowest-one of a column (its
+largest nonzero row index) is ``bit_length() - 1``. A matrix is a list of
+column masks, as ``complexes.boundary_columns`` returns; a ``ChainVector``
+is a mask with its ambient size, built from and reported as a strictly
+increasing list of row indices.
 
 All functions here are pure: inputs are never mutated and no module state is
 shared.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 
 def _mask_from_support(support: Iterable[int], n_rows: int) -> int:
@@ -83,71 +84,18 @@ class ChainVector:
         return f"ChainVector({self.ambient_size}, {self.support})"
 
 
-class Z2Matrix:
-    """A Z2 matrix held column-wise."""
-
-    __slots__ = ("n_rows", "_cols")
-
-    def __init__(self, n_rows: int, column_masks: Iterable[int] = ()):
-        self.n_rows = int(n_rows)
-        self._cols = list(column_masks)
-        limit = 1 << self.n_rows
-        for mask in self._cols:
-            if mask < 0 or mask >= limit:
-                raise ValueError("column mask exceeds row count")
-
-    @classmethod
-    def from_columns(cls, n_rows: int, supports: Iterable[Iterable[int]]) -> "Z2Matrix":
-        return cls(n_rows, (_mask_from_support(s, n_rows) for s in supports))
-
-    @classmethod
-    def from_chains(cls, n_rows: int, chains: Iterable[ChainVector]) -> "Z2Matrix":
-        masks = []
-        for c in chains:
-            if c.ambient_size != n_rows:
-                raise ValueError("chain ambient size must equal the row count")
-            masks.append(c.mask)
-        return cls(n_rows, masks)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self._cols)
-
-    def column_mask(self, j: int) -> int:
-        return self._cols[j]
-
-    def column(self, j: int) -> ChainVector:
-        return ChainVector(self.n_rows, mask=self._cols[j])
-
-    def column_support(self, j: int) -> list[int]:
-        return _support_from_mask(self._cols[j])
-
-    def columns(self) -> Iterator[ChainVector]:
-        for mask in self._cols:
-            yield ChainVector(self.n_rows, mask=mask)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Z2Matrix)
-            and self.n_rows == other.n_rows
-            and self._cols == other._cols
-        )
-
-    def __repr__(self) -> str:
-        return f"Z2Matrix({self.n_rows}x{self.n_cols})"
-
-
 class IncrementalSpan:
     """Growing column space with O(cols) membership insertion: kept reduced
-    so each stored column has a distinct lowest-one row. Each added column
-    may carry a tag mask that is summed along with it, so ``express`` can say
-    which added columns a vector is the sum of."""
+    so each stored column has a distinct lowest-one row. Columns and vectors
+    are masks over n_rows rows. Each added column may carry a tag mask that
+    is summed along with it, so ``express`` can say which added columns a
+    vector is the sum of."""
 
-    def __init__(self, n_rows: int, columns: Iterable[ChainVector] = ()):
+    def __init__(self, n_rows: int, masks: Iterable[int] = ()):
         self.n_rows = n_rows
         self._by_low: dict[int, tuple[int, int]] = {}  # low row -> (mask, tag)
-        for c in columns:
-            self.add(c)
+        for mask in masks:
+            self.add(mask)
 
     @property
     def rank(self) -> int:
@@ -164,12 +112,11 @@ class IncrementalSpan:
         while len(self._by_low) > rank:
             self._by_low.popitem()
 
-    def reduce(self, vector: ChainVector, tag: int = 0) -> tuple[int, int]:
+    def reduce(self, mask: int, tag: int = 0) -> tuple[int, int]:
         """The vector's remainder against the span, and the tag plus the tags
         of the stored columns taken off it."""
-        if vector.ambient_size != self.n_rows:
-            raise ValueError("vector ambient size must equal the row count")
-        mask = vector.mask
+        if mask < 0 or mask >> self.n_rows:
+            raise ValueError("mask exceeds the row count")
         while mask:
             stored = self._by_low.get(mask.bit_length() - 1)
             if stored is None:
@@ -178,22 +125,22 @@ class IncrementalSpan:
             tag ^= stored[1]
         return mask, tag
 
-    def contains(self, vector: ChainVector) -> bool:
-        return self.reduce(vector)[0] == 0
+    def contains(self, mask: int) -> bool:
+        return self.reduce(mask)[0] == 0
 
-    def add(self, vector: ChainVector, tag: int = 0) -> bool:
-        """Insert the vector with its tag; True when it enlarged the span."""
-        mask, tag = self.reduce(vector, tag)
+    def add(self, mask: int, tag: int = 0) -> bool:
+        """Insert the column with its tag; True when it enlarged the span."""
+        mask, tag = self.reduce(mask, tag)
         if mask == 0:
             return False
         self._by_low[mask.bit_length() - 1] = (mask, tag)
         return True
 
-    def express(self, vector: ChainVector) -> Optional[int]:
+    def express(self, mask: int) -> Optional[int]:
         """The sum of the tags of added columns that sum to the vector, or
         None when the vector lies outside the span. The vector is reduced
         against the stored columns by their lowest-one rows, as a
         left-to-right reduction of the added columns followed by the vector
         would reduce it, so the combination is the one that reduction finds."""
-        mask, tag = self.reduce(vector)
+        mask, tag = self.reduce(mask)
         return None if mask else tag

@@ -125,11 +125,13 @@ def filtered_complexes(draw, min_points=3, max_points=8, max_dim=2, max_top_cell
 
 @st.composite
 def prefix_filtrations(draw):
-    """The first simplices of a drawn filtration, as a filtration whose
-    complex is that prefix's view."""
+    """The first simplices of a drawn filtration, as a filtration of the
+    complex they form on their own."""
     filtration = draw(filtered_complexes())
     i = draw(st.integers(0, len(filtration) - 1))
-    return Filtration(filtration.prefix_view(i), filtration.order[: i + 1], filtration.values[: i + 1])
+    order = filtration.order[: i + 1]
+    prefix = EmbeddedComplex(filtration.complex.cloud, order, close=False)
+    return Filtration(prefix, order, filtration.values[: i + 1])
 
 
 @st.composite
@@ -142,10 +144,10 @@ def complex_with_cycle(draw):
 
     complex_ = draw(embedded_complexes())
     essential, _ = _site_essential_cycles(complex_, 0, 1)
-    bounds = boundary_columns(complex_, 1)
-    parts = list(essential) + [bounds.column(j) for j in range(bounds.n_cols)]
+    n_1 = complex_.n_simplices(1)
+    parts = list(essential) + [ChainVector(n_1, mask=m) for m in boundary_columns(complex_, 1)]
     chosen = draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts)))
-    cycle = ChainVector(complex_.n_simplices(1), [])
+    cycle = ChainVector(n_1, [])
     for flag, part in zip(chosen, parts):
         if flag:
             cycle = cycle ^ part

@@ -148,15 +148,15 @@ def brute_min_enclosing_radius(points: list[tuple[float, ...]]) -> tuple[float, 
     return best
 
 
-def bounds_in_view(view, complex_, chain, p) -> bool:
-    """Whether the chain (in the parent complex's p-basis) is a (p+1)-boundary
-    of the subcomplex, by dense elimination."""
-    lower = view.simplices(p)
-    index = {s: i for i, s in enumerate(lower)}
-    cols = []
-    for s in view.simplices(p + 1) if view.max_dim > p else ():
-        cols.append(sorted(index[f] for f in boundary_support(s)))
-    target = [index[s] for s in complex_.chain_simplices(chain, p)]
+def bounds_in_prefix(filtration, i: int, chain, p: int) -> bool:
+    """Whether the chain (in the filtration complex's p-basis) is a
+    (p+1)-boundary of the first i+1 simplices of the filtration, by dense
+    elimination."""
+    prefix = filtration.order[: i + 1]
+    lower = sorted(s for s in prefix if len(s) == p + 1)
+    index = {s: k for k, s in enumerate(lower)}
+    cols = [sorted(index[f] for f in boundary_support(s)) for s in prefix if len(s) == p + 2]
+    target = [index[s] for s in filtration.complex.chain_simplices(chain, p)]
     return gf2_in_span(cols, len(lower), target)
 
 
@@ -319,11 +319,6 @@ def lstsq_min_enclosing_sphere(points) -> tuple[tuple[float, ...], float]:
 
 def mask_support(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def columns_of(matrix) -> list[int]:
-    """The column masks of a package matrix."""
-    return [matrix.column_mask(j) for j in range(matrix.n_cols)]
 
 
 def matmul(a: list[int], b: list[int]) -> list[int]:

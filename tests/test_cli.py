@@ -295,6 +295,36 @@ def test_exit_code_bad_rips_scale(tmp_path, two_loop_files, capsys, scale):
     assert "--rips must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", [["--rips", "1"], ["--filtration", "{flt}"]])
+def test_exit_code_duplicate_point(tmp_path, two_loop_files, capsys, source):
+    _, _, flt = two_loop_files
+    dup = tmp_path / "dup.csv"
+    dup.write_text("0,0\n0,0\n1,0\n")
+    argv = ["persistent", "--points", str(dup), *(a.format(flt=flt) for a in source)]
+    code = main(argv + ["--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert f"{dup}: duplicate point at indices 0 and 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [2, 11])
+def test_exit_code_lower_star_row_count(tmp_path, annulus_files, capsys, rows):
+    _, off, _ = annulus_files
+    vals = tmp_path / "vals.csv"
+    vals.write_text("".join(f"{i}.0\n" for i in range(rows)))
+    code = main(["persistent", "--complex", off, "--lower-star", str(vals), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert f"{vals}: {rows} scalar rows for 9 vertices" in capsys.readouterr().err
+
+
+def test_verify_with_nothing_to_check_fails(tmp_path, capsys):
+    ring = tmp_path / "ring.csv"
+    ring.write_text("".join(f"{x!r},{y!r}\n" for x, y in fixtures.circle_cloud(12).coords))
+    code, report = run_json(tmp_path, ["verify", "--points", str(ring), "--rips", "0.1"])
+    assert code == 3
+    assert report["checks"] == [] and report["ok"] is False
+    assert "nothing to verify" in capsys.readouterr().err
+
+
 def test_exit_code_basis_mode_verify_needs_positive_dimension(tmp_path, annulus_files, capsys):
     _, off, _ = annulus_files
     code = main(["verify", "--complex", off, "-p", "0", "--out", str(tmp_path / "r.json")])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import coordinate_rows, embedded_complexes, filtered_complexes, loopy_complexes
 from oracles import (
     betti_by_rank,
-    bounds_in_view,
+    bounds_in_prefix,
     mask_support,
     numpy_rips,
     numpy_site_essential_cycles,
@@ -80,14 +80,6 @@ def test_filtration_values_must_be_finite(bad):
         Filtration(complex_, order, [0, 0, 0, 1, 1, bad])
 
 
-def test_prefix_view():
-    f = hollow_triangle_filtration()
-    view = f.prefix_view(3)
-    assert view.total_simplices() == 4
-    assert view.simplices(1) == ((0, 1),)
-    assert f.prefix_view(5).total_simplices() == 6
-
-
 def test_square_boundary_matrix():
     f = hollow_triangle_filtration()
     m = square_boundary_matrix(f)
@@ -148,12 +140,10 @@ def test_representatives_satisfy_interval_conditions(filtration):
         assert max(positions) == iv.birth  # lives in the birth prefix, meets the creator
         assert filtration.order[iv.birth] in complex_.chain_simplices(rep, 1)
         if iv.death is not None:
-            before = filtration.prefix_view(iv.death - 1)
-            after = filtration.prefix_view(iv.death)
-            assert not bounds_in_view(before, complex_, rep, 1)
-            assert bounds_in_view(after, complex_, rep, 1)
+            assert not bounds_in_prefix(filtration, iv.death - 1, rep, 1)
+            assert bounds_in_prefix(filtration, iv.death, rep, 1)
         else:
-            assert not bounds_in_view(complex_, complex_, rep, 1)
+            assert not bounds_in_prefix(filtration, len(filtration) - 1, rep, 1)
 
 
 @st.composite
@@ -317,6 +307,8 @@ def test_lower_star_accepts_array_and_rejects_missing():
     assert f.value_at(len(f) - 1) == 2.0
     with pytest.raises(ValueError):
         lower_star_filtration(complex_, {0: 0.0, 1: 1.0})
+    with pytest.raises(ValueError, match="missing scalar value for vertex 2"):
+        lower_star_filtration(complex_, [0.0, 1.0])
 
 
 # -- site orderings -------------------------------------------------------
@@ -389,16 +381,16 @@ def test_site_essential_cycles_match_full_persistence(complex_):
 @given(filtered_complexes(max_dim=3), st.data())
 def test_site_essential_cycles_match_on_prefix_views(filtration, data):
     i = data.draw(st.integers(0, len(filtration) - 1))
-    view = filtration.prefix_view(i)
-    assert_kernel_matches_full_persistence(view)
-    # the same prefix as membership flags: the view's cycles, in the root's basis
     root = filtration.complex
+    prefix = EmbeddedComplex(root.cloud, filtration.order[: i + 1], close=False)
+    assert_kernel_matches_full_persistence(prefix)
+    # the same prefix as membership flags: the prefix complex's cycles, in the root's basis
     members = [[filtration.index_of(s) <= i for s in root.simplices(d)] for d in range(root.max_dim + 1)]
     for site in range(root.cloud.n_points):
         for p in (0, 1, 2, 3):
-            cycles, radii = site_essential_cycles(view, site, p)
+            cycles, radii = site_essential_cycles(prefix, site, p)
             masked, masked_radii = site_essential_cycles(root, site, p, members)
-            assert masked == tuple(view.extend(c, p) for c in cycles)
+            assert masked == tuple(root.chain(prefix.chain_simplices(c, p), p) for c in cycles)
             assert list(map(float.hex, masked_radii)) == list(map(float.hex, radii))
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complex_with_cycle, embedded_complexes, filtered_complexes, loopy_complexes
-from oracles import bounds_in_view, gf2_in_span, solve_by_reduction
+from oracles import bounds_in_prefix, gf2_in_span, mask_support, solve_by_reduction
 
 from cyclerad.complexes import boundary_columns
 from cyclerad.filtrations import compute_persistence, lower_star_filtration
@@ -30,10 +30,7 @@ REL = 1e-9
 
 
 def bounds_in_full(complex_, chain, p):
-    cols = [
-        [int(i) for i in boundary_columns(complex_, p).column_support(j)]
-        for j in range(boundary_columns(complex_, p).n_cols)
-    ]
+    cols = [mask_support(m) for m in boundary_columns(complex_, p)]
     return gf2_in_span(cols, complex_.n_simplices(p), list(chain.support))
 
 
@@ -213,10 +210,7 @@ def test_basis_spans_and_is_independent(complex_):
     basis = opt_homology_basis(complex_, 1)
     beta = betti_by_rank(list(complex_.all_simplices()), 1)
     assert len(basis.cycles) == beta
-    bounds = boundary_columns(complex_, 1)
-    cols = [
-        [int(i) for i in bounds.column_support(j)] for j in range(bounds.n_cols)
-    ]
+    cols = [mask_support(m) for m in boundary_columns(complex_, 1)]
     n = complex_.n_simplices(1)
     from oracles import dense_from_columns, gf2_rank
 
@@ -238,11 +232,11 @@ def exhaustive_basis(complex_, p, sites=None):
         cycles, radii = _site_essential_cycles(complex_, v, p)
         pool += [(r, v, k, c) for k, (c, r) in enumerate(zip(cycles, radii))]
     pool.sort(key=lambda t: t[:3])
-    span = IncrementalSpan(complex_.n_simplices(p), boundary_columns(complex_, p).columns())
+    span = IncrementalSpan(complex_.n_simplices(p), boundary_columns(complex_, p))
     admitted = [
         _result_for_cycle(complex_, c, p, v, "homology-basis")
         for _, v, _, c in pool
-        if span.add(c)
+        if span.add(c.mask)
     ]
     return HomologyBasisResult(tuple(admitted), sum(x.r_v for x in admitted))
 
@@ -341,12 +335,10 @@ def interval_conditions_hold(filtration, interval, result):
     assert all(filtration.index_of(s) <= interval.birth for s in simplices)
     assert complex_.is_cycle(rep, interval.dim)
     if interval.death is not None:
-        before = filtration.prefix_view(interval.death - 1)
-        after = filtration.prefix_view(interval.death)
-        assert not bounds_in_view(before, complex_, rep, interval.dim)
-        assert bounds_in_view(after, complex_, rep, interval.dim)
+        assert not bounds_in_prefix(filtration, interval.death - 1, rep, interval.dim)
+        assert bounds_in_prefix(filtration, interval.death, rep, interval.dim)
     else:
-        assert not bounds_in_view(complex_, complex_, rep, interval.dim)
+        assert not bounds_in_prefix(filtration, len(filtration) - 1, rep, interval.dim)
 
 
 def test_lower_star_triangle_representative():
@@ -415,12 +407,9 @@ def bounds_born_by_death(filtration, interval):
     """Boundaries of the (p+1)-simplices in the filtration by the death index."""
     complex_ = filtration.complex
     p = interval.dim
-    if complex_.max_dim < p + 1:
-        return []
-    full = complex_.boundary_matrix(p + 1)
     return [
-        full.column(j)
-        for j, tau in enumerate(complex_.simplices(p + 1))
+        ChainVector(complex_.n_simplices(p), mask=m)
+        for m, tau in zip(boundary_columns(complex_, p), complex_.simplices(p + 1))
         if filtration.index_of(tau) <= interval.death
     ]
 

@@ -4,16 +4,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import complex_with_cycle, filtered_complexes, prefix_filtrations
-from oracles import gf2_in_span
+from conftest import complex_with_cycle, embedded_complexes, filtered_complexes, loopy_complexes, prefix_filtrations
+from oracles import gf2_in_span, mask_support
 
 from cyclerad import fixtures
-from cyclerad.complexes import boundary_columns
+from cyclerad.complexes import EmbeddedComplex, boundary_columns
 from cyclerad.filtrations import compute_persistence
 from cyclerad.optimize import opt_homologous_cycle, opt_homology_basis, opt_pers_hom_rep
 from cyclerad.oracle import (
     BudgetExceededError,
     OracleBudget,
+    _cycle_space_masks,
     enumerate_class,
     exact_min_basis,
     exact_min_persistent_rep,
@@ -25,9 +26,41 @@ REL = 1e-9
 
 
 def bounds_in_full(complex_, chain, p):
-    mat = boundary_columns(complex_, p)
-    cols = [[int(i) for i in mat.column_support(j)] for j in range(mat.n_cols)]
+    cols = [mask_support(m) for m in boundary_columns(complex_, p)]
     return gf2_in_span(cols, complex_.n_simplices(p), list(chain.support))
+
+
+# -- cycle spaces of flagged members ----------------------------------------
+
+
+@st.composite
+def subcomplex_members(draw):
+    """A complex and the simplices of a face-closed part of it: a prefix of a
+    drawn filtration, or the part induced by a drawn vertex subset."""
+    if draw(st.booleans()):
+        filtration = draw(filtered_complexes(max_dim=3))
+        return filtration.complex, filtration.order[: draw(st.integers(1, len(filtration)))]
+    parent = draw(st.one_of(embedded_complexes(max_dim=3), loopy_complexes()))
+    allowed = draw(st.sets(st.sampled_from(parent.vertex_ids())))
+    return parent, [s for s in parent.all_simplices() if allowed.issuperset(s)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(subcomplex_members())
+def test_member_cycle_spaces_match_the_members_alone(args):
+    """The cycle space of the flagged members is the one the complex of the
+    members alone gives, the same cycles in the same order, re-indexed by
+    position."""
+    parent, members = args
+    alone = EmbeddedComplex(parent.cloud, members, close=False)
+    chosen = set(members)
+    for p in range(parent.max_dim + 2):
+        flags = [s in chosen for s in parent.simplices(p)]
+        expect = [
+            sum(1 << parent.position(s) for s in alone.simplices(p) if m >> alone.position(s) & 1)
+            for m in _cycle_space_masks(alone, p)
+        ]
+        assert _cycle_space_masks(parent, p, flags) == expect
 
 
 # -- sphere enumeration path ------------------------------------------------

@@ -1,10 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclerad.z2 import ChainVector, IncrementalSpan, Z2Matrix
+from cyclerad.z2 import ChainVector, IncrementalSpan
 
 from oracles import (
-    columns_of,
     dense_from_columns,
     gf2_rank,
     gf2_solve,
@@ -51,6 +50,11 @@ simple_matrix = st.integers(1, 30).flatmap(
 )
 
 
+def masks(n_rows, supports):
+    """Column masks from strictly increasing row lists."""
+    return [ChainVector(n_rows, s).mask for s in supports]
+
+
 def test_chain_vector_support_roundtrip():
     v = ChainVector(10, [0, 3, 7])
     assert v.support == [0, 3, 7]
@@ -77,10 +81,8 @@ def test_xor_is_symmetric_difference():
 
 def test_reduction_full_boundary_matrix_of_hollow_triangle():
     # square matrix over the ordered simplices a, b, c, ab, bc, ca
-    m = Z2Matrix.from_columns(
-        6, [[], [], [], [0, 1], [1, 2], [0, 2]]
-    )
-    res = standard_reduction(columns_of(m))
+    m = masks(6, [[], [], [], [0, 1], [1, 2], [0, 2]])
+    res = standard_reduction(m)
     assert res.pairs == ((1, 3), (2, 4))
     # vertices b, c are killed (their indices are pair low rows); vertex a and
     # the closing edge remain unpaired: one component, one loop
@@ -94,23 +96,23 @@ def test_reduction_full_boundary_matrix_of_hollow_triangle():
 @settings(max_examples=120, deadline=None)
 def test_reduction_invariants(data):
     n_rows, cols = data
-    m = Z2Matrix.from_columns(n_rows, cols)
-    res = standard_reduction(columns_of(m))
+    m = masks(n_rows, cols)
+    res = standard_reduction(m)
     # reduced = matrix @ basis_change
-    assert matmul(columns_of(m), res.basis_change) == res.reduced
+    assert matmul(m, res.basis_change) == res.reduced
     # distinct lows among nonzero reduced columns
     lows = [c.bit_length() - 1 if c else None for c in res.reduced]
     nonzero_lows = [x for x in lows if x is not None]
     assert len(nonzero_lows) == len(set(nonzero_lows))
     # basis_change is unitriangular
-    for j in range(m.n_cols):
+    for j in range(len(m)):
         sup = mask_support(res.basis_change[j])
         assert sup and sup[-1] == j
     # pairs and unpaired partition the columns (square-matrix semantics:
     # a zero column hit by a pair's low row counts as paired)
     paired_cols = {j for _, j in res.pairs}
     low_rows = {r for r, _ in res.pairs}
-    for j in range(m.n_cols):
+    for j in range(len(m)):
         if j in paired_cols:
             assert res.reduced[j] != 0
         elif j in res.unpaired:
@@ -124,20 +126,20 @@ def test_reduction_invariants(data):
 @settings(max_examples=120, deadline=None)
 def test_rank_matches_dense_oracle(data):
     n_rows, cols = data
-    m = Z2Matrix.from_columns(n_rows, cols)
-    assert rank(columns_of(m)) == gf2_rank(dense_from_columns(n_rows, cols))
+    m = masks(n_rows, cols)
+    assert rank(m) == gf2_rank(dense_from_columns(n_rows, cols))
 
 
 @given(simple_matrix, st.randoms(use_true_random=False))
 @settings(max_examples=120, deadline=None)
 def test_solve_matches_dense_oracle_and_substitutes(data, rng):
     n_rows, cols = data
-    m = Z2Matrix.from_columns(n_rows, cols)
+    m = masks(n_rows, cols)
     rhs_support = sorted(
         {i for i in range(n_rows) if rng.random() < 0.3}
     )
     rhs = ChainVector(n_rows, rhs_support)
-    got = solve_by_reduction(n_rows, columns_of(m), rhs.mask)
+    got = solve_by_reduction(n_rows, m, rhs.mask)
     dense = dense_from_columns(n_rows, cols)
     dense_rhs = [1 if i in rhs.support else 0 for i in range(n_rows)]
     oracle = gf2_solve(dense, dense_rhs)
@@ -146,7 +148,7 @@ def test_solve_matches_dense_oracle_and_substitutes(data, rng):
         # verify by substitution: the selected columns must sum to rhs exactly
         acc = ChainVector(n_rows)
         for j in got:
-            acc = acc ^ m.column(j)
+            acc = acc ^ ChainVector(n_rows, mask=m[j])
         assert acc == rhs
 
 
@@ -154,89 +156,81 @@ def test_solve_matches_dense_oracle_and_substitutes(data, rng):
 @settings(max_examples=80, deadline=None)
 def test_solution_from_actual_combination(data, rng):
     n_rows, cols = data
-    m = Z2Matrix.from_columns(n_rows, cols)
-    picked = [j for j in range(m.n_cols) if rng.random() < 0.4]
+    m = masks(n_rows, cols)
+    picked = [j for j in range(len(m)) if rng.random() < 0.4]
     rhs = ChainVector(n_rows)
     for j in picked:
-        rhs = rhs ^ m.column(j)
-    got = solve_by_reduction(n_rows, columns_of(m), rhs.mask)
+        rhs = rhs ^ ChainVector(n_rows, mask=m[j])
+    got = solve_by_reduction(n_rows, m, rhs.mask)
     assert got is not None
     acc = ChainVector(n_rows)
     for j in got:
-        acc = acc ^ m.column(j)
+        acc = acc ^ ChainVector(n_rows, mask=m[j])
     assert acc == rhs
 
 
 def test_solve_rejects_mismatched_rhs():
-    m = Z2Matrix.from_columns(3, [[0]])
+    m = masks(3, [[0]])
     with pytest.raises(ValueError):
-        solve_by_reduction(3, columns_of(m), ChainVector(4, [3]).mask)
+        solve_by_reduction(3, m, ChainVector(4, [3]).mask)
 
 
 def test_in_span_empty_basis():
-    empty = Z2Matrix(5, [])
-    assert in_span(5, columns_of(empty), ChainVector(5).mask)
-    assert not in_span(5, columns_of(empty), ChainVector(5, [1]).mask)
+    assert in_span(5, [], ChainVector(5).mask)
+    assert not in_span(5, [], ChainVector(5, [1]).mask)
 
 
 def test_infeasible_solve():
-    m = Z2Matrix.from_columns(2, [[0]])
-    assert solve_by_reduction(2, columns_of(m), ChainVector(2, [1]).mask) is None
+    m = masks(2, [[0]])
+    assert solve_by_reduction(2, m, ChainVector(2, [1]).mask) is None
 
 
 def test_matmul_against_hand_example():
-    a = Z2Matrix.from_columns(2, [[0], [0, 1]])
-    b = Z2Matrix.from_columns(2, [[0, 1], [1]])
-    prod = matmul(columns_of(a), columns_of(b))
+    a = masks(2, [[0], [0, 1]])
+    b = masks(2, [[0, 1], [1]])
+    prod = matmul(a, b)
     assert mask_support(prod[0]) == [1]
     assert mask_support(prod[1]) == [0, 1]
-
-
-def test_from_chains_checks_ambient():
-    a = ChainVector(4, [0, 2])
-    b = ChainVector(4, [1])
-    m = Z2Matrix.from_chains(4, [a, b])
-    assert m.n_cols == 2 and m.column(0) == a and m.column(1) == b
-    with pytest.raises(ValueError):
-        Z2Matrix.from_chains(3, [a])
 
 
 def test_incremental_span_tracks_rank():
     span = IncrementalSpan(4)
     assert span.rank == 0
-    assert span.add(ChainVector(4, [0, 1]))
-    assert span.add(ChainVector(4, [1, 2]))
-    assert not span.add(ChainVector(4, [0, 2]))  # the sum of the first two
+    assert span.add(ChainVector(4, [0, 1]).mask)
+    assert span.add(ChainVector(4, [1, 2]).mask)
+    assert not span.add(ChainVector(4, [0, 2]).mask)  # the sum of the first two
     assert span.rank == 2
-    assert span.contains(ChainVector(4, [0, 2]))
-    assert span.contains(ChainVector(4, []))
-    assert not span.contains(ChainVector(4, [3]))
+    assert span.contains(ChainVector(4, [0, 2]).mask)
+    assert span.contains(ChainVector(4, []).mask)
+    assert not span.contains(ChainVector(4, [3]).mask)
+    with pytest.raises(ValueError):
+        span.add(1 << 4)  # a row the span does not have
 
 
 def test_incremental_span_copy_diverges_independently():
-    span = IncrementalSpan(4, [ChainVector(4, [0, 1])])
+    span = IncrementalSpan(4, [ChainVector(4, [0, 1]).mask])
     twin = span.copy()
-    assert twin.add(ChainVector(4, [2]))
-    assert span.add(ChainVector(4, [3]))
+    assert twin.add(ChainVector(4, [2]).mask)
+    assert span.add(ChainVector(4, [3]).mask)
     assert (span.rank, twin.rank) == (2, 2)
-    assert twin.contains(ChainVector(4, [0, 1, 2])) and not span.contains(ChainVector(4, [2]))
-    assert span.contains(ChainVector(4, [0, 1, 3])) and not twin.contains(ChainVector(4, [3]))
+    assert twin.contains(ChainVector(4, [0, 1, 2]).mask) and not span.contains(ChainVector(4, [2]).mask)
+    assert span.contains(ChainVector(4, [0, 1, 3]).mask) and not twin.contains(ChainVector(4, [3]).mask)
 
 
 def test_incremental_span_truncate_drops_the_latest_adds():
-    span = IncrementalSpan(4, [ChainVector(4, [0, 1])])
-    assert span.add(ChainVector(4, [1, 2]), 1)
-    assert span.add(ChainVector(4, [3]), 2)
+    span = IncrementalSpan(4, [ChainVector(4, [0, 1]).mask])
+    assert span.add(ChainVector(4, [1, 2]).mask, 1)
+    assert span.add(ChainVector(4, [3]).mask, 2)
     span.truncate(2)
-    assert span.rank == 2 and not span.contains(ChainVector(4, [3]))
-    assert span.express(ChainVector(4, [0, 2])) == 1
-    assert span.add(ChainVector(4, [2, 3]))
+    assert span.rank == 2 and not span.contains(ChainVector(4, [3]).mask)
+    assert span.express(ChainVector(4, [0, 2]).mask) == 1
+    assert span.add(ChainVector(4, [2, 3]).mask)
 
 
 def test_incremental_span_seeded_matches_batch_rank():
-    cols = [ChainVector(5, s) for s in ([0, 1], [1, 2], [0, 2], [3])]
+    cols = masks(5, ([0, 1], [1, 2], [0, 2], [3]))
     span = IncrementalSpan(5, cols)
-    assert span.rank == rank(columns_of(Z2Matrix.from_chains(5, cols)))
+    assert span.rank == rank(cols)
 
 
 @given(simple_matrix, st.randoms(use_true_random=False))
@@ -245,10 +239,10 @@ def test_incremental_span_express_finds_the_solve_combination(data, rng):
     """Tagging column k with bit k, express returns solve_by_reduction's
     selection as a mask, and None exactly when the solve is infeasible."""
     n_rows, cols = data
-    m = Z2Matrix.from_columns(n_rows, cols)
+    m = masks(n_rows, cols)
     span = IncrementalSpan(n_rows)
-    for k, c in enumerate(m.columns()):
+    for k, c in enumerate(m):
         span.add(c, 1 << k)
     rhs = ChainVector(n_rows, sorted({i for i in range(n_rows) if rng.random() < 0.3}))
-    got = solve_by_reduction(n_rows, columns_of(m), rhs.mask)
-    assert span.express(rhs) == (None if got is None else sum(1 << j for j in got))
+    got = solve_by_reduction(n_rows, m, rhs.mask)
+    assert span.express(rhs.mask) == (None if got is None else sum(1 << j for j in got))
