@@ -81,7 +81,7 @@ def circle_rips(n: int):
 def last_finite_bar(filtration):
     from cyclerad.filtrations import compute_persistence
 
-    finite = [iv for iv in compute_persistence(filtration, 1).intervals() if iv.death is not None]
+    finite = [iv for iv in compute_persistence(filtration, 1).barcode.in_dim(1) if iv.death is not None]
     return max(finite, key=lambda iv: iv.death)
 
 

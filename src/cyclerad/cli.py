@@ -18,7 +18,6 @@ from .complexes import EmbeddedComplex
 from .filtrations import (
     Filtration,
     Interval,
-    PersistenceResult,
     compute_persistence,
     lower_star_filtration,
     rips_filtration,
@@ -36,7 +35,7 @@ from .optimize import (
     OptimalCycleResult,
     opt_homologous_cycle,
     opt_homology_basis,
-    opt_pers_hom_rep,
+    opt_persistent_basis,
     shorten_cycle,
 )
 
@@ -87,6 +86,8 @@ class RunConfig:
             raise ConfigError("--rips must be non-negative")
         if not 0 < self.sites <= 1:
             raise ConfigError("--sites must be a fraction in (0, 1]")
+        if self.budget < 1:
+            raise ConfigError("--budget must be positive")
         if self.problem == "localize":
             if not (self.complex_path and self.cycle_path):
                 raise ConfigError("localize needs --complex and --cycle")
@@ -218,17 +219,6 @@ def _build_filtration(cfg: RunConfig) -> Filtration:
     return lower_star_filtration(complex_, values)
 
 
-def _select_bars(persistence: PersistenceResult, top: Optional[int]) -> list[Interval]:
-    """Positive-length bars, most persistent first; essential bars lead."""
-    alive = [
-        iv
-        for iv in persistence.intervals()
-        if iv.death_value is None or iv.death_value > iv.birth_value
-    ]
-    alive.sort(key=lambda iv: (-iv.value_length(), iv.birth))
-    return alive if top is None else alive[:top]
-
-
 # -- subcommands ------------------------------------------------------------
 
 
@@ -267,15 +257,10 @@ def _run_basis(cfg: RunConfig) -> tuple[dict, int]:
 def _run_persistent(cfg: RunConfig) -> tuple[dict, int]:
     filtration = _build_filtration(cfg)
     complex_ = filtration.complex
-    sites = _pick_sites(complex_, cfg.sites)
     persistence = compute_persistence(filtration, cfg.p)
-    rows = []
-    finals = []
-    for iv in _select_bars(persistence, cfg.bars):
-        res = opt_pers_hom_rep(filtration, iv, sites=sites)
-        final = _maybe_shorten(cfg, complex_, res)
-        finals.append(final)
-        rows.append(_result_json(complex_, "persistent", res, final))
+    reps = opt_persistent_basis(persistence, _pick_sites(complex_, cfg.sites), cfg.bars)
+    finals = [_maybe_shorten(cfg, complex_, r) for r in reps]
+    rows = [_result_json(complex_, "persistent", before, after) for before, after in zip(reps, finals)]
     _export_obj(cfg, complex_, finals)
     report = {
         "problem": "persistent",
@@ -333,14 +318,16 @@ def _run_verify(cfg: RunConfig) -> tuple[dict, int]:
         mode = "persistent"
         filtration = _build_filtration(cfg)
         complex_ = filtration.complex
-        for iv in _select_bars(compute_persistence(filtration, cfg.p), cfg.bars):
-            res = opt_pers_hom_rep(filtration, iv, sites=_pick_sites(complex_, cfg.sites))
-            rep = exact_min_persistent_rep(filtration, iv, budget)
+        persistence = compute_persistence(filtration, cfg.p)
+        if persistence.bars(cfg.bars):  # the oracle's size cap, checked before the bar searches
+            budget.check_complex(complex_)
+        for res in opt_persistent_basis(persistence, _pick_sites(complex_, cfg.sites), cfg.bars):
+            rep = exact_min_persistent_rep(filtration, res.interval, budget)
             ratio = res.r_v / rep.weight if rep.weight > 0 else 1.0
             checks.append(
                 {
                     "kind": "persistent",
-                    "interval": _interval_json(iv),
+                    "interval": _interval_json(res.interval),
                     "algorithm": _result_json(complex_, "verify", res, res),
                     "oracle": {"weight": float(rep.weight), "site": rep.site},
                     "ratio": float(ratio),

@@ -19,7 +19,7 @@ depend on the interpreter or on an array library.
 from __future__ import annotations
 
 import math
-from operator import add, mul
+from operator import add, eq, lt, mul
 from typing import Iterable, Optional, Sequence
 
 from .z2 import ChainVector
@@ -122,12 +122,13 @@ def face_masks(faces: Sequence[Sequence[int]], row_bits: Sequence[int], position
 
 
 def _normalize_simplex(simplex: Iterable[int]) -> Simplex:
-    s = tuple(int(v) for v in simplex)
-    if len(set(s)) != len(s):
+    s = tuple(map(int, simplex))
+    if all(map(lt, s, s[1:])):
+        return s
+    ordered = tuple(sorted(s))
+    if any(map(eq, ordered, ordered[1:])):
         raise ValueError(f"simplex {s} has repeated vertices")
-    if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
-        s = tuple(sorted(s))
-    return s
+    return ordered
 
 
 class EmbeddedComplex:

@@ -1,10 +1,13 @@
 """Simplexwise filtrations, barcodes, and persistence computation over Z2.
 
 A filtration is a total order on the simplices of a complex (faces first)
-together with non-decreasing real values. One kernel computes persistence,
+together with non-decreasing real values. ``Filtration.indices`` holds the
+index of each canonical position, and ``Filtration.prefix(i)`` flags the
+simplices born by index i. One kernel computes persistence,
 ``_clearing_reduction``: it reduces the boundary columns one dimension at a
 time, from the top down, with clearing. Pairs of the reduction become finite
-intervals, unpaired simplices essential classes. All interval bookkeeping is
+intervals, unpaired simplices essential classes; ``PersistenceResult.bars``
+names the ones that get representatives. All interval bookkeeping is
 index-based; values are carried along for reporting.
 
 ``compute_persistence`` ranks each dimension by filtration index and reduces
@@ -34,7 +37,7 @@ class Filtration:
     """Total order on all simplices of a complex, faces before cofaces, with
     non-decreasing values."""
 
-    __slots__ = ("complex", "order", "values", "_index")
+    __slots__ = ("complex", "order", "values", "_index", "indices")
 
     def __init__(
         self,
@@ -49,6 +52,10 @@ class Filtration:
         self._index = {s: i for i, s in enumerate(self.order)}
         if validate:
             self._validate()
+        # per dimension, the filtration index of each canonical position
+        self.indices = [
+            [self._index[s] for s in complex_like.simplices(d)] for d in range(complex_like.max_dim + 1)
+        ]
 
     def _validate(self) -> None:
         if len(self.order) != len(self.values):
@@ -84,6 +91,11 @@ class Filtration:
 
     def index_of(self, simplex: Iterable[int]) -> int:
         return self._index[tuple(simplex)]
+
+    def prefix(self, i: int) -> list[list[bool]]:
+        """Per dimension, a flag per canonical position: the simplices born by
+        index i, a face-closed subcomplex."""
+        return [list(map(i.__ge__, index)) for index in self.indices]
 
 
 class Interval(NamedTuple):
@@ -168,8 +180,12 @@ class PersistenceResult(NamedTuple):
     representatives: Mapping[Interval, ChainVector]
     essential_cycles: tuple[ChainVector, ...]
 
-    def intervals(self) -> list[Interval]:
-        return sorted(self.barcode.in_dim(self.dim), key=lambda iv: iv.birth)
+    def bars(self, top: Optional[int] = None) -> list[Interval]:
+        """The dimension-p intervals of positive value length, longest first
+        (essential bars lead), ties by birth; only the first top when given."""
+        alive = [iv for iv in self.barcode.in_dim(self.dim) if iv.value_length() > 0]
+        alive.sort(key=lambda iv: (-iv.value_length(), iv.birth))
+        return alive if top is None else alive[:top]
 
 
 def compute_persistence(filtration: Filtration, p: int) -> PersistenceResult:
@@ -178,14 +194,10 @@ def compute_persistence(filtration: Filtration, p: int) -> PersistenceResult:
     if p < 0:
         raise ValueError("dimension must be non-negative")
     complex_like = filtration.complex
-    order, values, index_of = filtration.order, filtration.values, filtration._index
-    top = complex_like.max_dim
-    indices, ranked = [], []  # per dimension: index of each position, positions in rank order
-    for d in range(top + 1):
-        index = [index_of[s] for s in complex_like.simplices(d)]
-        indices.append(index)
-        ranked.append(sorted(range(len(index)), key=index.__getitem__))
-    pairs, cycles, reduced = _clearing_reduction(complex_like, ranked, top, 0, p)
+    order, values, indices = filtration.order, filtration.values, filtration.indices
+    # per dimension, the positions in rank order
+    ranked = [sorted(range(len(index)), key=index.__getitem__) for index in indices]
+    pairs, cycles, reduced = _clearing_reduction(complex_like, ranked, complex_like.max_dim, 0, p)
 
     n_p = complex_like.n_simplices(p)
     bit_at = complex_like.powers(n_p)

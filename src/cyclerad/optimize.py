@@ -13,7 +13,9 @@ the incremental bar pass below exact rather than heuristic.
 All three solvers share one best-first site search: per-site answers are
 minima over site-independent chain sets, so r_w >= r_v - |p_v - p_w|, and
 sites whose bound exceeds a cutoff (the best radius so far, or the last
-radius the basis greedy admits) are skipped. Every answer, lowest-site-index
+radius the basis greedy admits) are skipped. Every bar representative
+contains the bar's creator, so a bar's bounds start, exactly, at each site's
+distance to the creator's farthest vertex. Every answer, lowest-site-index
 tie-break included, is identical to visiting every site.
 """
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .complexes import (
     face_masks,
     within_radius,
 )
-from .filtrations import Filtration, Interval, compute_persistence, site_essential_cycles
+from .filtrations import Filtration, Interval, PersistenceResult, site_essential_cycles
 from .radius import SphereCertificate, exact_radius, site_radius
 from .z2 import ChainVector, IncrementalSpan
 
@@ -88,13 +90,18 @@ def _result_for_cycle(
 
 
 def _site_search(complex_like: EmbeddedComplex, sites: Optional[Sequence[int]],
-                 evaluate: Callable[[int], float], cutoff: Callable[[], float]) -> None:
+                 evaluate: Callable[[int], float], cutoff: Callable[[], float],
+                 contains: Sequence[int] = ()) -> None:
     """Evaluate sites by smallest lower bound, lowest index first, until every
     remaining bound exceeds cutoff() by more than the membership tolerance.
-    evaluate(site) returns a radius r_v with r_w >= r_v - |p_v - p_w|."""
+    evaluate(site) returns a radius r_v with r_w >= r_v - |p_v - p_w|, and
+    r_w >= |p_u - p_w| for every vertex u in contains."""
     chosen = _chosen_sites(complex_like, sites)
     columns = [[column[v] for v in chosen] for column in complex_like.cloud.columns]
     bound = [0.0] * len(chosen)  # visited sites hold +inf
+    for u in contains:
+        # (u - w)^2 is (w - u)^2 bit for bit, so each bound is a site_radius value
+        bound = list(map(max, bound, distances_from(complex_like.cloud.point(u), columns)))
     while True:
         k = bound.index(min(bound))
         limit = cutoff()
@@ -106,9 +113,8 @@ def _site_search(complex_like: EmbeddedComplex, sites: Optional[Sequence[int]],
         bound = [b if b >= r - x else r - x for b, x in zip(bound, near)]
 
 
-def _best_site(
-    complex_like: EmbeddedComplex, sites: Optional[Sequence[int]], evaluate: SiteEvaluator
-) -> tuple[int, ChainVector]:
+def _best_site(complex_like: EmbeddedComplex, sites: Optional[Sequence[int]], evaluate: SiteEvaluator,
+               contains: Sequence[int] = ()) -> tuple[int, ChainVector]:
     """Site and chain with the lexicographically smallest (radius, site)."""
     best = [math.inf, -1, None]  # (radius, site, chain)
 
@@ -119,7 +125,7 @@ def _best_site(
         return r
 
     # a zero radius is the zero chain, reached first, so nothing can beat it
-    _site_search(complex_like, sites, visit, lambda: -math.inf if best[0] == 0.0 else best[0])
+    _site_search(complex_like, sites, visit, lambda: -math.inf if best[0] == 0.0 else best[0], contains)
     return best[1], best[2]
 
 
@@ -263,16 +269,13 @@ def _bar_evaluator(filtration: Filtration, interval: Interval) -> SiteEvaluator:
     the representative is the anchor plus the admitted cycles it needs."""
     p = interval.dim
     complex_like = filtration.complex
-    index_of = filtration._index
-    members = [[index_of[s] <= interval.birth for s in complex_like.simplices(d)] for d in range(p + 2)]
+    members = filtration.prefix(interval.birth)
     creator_bit = complex_like.position(interval.creator)
     n_p = complex_like.n_simplices(p)
     born_by_death = []
-    if interval.death is not None and p + 1 <= complex_like.max_dim:
+    if interval.death is not None:
         # only the boundaries born by the death time, in canonical order
-        born = [
-            j for j, tau in enumerate(complex_like.simplices(p + 1)) if index_of[tau] <= interval.death
-        ]
+        born = [j for j, flag in enumerate(filtration.prefix(interval.death)[p + 1]) if flag]
         born_by_death = face_masks(face_columns(complex_like, p + 1), complex_like.powers(n_p), born)
     death_span = IncrementalSpan(n_p, born_by_death)
 
@@ -311,21 +314,21 @@ def opt_pers_hom_rep(
 ) -> OptimalCycleResult:
     """Best bar representative over the sites; ties broken toward the lowest
     site index."""
-    site, out = _best_site(filtration.complex, sites, _bar_evaluator(filtration, interval))
+    evaluate = _bar_evaluator(filtration, interval)
+    site, out = _best_site(filtration.complex, sites, evaluate, interval.creator)
     return _result_for_cycle(
         filtration.complex, out, interval.dim, site, "persistent-representative", interval
     )
 
 
 def opt_persistent_basis(
-    filtration: Filtration,
-    p: int,
+    persistence: PersistenceResult,
     sites: Optional[Sequence[int]] = None,
+    top: Optional[int] = None,
 ) -> list[OptimalCycleResult]:
-    """One optimal representative per dimension-p interval; per-bar minima
-    assemble into the minimum persistent basis."""
-    intervals = compute_persistence(filtration, p).intervals()
-    return [opt_pers_hom_rep(filtration, iv, sites=sites) for iv in intervals]
+    """One optimal representative per bar of persistence.bars(top); per-bar
+    minima assemble into the minimum persistent basis."""
+    return [opt_pers_hom_rep(persistence.filtration, iv, sites) for iv in persistence.bars(top)]
 
 
 # -- cycle shortening ------------------------------------------------------

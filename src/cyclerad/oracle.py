@@ -378,9 +378,7 @@ def exact_min_persistent_rep(
     n_p = complex_like.n_simplices(p)
     creator_bit = complex_like.position(interval.creator)
 
-    index_of = filtration._index
-    prefix = [index_of[s] <= interval.birth for s in complex_like.simplices(p)]
-    cycles = _cycle_space_masks(complex_like, p, prefix)
+    cycles = _cycle_space_masks(complex_like, p, filtration.prefix(interval.birth)[p])
     budget.check_span(len(cycles))
 
     full = boundary_columns(complex_like, p)
@@ -388,11 +386,8 @@ def exact_min_persistent_rep(
         pre_rows = _span_rows(full)
         death_rows = None
     else:
-        higher = complex_like.simplices(p + 1)
-        pre = [full[j] for j, tau in enumerate(higher) if index_of[tau] <= interval.death - 1]
-        at_death = [full[j] for j, tau in enumerate(higher) if index_of[tau] <= interval.death]
-        pre_rows = _span_rows(pre)
-        death_rows = _span_rows(at_death)
+        pre_rows = _span_rows(compress(full, filtration.prefix(interval.death - 1)[p + 1]))
+        death_rows = _span_rows(compress(full, filtration.prefix(interval.death)[p + 1]))
 
     best = None
     for bits in range(1, 1 << len(cycles)):

@@ -204,13 +204,13 @@ def test_criterion_5_representative_validity():
     filtrations = []
     while len(filtrations) < 50:
         filtration = _random_filtration(rng)
-        if compute_persistence(filtration, 1).intervals():
+        if compute_persistence(filtration, 1).barcode.in_dim(1):
             filtrations.append(filtration)
     ok = True
     for filtration in filtrations:
         complex_ = filtration.complex
         last = len(filtration) - 1
-        for iv in compute_persistence(filtration, 1).intervals():
+        for iv in compute_persistence(filtration, 1).barcode.in_dim(1):
             rep = opt_pers_hom_rep(filtration, iv)
             if complex_.position(iv.creator) not in rep.cycle:
                 ok = False
@@ -235,7 +235,7 @@ def test_criterion_7_scaling_soft_bound():
         scale = 2 * math.sin(2 * math.pi / n) * 1.0001
         filtration = rips_filtration(circle_cloud(n), scale, max_dim=2)
         finite = [
-            iv for iv in compute_persistence(filtration, 1).intervals()
+            iv for iv in compute_persistence(filtration, 1).barcode.in_dim(1)
             if iv.death is not None
         ]
         target = max(finite, key=lambda iv: iv.death)

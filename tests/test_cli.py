@@ -339,6 +339,24 @@ def test_exit_code_budget(tmp_path, annulus_files):
     assert code == 3
 
 
+def test_verify_checks_the_oracle_cap_before_any_bar_search(tmp_path, two_loop_files, capsys, monkeypatch):
+    _, csv, flt = two_loop_files
+    monkeypatch.setattr("cyclerad.cli.opt_persistent_basis", lambda *args: pytest.fail("bars were searched"))
+    code = main(["verify", "--points", csv, "--filtration", flt, "--budget", "4",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 3
+    assert "vertices exceed the oracle cap of 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_exit_code_budget_must_be_positive(tmp_path, two_loop_files, capsys, budget):
+    _, csv, _ = two_loop_files
+    code = main(["verify", "--points", csv, "--rips", "1.0", f"--budget={budget}",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "cyclerad: --budget must be positive\n"
+
+
 @pytest.mark.parametrize("error", [RecursionError, RuntimeError])
 def test_unexpected_error_exits_invalid_without_traceback(
     tmp_path, monkeypatch, capsys, error

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,26 @@ def test_repeated_vertex_rejected():
     cloud = PointCloud([(0.0, 0.0), (1.0, 0.0)])
     with pytest.raises(ValueError):
         EmbeddedComplex(cloud, [(0, 0, 1)])
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ((2, 1, 2), "simplex (2, 1, 2) has repeated vertices"),
+        ((1, 1, 2), "simplex (1, 1, 2) has repeated vertices"),
+        ((), "empty simplex"),
+    ],
+)
+def test_malformed_simplex_messages(raw, message):
+    # the repeat is named as given, before any sorting
+    cloud = PointCloud([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EmbeddedComplex(cloud, [raw])
+
+
+def test_unsorted_simplex_is_sorted():
+    cloud = PointCloud([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    assert EmbeddedComplex(cloud, [(2, 0, 1)]).simplices(2) == ((0, 1, 2),)
 
 
 def test_position_and_has():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coordinate_rows, embedded_complexes, filtered_complexes, loopy_complexes
+from conftest import coordinate_rows, embedded_complexes, filtered_complexes, loopy_complexes, point_clouds
 from oracles import (
     betti_by_rank,
     bounds_in_prefix,
@@ -220,6 +220,30 @@ def test_value_pairs_zero_length_handling():
     bc = Barcode(ivs)
     assert bc.value_pairs(1) == [(3.0, 4.0)]
     assert bc.value_pairs(1, drop_zero_length=False) == [(3.0, 3.0), (3.0, 4.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    filtered_complexes(max_dim=3),
+    st.builds(rips_filtration, point_clouds(), st.floats(0.0, 3.0), st.integers(1, 3)),
+))
+def test_prefix_flags_the_simplices_born_by_each_index(filtration):
+    complex_ = filtration.complex
+    for i in range(len(filtration)):
+        expect = [
+            [filtration.index_of(s) <= i for s in complex_.simplices(d)]
+            for d in range(complex_.max_dim + 1)
+        ]
+        assert filtration.prefix(i) == expect
+
+
+def test_bars_keep_positive_length_most_persistent_first():
+    res = compute_persistence(fixtures.two_loop_filtration(), 1)
+    assert len(res.barcode.in_dim(1)) == 7
+    assert [(iv.birth_value, iv.death_value) for iv in res.bars()] == [(1.0, 4.0), (2.0, 3.0)]
+    assert res.bars(1) == res.bars()[:1]
+    triangle = lower_star_filtration(fixtures.hollow_triangle().complex, {0: 0.0, 1: 1.0, 2: 2.0})
+    assert [iv.death for iv in compute_persistence(triangle, 1).bars()] == [None]
 
 
 # -- constructors ---------------------------------------------------------

@@ -24,6 +24,9 @@ REQUESTS = {
     "annulus_basis": ["basis", "--complex", "annulus.off"],
     "ring_persistent_rips": ["persistent", "--points", "ring.csv", "--rips", "0.9"],
     "two_loop_persistent_filtration": ["persistent", "--points", "two_loop.csv", "--filtration", "two_loop.flt"],
+    "two_loop_persistent_filtration_top1": [
+        "persistent", "--points", "two_loop.csv", "--filtration", "two_loop.flt", "--bars", "top:1",
+    ],
 }
 
 

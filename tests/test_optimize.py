@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from conftest import complex_with_cycle, embedded_complexes, filtered_complexes, loopy_complexes
 from oracles import bounds_in_prefix, gf2_in_span, mask_support, solve_by_reduction
 
-from cyclerad.complexes import boundary_columns
-from cyclerad.filtrations import compute_persistence, lower_star_filtration
+from cyclerad.complexes import EmbeddedComplex, PointCloud, boundary_columns
+from cyclerad.filtrations import Filtration, compute_persistence, lower_star_filtration
 from cyclerad.optimize import (
     HomologyBasisResult,
     _result_for_cycle,
@@ -403,6 +403,25 @@ def test_persistent_representatives_on_random_filtrations(filtration):
         assert out == min(per_site, key=lambda r: (r.r_v, r.site))
 
 
+def test_bar_search_tie_goes_to_the_lower_site_at_its_creator_bound():
+    """A unit square whose last edge (2, 3) creates the one bar: every site
+    reaches sqrt(2), the diagonal. Sites 2 and 3 start at creator bound 1 and
+    are visited first; site 0 starts at sqrt(2), the optimum bit for bit, and
+    must still be visited to win the tie."""
+    square = EmbeddedComplex(
+        PointCloud([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]),
+        [(0, 1), (0, 3), (1, 2), (2, 3)],
+    )
+    order = [(0,), (1,), (2,), (3,), (0, 1), (0, 3), (1, 2), (2, 3)]
+    filtration = Filtration(square, order, range(len(order)))
+    (bar,) = compute_persistence(filtration, 1).bars()
+    assert bar.creator == (2, 3)
+    out = opt_pers_hom_rep(filtration, bar)
+    assert max(square.cloud.distance(0, u) for u in bar.creator) == out.r_v == math.sqrt(2)
+    assert [opt_pers_cycle_site(filtration, bar, v).r_v for v in range(4)] == [math.sqrt(2)] * 4
+    assert out.site == 0
+
+
 def bounds_born_by_death(filtration, interval):
     """Boundaries of the (p+1)-simplices in the filtration by the death index."""
     complex_ = filtration.complex
@@ -494,28 +513,34 @@ def test_incremental_bar_pass_matches_binary_search(filtration):
 
 def test_persistent_basis_two_loop_counts():
     filtration = fixtures.two_loop_filtration()
-    reps = opt_persistent_basis(filtration, 1)
     res = compute_persistence(filtration, 1)
-    assert len(reps) == len(res.barcode.in_dim(1))
+    reps = opt_persistent_basis(res)
+    # zero-length intervals get no representative
+    assert len(res.barcode.in_dim(1)) == 7
+    assert len(reps) == 2
     for rep in reps:
         interval_conditions_hold(filtration, rep.interval, rep)
+
+
+@pytest.mark.parametrize("top", [None, 1])
+def test_persistent_basis_runs_over_the_selected_bars(top):
+    res = compute_persistence(fixtures.two_loop_filtration(), 1)
+    assert [r.interval for r in opt_persistent_basis(res, top=top)] == res.bars(top)
 
 
 def test_persistent_basis_matches_homology_basis_on_figure_eight():
     inst = fixtures.figure_eight()
     filtration = lower_star_filtration(inst.complex, {v: 0.0 for v in range(5)})
-    reps = opt_persistent_basis(filtration, 1)
+    reps = opt_persistent_basis(compute_persistence(filtration, 1))
     assert len(reps) == 2
     basis = opt_homology_basis(inst.complex, 1)
     assert {r.cycle for r in reps} == {c.cycle for c in basis.cycles}
 
 
 def test_persistent_basis_empty_when_no_bars():
-    from cyclerad.complexes import EmbeddedComplex, PointCloud
-
     segment = EmbeddedComplex(PointCloud([(0.0, 0.0), (1.0, 0.0)]), [(0, 1)])
     filtration = lower_star_filtration(segment, {0: 0.0, 1: 0.0})
-    assert opt_persistent_basis(filtration, 1) == []
+    assert opt_persistent_basis(compute_persistence(filtration, 1)) == []
 
 
 # -- shortening ------------------------------------------------------------
@@ -584,7 +609,7 @@ def test_records_are_immutable_values():
     inst = fixtures.annulus()
     res = optimal_hom_cycle_for_site(inst.complex, inst.outer_loop, inst.center_vertex)
     again = optimal_hom_cycle_for_site(inst.complex, inst.outer_loop, inst.center_vertex)
-    bar = compute_persistence(fixtures.two_loop_filtration(), 1).intervals()[0]
+    bar = compute_persistence(fixtures.two_loop_filtration(), 1).barcode.in_dim(1)[0]
     for record, name in [(res, "r_v"), (res.certificate, "radius"), (bar, "death")]:
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
