@@ -58,7 +58,6 @@ class RunConfig:
         self.cycle_path: Optional[str] = None
         self.points_path: Optional[str] = None
         self.rips_scale: Optional[float] = None
-        self.rips_maxdim: int = 2
         self.lower_star_path: Optional[str] = None
         self.filtration_path: Optional[str] = None
         self.sites: float = 1.0
@@ -80,8 +79,6 @@ class RunConfig:
             raise ConfigError(f"{'basis' if verify_basis else self.problem} needs a positive dimension p")
         if self.p < 0:
             raise ConfigError("-p must be non-negative")
-        if self.rips_maxdim < 0:
-            raise ConfigError("--maxdim must be non-negative")
         if self.rips_scale is not None and not self.rips_scale >= 0:
             raise ConfigError("--rips must be non-negative")
         if not 0 < self.sites <= 1:
@@ -209,7 +206,8 @@ def _maybe_shorten(
 
 def _build_filtration(cfg: RunConfig) -> Filtration:
     if cfg.rips_scale is not None:
-        return rips_filtration(read_points(cfg.points_path), cfg.rips_scale, cfg.rips_maxdim)
+        # p-bars are born by p-simplices and die by (p+1)-simplices
+        return rips_filtration(read_points(cfg.points_path), cfg.rips_scale, cfg.p + 1)
     if cfg.filtration_path is not None:
         return read_filtration(cfg.filtration_path, read_points(cfg.points_path))
     complex_ = read_off(cfg.complex_path)
@@ -387,7 +385,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 def _add_filtration_source(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--points", dest="points_path", metavar="P.csv")
     sp.add_argument("--rips", dest="rips_scale", type=float, metavar="SCALE")
-    sp.add_argument("--maxdim", dest="rips_maxdim", type=int, default=2)
     sp.add_argument("--filtration", dest="filtration_path", metavar="F.flt")
     sp.add_argument("--complex", dest="complex_path", metavar="F.off")
     sp.add_argument("--lower-star", dest="lower_star_path", metavar="S.csv")

@@ -83,9 +83,6 @@ class Filtration:
     def __len__(self) -> int:
         return len(self.order)
 
-    def simplex_at(self, i: int) -> Simplex:
-        return self.order[i]
-
     def value_at(self, i: int) -> float:
         return self.values[i]
 
@@ -109,10 +106,6 @@ class Interval(NamedTuple):
     destroyer: Optional[Simplex]
     birth_value: float
     death_value: Optional[float]
-
-    @property
-    def finite(self) -> bool:
-        return self.death is not None
 
     def value_length(self) -> float:
         if self.death_value is None:
@@ -150,18 +143,12 @@ class Barcode(NamedTuple("Barcode", [("intervals", tuple)])):
     def betti(self, p: int) -> int:
         return sum(1 for iv in self.intervals if iv.dim == p and iv.death is None)
 
-    def value_pairs(self, p: int, drop_zero_length: bool = True) -> list[tuple[float, Optional[float]]]:
-        """(birth value, death value) pairs; zero-length intervals dropped by
-        default, matching how coarse (value-level) barcodes are read."""
-        out = []
-        for iv in sorted(self.in_dim(p), key=lambda iv: iv.birth):
-            if iv.death is None:
-                out.append((iv.birth_value, None))
-            elif not drop_zero_length and iv.death_value == iv.birth_value:
-                out.append((iv.birth_value, iv.death_value))
-            elif iv.death_value > iv.birth_value:
-                out.append((iv.birth_value, iv.death_value))
-        return out
+    def value_pairs(self, p: int) -> list[tuple[float, Optional[float]]]:
+        """(birth value, death value) pairs of the dimension-p intervals of
+        positive value length, by birth: the bars PersistenceResult.bars
+        ranks, as a coarse (value-level) barcode reads them."""
+        alive = [iv for iv in self.in_dim(p) if iv.value_length() > 0]
+        return [(iv.birth_value, iv.death_value) for iv in sorted(alive, key=lambda iv: iv.birth)]
 
 
 class PersistenceResult(NamedTuple):

@@ -35,7 +35,7 @@ from .complexes import (
     within_radius,
 )
 from .filtrations import Filtration, Interval, PersistenceResult, site_essential_cycles
-from .radius import SphereCertificate, exact_radius, site_radius
+from .radius import SphereCertificate, chain_vertices, exact_radius, site_radius
 from .z2 import ChainVector, IncrementalSpan
 
 # evaluate(site) -> (site radius, chain), closing over the site-invariant work
@@ -134,18 +134,18 @@ def describe_cycle(
     cycle: ChainVector,
     p: int,
     site: Optional[int] = None,
-    context: str = "input",
 ) -> OptimalCycleResult:
     """Measure a given cycle without optimizing it; with no site given, the
     best site (smallest r_v, lowest index) is chosen."""
     if not complex_like.is_cycle(cycle, p):
         raise ValueError("chain is not a cycle")
     if site is None and not cycle.is_zero():
-        site = min(
-            _chosen_sites(complex_like, None),
-            key=lambda v: (site_radius(complex_like, v, cycle, p), v),
+        # every site's bound from the cycle's vertices is its r_v already
+        site, _ = _best_site(
+            complex_like, None, lambda v: (site_radius(complex_like, v, cycle, p), cycle),
+            chain_vertices(complex_like, cycle, p),
         )
-    return _result_for_cycle(complex_like, cycle, p, site, context)
+    return _result_for_cycle(complex_like, cycle, p, site, "input")
 
 
 def _site_essential_cycles(complex_like: EmbeddedComplex, site: int, p: int, members=None):
@@ -333,6 +333,9 @@ def opt_persistent_basis(
 
 # -- cycle shortening ------------------------------------------------------
 
+# shorten_cycle makes at most one swap per pass, so at most this many swaps
+SHORTEN_PASSES = 50
+
 
 def _cycle_loops(edges: list[Simplex]) -> list[list[int]]:
     """Closed vertex walks covering the edge set, smallest neighbor first."""
@@ -383,7 +386,7 @@ def _shortest_path(adjacency: dict[int, list[int]], a: int, b: int) -> Optional[
 
 
 def shorten_cycle(
-    result: OptimalCycleResult, complex_like: EmbeddedComplex, max_passes: int = 50
+    result: OptimalCycleResult, complex_like: EmbeddedComplex
 ) -> OptimalCycleResult:
     """Replace arcs of the cycle by shorter homologous paths found inside the
     site ball of the result. The class never changes (every swap is checked
@@ -407,7 +410,7 @@ def shorten_cycle(
     bounds = IncrementalSpan(complex_like.n_simplices(1), boundary_columns(complex_like, 1))
 
     cycle = result.cycle
-    for _ in range(max_passes):
+    for _ in range(SHORTEN_PASSES):
         edges = complex_like.chain_simplices(cycle, 1)
         count = len(edges)
         proposals = []

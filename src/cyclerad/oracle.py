@@ -225,7 +225,7 @@ class ExactBasis(NamedTuple):
 class ExactRepresentative(NamedTuple):
     cycle: ChainVector
     weight: float
-    site: Optional[int]
+    site: int
 
 
 # -- sphere enumeration path ------------------------------------------------
@@ -365,16 +365,17 @@ def exact_min_persistent_rep(
     filtration: Filtration,
     interval: Interval,
     budget: OracleBudget = DEFAULT_BUDGET,
-    weight: str = "site",
 ) -> ExactRepresentative:
     """Minimum-weight representative of a bar by walking the whole cycle
     space of the birth prefix and keeping every chain that is a valid
     representative: contains the creator, stays non-bounding until the bar
-    dies, bounds once it does (never, for essential bars)."""
+    dies, bounds once it does (never, for essential bars). A chain weighs its
+    smallest site radius over every vertex; the site returned is the
+    lowest-index vertex at which the winner attains its weight."""
     complex_like = filtration.complex
     budget.check_complex(complex_like)
     p = interval.dim
-    weigh = _weight_fn(complex_like, p, weight)
+    weigh = _weight_fn(complex_like, p, "site")
     n_p = complex_like.n_simplices(p)
     creator_bit = complex_like.position(interval.creator)
 
@@ -405,10 +406,5 @@ def exact_min_persistent_rep(
     assert best is not None
     w, m = best
     out = ChainVector(n_p, mask=m)
-    site = None
-    if weight == "site":
-        site = min(
-            complex_like.vertex_ids(),
-            key=lambda v: (site_radius(complex_like, v, out, p), v),
-        )
+    site = min(complex_like.vertex_ids(), key=lambda v: (site_radius(complex_like, v, out, p), v))
     return ExactRepresentative(cycle=out, weight=w, site=site)

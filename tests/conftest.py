@@ -9,6 +9,12 @@ from hypothesis import strategies as st
 from cyclerad.complexes import EmbeddedComplex, PointCloud
 from cyclerad.filtrations import Filtration
 
+# the vertices of the octahedron, +-e1, +-e2, +-e3: at Rips scale 2.5 its one
+# positive-length 2-bar is [sqrt(2), 2), the hollow octahedron until its
+# antipodal edges fill it
+OCTAHEDRON = ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+              (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
+
 
 @st.composite
 def point_clouds(draw, min_points=3, max_points=10, dim=2):

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import OCTAHEDRON
+
 from cyclerad import fixtures
 from cyclerad.cli import main
 from cyclerad.io import (
@@ -125,7 +127,7 @@ def test_persistent_from_rips(tmp_path):
     np.savetxt(csv, np.asarray([circ.point(i) for i in range(circ.n_points)]), delimiter=",")
     code, report = run_json(
         tmp_path,
-        ["persistent", "--points", str(csv), "--rips", "0.9", "--maxdim", "2"],
+        ["persistent", "--points", str(csv), "--rips", "0.9"],
     )
     assert code == 0
     (bar,) = report["barcode"]
@@ -134,6 +136,30 @@ def test_persistent_from_rips(tmp_path):
     (row,) = report["results"]
     assert row["edge_count_before"] == 8
     assert row["interval"]["death"] == "inf"
+
+
+@pytest.fixture
+def octahedron_csv(tmp_path):
+    csv = tmp_path / "octahedron.csv"
+    np.savetxt(csv, np.asarray(OCTAHEDRON), delimiter=",")
+    return str(csv)
+
+
+def test_persistent_p2_rips_bar_dies_on_time(tmp_path, octahedron_csv):
+    code, report = run_json(tmp_path, ["persistent", "-p", "2", "--points", octahedron_csv, "--rips", "2.5"])
+    assert code == 0
+    assert report["barcode"] == [[math.sqrt(2), 2.0]]
+    (row,) = report["results"]
+    assert row["interval"]["death_value"] == 2.0
+    assert len(row["cycle"]) == 8  # the hollow octahedron
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_rips_filtration_is_built_to_dimension_p_plus_one(tmp_path, octahedron_csv, p):
+    # at scale 2.5 every subset of the six points is a simplex
+    code, report = run_json(tmp_path, ["persistent", "-p", str(p), "--points", octahedron_csv, "--rips", "2.5"])
+    assert code == 0
+    assert report["n_simplices"] == sum(math.comb(6, k + 1) for k in range(p + 2))
 
 
 def test_persistent_from_lower_star(tmp_path):
@@ -177,6 +203,13 @@ def test_verify_basis_and_persistent(tmp_path, two_loop_files):
     )
     assert code == 0 and report["ok"] is True
     assert all(c["ratio"] == pytest.approx(1.0, rel=REL) for c in report["checks"])
+
+
+def test_verify_p2_rips_bar(tmp_path, octahedron_csv):
+    code, report = run_json(tmp_path, ["verify", "-p", "2", "--points", octahedron_csv, "--rips", "2.5"])
+    assert code == 0 and report["ok"] is True
+    (check,) = report["checks"]
+    assert check["interval"]["death_value"] == 2.0
 
 
 # -- exit codes -------------------------------------------------------------
@@ -278,7 +311,6 @@ def test_exit_code_two_sources(tmp_path, two_loop_files):
 @pytest.mark.parametrize("args", [
     ["persistent", "-p", "-1"],
     ["verify", "-p", "-1"],
-    ["persistent", "--maxdim", "-1"],
 ])
 def test_exit_code_negative_dimension(tmp_path, two_loop_files, capsys, args):
     _, csv, _ = two_loop_files

@@ -219,7 +219,6 @@ def test_value_pairs_zero_length_handling():
     )
     bc = Barcode(ivs)
     assert bc.value_pairs(1) == [(3.0, 4.0)]
-    assert bc.value_pairs(1, drop_zero_length=False) == [(3.0, 3.0), (3.0, 4.0)]
 
 
 @settings(max_examples=60, deadline=None)

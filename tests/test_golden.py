@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import OCTAHEDRON
+
 from cyclerad import fixtures
 from cyclerad.cli import main
 from cyclerad.io import write_cycle, write_filtration, write_off
@@ -27,6 +29,7 @@ REQUESTS = {
     "two_loop_persistent_filtration_top1": [
         "persistent", "--points", "two_loop.csv", "--filtration", "two_loop.flt", "--bars", "top:1",
     ],
+    "octahedron_persistent_p2": ["persistent", "-p", "2", "--points", "octahedron.csv", "--rips", "2.5"],
 }
 
 
@@ -36,7 +39,8 @@ def write_points(path: Path, coords) -> None:
 
 def write_inputs(directory: Path) -> None:
     """The files REQUESTS names: the annulus and its outer loop, a 12-point
-    ring, and the two-loop filtration with its points."""
+    ring, the two-loop filtration with its points, and the six octahedron
+    vertices."""
     ann = fixtures.annulus()
     write_off(directory / "annulus.off", ann.complex)
     write_cycle(directory / "outer.txt", ann.complex, ann.outer_loop, 1)
@@ -44,6 +48,7 @@ def write_inputs(directory: Path) -> None:
     two_loop = fixtures.two_loop_filtration()
     write_filtration(directory / "two_loop.flt", two_loop)
     write_points(directory / "two_loop.csv", two_loop.complex.cloud.coords)
+    write_points(directory / "octahedron.csv", OCTAHEDRON)
 
 
 def report_bytes(directory: Path, name: str) -> bytes:
