@@ -48,73 +48,42 @@ class ConfigError(RuntimeError):
     """Inconsistent command-line configuration."""
 
 
-class RunConfig:
-    """One request's settings: the problem, and a default for every flag."""
+def _filtration_sources(args: argparse.Namespace) -> int:
+    # a subcommand's namespace holds only its own flags
+    return sum(getattr(args, name, None) is not None for name in ("rips_scale", "filtration_path", "lower_star_path"))
 
-    def __init__(self, problem: str) -> None:
-        self.problem = problem
-        self.p: int = 1
-        self.complex_path: Optional[str] = None
-        self.cycle_path: Optional[str] = None
-        self.points_path: Optional[str] = None
-        self.rips_scale: Optional[float] = None
-        self.lower_star_path: Optional[str] = None
-        self.filtration_path: Optional[str] = None
-        self.sites: float = 1.0
-        self.shorten: bool = False
-        self.out: Optional[str] = None
-        self.export_obj: Optional[str] = None
-        self.bars: Optional[int] = None
-        self.budget: int = 12
 
-    def filtration_sources(self) -> int:
-        return sum(
-            x is not None
-            for x in (self.rips_scale, self.filtration_path, self.lower_star_path)
-        )
-
-    def validate(self) -> None:
-        verify_basis = self.problem == "verify" and not (self.cycle_path or self.filtration_sources())
-        if (self.problem in ("localize", "basis") or verify_basis) and self.p < 1:
-            raise ConfigError(f"{'basis' if verify_basis else self.problem} needs a positive dimension p")
-        if self.p < 0:
-            raise ConfigError("-p must be non-negative")
-        if self.rips_scale is not None and not self.rips_scale >= 0:
-            raise ConfigError("--rips must be non-negative")
-        if not 0 < self.sites <= 1:
-            raise ConfigError("--sites must be a fraction in (0, 1]")
-        if self.budget < 1:
-            raise ConfigError("--budget must be positive")
-        if self.problem == "localize":
-            if not (self.complex_path and self.cycle_path):
-                raise ConfigError("localize needs --complex and --cycle")
-        elif self.problem == "basis":
-            if not self.complex_path:
-                raise ConfigError("basis needs --complex")
-        elif self.problem == "persistent":
-            self._validate_filtration_source()
-        elif self.problem == "verify":
-            if self.cycle_path:
-                if not self.complex_path:
-                    raise ConfigError("verify with --cycle needs --complex")
-            elif self.filtration_sources():
-                self._validate_filtration_source()
-            elif not self.complex_path:
-                raise ConfigError("verify needs --complex, --cycle, or a filtration source")
-        else:
-            raise ConfigError(f"unknown problem {self.problem!r}")
-
-    def _validate_filtration_source(self) -> None:
-        if self.filtration_sources() != 1:
+def _validate(args: argparse.Namespace) -> None:
+    """The checks argparse cannot make; raises ConfigError at the first that
+    fails."""
+    sources = _filtration_sources(args)
+    verify_basis = args.problem == "verify" and not (args.cycle_path or sources)
+    if (args.problem in ("localize", "basis") or verify_basis) and args.p < 1:
+        raise ConfigError(f"{'basis' if verify_basis else args.problem} needs a positive dimension p")
+    if args.p < 0:
+        raise ConfigError("-p must be non-negative")
+    if getattr(args, "rips_scale", None) is not None and not args.rips_scale >= 0:
+        raise ConfigError("--rips must be non-negative")
+    if not 0 < args.sites <= 1:
+        raise ConfigError("--sites must be a fraction in (0, 1]")
+    if getattr(args, "budget", 1) < 1:
+        raise ConfigError("--budget must be positive")
+    if args.problem == "verify" and args.cycle_path:
+        if not args.complex_path:
+            raise ConfigError("verify with --cycle needs --complex")
+    elif args.problem == "persistent" or sources:
+        if sources != 1:
             raise ConfigError(
                 "need exactly one filtration source: --rips, --filtration, or --lower-star"
             )
-        if self.rips_scale is not None and not self.points_path:
+        if args.rips_scale is not None and not args.points_path:
             raise ConfigError("--rips needs --points")
-        if self.filtration_path is not None and not self.points_path:
+        if args.filtration_path is not None and not args.points_path:
             raise ConfigError("--filtration needs --points for the geometry")
-        if self.lower_star_path is not None and not self.complex_path:
+        if args.lower_star_path is not None and not args.complex_path:
             raise ConfigError("--lower-star needs --complex")
+    elif args.problem == "verify" and not args.complex_path:
+        raise ConfigError("verify needs --complex, --cycle, or a filtration source")
 
 
 # -- serialization ----------------------------------------------------------
@@ -171,16 +140,16 @@ def _emit(report: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _export_obj(cfg: RunConfig, complex_like, rows: list[OptimalCycleResult]) -> None:
-    if not cfg.export_obj:
+def _export_obj(args: argparse.Namespace, complex_like, rows: list[OptimalCycleResult]) -> None:
+    if not args.export_obj:
         return
-    out_dir = Path(cfg.export_obj)
+    out_dir = Path(args.export_obj)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, res in enumerate(rows):
         if res.dim != 1:
             continue
         write_obj_polylines(
-            out_dir / f"{cfg.problem}_{i:03d}.obj", complex_like, [res.cycle]
+            out_dir / f"{args.problem}_{i:03d}.obj", complex_like, [res.cycle]
         )
 
 
@@ -197,51 +166,51 @@ def _pick_sites(complex_like: EmbeddedComplex, fraction: float) -> Optional[list
 
 
 def _maybe_shorten(
-    cfg: RunConfig, complex_like, result: OptimalCycleResult
+    args: argparse.Namespace, complex_like, result: OptimalCycleResult
 ) -> OptimalCycleResult:
-    if cfg.shorten and result.dim == 1:
+    if args.shorten and result.dim == 1:
         return shorten_cycle(result, complex_like)
     return result
 
 
-def _build_filtration(cfg: RunConfig) -> Filtration:
-    if cfg.rips_scale is not None:
+def _build_filtration(args: argparse.Namespace) -> Filtration:
+    if args.rips_scale is not None:
         # p-bars are born by p-simplices and die by (p+1)-simplices
-        return rips_filtration(read_points(cfg.points_path), cfg.rips_scale, cfg.p + 1)
-    if cfg.filtration_path is not None:
-        return read_filtration(cfg.filtration_path, read_points(cfg.points_path))
-    complex_ = read_off(cfg.complex_path)
-    values = read_scalars(cfg.lower_star_path)
+        return rips_filtration(read_points(args.points_path), args.rips_scale, args.p + 1)
+    if args.filtration_path is not None:
+        return read_filtration(args.filtration_path, read_points(args.points_path))
+    complex_ = read_off(args.complex_path)
+    values = read_scalars(args.lower_star_path)
     if len(values) != complex_.n_simplices(0):
-        raise InputError(cfg.lower_star_path, f"{len(values)} scalar rows for {complex_.n_simplices(0)} vertices")
+        raise InputError(args.lower_star_path, f"{len(values)} scalar rows for {complex_.n_simplices(0)} vertices")
     return lower_star_filtration(complex_, values)
 
 
 # -- subcommands ------------------------------------------------------------
 
 
-def _run_localize(cfg: RunConfig) -> tuple[dict, int]:
-    complex_ = read_off(cfg.complex_path)
-    cycle = read_cycle(cfg.cycle_path, complex_, cfg.p)
-    res = opt_homologous_cycle(complex_, cycle, cfg.p, sites=_pick_sites(complex_, cfg.sites))
-    final = _maybe_shorten(cfg, complex_, res)
-    _export_obj(cfg, complex_, [final])
+def _run_localize(args: argparse.Namespace) -> tuple[dict, int]:
+    complex_ = read_off(args.complex_path)
+    cycle = read_cycle(args.cycle_path, complex_, args.p)
+    res = opt_homologous_cycle(complex_, cycle, args.p, sites=_pick_sites(complex_, args.sites))
+    final = _maybe_shorten(args, complex_, res)
+    _export_obj(args, complex_, [final])
     report = {
         "problem": "localize",
-        "p": cfg.p,
+        "p": args.p,
         "results": [_result_json(complex_, "localize", res, final)],
     }
     return report, EXIT_OK
 
 
-def _run_basis(cfg: RunConfig) -> tuple[dict, int]:
-    complex_ = read_off(cfg.complex_path)
-    basis = opt_homology_basis(complex_, cfg.p, sites=_pick_sites(complex_, cfg.sites))
-    finals = [_maybe_shorten(cfg, complex_, r) for r in basis.cycles]
-    _export_obj(cfg, complex_, finals)
+def _run_basis(args: argparse.Namespace) -> tuple[dict, int]:
+    complex_ = read_off(args.complex_path)
+    basis = opt_homology_basis(complex_, args.p, sites=_pick_sites(complex_, args.sites))
+    finals = [_maybe_shorten(args, complex_, r) for r in basis.cycles]
+    _export_obj(args, complex_, finals)
     report = {
         "problem": "basis",
-        "p": cfg.p,
+        "p": args.p,
         "betti": len(finals),
         "total_weight": float(sum(r.r_v for r in finals)),
         "results": [
@@ -252,28 +221,28 @@ def _run_basis(cfg: RunConfig) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _run_persistent(cfg: RunConfig) -> tuple[dict, int]:
-    filtration = _build_filtration(cfg)
+def _run_persistent(args: argparse.Namespace) -> tuple[dict, int]:
+    filtration = _build_filtration(args)
     complex_ = filtration.complex
-    persistence = compute_persistence(filtration, cfg.p)
-    reps = opt_persistent_basis(persistence, _pick_sites(complex_, cfg.sites), cfg.bars)
-    finals = [_maybe_shorten(cfg, complex_, r) for r in reps]
+    persistence = compute_persistence(filtration, args.p)
+    reps = opt_persistent_basis(persistence, _pick_sites(complex_, args.sites), args.bars)
+    finals = [_maybe_shorten(args, complex_, r) for r in reps]
     rows = [_result_json(complex_, "persistent", before, after) for before, after in zip(reps, finals)]
-    _export_obj(cfg, complex_, finals)
+    _export_obj(args, complex_, finals)
     report = {
         "problem": "persistent",
-        "p": cfg.p,
+        "p": args.p,
         "n_simplices": len(filtration),
         "barcode": [
             [float(b), "inf" if d is None else float(d)]
-            for b, d in persistence.barcode.value_pairs(cfg.p)
+            for b, d in persistence.barcode.value_pairs(args.p)
         ],
         "results": rows,
     }
     return report, EXIT_OK
 
 
-def _run_verify(cfg: RunConfig) -> tuple[dict, int]:
+def _run_verify(args: argparse.Namespace) -> tuple[dict, int]:
     # the oracle is loaded here, so the other subcommands never import it
     from .oracle import (
         OracleBudget,
@@ -282,16 +251,16 @@ def _run_verify(cfg: RunConfig) -> tuple[dict, int]:
         exact_optimal_homologous_cycle,
     )
 
-    budget = OracleBudget(max_vertices=cfg.budget)
+    budget = OracleBudget(max_vertices=args.budget)
     tol = 1e-9
     checks = []
 
-    if cfg.cycle_path:
+    if args.cycle_path:
         mode = "localize"
-        complex_ = read_off(cfg.complex_path)
-        cycle = read_cycle(cfg.cycle_path, complex_, cfg.p)
-        res = opt_homologous_cycle(complex_, cycle, cfg.p, sites=_pick_sites(complex_, cfg.sites))
-        opt = exact_optimal_homologous_cycle(complex_, cycle, cfg.p, budget)
+        complex_ = read_off(args.complex_path)
+        cycle = read_cycle(args.cycle_path, complex_, args.p)
+        res = opt_homologous_cycle(complex_, cycle, args.p, sites=_pick_sites(complex_, args.sites))
+        opt = exact_optimal_homologous_cycle(complex_, cycle, args.p, budget)
         if opt.radius > 0:
             ratio = res.r_v / opt.radius
         else:
@@ -305,21 +274,21 @@ def _run_verify(cfg: RunConfig) -> tuple[dict, int]:
                     "center": None if opt.center is None else [float(x) for x in opt.center],
                     "cycle": [
                         [int(v) for v in s]
-                        for s in complex_.chain_simplices(opt.cycle, cfg.p)
+                        for s in complex_.chain_simplices(opt.cycle, args.p)
                     ],
                 },
                 "ratio": float(ratio),
                 "ok": bool(opt.radius * (1 - tol) <= res.r_v <= 2 * opt.radius * (1 + tol)),
             }
         )
-    elif cfg.filtration_sources():
+    elif _filtration_sources(args):
         mode = "persistent"
-        filtration = _build_filtration(cfg)
+        filtration = _build_filtration(args)
         complex_ = filtration.complex
-        persistence = compute_persistence(filtration, cfg.p)
-        if persistence.bars(cfg.bars):  # the oracle's size cap, checked before the bar searches
+        persistence = compute_persistence(filtration, args.p)
+        if persistence.bars(args.bars):  # the oracle's size cap, checked before the bar searches
             budget.check_complex(complex_)
-        for res in opt_persistent_basis(persistence, _pick_sites(complex_, cfg.sites), cfg.bars):
+        for res in opt_persistent_basis(persistence, _pick_sites(complex_, args.sites), args.bars):
             rep = exact_min_persistent_rep(filtration, res.interval, budget)
             ratio = res.r_v / rep.weight if rep.weight > 0 else 1.0
             checks.append(
@@ -334,9 +303,9 @@ def _run_verify(cfg: RunConfig) -> tuple[dict, int]:
             )
     else:
         mode = "basis"
-        complex_ = read_off(cfg.complex_path)
-        greedy = opt_homology_basis(complex_, cfg.p, sites=_pick_sites(complex_, cfg.sites))
-        oracle = exact_min_basis(complex_, cfg.p, budget, weight="site")
+        complex_ = read_off(args.complex_path)
+        greedy = opt_homology_basis(complex_, args.p, sites=_pick_sites(complex_, args.sites))
+        oracle = exact_min_basis(complex_, args.p, budget, weight="site")
         checks.append(
             {
                 "kind": "basis",
@@ -349,7 +318,7 @@ def _run_verify(cfg: RunConfig) -> tuple[dict, int]:
         )
 
     if not checks:
-        print(f"cyclerad: nothing to verify: no positive-length {cfg.p}-bar", file=sys.stderr)
+        print(f"cyclerad: nothing to verify: no positive-length {args.p}-bar", file=sys.stderr)
     ok = bool(checks) and all(c["ok"] for c in checks)
     report = {"problem": "verify", "mode": mode, "ok": ok, "checks": checks}
     return report, EXIT_OK if ok else EXIT_INVALID
@@ -422,14 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(args.problem)
-    for name in vars(cfg):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
-
-
 _RUNNERS = {
     "localize": _run_localize,
     "basis": _run_basis,
@@ -438,14 +399,15 @@ _RUNNERS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
+def main(argv: Optional[list[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        cfg.validate()
+        _validate(args)
     except ConfigError as exc:
         print(f"cyclerad: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        report, code = _RUNNERS[cfg.problem](cfg)
+        report, code = _RUNNERS[args.problem](args)
     except InputError as exc:
         print(f"cyclerad: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -455,13 +417,8 @@ def run(cfg: RunConfig) -> int:
     except Exception as exc:  # last resort: a message, never a traceback
         print(f"cyclerad: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    _emit(report, cfg.out)
+    _emit(report, args.out)
     return code
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
 
 
 if __name__ == "__main__":

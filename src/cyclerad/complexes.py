@@ -222,9 +222,6 @@ class EmbeddedComplex:
     def vertex_ids(self) -> tuple[int, ...]:
         return tuple(s[0] for s in self.simplices(0))
 
-    def vertex_point(self, v: int) -> Point:
-        return self.cloud.point(v)
-
     # -- chains and matrices ----------------------------------------------
 
     def chain(self, simplices: Iterable[Iterable[int]], p: Optional[int] = None) -> ChainVector:

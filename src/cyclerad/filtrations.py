@@ -10,10 +10,12 @@ intervals, unpaired simplices essential classes; ``PersistenceResult.bars``
 names the ones that get representatives. All interval bookkeeping is
 index-based; values are carried along for reporting.
 
-``compute_persistence`` ranks each dimension by filtration index and reduces
-every dimension. The solvers read only the essential p-cycles of each site's
-filtration, so ``site_essential_cycles`` ranks by distance from the site and
-reduces just the (p+1)- and p-columns.
+``compute_persistence`` ranks each dimension by filtration index, reduces
+every dimension and keeps only the pairs: the barcode needs no basis change,
+since a bar's representative comes from the site search. The solvers read
+only the essential p-cycles of each site's filtration, so
+``site_essential_cycles`` ranks by distance from the site, reduces just the
+(p+1)- and p-columns, and tracks the basis change of the p-columns alone.
 """
 from __future__ import annotations
 
@@ -83,9 +85,6 @@ class Filtration:
     def __len__(self) -> int:
         return len(self.order)
 
-    def value_at(self, i: int) -> float:
-        return self.values[i]
-
     def index_of(self, simplex: Iterable[int]) -> int:
         return self._index[tuple(simplex)]
 
@@ -152,20 +151,12 @@ class Barcode(NamedTuple("Barcode", [("intervals", tuple)])):
 
 
 class PersistenceResult(NamedTuple):
-    """Barcode of a filtration plus, for one dimension p, a representative
-    cycle per interval and the essential cycles in order of appearance.
-
-    Finite intervals are represented by the reduced destroyer column (it
-    contains the creator, bounds once the destroyer is in, and is not a
-    boundary before that); essential intervals by the basis-change column at
-    the creator. Chains live in the filtration complex's canonical p-basis.
-    """
+    """The barcode of a filtration in every dimension, and the dimension p
+    whose bars are asked for."""
 
     filtration: Filtration
     dim: int
     barcode: Barcode
-    representatives: Mapping[Interval, ChainVector]
-    essential_cycles: tuple[ChainVector, ...]
 
     def bars(self, top: Optional[int] = None) -> list[Interval]:
         """The dimension-p intervals of positive value length, longest first
@@ -184,19 +175,7 @@ def compute_persistence(filtration: Filtration, p: int) -> PersistenceResult:
     order, values, indices = filtration.order, filtration.values, filtration.indices
     # per dimension, the positions in rank order
     ranked = [sorted(range(len(index)), key=index.__getitem__) for index in indices]
-    pairs, cycles, reduced = _clearing_reduction(complex_like, ranked, complex_like.max_dim, 0, p)
-
-    n_p = complex_like.n_simplices(p)
-    bit_at = complex_like.powers(n_p)
-
-    def canonical(mask: int) -> ChainVector:
-        """A chain over the p-ranks, in canonical p-positions."""
-        out = 0
-        while mask:
-            lowbit = mask & -mask
-            out |= bit_at[ranked[p][lowbit.bit_length() - 1]]
-            mask ^= lowbit
-        return ChainVector(n_p, mask=out)
+    pairs, _ = _clearing_reduction(complex_like, ranked, complex_like.max_dim, 0, None)
 
     def interval(d: int, i: int, k: Optional[int]) -> Interval:
         if k is None:
@@ -205,37 +184,25 @@ def compute_persistence(filtration: Filtration, p: int) -> PersistenceResult:
 
     intervals: list[Interval] = []
     unpaired = [set(range(len(index))) for index in indices]
-    killed = {ranked[p][low]: c for low, c in reduced.items()}  # birth position -> reduced column
-    chains: dict[int, ChainVector] = {}  # birth index -> representative
     for d, pairing in pairs:
         for birth, death in pairing:
             unpaired[d].discard(birth)
             unpaired[d + 1].discard(death)
             intervals.append(interval(d, indices[d][birth], indices[d + 1][death]))
-            if d == p:
-                chains[indices[d][birth]] = canonical(killed[birth])
     for d, positions in enumerate(unpaired):
         intervals += [interval(d, indices[d][q], None) for q in positions]
-    essential_cycles = tuple(ChainVector(n_p, mask=v) for v in cycles.values())
-    chains.update((indices[p][q], c) for q, c in zip(cycles, essential_cycles))
     intervals.sort(key=lambda iv: (iv.dim, iv.birth))
-    barcode = Barcode(tuple(intervals))
-    return PersistenceResult(
-        filtration=filtration,
-        dim=p,
-        barcode=barcode,
-        representatives={iv: chains[iv.birth] for iv in barcode.in_dim(p)},
-        essential_cycles=essential_cycles,
-    )
+    return PersistenceResult(filtration, p, Barcode(tuple(intervals)))
 
 
 # -- filtration constructors ----------------------------------------------
 
 
-def rips_filtration(cloud: PointCloud, max_scale: float, max_dim: int = 2) -> Filtration:
+def rips_filtration(cloud: PointCloud, max_scale: float, max_dim: int) -> Filtration:
     """Vietoris-Rips filtration: a simplex enters at its diameter; simplices
-    with diameter above max_scale are excluded. Ties are ordered by
-    (value, dimension, lexicographic vertex tuple)."""
+    with diameter above max_scale or dimension above max_dim are excluded.
+    Dimension-p bars die by (p+1)-simplices, so they need max_dim >= p + 1.
+    Ties are ordered by (value, dimension, lexicographic vertex tuple)."""
     if not max_scale >= 0:
         raise ValueError("max_scale must be non-negative")
     if max_dim < 0:
@@ -294,8 +261,8 @@ def lower_star_filtration(complex_like: EmbeddedComplex, vertex_values) -> Filtr
 
 
 def _clearing_reduction(
-    complex_like: EmbeddedComplex, ranked: Sequence[Sequence[int]], top: int, bottom: int, p: int
-) -> tuple[list[tuple[int, Iterator[tuple[int, int]]]], dict[int, int], dict[int, int]]:
+    complex_like: EmbeddedComplex, ranked: Sequence[Sequence[int]], top: int, bottom: int, p: Optional[int]
+) -> tuple[list[tuple[int, Iterator[tuple[int, int]]]], dict[int, int]]:
     """Z2 persistence of the boundary columns of dimensions top down to
     bottom, where ranked[d] lists the canonical positions of the d-simplices
     of a face-closed subcomplex (all of them, or a prefix) in the order of
@@ -313,11 +280,10 @@ def _clearing_reduction(
       birth created;
     - the essential p-cycles: position -> basis change in canonical
       p-positions, in rank order (the zero p-columns, when the
-      (p+1)-columns were reduced or p is the top dimension);
-    - the reduced (p+1)-columns: pivot rank -> column over the p-ranks."""
+      (p+1)-columns were reduced or p is the top dimension); empty when p
+      is None, and then no dimension tracks a basis change."""
     pairs = []
     cycles: dict[int, int] = {}
-    reduced: dict[int, int] = {}
     cleared: dict = {}  # pivot rank -> reduced column, of the dimension above
     for d in range(top, bottom - 1, -1):
         order = ranked[d]
@@ -362,10 +328,8 @@ def _clearing_reduction(
         if d:
             # each nonzero column adds its pivot to owners: both run in column order
             pairs.append((d - 1, zip(map(below.__getitem__, owners), filterfalse(zero.__contains__, kept))))
-        if d == p + 1:
-            reduced = owners
         cleared = owners
-    return pairs, cycles, reduced
+    return pairs, cycles
 
 
 def site_essential_cycles(
@@ -398,7 +362,7 @@ def site_essential_cycles(
         # a stable sort of the members alone is their share of the full ranking
         kept = range(len(rd)) if members is None else compress(range(len(rd)), members[d])
         ranked.append(sorted(kept, key=rd.__getitem__) if d >= p - 1 else ())
-    _, cycles, _ = _clearing_reduction(complex_like, ranked, top, p, p)
+    _, cycles = _clearing_reduction(complex_like, ranked, top, p, p)
     return (
         tuple(ChainVector(n_p, mask=v) for v in cycles.values()),
         tuple(r[p][q] for q in cycles),

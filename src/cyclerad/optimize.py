@@ -60,7 +60,6 @@ class OptimalCycleResult(NamedTuple):
     r_v: float
     r_exact: float
     certificate: SphereCertificate
-    context: str
     interval: Optional[Interval] = None
 
     def edge_count(self) -> int:
@@ -77,16 +76,13 @@ def _result_for_cycle(
     cycle: ChainVector,
     p: int,
     site: Optional[int],
-    context: str,
     interval: Optional[Interval] = None,
 ) -> OptimalCycleResult:
     if cycle.is_zero():
-        return OptimalCycleResult(
-            cycle, p, site, 0.0, 0.0, SphereCertificate(None, 0.0, ()), context, interval
-        )
+        return OptimalCycleResult(cycle, p, site, 0.0, 0.0, SphereCertificate(None, 0.0, ()), interval)
     cert = exact_radius(complex_like, cycle, p)
     r_v = site_radius(complex_like, site, cycle, p) if site is not None else cert.radius
-    return OptimalCycleResult(cycle, p, site, r_v, cert.radius, cert, context, interval)
+    return OptimalCycleResult(cycle, p, site, r_v, cert.radius, cert, interval)
 
 
 def _site_search(complex_like: EmbeddedComplex, sites: Optional[Sequence[int]],
@@ -145,7 +141,7 @@ def describe_cycle(
             complex_like, None, lambda v: (site_radius(complex_like, v, cycle, p), cycle),
             chain_vertices(complex_like, cycle, p),
         )
-    return _result_for_cycle(complex_like, cycle, p, site, "input")
+    return _result_for_cycle(complex_like, cycle, p, site)
 
 
 def _site_essential_cycles(complex_like: EmbeddedComplex, site: int, p: int, members=None):
@@ -197,7 +193,7 @@ def opt_homologous_cycle(
     site index."""
     evaluate = _homologous_evaluator(complex_like, cycle, p)
     site, out = _best_site(complex_like, sites, evaluate)
-    return _result_for_cycle(complex_like, out, p, site, "homologous-cycle")
+    return _result_for_cycle(complex_like, out, p, site)
 
 
 def opt_homology_basis(
@@ -238,9 +234,7 @@ def opt_homology_basis(
         return admitted[-1][0] if admitted else -math.inf
 
     _site_search(complex_like, sites, evaluate, threshold)
-    cycles = tuple(
-        _result_for_cycle(complex_like, c, p, v, "homology-basis") for _, v, _, c in admitted
-    )
+    cycles = tuple(_result_for_cycle(complex_like, c, p, v) for _, v, _, c in admitted)
     return HomologyBasisResult(cycles, sum(x.r_v for x in cycles))
 
 
@@ -316,9 +310,7 @@ def opt_pers_hom_rep(
     site index."""
     evaluate = _bar_evaluator(filtration, interval)
     site, out = _best_site(filtration.complex, sites, evaluate, interval.creator)
-    return _result_for_cycle(
-        filtration.complex, out, interval.dim, site, "persistent-representative", interval
-    )
+    return _result_for_cycle(filtration.complex, out, interval.dim, site, interval)
 
 
 def opt_persistent_basis(
@@ -452,9 +444,7 @@ def shorten_cycle(
 
     if cycle == result.cycle:
         return result
-    out = _result_for_cycle(
-        complex_like, cycle, 1, result.site, result.context, result.interval
-    )
+    out = _result_for_cycle(complex_like, cycle, 1, result.site, result.interval)
     assert out.r_v <= result.r_v * (1 + 1e-12)
     assert len(out.cycle) <= len(result.cycle)
     return out

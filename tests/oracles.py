@@ -402,10 +402,8 @@ def square_boundary_matrix(filtration) -> list[int]:
 def square_persistence(filtration, p: int):
     """Persistence of the filtration by the square reduction:
     (intervals as sorted (dim, birth, death) index triples, death None when
-    essential; {birth: representative} for dimension p; the essential
-    p-cycles in birth order). Representatives are masks in the complex's
-    canonical p-positions: a finite bar's is the reduced column at its death,
-    an essential bar's the basis-change column at its birth."""
+    essential; the essential p-cycles in birth order, each the basis-change
+    column at its birth as a mask in the complex's canonical p-positions)."""
     order = filtration.order
     result = standard_reduction(square_boundary_matrix(filtration))
     triples = sorted([(len(order[i]) - 1, i, j) for i, j in result.pairs]
@@ -415,12 +413,8 @@ def square_persistence(filtration, p: int):
     def canonical(mask: int) -> int:
         return sum(1 << filtration.complex.position(order[i]) for i in mask_support(mask))
 
-    representatives = {}
-    for d, i, j in triples:
-        if d == p:
-            representatives[i] = canonical(result.basis_change[i] if j is None else result.reduced[j])
-    essential = [representatives[i] for d, i, j in triples if d == p and j is None]
-    return triples, representatives, essential
+    essential = [canonical(result.basis_change[i]) for d, i, j in triples if d == p and j is None]
+    return triples, essential
 
 
 class SiteOrdering(NamedTuple):

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coordinate_rows, embedded_complexes, filtered_complexes, loopy_complexes, point_clouds
+from conftest import OCTAHEDRON, coordinate_rows, embedded_complexes, filtered_complexes, loopy_complexes, point_clouds
 from oracles import (
     betti_by_rank,
-    bounds_in_prefix,
     mask_support,
     numpy_rips,
     numpy_site_essential_cycles,
@@ -101,9 +100,6 @@ def test_hollow_triangle_barcode():
     assert len(ones) == 1
     iv = ones[0]
     assert iv.death is None and iv.creator == (0, 2) and iv.birth_value == 2.0
-    rep = res.representatives[iv]
-    assert res.filtration.complex.chain_simplices(rep, 1) == [(0, 1), (0, 2), (1, 2)]
-    assert res.essential_cycles == (rep,)
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,25 +123,6 @@ def test_every_position_is_birth_or_death_once(filtration):
     assert sorted(births + deaths) == list(range(len(filtration)))
 
 
-@settings(max_examples=40, deadline=None)
-@given(filtered_complexes())
-def test_representatives_satisfy_interval_conditions(filtration):
-    complex_ = filtration.complex
-    res = compute_persistence(filtration, 1)
-    for iv in res.barcode.in_dim(1):
-        rep = res.representatives[iv]
-        assert not rep.is_zero()
-        assert complex_.is_cycle(rep, 1)
-        positions = [filtration.index_of(s) for s in complex_.chain_simplices(rep, 1)]
-        assert max(positions) == iv.birth  # lives in the birth prefix, meets the creator
-        assert filtration.order[iv.birth] in complex_.chain_simplices(rep, 1)
-        if iv.death is not None:
-            assert not bounds_in_prefix(filtration, iv.death - 1, rep, 1)
-            assert bounds_in_prefix(filtration, iv.death, rep, 1)
-        else:
-            assert not bounds_in_prefix(filtration, len(filtration) - 1, rep, 1)
-
-
 @st.composite
 def any_filtrations(draw):
     """Random simplexwise filtrations, Rips builds and lower-star fields."""
@@ -164,12 +141,11 @@ def any_filtrations(draw):
 @settings(max_examples=80, deadline=None)
 @given(any_filtrations())
 def test_persistence_matches_the_square_reduction(filtration):
-    """Every interval of every dimension, every representative and the
-    essential cycles, as the square reduction of the whole boundary matrix
-    gives them."""
+    """Every interval of every dimension, as the square reduction of the
+    whole boundary matrix gives them."""
     order, values = filtration.order, filtration.values
+    intervals, _ = square_persistence(filtration, 0)
     for p in range(filtration.complex.max_dim + 2):
-        intervals, representatives, essential = square_persistence(filtration, p)
         result = compute_persistence(filtration, p)
         expect = [
             Interval(d, i, j, order[i], None if j is None else order[j],
@@ -177,11 +153,6 @@ def test_persistence_matches_the_square_reduction(filtration):
             for d, i, j in intervals
         ]
         assert list(result.barcode.intervals) == expect
-        n_p = filtration.complex.n_simplices(p)
-        assert result.representatives == {
-            iv: ChainVector(n_p, mask=representatives[iv.birth]) for iv in result.barcode.in_dim(p)
-        }
-        assert result.essential_cycles == tuple(ChainVector(n_p, mask=m) for m in essential)
 
 
 def test_two_loop_value_barcode():
@@ -197,8 +168,6 @@ def test_annulus_bar_filtration():
     assert [(iv.birth_value, iv.death_value) for iv in long_bars] == [(1.0, 3.0)]
     iv = long_bars[0]
     assert iv.creator == (6, 7)
-    inner = filtration.complex.chain([(4, 5), (4, 7), (5, 6), (6, 7)])
-    assert res.representatives[iv] == inner
 
 
 def test_barcode_validation_rejects_duplicate_creator():
@@ -253,7 +222,7 @@ def unit_square_cloud():
 
 
 def test_rips_at_side_scale():
-    f = rips_filtration(unit_square_cloud(), 1.0)
+    f = rips_filtration(unit_square_cloud(), 1.0, max_dim=2)
     assert f.complex.n_simplices(1) == 4  # diagonals exceed the scale
     assert f.complex.max_dim == 1
     res = compute_persistence(f, 1)
@@ -265,16 +234,16 @@ def test_rips_at_side_scale():
 @pytest.mark.parametrize("scale", [math.nan, -1.0])
 def test_rips_rejects_a_negative_or_nan_scale(scale):
     with pytest.raises(ValueError, match="max_scale must be non-negative"):
-        rips_filtration(unit_square_cloud(), scale)
+        rips_filtration(unit_square_cloud(), scale, max_dim=2)
 
 
 def test_rips_at_diagonal_scale():
     scale = math.sqrt(2) + 1e-9
-    f = rips_filtration(unit_square_cloud(), scale)
+    f = rips_filtration(unit_square_cloud(), scale, max_dim=2)
     assert f.complex.n_simplices(1) == 6
     assert f.complex.n_simplices(2) == 4
     for t in f.complex.simplices(2):
-        assert f.value_at(f.index_of(t)) == pytest.approx(math.sqrt(2))
+        assert f.values[f.index_of(t)] == pytest.approx(math.sqrt(2))
     res = compute_persistence(f, 1)
     assert res.barcode.betti(1) == 0
     Filtration(f.complex, f.order, f.values)
@@ -282,14 +251,18 @@ def test_rips_at_diagonal_scale():
 
 def test_rips_includes_distance_exactly_at_scale():
     cloud = PointCloud([(0.0, 0.0), (1.0, 0.0)])
-    f = rips_filtration(cloud, 1.0)
+    f = rips_filtration(cloud, 1.0, max_dim=2)
     assert f.complex.has((0, 1))
 
 
 def test_rips_higher_dimension():
     f = rips_filtration(unit_square_cloud(), math.sqrt(2) + 1e-9, max_dim=3)
     assert f.complex.n_simplices(3) == 1
-    assert f.value_at(f.index_of((0, 1, 2, 3))) == pytest.approx(math.sqrt(2))
+    assert f.values[f.index_of((0, 1, 2, 3))] == pytest.approx(math.sqrt(2))
+    # built to dimension p + 1, the hollow octahedron's 2-bar dies when its
+    # antipodal edges and their tetrahedra fill it
+    f = rips_filtration(PointCloud(OCTAHEDRON), 2.5, max_dim=3)
+    assert compute_persistence(f, 2).barcode.value_pairs(2) == [(math.sqrt(2), 2.0)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -327,7 +300,7 @@ def test_lower_star_hollow_triangle():
 def test_lower_star_accepts_array_and_rejects_missing():
     complex_ = fixtures.hollow_triangle().complex
     f = lower_star_filtration(complex_, [0.0, 1.0, 2.0])
-    assert f.value_at(len(f) - 1) == 2.0
+    assert f.values[-1] == 2.0
     with pytest.raises(ValueError):
         lower_star_filtration(complex_, {0: 0.0, 1: 1.0})
     with pytest.raises(ValueError, match="missing scalar value for vertex 2"):
@@ -352,8 +325,8 @@ def test_site_ordering_r_value_is_farthest_vertex():
     complex_ = fixtures.hollow_triangle().complex
     so = site_ordering(complex_, 0)
     f = so.as_filtration()
-    assert f.value_at(f.index_of((1, 2))) == pytest.approx(1.0)
-    assert f.value_at(f.index_of((0,))) == 0.0
+    assert f.values[f.index_of((1, 2))] == pytest.approx(1.0)
+    assert f.values[f.index_of((0,))] == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -366,7 +339,7 @@ def test_site_ordering_valid_for_every_site(complex_):
             assert r == pytest.approx(
                 max(
                     float(
-                        math.dist(complex_.vertex_point(v), complex_.vertex_point(site))
+                        math.dist(complex_.cloud.point(v), complex_.cloud.point(site))
                     )
                     for v in s
                 )
@@ -380,7 +353,7 @@ def essential_by_full_persistence(complex_like, site, p):
     """The reference: the square reduction of the site ordering, essential
     intervals only."""
     filtration = site_ordering(complex_like, site).as_filtration()
-    intervals, _, essential = square_persistence(filtration, p)
+    intervals, essential = square_persistence(filtration, p)
     radii = tuple(filtration.values[i] for d, i, j in intervals if d == p and j is None)
     return tuple(ChainVector(complex_like.n_simplices(p), mask=m) for m in essential), radii
 

@@ -30,6 +30,9 @@ REQUESTS = {
         "persistent", "--points", "two_loop.csv", "--filtration", "two_loop.flt", "--bars", "top:1",
     ],
     "octahedron_persistent_p2": ["persistent", "-p", "2", "--points", "octahedron.csv", "--rips", "2.5"],
+    "annulus_verify_localize": ["verify", "--complex", "annulus.off", "--cycle", "outer.txt"],
+    "annulus_verify_basis": ["verify", "--complex", "annulus.off"],
+    "ring_verify_rips": ["verify", "--points", "ring.csv", "--rips", "0.9"],
 }
 
 

@@ -234,7 +234,7 @@ def exhaustive_basis(complex_, p, sites=None):
     pool.sort(key=lambda t: t[:3])
     span = IncrementalSpan(complex_.n_simplices(p), boundary_columns(complex_, p))
     admitted = [
-        _result_for_cycle(complex_, c, p, v, "homology-basis")
+        _result_for_cycle(complex_, c, p, v)
         for _, v, _, c in pool
         if span.add(c.mask)
     ]
