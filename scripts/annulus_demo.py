@@ -8,7 +8,7 @@ import argparse
 import math
 
 from cyclerad import fixtures
-from cyclerad.optimize import describe_cycle, opt_homologous_cycle, optimal_hom_cycle_for_site
+from cyclerad.optimize import describe_cycle, opt_homologous_cycle
 from cyclerad.oracle import exact_optimal_homologous_cycle
 
 
@@ -26,7 +26,7 @@ def main() -> None:
 
     print("\nper-site optima (site: radius, edges):")
     for v in complex_.vertex_ids():
-        res = optimal_hom_cycle_for_site(complex_, ann.outer_loop, v, 1)
+        res = opt_homologous_cycle(complex_, ann.outer_loop, 1, sites=[v])
         print(f"  v{v} @ {tuple(round(float(x), 3) for x in complex_.cloud.point(v))}:"
               f" r_v={res.r_v:.6f}, {len(res.cycle)} edges")
 

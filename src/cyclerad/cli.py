@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .complexes import EmbeddedComplex
+from .complexes import MEMBERSHIP_REL_TOL, EmbeddedComplex
 from .filtrations import (
     Filtration,
     Interval,
@@ -252,7 +252,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict, int]:
     )
 
     budget = OracleBudget(max_vertices=args.budget)
-    tol = 1e-9
+    tol = MEMBERSHIP_REL_TOL
     checks = []
 
     if args.cycle_path:
@@ -298,7 +298,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict, int]:
                     "algorithm": _result_json(complex_, "verify", res, res),
                     "oracle": {"weight": float(rep.weight), "site": rep.site},
                     "ratio": float(ratio),
-                    "ok": bool(abs(res.r_v - rep.weight) <= tol * max(1.0, rep.weight)),
+                    "ok": bool(abs(res.r_v - rep.weight) <= tol * rep.weight),
                 }
             )
     else:
@@ -311,9 +311,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict, int]:
                 "kind": "basis",
                 "algorithm": {"total_weight": float(greedy.total_weight)},
                 "oracle": {"total_weight": float(oracle.total_weight)},
-                "ok": bool(
-                    greedy.total_weight <= oracle.total_weight * (1 + tol) + 1e-12
-                ),
+                "ok": bool(greedy.total_weight <= oracle.total_weight * (1 + tol)),
             }
         )
 
@@ -340,15 +338,16 @@ def _parse_bars(text: str) -> int:
     return k
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+def _add_common(sp: argparse.ArgumentParser, solver: bool = True) -> None:
     sp.add_argument("-p", type=int, default=1, help="homology dimension")
     sp.add_argument("--sites", type=float, default=1.0, metavar="FRAC",
                     help="fraction of vertices used as sites")
-    sp.add_argument("--shorten", action="store_true",
-                    help="post-process 1-cycles with the edge-count shortener")
     sp.add_argument("--out", metavar="FILE", help="write the JSON report here")
-    sp.add_argument("--export-obj", dest="export_obj", metavar="DIR",
-                    help="write 1-cycles as OBJ polylines into DIR")
+    if solver:  # verify reports checks, not cycles to shorten or export
+        sp.add_argument("--shorten", action="store_true",
+                        help="post-process 1-cycles with the edge-count shortener")
+        sp.add_argument("--export-obj", dest="export_obj", metavar="DIR",
+                        help="write 1-cycles as OBJ polylines into DIR")
 
 
 def _add_filtration_source(sp: argparse.ArgumentParser) -> None:
@@ -386,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_filtration_source(ver)
     ver.add_argument("--budget", type=int, default=12,
                      help="oracle vertex cap")
-    _add_common(ver)
+    _add_common(ver, solver=False)
 
     return ap
 

@@ -29,7 +29,7 @@ MEMBERSHIP_REL_TOL = 1e-9
 
 
 def within_radius(distance: float, radius: float) -> bool:
-    return distance <= radius + MEMBERSHIP_REL_TOL * max(1.0, abs(radius))
+    return distance <= radius + MEMBERSHIP_REL_TOL * abs(radius)
 
 
 Point = tuple[float, ...]

@@ -7,8 +7,10 @@ the remaining p-columns (``filtrations.site_essential_cycles``). That is
 the package's one persistence kernel, ``filtrations._clearing_reduction``,
 which also computes the barcode of a filtration. Because reduced columns
 have pairwise distinct leading positions, the leading position of any
-combination is the max over its parts, which is what makes the greedy and
-the incremental bar pass below exact rather than heuristic.
+combination is the max over its parts. That makes the greedy exact rather
+than heuristic, and also the early stop of the class test that localize and
+the bars share (``_express_over``): a cycle admitted after the target lies
+in the span takes a leading position the target's reduction never reads.
 
 All three solvers share one best-first site search: per-site answers are
 minima over site-independent chain sets, so r_w >= r_v - |p_v - p_w|, and
@@ -25,7 +27,6 @@ from collections import deque
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .complexes import (
-    MEMBERSHIP_REL_TOL,
     EmbeddedComplex,
     Simplex,
     boundary_columns,
@@ -100,8 +101,7 @@ def _site_search(complex_like: EmbeddedComplex, sites: Optional[Sequence[int]],
         bound = list(map(max, bound, distances_from(complex_like.cloud.point(u), columns)))
     while True:
         k = bound.index(min(bound))
-        limit = cutoff()
-        if bound[k] == math.inf or bound[k] > limit + MEMBERSHIP_REL_TOL * max(1.0, limit):
+        if bound[k] == math.inf or not within_radius(bound[k], cutoff()):
             break
         bound[k] = math.inf
         r = evaluate(chosen[k])
@@ -151,6 +151,24 @@ def _site_essential_cycles(complex_like: EmbeddedComplex, site: int, p: int, mem
     return site_essential_cycles(complex_like, site, p, members)
 
 
+def _express_over(span: IncrementalSpan, cycles: Sequence[ChainVector], target: ChainVector) -> int:
+    """Sum of the cycles that, with the span's columns, make up the target.
+    They join a copy of the span in order, each tagged with itself, only
+    until the target lies in it: a later cycle would take a lowest-one row
+    the target's reduction never reads, so the sum would be the same."""
+    span = span.copy()
+    rest, tag = span.reduce(target.mask)
+    for c in cycles:
+        if not rest:
+            break
+        # a column added takes a lowest-one row no stored column had, so
+        # reducing on from the remainder reduces the target against it all
+        span.add(c.mask, c.mask)
+        rest, tag = span.reduce(rest, tag)
+    assert not rest
+    return tag
+
+
 def _homologous_evaluator(
     complex_like: EmbeddedComplex, cycle: ChainVector, p: int
 ) -> SiteEvaluator:
@@ -164,23 +182,12 @@ def _homologous_evaluator(
     boundaries = IncrementalSpan(n_p, boundary_columns(complex_like, p))
 
     def evaluate(site: int) -> tuple[float, ChainVector]:
-        span = boundaries.copy()
-        for c in _site_essential_cycles(complex_like, site, p)[0]:
-            span.add(c.mask, c.mask)
-        mask = span.express(cycle.mask)
+        essential, _ = _site_essential_cycles(complex_like, site, p)
         # essential cycles and boundaries together span every cycle
-        assert mask is not None
-        out = ChainVector(n_p, mask=mask)
+        out = ChainVector(n_p, mask=_express_over(boundaries, essential, cycle))
         return (0.0 if out.is_zero() else site_radius(complex_like, site, out, p)), out
 
     return evaluate
-
-
-def optimal_hom_cycle_for_site(
-    complex_like: EmbeddedComplex, cycle: ChainVector, site: int, p: int = 1
-) -> OptimalCycleResult:
-    """Smallest cycle homologous to the input as seen from one site."""
-    return opt_homologous_cycle(complex_like, cycle, p, sites=[site])
 
 
 def opt_homologous_cycle(
@@ -206,9 +213,7 @@ def opt_homology_basis(
     if p < 1:
         raise ValueError("basis dimension must be positive")
     admitted: Optional[list[tuple[float, int, int, ChainVector]]] = None  # (r, site, rank, cycle)
-    # the boundaries, then the admitted cycles in order, one column each
-    span = IncrementalSpan(complex_like.n_simplices(p), boundary_columns(complex_like, p))
-    boundary_rank = span.rank
+    boundaries = IncrementalSpan(complex_like.n_simplices(p), boundary_columns(complex_like, p))
 
     def evaluate(site: int) -> float:
         nonlocal admitted
@@ -218,11 +223,8 @@ def opt_homology_basis(
         fresh = [(r, site, k, c) for k, (c, r) in enumerate(zip(cycles, radii)) if r <= threshold()]
         if fresh or admitted is None:
             pool = sorted((admitted or []) + fresh, key=lambda t: t[:3])
-            # the greedy is unchanged up to the first fresh cycle: resume there
-            start = next((i for i, t in enumerate(pool) if t[1] == site), len(pool))
-            admitted = pool[:start]
-            span.truncate(boundary_rank + start)
-            admitted += [t for t in pool[start:] if span.add(t[3].mask)]
+            span = boundaries.copy()
+            admitted = [t for t in pool if span.add(t[3].mask)]
         assert len(admitted) == len(cycles)  # homology rank cannot depend on the site
         return radii[0] if radii else 0.0
 
@@ -280,25 +282,11 @@ def _bar_evaluator(filtration: Filtration, interval: Interval) -> SiteEvaluator:
             # essential class, so the anchor itself is optimal
             return site_radius(complex_like, site, anchor, p), anchor
 
-        span = death_span.copy()
-        mask = span.express(anchor.mask)
-        for c in others:
-            if mask is not None:
-                break
-            span.add(c.mask, c.mask)
-            mask = span.express(anchor.mask)
-        assert mask is not None  # the bar dies, so the full span works
-        out = anchor ^ ChainVector(n_p, mask=mask)
+        # the bar dies, so the span of every admitted cycle holds the anchor
+        out = anchor ^ ChainVector(n_p, mask=_express_over(death_span, others, anchor))
         return site_radius(complex_like, site, out, p), out
 
     return evaluate
-
-
-def opt_pers_cycle_site(
-    filtration: Filtration, interval: Interval, site: int
-) -> OptimalCycleResult:
-    """Bar representative at one site."""
-    return opt_pers_hom_rep(filtration, interval, sites=[site])
 
 
 def opt_pers_hom_rep(

@@ -129,7 +129,7 @@ def min_enclosing_sphere(points) -> SphereCertificate:
     distances = distances_from(center, zip(*pts))
     if not all(within_radius(x, radius) for x in distances):
         raise RuntimeError("enclosing-sphere solver failed to cover its input")
-    tol = MEMBERSHIP_REL_TOL * max(1.0, radius)
+    tol = MEMBERSHIP_REL_TOL * radius
     support = tuple(i for i, x in enumerate(distances) if x >= radius - tol)[: d + 1]
     return SphereCertificate(center, radius, support)
 

@@ -88,7 +88,7 @@ class IncrementalSpan:
     """Growing column space with O(cols) membership insertion: kept reduced
     so each stored column has a distinct lowest-one row. Columns and vectors
     are masks over n_rows rows. Each added column may carry a tag mask that
-    is summed along with it, so ``express`` can say which added columns a
+    is summed along with it, so ``reduce`` can say which added columns a
     vector is the sum of."""
 
     def __init__(self, n_rows: int, masks: Iterable[int] = ()):
@@ -106,15 +106,13 @@ class IncrementalSpan:
         out._by_low = dict(self._by_low)
         return out
 
-    def truncate(self, rank: int) -> None:
-        """Drop the columns inserted after the span reached this rank. ``add``
-        only ever inserts, so what stays is the span of the earlier adds."""
-        while len(self._by_low) > rank:
-            self._by_low.popitem()
-
     def reduce(self, mask: int, tag: int = 0) -> tuple[int, int]:
         """The vector's remainder against the span, and the tag plus the tags
-        of the stored columns taken off it."""
+        of the stored columns taken off it. The vector is reduced by the
+        stored columns' lowest-one rows, as a left-to-right reduction of the
+        added columns followed by the vector would reduce it; with remainder
+        0, the tag is the sum of the tags of added columns that sum to the
+        vector, the combination that reduction finds."""
         if mask < 0 or mask >> self.n_rows:
             raise ValueError("mask exceeds the row count")
         while mask:
@@ -135,12 +133,3 @@ class IncrementalSpan:
             return False
         self._by_low[mask.bit_length() - 1] = (mask, tag)
         return True
-
-    def express(self, mask: int) -> Optional[int]:
-        """The sum of the tags of added columns that sum to the vector, or
-        None when the vector lies outside the span. The vector is reduced
-        against the stored columns by their lowest-one rows, as a
-        left-to-right reduction of the added columns followed by the vector
-        would reduce it, so the combination is the one that reduction finds."""
-        mask, tag = self.reduce(mask)
-        return None if mask else tag

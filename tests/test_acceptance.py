@@ -19,7 +19,6 @@ from cyclerad.optimize import (
     opt_homologous_cycle,
     opt_homology_basis,
     opt_pers_hom_rep,
-    optimal_hom_cycle_for_site,
     shorten_cycle,
 )
 from cyclerad.oracle import (
@@ -137,7 +136,7 @@ def test_criterion_2_per_site_minimum_is_exact():
             members = enumerate_class(complex_, cycle, 1)
         except BudgetExceededError:
             continue
-        res = optimal_hom_cycle_for_site(complex_, cycle, site, 1)
+        res = opt_homologous_cycle(complex_, cycle, 1, sites=[site])
         best = min(
             0.0 if c.is_zero() else site_radius(complex_, site, c, 1) for c in members
         )

@@ -12,6 +12,7 @@ from conftest import OCTAHEDRON
 
 from cyclerad import fixtures
 from cyclerad.cli import main
+from cyclerad.complexes import EmbeddedComplex, PointCloud
 from cyclerad.io import (
     InputError,
     read_cycle,
@@ -188,6 +189,22 @@ def test_verify_localize_exact_on_annulus(tmp_path, annulus_files):
     (check,) = report["checks"]
     assert check["ratio"] == pytest.approx(1.0, rel=REL)
     assert check["oracle"]["radius"] == pytest.approx(math.sqrt(0.5), rel=REL)
+
+
+def test_verify_localize_on_a_tiny_annulus(tmp_path):
+    """The annulus scaled by 2^-30 verifies as at unit scale: membership
+    tolerances are relative, so the oracle's balls shrink with the points."""
+    ann = fixtures.annulus()
+    cloud = PointCloud([[math.ldexp(x, -30) for x in row] for row in ann.complex.cloud.coords])
+    tiny = EmbeddedComplex(cloud, ann.complex.maximal_simplices())
+    off, cyc = tmp_path / "tiny.off", tmp_path / "outer.txt"
+    write_off(off, tiny)
+    write_cycle(cyc, tiny, ann.outer_loop, 1)
+    code, report = run_json(tmp_path, ["verify", "--complex", str(off), "--cycle", str(cyc)])
+    assert code == 0 and report["ok"] is True
+    (check,) = report["checks"]
+    assert check["ratio"] == 1.0
+    assert check["oracle"]["radius"] == math.ldexp(math.sqrt(0.5), -30)
 
 
 def test_verify_basis_and_persistent(tmp_path, two_loop_files):
@@ -414,6 +431,14 @@ def test_bad_bars_flag_rejected(tmp_path, two_loop_files):
     _, csv, flt = two_loop_files
     with pytest.raises(SystemExit) as exc:
         main(["persistent", "--points", csv, "--filtration", flt, "--bars", "first:3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", [["--shorten"], ["--export-obj", "objs"]])
+def test_verify_rejects_flags_it_does_not_read(tmp_path, annulus_files, flag):
+    _, off, _ = annulus_files
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--complex", off, *flag])
     assert exc.value.code == 2
 
 

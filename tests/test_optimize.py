@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,11 @@ from cyclerad.optimize import (
     describe_cycle,
     opt_homologous_cycle,
     opt_homology_basis,
-    opt_pers_cycle_site,
     opt_pers_hom_rep,
     opt_persistent_basis,
-    optimal_hom_cycle_for_site,
     shorten_cycle,
 )
+from cyclerad.radius import site_radius
 from cyclerad.z2 import ChainVector, IncrementalSpan
 from cyclerad import fixtures
 
@@ -40,7 +40,7 @@ def bounds_in_full(complex_, chain, p):
 def test_hollow_triangle_unique_class():
     inst = fixtures.hollow_triangle()
     for v in range(3):
-        res = optimal_hom_cycle_for_site(inst.complex, inst.loop, v, 1)
+        res = opt_homologous_cycle(inst.complex, inst.loop, 1, sites=[v])
         assert res.cycle == inst.loop
         assert res.r_v == pytest.approx(1.0, rel=REL)  # farthest vertex = far side
     best = opt_homologous_cycle(inst.complex, inst.loop, 1)
@@ -59,7 +59,7 @@ def test_filled_triangle_trivial_class():
 
 def test_annulus_center_site_returns_inner_loop():
     inst = fixtures.annulus()
-    res = optimal_hom_cycle_for_site(inst.complex, inst.outer_loop, inst.center_vertex, 1)
+    res = opt_homologous_cycle(inst.complex, inst.outer_loop, 1, sites=[inst.center_vertex])
     assert res.cycle == inst.inner_loop
     assert res.r_v == pytest.approx(math.sqrt(0.5), rel=REL)
 
@@ -86,7 +86,7 @@ def test_rejects_non_cycle():
     inst = fixtures.annulus()
     broken = inst.complex.chain([(0, 1)])
     with pytest.raises(ValueError):
-        optimal_hom_cycle_for_site(inst.complex, broken, 0, 1)
+        opt_homologous_cycle(inst.complex, broken, 1, sites=[0])
     with pytest.raises(ValueError):
         describe_cycle(inst.complex, broken, 1)
 
@@ -118,16 +118,58 @@ def test_global_result_never_beats_per_site(args):
     complex_, cycle = args
     best = opt_homologous_cycle(complex_, cycle, 1)
     per_site = [
-        optimal_hom_cycle_for_site(complex_, cycle, v, 1)
+        opt_homologous_cycle(complex_, cycle, 1, sites=[v])
         for v in sorted(complex_.vertex_ids())
     ]
     assert best == min(per_site, key=lambda r: (r.r_v, r.site))
 
 
+def every_cycle_localize(complex_, cycle, p):
+    """Localize without the early stop: at every site, each essential cycle
+    of the site ordering joins the boundaries before the input is expressed.
+    Returns the (r_v, site)-least (r_v, site, chain)."""
+    n_p = complex_.n_simplices(p)
+    boundaries = IncrementalSpan(n_p, boundary_columns(complex_, p))
+    best = None
+    for site in sorted(complex_.vertex_ids()):
+        span = boundaries.copy()
+        for c in _site_essential_cycles(complex_, site, p)[0]:
+            span.add(c.mask, c.mask)
+        rest, tag = span.reduce(cycle.mask)
+        assert rest == 0
+        out = ChainVector(n_p, mask=tag)
+        r = 0.0 if out.is_zero() else site_radius(complex_, site, out, p)
+        if best is None or (r, site) < best[:2]:
+            best = (r, site, out)
+    return best
+
+
+@st.composite
+def loopy_complex_with_cycle(draw):
+    """A loopy complex plus a sum of essential cycles of the lowest site."""
+    complex_ = draw(loopy_complexes())
+    cycle = ChainVector(complex_.n_simplices(1))
+    for c in _site_essential_cycles(complex_, 0, 1)[0]:
+        if draw(st.booleans()):
+            cycle = cycle ^ c
+    return complex_, cycle
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(complex_with_cycle(), loopy_complex_with_cycle()))
+def test_early_stop_matches_admitting_every_essential_cycle(args):
+    """Stopping once the input lies in the span changes no chain, site or
+    radius bit."""
+    complex_, cycle = args
+    r, site, out = every_cycle_localize(complex_, cycle, 1)
+    res = opt_homologous_cycle(complex_, cycle, 1)
+    assert (res.cycle, res.site, res.r_v.hex()) == (out, site, r.hex())
+
+
 def test_exact_tie_reports_lowest_site():
     # at side 3 the three site radii are bitwise equal
     inst = fixtures.hollow_triangle(3.0)
-    radii = {optimal_hom_cycle_for_site(inst.complex, inst.loop, v, 1).r_v for v in range(3)}
+    radii = {opt_homologous_cycle(inst.complex, inst.loop, 1, sites=[v]).r_v for v in range(3)}
     assert radii == {3.0}
     assert opt_homologous_cycle(inst.complex, inst.loop, 1).site == 0
 
@@ -188,8 +230,6 @@ def test_figure_eight_basis_beats_mixed_alternative():
     inst = fixtures.figure_eight()
     basis = opt_homology_basis(inst.complex, 1)
     mixed = inst.small_loop ^ inst.big_loop
-    from cyclerad.radius import site_radius
-
     r_mixed = min(
         site_radius(inst.complex, v, mixed, 1) for v in range(5)
     )
@@ -308,6 +348,40 @@ def test_basis_skips_sites_the_greedy_cannot_reach(monkeypatch):
     assert len(visited) < len(inst.complex.vertex_ids())
 
 
+def holed_mesh(k, holes, seed):
+    """A k x k grid of jittered unit cells, two triangles each, with the
+    cells in holes left open, and the grid's outer loop as edges."""
+    rng = random.Random(seed)
+    coords = [(i + rng.uniform(-0.25, 0.25), j + rng.uniform(-0.25, 0.25)) for j in range(k) for i in range(k)]
+    triangles = []
+    for j in range(k - 1):
+        for i in range(k - 1):
+            if (i, j) not in holes:
+                a = j * k + i
+                triangles += [(a, a + 1, a + k + 1), (a, a + k, a + k + 1)]
+    ring = [*range(k), *range(2 * k - 1, k * k, k), *range(k * k - 2, k * k - k - 1, -1), *range(k * k - 2 * k, 0, -k)]
+    return coords, triangles, [tuple(sorted(e)) for e in zip(ring, ring[1:] + ring[:1])]
+
+
+def test_tiny_meshes_scale_bit_for_bit():
+    """Every tolerance is relative to the radius it tests, so scaling the
+    points by a power of two scales each radius by it exactly and changes no
+    cycle or site."""
+    coords, triangles, outer = holed_mesh(18, {(3, 3), (11, 12)}, 16)
+
+    def solve(exponent):
+        cloud = PointCloud([[math.ldexp(x, exponent) for x in row] for row in coords])
+        complex_ = EmbeddedComplex(cloud, triangles)
+        return [opt_homologous_cycle(complex_, complex_.chain(outer, 1), 1), *opt_homology_basis(complex_, 1).cycles]
+
+    unit = solve(0)
+    assert len(unit) == 3
+    for exponent in (-30, -40):
+        for a, b in zip(unit, solve(exponent), strict=True):
+            assert (b.cycle, b.site) == (a.cycle, a.site)
+            assert (b.r_v, b.r_exact) == (math.ldexp(a.r_v, exponent), math.ldexp(a.r_exact, exponent))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(embedded_complexes(max_points=10, max_top_cells=14), loopy_complexes(max_points=10)))
 def test_first_essential_radius_is_lipschitz_in_the_site(complex_):
@@ -347,7 +421,7 @@ def test_lower_star_triangle_representative():
     res = compute_persistence(filtration, 1)
     interval = res.barcode.in_dim(1)[0]
     for v in range(3):
-        out = opt_pers_cycle_site(filtration, interval, v)
+        out = opt_pers_hom_rep(filtration, interval, sites=[v])
         assert out.cycle == fixtures.hollow_triangle().loop
         interval_conditions_hold(filtration, interval, out)
     best = opt_pers_hom_rep(filtration, interval)
@@ -399,7 +473,7 @@ def test_persistent_representatives_on_random_filtrations(filtration):
         out = opt_pers_hom_rep(filtration, interval)
         interval_conditions_hold(filtration, interval, out)
         assert out.r_exact <= out.r_v * (1 + REL)
-        per_site = [opt_pers_cycle_site(filtration, interval, v) for v in sites]
+        per_site = [opt_pers_hom_rep(filtration, interval, sites=[v]) for v in sites]
         assert out == min(per_site, key=lambda r: (r.r_v, r.site))
 
 
@@ -418,7 +492,7 @@ def test_bar_search_tie_goes_to_the_lower_site_at_its_creator_bound():
     assert bar.creator == (2, 3)
     out = opt_pers_hom_rep(filtration, bar)
     assert max(square.cloud.distance(0, u) for u in bar.creator) == out.r_v == math.sqrt(2)
-    assert [opt_pers_cycle_site(filtration, bar, v).r_v for v in range(4)] == [math.sqrt(2)] * 4
+    assert [opt_pers_hom_rep(filtration, bar, sites=[v]).r_v for v in range(4)] == [math.sqrt(2)] * 4
     assert out.site == 0
 
 
@@ -466,7 +540,7 @@ def test_binary_search_boundary(filtration, site_seed):
             is not None
         )
 
-    out = opt_pers_cycle_site(filtration, interval, site)
+    out = opt_pers_hom_rep(filtration, interval, sites=[site])
     i_star = next(i for i in range(len(others) + 1) if feasible(i))
     assert feasible(i_star)
     if i_star > 0:
@@ -507,7 +581,7 @@ def test_incremental_bar_pass_matches_binary_search(filtration):
             if interval.death is None:
                 continue
             for site in filtration.complex.vertex_ids():
-                out = opt_pers_cycle_site(filtration, interval, site)
+                out = opt_pers_hom_rep(filtration, interval, sites=[site])
                 assert out.cycle == binary_search_representative(filtration, interval, site)
 
 
@@ -607,8 +681,8 @@ def test_describe_cycle_picks_best_site():
 
 def test_records_are_immutable_values():
     inst = fixtures.annulus()
-    res = optimal_hom_cycle_for_site(inst.complex, inst.outer_loop, inst.center_vertex)
-    again = optimal_hom_cycle_for_site(inst.complex, inst.outer_loop, inst.center_vertex)
+    res = opt_homologous_cycle(inst.complex, inst.outer_loop, sites=[inst.center_vertex])
+    again = opt_homologous_cycle(inst.complex, inst.outer_loop, sites=[inst.center_vertex])
     bar = compute_persistence(fixtures.two_loop_filtration(), 1).barcode.in_dim(1)[0]
     for record, name in [(res, "r_v"), (res.certificate, "radius"), (bar, "death")]:
         with pytest.raises(AttributeError):

@@ -217,16 +217,6 @@ def test_incremental_span_copy_diverges_independently():
     assert span.contains(ChainVector(4, [0, 1, 3]).mask) and not twin.contains(ChainVector(4, [3]).mask)
 
 
-def test_incremental_span_truncate_drops_the_latest_adds():
-    span = IncrementalSpan(4, [ChainVector(4, [0, 1]).mask])
-    assert span.add(ChainVector(4, [1, 2]).mask, 1)
-    assert span.add(ChainVector(4, [3]).mask, 2)
-    span.truncate(2)
-    assert span.rank == 2 and not span.contains(ChainVector(4, [3]).mask)
-    assert span.express(ChainVector(4, [0, 2]).mask) == 1
-    assert span.add(ChainVector(4, [2, 3]).mask)
-
-
 def test_incremental_span_seeded_matches_batch_rank():
     cols = masks(5, ([0, 1], [1, 2], [0, 2], [3]))
     span = IncrementalSpan(5, cols)
@@ -235,9 +225,10 @@ def test_incremental_span_seeded_matches_batch_rank():
 
 @given(simple_matrix, st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
-def test_incremental_span_express_finds_the_solve_combination(data, rng):
-    """Tagging column k with bit k, express returns solve_by_reduction's
-    selection as a mask, and None exactly when the solve is infeasible."""
+def test_incremental_span_reduce_finds_the_solve_combination(data, rng):
+    """Tagging column k with bit k, reduce leaves no remainder exactly when
+    solve_by_reduction is feasible, and then returns its selection as a
+    mask."""
     n_rows, cols = data
     m = masks(n_rows, cols)
     span = IncrementalSpan(n_rows)
@@ -245,4 +236,6 @@ def test_incremental_span_express_finds_the_solve_combination(data, rng):
         span.add(c, 1 << k)
     rhs = ChainVector(n_rows, sorted({i for i in range(n_rows) if rng.random() < 0.3}))
     got = solve_by_reduction(n_rows, m, rhs.mask)
-    assert span.express(rhs.mask) == (None if got is None else sum(1 << j for j in got))
+    rest, tag = span.reduce(rhs.mask)
+    assert (rest == 0) == (got is not None)
+    assert rest or tag == sum(1 << j for j in got)
