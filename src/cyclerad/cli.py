@@ -64,8 +64,6 @@ def _validate(args: argparse.Namespace) -> None:
         raise ConfigError("-p must be non-negative")
     if getattr(args, "rips_scale", None) is not None and not args.rips_scale >= 0:
         raise ConfigError("--rips must be non-negative")
-    if not 0 < args.sites <= 1:
-        raise ConfigError("--sites must be a fraction in (0, 1]")
     if getattr(args, "budget", 1) < 1:
         raise ConfigError("--budget must be positive")
     if args.problem == "verify" and args.cycle_path:
@@ -156,15 +154,6 @@ def _export_obj(args: argparse.Namespace, complex_like, rows: list[OptimalCycleR
 # -- shared plumbing --------------------------------------------------------
 
 
-def _pick_sites(complex_like: EmbeddedComplex, fraction: float) -> Optional[list[int]]:
-    """Deterministic evenly strided subsample of the vertex set."""
-    if fraction >= 1.0:
-        return None
-    ids = sorted(complex_like.vertex_ids())
-    m = max(1, round(len(ids) * fraction))
-    return [ids[(i * len(ids)) // m] for i in range(m)]
-
-
 def _maybe_shorten(
     args: argparse.Namespace, complex_like, result: OptimalCycleResult
 ) -> OptimalCycleResult:
@@ -192,7 +181,7 @@ def _build_filtration(args: argparse.Namespace) -> Filtration:
 def _run_localize(args: argparse.Namespace) -> tuple[dict, int]:
     complex_ = read_off(args.complex_path)
     cycle = read_cycle(args.cycle_path, complex_, args.p)
-    res = opt_homologous_cycle(complex_, cycle, args.p, sites=_pick_sites(complex_, args.sites))
+    res = opt_homologous_cycle(complex_, cycle, args.p)
     final = _maybe_shorten(args, complex_, res)
     _export_obj(args, complex_, [final])
     report = {
@@ -205,7 +194,7 @@ def _run_localize(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _run_basis(args: argparse.Namespace) -> tuple[dict, int]:
     complex_ = read_off(args.complex_path)
-    basis = opt_homology_basis(complex_, args.p, sites=_pick_sites(complex_, args.sites))
+    basis = opt_homology_basis(complex_, args.p)
     finals = [_maybe_shorten(args, complex_, r) for r in basis.cycles]
     _export_obj(args, complex_, finals)
     report = {
@@ -225,7 +214,7 @@ def _run_persistent(args: argparse.Namespace) -> tuple[dict, int]:
     filtration = _build_filtration(args)
     complex_ = filtration.complex
     persistence = compute_persistence(filtration, args.p)
-    reps = opt_persistent_basis(persistence, _pick_sites(complex_, args.sites), args.bars)
+    reps = opt_persistent_basis(persistence, args.bars)
     finals = [_maybe_shorten(args, complex_, r) for r in reps]
     rows = [_result_json(complex_, "persistent", before, after) for before, after in zip(reps, finals)]
     _export_obj(args, complex_, finals)
@@ -259,7 +248,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict, int]:
         mode = "localize"
         complex_ = read_off(args.complex_path)
         cycle = read_cycle(args.cycle_path, complex_, args.p)
-        res = opt_homologous_cycle(complex_, cycle, args.p, sites=_pick_sites(complex_, args.sites))
+        res = opt_homologous_cycle(complex_, cycle, args.p)
         opt = exact_optimal_homologous_cycle(complex_, cycle, args.p, budget)
         if opt.radius > 0:
             ratio = res.r_v / opt.radius
@@ -288,7 +277,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict, int]:
         persistence = compute_persistence(filtration, args.p)
         if persistence.bars(args.bars):  # the oracle's size cap, checked before the bar searches
             budget.check_complex(complex_)
-        for res in opt_persistent_basis(persistence, _pick_sites(complex_, args.sites), args.bars):
+        for res in opt_persistent_basis(persistence, args.bars):
             rep = exact_min_persistent_rep(filtration, res.interval, budget)
             ratio = res.r_v / rep.weight if rep.weight > 0 else 1.0
             checks.append(
@@ -304,7 +293,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict, int]:
     else:
         mode = "basis"
         complex_ = read_off(args.complex_path)
-        greedy = opt_homology_basis(complex_, args.p, sites=_pick_sites(complex_, args.sites))
+        greedy = opt_homology_basis(complex_, args.p)
         oracle = exact_min_basis(complex_, args.p, budget, weight="site")
         checks.append(
             {
@@ -340,8 +329,6 @@ def _parse_bars(text: str) -> int:
 
 def _add_common(sp: argparse.ArgumentParser, solver: bool = True) -> None:
     sp.add_argument("-p", type=int, default=1, help="homology dimension")
-    sp.add_argument("--sites", type=float, default=1.0, metavar="FRAC",
-                    help="fraction of vertices used as sites")
     sp.add_argument("--out", metavar="FILE", help="write the JSON report here")
     if solver:  # verify reports checks, not cycles to shorten or export
         sp.add_argument("--shorten", action="store_true",

@@ -132,11 +132,12 @@ def _normalize_simplex(simplex: Iterable[int]) -> Simplex:
 
 
 class EmbeddedComplex:
-    """A finite simplicial complex whose vertices index into a point cloud."""
+    """A finite simplicial complex whose vertices index into a point cloud:
+    the given simplices and all of their faces."""
 
     __slots__ = ("cloud", "_by_dim", "_positions", "_tables", "_powers")
 
-    def __init__(self, cloud: PointCloud, simplices: Iterable[Iterable[int]], close: bool = True):
+    def __init__(self, cloud: PointCloud, simplices: Iterable[Iterable[int]]):
         collected: set[Simplex] = set()
         for raw in simplices:
             s = _normalize_simplex(raw)
@@ -149,13 +150,7 @@ class EmbeddedComplex:
         for s in collected:
             levels[len(s) - 1].add(s)
         for d in range(len(levels) - 1, 0, -1):
-            faces = {s[:k] + s[k + 1 :] for s in levels[d] for k in range(d + 1)}
-            if close:
-                levels[d - 1] |= faces
-            elif not faces <= levels[d - 1]:
-                f = min(faces - levels[d - 1])
-                s = min(t for t in levels[d] if f in faces_of(t))
-                raise ValueError(f"complex is not closed under faces: {s} misses {f}")
+            levels[d - 1] |= {s[:k] + s[k + 1 :] for s in levels[d] for k in range(d + 1)}
         self.cloud = cloud
         self._by_dim = [tuple(sorted(level)) for level in levels]
         self._positions: dict[Simplex, tuple[int, int]] = {

@@ -37,7 +37,7 @@ from .z2 import ChainVector
 
 class Filtration:
     """Total order on all simplices of a complex, faces before cofaces, with
-    non-decreasing values."""
+    finite, non-decreasing values; checked on construction."""
 
     __slots__ = ("complex", "order", "values", "_index", "indices")
 
@@ -46,14 +46,12 @@ class Filtration:
         complex_like: EmbeddedComplex,
         order: Sequence[Iterable[int]],
         values: Sequence[float],
-        validate: bool = True,
     ):
         self.complex = complex_like
         self.order: tuple[Simplex, ...] = tuple(tuple(s) for s in order)
         self.values: tuple[float, ...] = tuple(float(v) for v in values)
         self._index = {s: i for i, s in enumerate(self.order)}
-        if validate:
-            self._validate()
+        self._validate()
         # per dimension, the filtration index of each canonical position
         self.indices = [
             [self._index[s] for s in complex_like.simplices(d)] for d in range(complex_like.max_dim + 1)
@@ -69,6 +67,8 @@ class Filtration:
             raise ValueError(
                 f"filtration covers {len(self.order)} simplices, complex has {total}"
             )
+        if not all(map(math.isfinite, self.values)):
+            raise ValueError("filtration values must be finite")
         for i, s in enumerate(self.order):
             if not self.complex.has(s):
                 raise ValueError(f"simplex {s} not in the complex")
@@ -76,8 +76,6 @@ class Filtration:
                 j = self._index.get(f)
                 if j is None or j > i:
                     raise ValueError(f"face {f} of {s} does not precede it")
-        if not all(map(math.isfinite, self.values)):
-            raise ValueError("filtration values must be finite")
         for a, b in zip(self.values, self.values[1:]):
             if b < a:
                 raise ValueError("filtration values must be non-decreasing")
@@ -235,9 +233,9 @@ def rips_filtration(cloud: PointCloud, max_scale: float, max_dim: int) -> Filtra
                     value[t] = max(value[s], max(value[(v, w)] for v in s))
         previous = current
 
-    complex_ = EmbeddedComplex(cloud, value.keys(), close=False)
+    complex_ = EmbeddedComplex(cloud, value.keys())
     order = sorted(value, key=lambda s: (value[s], len(s), s))
-    return Filtration(complex_, order, [value[s] for s in order], validate=False)
+    return Filtration(complex_, order, [value[s] for s in order])
 
 
 def lower_star_filtration(complex_like: EmbeddedComplex, vertex_values) -> Filtration:
@@ -254,7 +252,7 @@ def lower_star_filtration(complex_like: EmbeddedComplex, vertex_values) -> Filtr
         s: max(lookup[v] for v in s) for s in complex_like.all_simplices()
     }
     order = sorted(value, key=lambda s: (value[s], len(s), s))
-    return Filtration(complex_like, order, [value[s] for s in order], validate=False)
+    return Filtration(complex_like, order, [value[s] for s in order])
 
 
 # -- the clearing reduction ------------------------------------------------

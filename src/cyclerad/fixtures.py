@@ -132,7 +132,7 @@ def two_loop_filtration() -> Filtration:
             value.setdefault(e, 3.0)
     value[(3, 4, 5)] = 4.0
 
-    complex_ = EmbeddedComplex(cloud, value.keys(), close=False)
+    complex_ = EmbeddedComplex(cloud, value.keys())
     order = sorted(value, key=lambda s: (value[s], len(s), s))
     return Filtration(complex_, order, [value[s] for s in order])
 
@@ -146,7 +146,7 @@ def annulus_bar_filtration() -> tuple[Filtration, AnnulusInstance]:
     base = inst.complex
     fan = [(4, 5, 8), (5, 6, 8), (6, 7, 8), (4, 7, 8)]
     everything = list(base.all_simplices()) + fan
-    complex_ = EmbeddedComplex(base.cloud, everything, close=True)
+    complex_ = EmbeddedComplex(base.cloud, everything)
 
     value = {}
     for s in complex_.all_simplices():

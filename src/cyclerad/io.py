@@ -197,7 +197,7 @@ def read_filtration(path: PathLike, cloud: PointCloud) -> Filtration:
         order.append(simplex)
     if not order:
         raise InputError(path, "empty filtration")
-    complex_ = EmbeddedComplex(cloud, order, close=False)
+    complex_ = EmbeddedComplex(cloud, order)
     return Filtration(complex_, order, values)
 
 
@@ -211,11 +211,9 @@ def write_filtration(path: PathLike, filtration: Filtration) -> None:
 # -- cycle files ------------------------------------------------------------
 
 
-def read_cycle(
-    path: PathLike, complex_like: EmbeddedComplex, p: Optional[int] = None
-) -> ChainVector:
-    """One simplex per line as vertex indices, all of dimension p (by
-    default the first row's); must be a cycle of the complex."""
+def read_cycle(path: PathLike, complex_like: EmbeddedComplex, p: int) -> ChainVector:
+    """One simplex per line as vertex indices, all of dimension p; must be a
+    cycle of the complex."""
     simplices = []
     for ln, text in _data_lines(path):
         try:
@@ -224,9 +222,7 @@ def read_cycle(
             raise InputError(path, f"bad simplex row: {exc}", ln) from exc
         if not complex_like.has(simplex):
             raise InputError(path, f"simplex {simplex} not in the complex", ln)
-        if p is None:
-            p = len(simplex) - 1
-        elif len(simplex) - 1 != p:
+        if len(simplex) - 1 != p:
             raise InputError(path, f"row holds a {len(simplex) - 1}-simplex, expected dimension {p}", ln)
         simplices.append(simplex)
     if not simplices:

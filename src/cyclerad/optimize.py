@@ -301,14 +301,10 @@ def opt_pers_hom_rep(
     return _result_for_cycle(filtration.complex, out, interval.dim, site, interval)
 
 
-def opt_persistent_basis(
-    persistence: PersistenceResult,
-    sites: Optional[Sequence[int]] = None,
-    top: Optional[int] = None,
-) -> list[OptimalCycleResult]:
-    """One optimal representative per bar of persistence.bars(top); per-bar
-    minima assemble into the minimum persistent basis."""
-    return [opt_pers_hom_rep(persistence.filtration, iv, sites) for iv in persistence.bars(top)]
+def opt_persistent_basis(persistence: PersistenceResult, top: Optional[int] = None) -> list[OptimalCycleResult]:
+    """One optimal representative per bar of persistence.bars(top), over
+    every site; per-bar minima assemble into the minimum persistent basis."""
+    return [opt_pers_hom_rep(persistence.filtration, iv) for iv in persistence.bars(top)]
 
 
 # -- cycle shortening ------------------------------------------------------

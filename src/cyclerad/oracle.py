@@ -233,7 +233,7 @@ class ExactRepresentative(NamedTuple):
 
 def _candidate_spheres(complex_like: EmbeddedComplex) -> list[tuple[float, tuple]]:
     """Smallest enclosing spheres of every vertex subset of size 1..dim+1,
-    deduplicated, smallest radius first.
+    without exact repeats, smallest radius first.
 
     Any optimal ball is the smallest enclosing sphere of the winning cycle's
     vertices, which is pinned by at most dim+1 of them, so it shows up here.
@@ -241,15 +241,12 @@ def _candidate_spheres(complex_like: EmbeddedComplex) -> list[tuple[float, tuple
     ids = complex_like.vertex_ids()
     pts = {v: complex_like.cloud.point(v) for v in ids}
     top = min(complex_like.cloud.dim + 1, len(ids))
-    seen: dict[tuple, tuple[float, tuple]] = {}
+    seen: set[tuple[float, tuple]] = set()
     for k in range(1, top + 1):
         for subset in combinations(ids, k):
             cert = min_enclosing_sphere([pts[v] for v in subset])
-            center = tuple(float(x) for x in cert.center)
-            key = (round(cert.radius, 12), tuple(round(x, 12) for x in center))
-            if key not in seen:
-                seen[key] = (cert.radius, center)
-    return sorted(seen.values())
+            seen.add((cert.radius, tuple(float(x) for x in cert.center)))
+    return sorted(seen)
 
 
 def exact_optimal_homologous_cycle(

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -14,6 +15,32 @@ from cyclerad.filtrations import Filtration
 # antipodal edges fill it
 OCTAHEDRON = ((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
               (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
+
+
+def holed_mesh(k, holes, seed):
+    """A k x k grid of jittered unit cells, two triangles each, with the
+    cells in holes left open, and the grid's outer loop as edges."""
+    rng = random.Random(seed)
+    coords = [(i + rng.uniform(-0.25, 0.25), j + rng.uniform(-0.25, 0.25)) for j in range(k) for i in range(k)]
+    triangles = []
+    for j in range(k - 1):
+        for i in range(k - 1):
+            if (i, j) not in holes:
+                a = j * k + i
+                triangles += [(a, a + 1, a + k + 1), (a, a + k, a + k + 1)]
+    ring = [*range(k), *range(2 * k - 1, k * k, k), *range(k * k - 2, k * k - k - 1, -1), *range(k * k - 2 * k, 0, -k)]
+    return coords, triangles, [tuple(sorted(e)) for e in zip(ring, ring[1:] + ring[:1])]
+
+
+def annulus_points(n, seed):
+    """n points in the annulus 0.8 <= r <= 1.2, point k at a uniform angle
+    in the k-th of n equal sectors and a uniform radius."""
+    rng = random.Random(seed)
+    points = []
+    for k in range(n):
+        r, t = rng.uniform(0.8, 1.2), 2.0 * math.pi * (k + rng.random()) / n
+        points.append((r * math.cos(t), r * math.sin(t)))
+    return points
 
 
 @st.composite
@@ -136,7 +163,7 @@ def prefix_filtrations(draw):
     filtration = draw(filtered_complexes())
     i = draw(st.integers(0, len(filtration) - 1))
     order = filtration.order[: i + 1]
-    prefix = EmbeddedComplex(filtration.complex.cloud, order, close=False)
+    prefix = EmbeddedComplex(filtration.complex.cloud, order)
     return Filtration(prefix, order, filtration.values[: i + 1])
 
 

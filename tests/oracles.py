@@ -431,7 +431,7 @@ class SiteOrdering(NamedTuple):
     def as_filtration(self):
         from cyclerad.filtrations import Filtration
 
-        return Filtration(self.complex, self.order, self.r_values, validate=False)
+        return Filtration(self.complex, self.order, self.r_values)
 
 
 def site_distances(cloud, site: int) -> list[float]:

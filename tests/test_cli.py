@@ -191,11 +191,13 @@ def test_verify_localize_exact_on_annulus(tmp_path, annulus_files):
     assert check["oracle"]["radius"] == pytest.approx(math.sqrt(0.5), rel=REL)
 
 
-def test_verify_localize_on_a_tiny_annulus(tmp_path):
-    """The annulus scaled by 2^-30 verifies as at unit scale: membership
-    tolerances are relative, so the oracle's balls shrink with the points."""
+@pytest.mark.parametrize("exponent", [-30, -45, -60])
+def test_verify_localize_on_a_tiny_annulus(tmp_path, exponent):
+    """The annulus scaled by 2^exponent verifies as at unit scale: membership
+    tolerances are relative, so the oracle's balls shrink with the points,
+    and its candidate spheres stay distinct at any scale."""
     ann = fixtures.annulus()
-    cloud = PointCloud([[math.ldexp(x, -30) for x in row] for row in ann.complex.cloud.coords])
+    cloud = PointCloud([[math.ldexp(x, exponent) for x in row] for row in ann.complex.cloud.coords])
     tiny = EmbeddedComplex(cloud, ann.complex.maximal_simplices())
     off, cyc = tmp_path / "tiny.off", tmp_path / "outer.txt"
     write_off(off, tiny)
@@ -204,7 +206,7 @@ def test_verify_localize_on_a_tiny_annulus(tmp_path):
     assert code == 0 and report["ok"] is True
     (check,) = report["checks"]
     assert check["ratio"] == 1.0
-    assert check["oracle"]["radius"] == math.ldexp(math.sqrt(0.5), -30)
+    assert check["oracle"]["radius"] == math.ldexp(math.sqrt(0.5), exponent)
 
 
 def test_verify_basis_and_persistent(tmp_path, two_loop_files):
@@ -442,6 +444,15 @@ def test_verify_rejects_flags_it_does_not_read(tmp_path, annulus_files, flag):
     assert exc.value.code == 2
 
 
+def test_localize_has_no_site_subsampling(annulus_files):
+    """Every vertex is a site, as the x2 guarantee needs, so there is no
+    flag that drops some."""
+    _, off, cyc = annulus_files
+    with pytest.raises(SystemExit) as exc:
+        main(["localize", "--complex", off, "--cycle", cyc, "--sites", "0.5"])
+    assert exc.value.code == 2
+
+
 # -- determinism and round-trips -------------------------------------------
 
 
@@ -521,10 +532,9 @@ def test_cycle_reader_rejects_mixed_dimensions(tmp_path, annulus_files):
     ann, _, _ = annulus_files
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1\n" + " ".join(map(str, ann.complex.simplices(2)[0])) + "\n")
-    for p in (None, 1):
-        with pytest.raises(InputError) as exc:
-            read_cycle(bad, ann.complex, p)
-        assert ":2" in str(exc.value) and "expected dimension 1" in str(exc.value)
+    with pytest.raises(InputError) as exc:
+        read_cycle(bad, ann.complex, 1)
+    assert ":2" in str(exc.value) and "expected dimension 1" in str(exc.value)
 
 
 @pytest.mark.parametrize("row, message", [

@@ -88,12 +88,6 @@ def test_closure_builds_all_faces():
     assert complex_.total_simplices() == 7
 
 
-def test_missing_face_rejected_without_closure():
-    cloud = PointCloud([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    with pytest.raises(ValueError):
-        EmbeddedComplex(cloud, [(0, 1, 2), (0,), (1,), (2,)], close=False)
-
-
 def test_repeated_vertex_rejected():
     cloud = PointCloud([(0.0, 0.0), (1.0, 0.0)])
     with pytest.raises(ValueError):

@@ -307,6 +307,17 @@ def test_lower_star_accepts_array_and_rejects_missing():
         lower_star_filtration(complex_, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_lower_star_rejects_a_non_finite_value(bad):
+    """Every filtration is checked, so a NaN or infinite vertex value never
+    reaches a barcode."""
+    complex_ = fixtures.annulus().complex
+    values = [float(v) for v in range(complex_.n_simplices(0))]
+    values[0] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        lower_star_filtration(complex_, values)
+
+
 # -- site orderings -------------------------------------------------------
 
 
@@ -378,7 +389,7 @@ def test_site_essential_cycles_match_full_persistence(complex_):
 def test_site_essential_cycles_match_on_prefix_views(filtration, data):
     i = data.draw(st.integers(0, len(filtration) - 1))
     root = filtration.complex
-    prefix = EmbeddedComplex(root.cloud, filtration.order[: i + 1], close=False)
+    prefix = EmbeddedComplex(root.cloud, filtration.order[: i + 1])
     assert_kernel_matches_full_persistence(prefix)
     # the same prefix as membership flags: the prefix complex's cycles, in the root's basis
     members = [[filtration.index_of(s) <= i for s in root.simplices(d)] for d in range(root.max_dim + 1)]

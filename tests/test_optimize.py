@@ -1,11 +1,10 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complex_with_cycle, embedded_complexes, filtered_complexes, loopy_complexes
+from conftest import complex_with_cycle, embedded_complexes, filtered_complexes, holed_mesh, loopy_complexes
 from oracles import bounds_in_prefix, gf2_in_span, mask_support, solve_by_reduction
 
 from cyclerad.complexes import EmbeddedComplex, PointCloud, boundary_columns
@@ -346,21 +345,6 @@ def test_basis_skips_sites_the_greedy_cannot_reach(monkeypatch):
     assert basis == exhaustive_basis(inst.complex, 1)
     assert basis.cycles[0].site == inst.center_vertex
     assert len(visited) < len(inst.complex.vertex_ids())
-
-
-def holed_mesh(k, holes, seed):
-    """A k x k grid of jittered unit cells, two triangles each, with the
-    cells in holes left open, and the grid's outer loop as edges."""
-    rng = random.Random(seed)
-    coords = [(i + rng.uniform(-0.25, 0.25), j + rng.uniform(-0.25, 0.25)) for j in range(k) for i in range(k)]
-    triangles = []
-    for j in range(k - 1):
-        for i in range(k - 1):
-            if (i, j) not in holes:
-                a = j * k + i
-                triangles += [(a, a + 1, a + k + 1), (a, a + k, a + k + 1)]
-    ring = [*range(k), *range(2 * k - 1, k * k, k), *range(k * k - 2, k * k - k - 1, -1), *range(k * k - 2 * k, 0, -k)]
-    return coords, triangles, [tuple(sorted(e)) for e in zip(ring, ring[1:] + ring[:1])]
 
 
 def test_tiny_meshes_scale_bit_for_bit():

@@ -52,7 +52,7 @@ def test_member_cycle_spaces_match_the_members_alone(args):
     members alone gives, the same cycles in the same order, re-indexed by
     position."""
     parent, members = args
-    alone = EmbeddedComplex(parent.cloud, members, close=False)
+    alone = EmbeddedComplex(parent.cloud, members)
     chosen = set(members)
     for p in range(parent.max_dim + 2):
         flags = [s in chosen for s in parent.simplices(p)]
