@@ -19,7 +19,8 @@ depend on the interpreter or on an array library.
 from __future__ import annotations
 
 import math
-from operator import add, eq, lt, mul
+from functools import reduce
+from operator import add, eq, lt, mul, xor
 from typing import Iterable, Optional, Sequence
 
 from .z2 import ChainVector
@@ -191,8 +192,8 @@ class EmbeddedComplex:
         generate the complex."""
         top = []
         for d, group in enumerate(self._by_dim):
-            covered = {f for s in self.simplices(d + 1) for f in faces_of(s)}
-            top += [s for s in group if s not in covered]
+            covered = set().union(*face_columns(self, d + 1))
+            top += [s for q, s in enumerate(group) if q not in covered]
         return top
 
     def has(self, simplex: Iterable[int]) -> bool:
@@ -247,11 +248,8 @@ class EmbeddedComplex:
             return True
         if chain.ambient_size != self.n_simplices(p):
             raise ValueError("chain does not live in the complex's p-basis")
-        mask = 0
-        for s in self.chain_simplices(chain, p):
-            for f in faces_of(s):
-                mask ^= 1 << self.position(f)
-        return mask == 0
+        masks = face_masks(face_columns(self, p), self.powers(self.n_simplices(p - 1)), chain.support)
+        return reduce(xor, masks) == 0
 
 
 def boundary_columns(complex_like: EmbeddedComplex, p: int) -> list[int]:

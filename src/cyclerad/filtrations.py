@@ -20,7 +20,8 @@ only the essential p-cycles of each site's filtration, so
 from __future__ import annotations
 
 import math
-from itertools import compress, filterfalse
+from itertools import compress
+from operator import lt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .complexes import (
@@ -30,7 +31,6 @@ from .complexes import (
     distances_from,
     face_columns,
     face_masks,
-    faces_of,
 )
 from .z2 import ChainVector
 
@@ -39,7 +39,7 @@ class Filtration:
     """Total order on all simplices of a complex, faces before cofaces, with
     finite, non-decreasing values; checked on construction."""
 
-    __slots__ = ("complex", "order", "values", "_index", "indices")
+    __slots__ = ("complex", "order", "values", "indices")
 
     def __init__(
         self,
@@ -50,41 +50,47 @@ class Filtration:
         self.complex = complex_like
         self.order: tuple[Simplex, ...] = tuple(tuple(s) for s in order)
         self.values: tuple[float, ...] = tuple(float(v) for v in values)
-        self._index = {s: i for i, s in enumerate(self.order)}
-        self._validate()
-        # per dimension, the filtration index of each canonical position
-        self.indices = [
-            [self._index[s] for s in complex_like.simplices(d)] for d in range(complex_like.max_dim + 1)
-        ]
-
-    def _validate(self) -> None:
-        if len(self.order) != len(self.values):
+        # the checks run in a fixed order; of the simplices out of place, the first in order is named
+        order, values = self.order, self.values
+        if len(order) != len(values):
             raise ValueError("order and values must have equal length")
-        if len(self._index) != len(self.order):
+        if len(set(order)) != len(order):
             raise ValueError("filtration repeats a simplex")
-        total = self.complex.total_simplices()
-        if len(self.order) != total:
-            raise ValueError(
-                f"filtration covers {len(self.order)} simplices, complex has {total}"
-            )
-        if not all(map(math.isfinite, self.values)):
+        total = complex_like.total_simplices()
+        if len(order) != total:
+            raise ValueError(f"filtration covers {len(order)} simplices, complex has {total}")
+        if not all(map(math.isfinite, values)):
             raise ValueError("filtration values must be finite")
-        for i, s in enumerate(self.order):
-            if not self.complex.has(s):
-                raise ValueError(f"simplex {s} not in the complex")
-            for f in faces_of(s):
-                j = self._index.get(f)
-                if j is None or j > i:
-                    raise ValueError(f"face {f} of {s} does not precede it")
-        for a, b in zip(self.values, self.values[1:]):
-            if b < a:
-                raise ValueError("filtration values must be non-decreasing")
+        # per dimension, the filtration index of each canonical position;
+        # total, above every index, where the position is not listed
+        self.indices = indices = [[total] * complex_like.n_simplices(d) for d in range(complex_like.max_dim + 1)]
+        located = list(map(complex_like._positions.get, order))
+        for i, at in enumerate(located):
+            if at is not None:
+                indices[at[0]][at[1]] = i
+        # (index, its first late face), or (index, None) for a simplex not in the complex
+        late = [(located.index(None), None)] if None in located else []
+        for d in range(1, len(indices)):
+            below, index, faces = indices[d - 1], indices[d], face_columns(complex_like, d)
+            if not all(all(map(lt, map(below.__getitem__, column), index)) for column in faces):
+                # column k of face_columns holds the faces without vertex k, in faces_of order
+                for i, face_positions in zip(index, zip(*faces)):
+                    k = next((k for k, f in enumerate(face_positions) if below[f] > i), None)
+                    if k is not None and i < total:
+                        late.append((i, order[i][:k] + order[i][k + 1 :]))
+        if late:
+            i, f = min(late)
+            s = order[i]
+            raise ValueError(f"simplex {s} not in the complex" if f is None else f"face {f} of {s} does not precede it")
+        if any(map(lt, values[1:], values)):
+            raise ValueError("filtration values must be non-decreasing")
 
     def __len__(self) -> int:
         return len(self.order)
 
     def index_of(self, simplex: Iterable[int]) -> int:
-        return self._index[tuple(simplex)]
+        s = tuple(simplex)
+        return self.indices[len(s) - 1][self.complex.position(s)]
 
     def prefix(self, i: int) -> list[list[bool]]:
         """Per dimension, a flag per canonical position: the simplices born by
@@ -295,8 +301,8 @@ def _clearing_reduction(
         else:
             columns = [0] * len(kept)
         owners: dict = {}
+        deaths = []  # the position of each column that stored a pivot, as owners gains it
         if d == p:
-            zero = cycles
             bit_at = complex_like.powers(complex_like.n_simplices(d))
             for c, q in zip(columns, kept):
                 v = bit_at[q]
@@ -305,27 +311,24 @@ def _clearing_reduction(
                     other = owners.get(low)
                     if other is None:
                         owners[low] = (c, v)
+                        deaths.append(q)
                         break
                     c ^= other[0]
                     v ^= other[1]
                 else:
                     cycles[q] = v
         else:
-            zero = set()
-            for c in columns:
+            for c, q in zip(columns, kept):
                 while c:
                     low = c.bit_length() - 1
                     other = owners.get(low)
                     if other is None:
                         owners[low] = c
+                        deaths.append(q)
                         break
                     c ^= other
-                else:
-                    # each column so far left a pivot or a zero
-                    zero.add(kept[len(owners) + len(zero)])
         if d:
-            # each nonzero column adds its pivot to owners: both run in column order
-            pairs.append((d - 1, zip(map(below.__getitem__, owners), filterfalse(zero.__contains__, kept))))
+            pairs.append((d - 1, zip(map(below.__getitem__, owners), deaths)))
         cleared = owners
     return pairs, cycles
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import compress
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .complexes import (
@@ -31,8 +32,6 @@ from .complexes import (
     Simplex,
     boundary_columns,
     distances_from,
-    face_columns,
-    face_masks,
     within_radius,
 )
 from .filtrations import Filtration, Interval, PersistenceResult, site_essential_cycles
@@ -268,11 +267,9 @@ def _bar_evaluator(filtration: Filtration, interval: Interval) -> SiteEvaluator:
     members = filtration.prefix(interval.birth)
     creator_bit = complex_like.position(interval.creator)
     n_p = complex_like.n_simplices(p)
-    born_by_death = []
+    born_by_death = []  # only the boundaries born by the death time, in canonical order
     if interval.death is not None:
-        # only the boundaries born by the death time, in canonical order
-        born = [j for j, flag in enumerate(filtration.prefix(interval.death)[p + 1]) if flag]
-        born_by_death = face_masks(face_columns(complex_like, p + 1), complex_like.powers(n_p), born)
+        born_by_death = compress(boundary_columns(complex_like, p), filtration.prefix(interval.death)[p + 1])
     death_span = IncrementalSpan(n_p, born_by_death)
 
     def evaluate(site: int) -> tuple[float, ChainVector]:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -47,9 +49,15 @@ def two_loop_files(tmp_path):
     return filt, str(csv), str(flt)
 
 
-def run_json(tmp_path, args):
+def run_json(tmp_path, args, expect=0):
+    """Exit code and report of a request written with --out. The code must
+    be expect, else the test fails showing stderr, before the report is read."""
     out = tmp_path / "report.json"
-    code = main(args + ["--out", str(out)])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(args + ["--out", str(out)])
+    sys.stderr.write(err.getvalue())
+    assert code == expect, f"exit code {code}, stderr: {err.getvalue()}"
     return code, json.loads(out.read_text())
 
 
@@ -370,8 +378,7 @@ def test_exit_code_lower_star_row_count(tmp_path, annulus_files, capsys, rows):
 def test_verify_with_nothing_to_check_fails(tmp_path, capsys):
     ring = tmp_path / "ring.csv"
     ring.write_text("".join(f"{x!r},{y!r}\n" for x, y in fixtures.circle_cloud(12).coords))
-    code, report = run_json(tmp_path, ["verify", "--points", str(ring), "--rips", "0.1"])
-    assert code == 3
+    _, report = run_json(tmp_path, ["verify", "--points", str(ring), "--rips", "0.1"], expect=3)
     assert report["checks"] == [] and report["ok"] is False
     assert "nothing to verify" in capsys.readouterr().err
 

@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import coordinate_rows, embedded_complexes
+from conftest import coordinate_rows, embedded_complexes, loopy_complexes
 from oracles import dense_from_columns, gf2_rank, mask_support, matmul, numpy_distances, rank
 
 from cyclerad.complexes import (
@@ -17,6 +18,7 @@ from cyclerad.complexes import (
 )
 from cyclerad import fixtures
 from cyclerad.oracle import _ball_members
+from cyclerad.z2 import ChainVector
 
 
 def test_point_cloud_rejects_duplicates():
@@ -181,6 +183,30 @@ def test_is_cycle():
     assert inst.complex.is_cycle(inst.inner_loop, 1)
     broken = inst.complex.chain([(0, 1), (1, 2)])
     assert not inst.complex.is_cycle(broken, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(embedded_complexes(max_dim=3), loopy_complexes()), st.data())
+def test_is_cycle_and_maximal_simplices_follow_faces_of(complex_, data):
+    """is_cycle: the faces_of bits of the chain's simplices XOR to zero;
+    maximal_simplices: the simplices that are no face of another."""
+    for p in range(1, complex_.max_dim + 1):
+        group = complex_.simplices(p)
+        lower = complex_.simplices(p - 1)
+        # a few simplices plus a few boundaries, so that cycles come up too
+        chain = ChainVector(len(group), [])
+        for s in data.draw(st.lists(st.sampled_from(group), max_size=2)):
+            chain ^= complex_.chain([s], p)
+        if complex_.simplices(p + 1):
+            for t in data.draw(st.lists(st.sampled_from(complex_.simplices(p + 1)), max_size=3)):
+                chain ^= complex_.chain(faces_of(t), p)
+        mask = 0
+        for s in complex_.chain_simplices(chain, p):
+            for f in faces_of(s):
+                mask ^= 1 << lower.index(f)
+        assert complex_.is_cycle(chain, p) == (mask == 0)
+    covered = {f for s in complex_.all_simplices() for f in faces_of(s)}
+    assert complex_.maximal_simplices() == [s for s in complex_.all_simplices() if s not in covered]
 
 
 def test_chain_accepts_unsorted_vertex_tuples():

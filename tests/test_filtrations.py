@@ -15,7 +15,7 @@ from oracles import (
     square_persistence,
 )
 
-from cyclerad.complexes import EmbeddedComplex, PointCloud
+from cyclerad.complexes import EmbeddedComplex, PointCloud, faces_of
 from cyclerad.filtrations import (
     Barcode,
     Filtration,
@@ -40,42 +40,112 @@ def hollow_triangle_filtration():
 
 def test_filtration_length_mismatch():
     complex_ = fixtures.hollow_triangle().complex
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order and values must have equal length"):
         Filtration(complex_, [(0,), (1,)], [0.0])
 
 
 def test_filtration_must_cover_complex():
     complex_ = fixtures.hollow_triangle().complex
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="filtration covers 3 simplices, complex has 6"):
         Filtration(complex_, [(0,), (1,), (0, 1)], [0, 0, 0])
 
 
 def test_filtration_rejects_repeats():
     complex_ = fixtures.hollow_triangle().complex
     order = [(0,), (1,), (2,), (0, 1), (0, 1), (0, 2)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="filtration repeats a simplex"):
         Filtration(complex_, order, [0] * 6)
 
 
 def test_filtration_faces_must_precede():
     complex_ = fixtures.hollow_triangle().complex
     order = [(0,), (1,), (0, 1), (1, 2), (2,), (0, 2)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"face \(2,\) of \(1, 2\) does not precede it"):
         Filtration(complex_, order, [0] * 6)
 
 
 def test_filtration_values_must_be_monotone():
     complex_ = fixtures.hollow_triangle().complex
     order = [(0,), (1,), (2,), (0, 1), (1, 2), (0, 2)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="filtration values must be non-decreasing"):
         Filtration(complex_, order, [0, 0, 0, 2, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "shape, order, message",
+    [
+        # the first simplex in order with a late face is named, not the first in canonical order
+        ("hollow", [(0,), (1,), (1, 2), (0, 2), (0, 1), (2,)], r"face \(2,\) of \(1, 2\) does not precede it"),
+        # of a triangle's late faces, the first in faces_of order is named
+        ("filled", [(0,), (1,), (2,), (0, 1), (0, 1, 2), (0, 2), (1, 2)], r"face \(1, 2\) of \(0, 1, 2\) does not precede it"),
+        ("hollow", [(0,), (1,), (2,), (0, 1), (1, 2), (3,)], r"simplex \(3,\) not in the complex"),
+        # a stray simplex and a late face: the earlier in order is named
+        ("hollow", [(0,), (1,), (0, 2), (0, 1), (1, 2), (3,)], r"face \(2,\) of \(0, 2\) does not precede it"),
+        ("hollow", [(3,), (0,), (1,), (0, 2), (0, 1), (1, 2)], r"simplex \(3,\) not in the complex"),
+    ],
+)
+def test_filtration_names_the_first_simplex_out_of_place(shape, order, message):
+    complex_ = (fixtures.hollow_triangle() if shape == "hollow" else fixtures.filled_triangle()).complex
+    with pytest.raises(ValueError, match=message):
+        Filtration(complex_, order, [0] * len(order))
+
+
+def face_by_face_rejection(complex_, order, values):
+    """The message Filtration raises for this input, or None: the checks in
+    their order, with faces looked up simplex by simplex in a dict."""
+    index = {s: i for i, s in enumerate(order)}
+    if len(order) != len(values):
+        return "order and values must have equal length"
+    if len(index) != len(order):
+        return "filtration repeats a simplex"
+    if len(order) != complex_.total_simplices():
+        return f"filtration covers {len(order)} simplices, complex has {complex_.total_simplices()}"
+    if not all(map(math.isfinite, values)):
+        return "filtration values must be finite"
+    for i, s in enumerate(order):
+        if not complex_.has(s):
+            return f"simplex {s} not in the complex"
+        for f in faces_of(s):
+            if index.get(f, len(order)) > i:
+                return f"face {f} of {s} does not precede it"
+    if any(b < a for a, b in zip(values, values[1:])):
+        return "filtration values must be non-decreasing"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(filtered_complexes(max_dim=3), st.data())
+def test_filtration_accepts_and_rejects_as_the_face_by_face_check(filtration, data):
+    """Orders with a few simplices swapped, replaced by a stray or a repeat,
+    or cut short: accepted or rejected with the same message."""
+    order = list(filtration.order)
+    n = len(order)
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        order[i], order[j] = order[j], order[i]
+    edit = data.draw(st.sampled_from(["none", "stray", "repeat", "drop"]))
+    at = data.draw(st.integers(0, n - 1))
+    if edit == "stray":
+        order[at] = (filtration.complex.cloud.n_points,)
+    elif edit == "repeat":
+        order[at] = order[data.draw(st.integers(0, n - 1))]
+    elif edit == "drop":
+        del order[at]
+    values = list(filtration.values[: len(order)])
+    expect = face_by_face_rejection(filtration.complex, order, values)
+    try:
+        Filtration(filtration.complex, order, values)
+    except ValueError as exc:
+        assert str(exc) == expect
+    else:
+        assert expect is None
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_filtration_values_must_be_finite(bad):
     complex_ = fixtures.hollow_triangle().complex
     order = [(0,), (1,), (2,), (0, 1), (1, 2), (0, 2)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="filtration values must be finite"):
         Filtration(complex_, order, [0, 0, 0, 1, 1, bad])
 
 
@@ -172,12 +242,12 @@ def test_annulus_bar_filtration():
 
 def test_barcode_validation_rejects_duplicate_creator():
     iv = Interval(1, 0, None, (0, 1), None, 0.0, None)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(0, 1\) creates two intervals"):
         Barcode((iv, iv))
 
 
 def test_barcode_validation_rejects_bad_destroyer_dim():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="destroyer must be one dimension above the interval"):
         Barcode((Interval(1, 0, 1, (0, 1), (2, 3), 0.0, 1.0),))
 
 
@@ -301,7 +371,7 @@ def test_lower_star_accepts_array_and_rejects_missing():
     complex_ = fixtures.hollow_triangle().complex
     f = lower_star_filtration(complex_, [0.0, 1.0, 2.0])
     assert f.values[-1] == 2.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="missing scalar value for vertex 2"):
         lower_star_filtration(complex_, {0: 0.0, 1: 1.0})
     with pytest.raises(ValueError, match="missing scalar value for vertex 2"):
         lower_star_filtration(complex_, [0.0, 1.0])
@@ -426,5 +496,5 @@ def test_site_essential_cycles_at_and_above_the_top_dimension():
     assert_kernel_matches_full_persistence(annulus, dims=(2,))
     assert site_essential_cycles(filled, 0, 2) == ((), ())
     assert site_essential_cycles(fixtures.hollow_triangle().complex, 1, 2) == ((), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension must be non-negative"):
         site_essential_cycles(filled, 0, -1)

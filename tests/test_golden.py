@@ -24,6 +24,7 @@ REQUESTS = {
     "annulus_localize": ["localize", "--complex", "annulus.off", "--cycle", "outer.txt"],
     "annulus_localize_shorten": ["localize", "--complex", "annulus.off", "--cycle", "outer.txt", "--shorten"],
     "annulus_basis": ["basis", "--complex", "annulus.off"],
+    "annulus_persistent_lower_star": ["persistent", "--complex", "annulus.off", "--lower-star", "annulus_y.csv"],
     "ring_persistent_rips": ["persistent", "--points", "ring.csv", "--rips", "0.9"],
     "two_loop_persistent_filtration": ["persistent", "--points", "two_loop.csv", "--filtration", "two_loop.flt"],
     "two_loop_persistent_filtration_top1": [
@@ -41,11 +42,12 @@ def write_points(path: Path, coords) -> None:
 
 
 def write_inputs(directory: Path) -> None:
-    """The files REQUESTS names: the annulus and its outer loop, a 12-point
-    ring, the two-loop filtration with its points, and the six octahedron
-    vertices."""
+    """The files REQUESTS names: the annulus, its outer loop and its
+    y-coordinate per vertex, a 12-point ring, the two-loop filtration with
+    its points, and the six octahedron vertices."""
     ann = fixtures.annulus()
     write_off(directory / "annulus.off", ann.complex)
+    write_points(directory / "annulus_y.csv", [row[1:] for row in ann.complex.cloud.coords])
     write_cycle(directory / "outer.txt", ann.complex, ann.outer_loop, 1)
     write_points(directory / "ring.csv", fixtures.circle_cloud(12).coords)
     two_loop = fixtures.two_loop_filtration()

@@ -1,9 +1,10 @@
 """Properties every answer keeps at any size, with no oracle to consult.
 
-Relabelling: permuting the vertex ids of a mesh or a point cloud leaves
-every radius bit for bit as it was. Cycles need not map through the
-permutation: simplices that share their farthest vertex from a site tie on
-r, and those ties break by vertex id, so an equally small cycle may win.
+Relabelling: permuting the vertex ids of a mesh, a random complex or a
+point cloud leaves every radius bit for bit as it was. Cycles need not map
+through the permutation: simplices that share their farthest vertex from a
+site tie on r, and those ties break by vertex id, so an equally small cycle
+may win.
 
 Stability: moving each point by at most delta, with the complex (and, for
 bars, the filtration order) held fixed, moves every site radius of a fixed
@@ -11,10 +12,14 @@ chain by at most 2 delta, so each optimum moves by at most that much.
 """
 import math
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import annulus_points, holed_mesh
+from conftest import annulus_points, holed_mesh, loopy_complexes
 
 from cyclerad.complexes import MEMBERSHIP_REL_TOL, EmbeddedComplex, PointCloud
 from cyclerad.filtrations import Filtration, compute_persistence, rips_filtration
@@ -69,6 +74,21 @@ def test_relabelling_a_mesh_keeps_every_radius(seed):
     r_loc, r_basis = mesh_radii(coords, triangles, outer)
     s_loc, s_basis = mesh_radii(moved, simplices[: len(triangles)], simplices[len(triangles) :])
     assert len(r_basis) == len(MESH_HOLES)
+    assert s_loc.hex() == r_loc.hex()
+    assert list(map(float.hex, s_basis)) == list(map(float.hex, r_basis))
+
+
+@settings(max_examples=100, deadline=None)
+@given(loopy_complexes(), st.integers(0, 2**32 - 1))
+def test_relabelling_a_loopy_complex_keeps_every_radius(complex_, seed):
+    """As on the meshes, with the sum of the basis cycles as the loop."""
+    cycles = [c.cycle for c in opt_homology_basis(complex_, 1).cycles]
+    assume(cycles)
+    top = complex_.maximal_simplices()
+    outer = complex_.chain_simplices(reduce(xor, cycles), 1)
+    moved, simplices = relabelled(complex_.cloud.coords, top + outer, seed)
+    r_loc, r_basis = mesh_radii(complex_.cloud.coords, top, outer)
+    s_loc, s_basis = mesh_radii(moved, simplices[: len(top)], simplices[len(top) :])
     assert s_loc.hex() == r_loc.hex()
     assert list(map(float.hex, s_basis)) == list(map(float.hex, r_basis))
 
