@@ -81,7 +81,8 @@ def circle_rips(n: int):
 def last_finite_bar(filtration):
     from cyclerad.filtrations import compute_persistence
 
-    finite = [iv for iv in compute_persistence(filtration, 1).barcode.in_dim(1) if iv.death is not None]
+    # --parent-src may name a package whose barcode holds every dimension
+    finite = [iv for iv in compute_persistence(filtration, 1).barcode.intervals if iv.dim == 1 and iv.death is not None]
     return max(finite, key=lambda iv: iv.death)
 
 

@@ -224,7 +224,7 @@ def _run_persistent(args: argparse.Namespace) -> tuple[dict, int]:
         "n_simplices": len(filtration),
         "barcode": [
             [float(b), "inf" if d is None else float(d)]
-            for b, d in persistence.barcode.value_pairs(args.p)
+            for b, d in persistence.barcode.value_pairs()
         ],
         "results": rows,
     }

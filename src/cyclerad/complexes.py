@@ -101,15 +101,15 @@ def faces_of(simplex: Simplex) -> list[Simplex]:
 
 
 def face_columns(complex_like, d: int) -> tuple[tuple[int, ...], ...]:
-    """The canonical (d-1)-positions of the d-simplices' faces, one column
-    per face in faces_of order: entry i of each column belongs to the simplex
-    at canonical position i. Built once per complex and dimension, so
-    per-site work only indexes these columns."""
+    """The canonical (d-1)-positions of the d-simplices' faces, d >= 1:
+    column k holds the faces without vertex k (faces_of order), and entry i
+    of each column belongs to the simplex at canonical position i. Built once
+    per complex and dimension, so per-site work only indexes these columns."""
     cached = complex_like._tables.get(d)
     if cached is None:
-        positions = complex_like._positions
-        faces = [[positions[f][1] for f in faces_of(s)] for s in complex_like.simplices(d)]
-        cached = complex_like._tables[d] = tuple(zip(*faces))
+        positions, simplices = complex_like._positions, complex_like.simplices(d)
+        columns = (tuple([positions[s[:k] + s[k + 1 :]][1] for s in simplices]) for k in range(d + 1))
+        cached = complex_like._tables[d] = tuple(columns)
     return cached
 
 

@@ -3,19 +3,20 @@
 A filtration is a total order on the simplices of a complex (faces first)
 together with non-decreasing real values. ``Filtration.indices`` holds the
 index of each canonical position, and ``Filtration.prefix(i)`` flags the
-simplices born by index i. One kernel computes persistence,
-``_clearing_reduction``: it reduces the boundary columns one dimension at a
-time, from the top down, with clearing. Pairs of the reduction become finite
-intervals, unpaired simplices essential classes; ``PersistenceResult.bars``
-names the ones that get representatives. All interval bookkeeping is
-index-based; values are carried along for reporting.
+simplices born by index i. One kernel computes persistence in one
+dimension p, ``_clearing_reduction``: it reduces the (p+1)-columns, clears
+the p-columns their pivots name, and reduces the rest with their basis
+change. Its pairs become finite intervals, its zero p-columns essential
+classes; ``PersistenceResult.bars`` names the ones that get representatives.
+All interval bookkeeping is index-based; values are carried along for
+reporting.
 
-``compute_persistence`` ranks each dimension by filtration index, reduces
-every dimension and keeps only the pairs: the barcode needs no basis change,
-since a bar's representative comes from the site search. The solvers read
-only the essential p-cycles of each site's filtration, so
-``site_essential_cycles`` ranks by distance from the site, reduces just the
-(p+1)- and p-columns, and tracks the basis change of the p-columns alone.
+Both callers make the same call. ``compute_persistence`` ranks by filtration
+index and builds the dimension-p barcode from the pairs and the essential
+positions; a bar's representative comes from the site search. The solvers
+read only the essential p-cycles of each site's filtration, so
+``site_essential_cycles`` ranks by distance from the site and never builds
+the pairs.
 """
 from __future__ import annotations
 
@@ -117,46 +118,41 @@ class Interval(NamedTuple):
 
 
 class Barcode(NamedTuple("Barcode", [("intervals", tuple)])):
-    """Intervals, each creator and destroyer used once; a subclass so that
-    the constructor can check them."""
+    """The intervals of one dimension, each creator and destroyer used once;
+    a subclass so that the constructor can check them."""
 
     __slots__ = ()
 
     def __new__(cls, intervals: tuple[Interval, ...]):
-        creators: set[tuple[int, Simplex]] = set()
+        creators: set[Simplex] = set()
         destroyers: set[Simplex] = set()
         for iv in intervals:
             if len(iv.creator) - 1 != iv.dim:
                 raise ValueError("creator dimension does not match the interval")
             if iv.destroyer is not None and len(iv.destroyer) - 1 != iv.dim + 1:
                 raise ValueError("destroyer must be one dimension above the interval")
-            key = (iv.dim, iv.creator)
-            if key in creators:
+            if iv.creator in creators:
                 raise ValueError(f"{iv.creator} creates two intervals")
-            creators.add(key)
+            creators.add(iv.creator)
             if iv.destroyer is not None:
                 if iv.destroyer in destroyers:
                     raise ValueError(f"{iv.destroyer} destroys two intervals")
                 destroyers.add(iv.destroyer)
         return super().__new__(cls, intervals)
 
-    def in_dim(self, p: int) -> list[Interval]:
-        return [iv for iv in self.intervals if iv.dim == p]
+    def betti(self) -> int:
+        return sum(1 for iv in self.intervals if iv.death is None)
 
-    def betti(self, p: int) -> int:
-        return sum(1 for iv in self.intervals if iv.dim == p and iv.death is None)
-
-    def value_pairs(self, p: int) -> list[tuple[float, Optional[float]]]:
-        """(birth value, death value) pairs of the dimension-p intervals of
-        positive value length, by birth: the bars PersistenceResult.bars
-        ranks, as a coarse (value-level) barcode reads them."""
-        alive = [iv for iv in self.in_dim(p) if iv.value_length() > 0]
+    def value_pairs(self) -> list[tuple[float, Optional[float]]]:
+        """(birth value, death value) pairs of the intervals of positive
+        value length, by birth: the bars PersistenceResult.bars ranks, as a
+        coarse (value-level) barcode reads them."""
+        alive = [iv for iv in self.intervals if iv.value_length() > 0]
         return [(iv.birth_value, iv.death_value) for iv in sorted(alive, key=lambda iv: iv.birth)]
 
 
 class PersistenceResult(NamedTuple):
-    """The barcode of a filtration in every dimension, and the dimension p
-    whose bars are asked for."""
+    """The dimension-p barcode of a filtration."""
 
     filtration: Filtration
     dim: int
@@ -165,38 +161,25 @@ class PersistenceResult(NamedTuple):
     def bars(self, top: Optional[int] = None) -> list[Interval]:
         """The dimension-p intervals of positive value length, longest first
         (essential bars lead), ties by birth; only the first top when given."""
-        alive = [iv for iv in self.barcode.in_dim(self.dim) if iv.value_length() > 0]
+        alive = [iv for iv in self.barcode.intervals if iv.value_length() > 0]
         alive.sort(key=lambda iv: (-iv.value_length(), iv.birth))
         return alive if top is None else alive[:top]
 
 
 def compute_persistence(filtration: Filtration, p: int) -> PersistenceResult:
-    """The barcode of every dimension, by the clearing reduction with each
+    """The dimension-p barcode, by the clearing reduction with each
     dimension ranked by filtration index."""
     if p < 0:
         raise ValueError("dimension must be non-negative")
-    complex_like = filtration.complex
-    order, values, indices = filtration.order, filtration.values, filtration.indices
-    # per dimension, the positions in rank order
-    ranked = [sorted(range(len(index)), key=index.__getitem__) for index in indices]
-    pairs, _ = _clearing_reduction(complex_like, ranked, complex_like.max_dim, 0, None)
-
-    def interval(d: int, i: int, k: Optional[int]) -> Interval:
-        if k is None:
-            return Interval(d, i, None, order[i], None, values[i], None)
-        return Interval(d, i, k, order[i], order[k], values[i], values[k])
-
-    intervals: list[Interval] = []
-    unpaired = [set(range(len(index))) for index in indices]
-    for d, pairing in pairs:
-        for birth, death in pairing:
-            unpaired[d].discard(birth)
-            unpaired[d + 1].discard(death)
-            intervals.append(interval(d, indices[d][birth], indices[d + 1][death]))
-    for d, positions in enumerate(unpaired):
-        intervals += [interval(d, indices[d][q], None) for q in positions]
-    intervals.sort(key=lambda iv: (iv.dim, iv.birth))
-    return PersistenceResult(filtration, p, Barcode(tuple(intervals)))
+    order, values, at = filtration.order, filtration.values, filtration.indices
+    pairs, cycles = _clearing_reduction(filtration.complex, at, p)
+    # (birth, death) filtration indices, death None for an essential class
+    ends = [(at[p][birth], at[p + 1][death]) for birth, death in pairs] + [(at[p][q], None) for q in cycles]
+    intervals = tuple(
+        Interval(p, i, k, order[i], None if k is None else order[k], values[i], None if k is None else values[k])
+        for i, k in sorted(ends)
+    )
+    return PersistenceResult(filtration, p, Barcode(intervals))
 
 
 # -- filtration constructors ----------------------------------------------
@@ -265,72 +248,74 @@ def lower_star_filtration(complex_like: EmbeddedComplex, vertex_values) -> Filtr
 
 
 def _clearing_reduction(
-    complex_like: EmbeddedComplex, ranked: Sequence[Sequence[int]], top: int, bottom: int, p: Optional[int]
-) -> tuple[list[tuple[int, Iterator[tuple[int, int]]]], dict[int, int]]:
-    """Z2 persistence of the boundary columns of dimensions top down to
-    bottom, where ranked[d] lists the canonical positions of the d-simplices
-    of a face-closed subcomplex (all of them, or a prefix) in the order of
-    the filtration (it is read for bottom - 1 to top).
+    complex_like: EmbeddedComplex,
+    keys: Sequence[Sequence],
+    p: int,
+    members: Optional[Sequence[Sequence[bool]]] = None,
+) -> tuple[Iterator[tuple[int, int]], dict[int, int]]:
+    """Z2 persistence in dimension p of a face-closed subcomplex: all of the
+    complex, or the simplices members flags (per dimension, a flag per
+    canonical position). keys[d] holds a sort key per canonical position,
+    read for dimensions p - 1 to p + 1; each dimension is ranked by a stable
+    sort of its canonical order by key, over the members alone when given:
+    a stable sort of the members is their share of the full ranking.
 
-    A reduction only ever adds a column into a later one of its own
-    dimension, so each dimension is reduced on its own, left to right. The
-    simplices a d-column's pivot names are cleared: their (d-1)-columns would
-    reduce to zero, and a zero column never owns a pivot, so skipping them
-    changes no other column (Chen & Kerber, "Persistent homology computation
-    with a twist", 2011). Returns, with simplices named by canonical
-    position:
-    - the pairs, per reduced dimension d + 1 as (d, iterator of (birth,
-      death)): the (d+1)-simplex at death kills the class the d-simplex at
-      birth created;
+    The (p+1)-columns are reduced first. The p-simplices their pivots name
+    are cleared: their p-columns would reduce to zero, and a zero column
+    never owns a pivot, so skipping them changes no other column (Chen &
+    Kerber, "Persistent homology computation with a twist", 2011). The kept
+    p-columns are then reduced with their basis change. Returns, with
+    simplices named by canonical position:
+    - the pairs, a lazy iterator of (birth, death): the (p+1)-simplex at
+      death kills the class the p-simplex at birth created;
     - the essential p-cycles: position -> basis change in canonical
-      p-positions, in rank order (the zero p-columns, when the
-      (p+1)-columns were reduced or p is the top dimension); empty when p
-      is None, and then no dimension tracks a basis change."""
-    pairs = []
+      p-positions, in rank order (the kept p-columns that reduce to zero)."""
+
+    def ranked(d: int) -> list[int]:
+        n = complex_like.n_simplices(d)
+        if not n:
+            return []
+        kept = range(n) if members is None else compress(range(n), members[d])
+        return sorted(kept, key=keys[d].__getitem__)
+
+    def columns(d: int, below: Sequence[int], kept: Sequence[int]) -> list[int]:
+        """Boundary masks of the d-simplices at the kept positions: bit j for the face ranked j in below."""
+        if not d or not kept:
+            return [0] * len(kept)
+        row_bits = [0] * complex_like.n_simplices(d - 1)
+        for position, bit in zip(below, complex_like.powers(len(below))):
+            row_bits[position] = bit
+        return face_masks(face_columns(complex_like, d), row_bits, kept)
+
+    below, order, above = ranked(p - 1), ranked(p), ranked(p + 1)
+    owners: dict = {}
+    deaths = []  # the position of each (p+1)-column that stored a pivot, as owners gains it
+    for c, q in zip(columns(p + 1, order, above), above):
+        while c:
+            low = c.bit_length() - 1
+            other = owners.get(low)
+            if other is None:
+                owners[low] = c
+                deaths.append(q)
+                break
+            c ^= other
+    kept = [q for j, q in enumerate(order) if j not in owners] if owners else order
     cycles: dict[int, int] = {}
-    cleared: dict = {}  # pivot rank -> reduced column, of the dimension above
-    for d in range(top, bottom - 1, -1):
-        order = ranked[d]
-        kept = [q for j, q in enumerate(order) if j not in cleared] if cleared else order
-        if d:
-            below = ranked[d - 1]
-            row_bits = [0] * complex_like.n_simplices(d - 1)
-            for position, bit in zip(below, complex_like.powers(len(below))):
-                row_bits[position] = bit
-            columns = face_masks(face_columns(complex_like, d), row_bits, kept)
+    reduced: dict = {}  # pivot rank -> (reduced p-column, its basis change)
+    bit_at = complex_like.powers(complex_like.n_simplices(p))
+    for c, q in zip(columns(p, below, kept), kept):
+        v = bit_at[q]
+        while c:
+            low = c.bit_length() - 1
+            other = reduced.get(low)
+            if other is None:
+                reduced[low] = (c, v)
+                break
+            c ^= other[0]
+            v ^= other[1]
         else:
-            columns = [0] * len(kept)
-        owners: dict = {}
-        deaths = []  # the position of each column that stored a pivot, as owners gains it
-        if d == p:
-            bit_at = complex_like.powers(complex_like.n_simplices(d))
-            for c, q in zip(columns, kept):
-                v = bit_at[q]
-                while c:
-                    low = c.bit_length() - 1
-                    other = owners.get(low)
-                    if other is None:
-                        owners[low] = (c, v)
-                        deaths.append(q)
-                        break
-                    c ^= other[0]
-                    v ^= other[1]
-                else:
-                    cycles[q] = v
-        else:
-            for c, q in zip(columns, kept):
-                while c:
-                    low = c.bit_length() - 1
-                    other = owners.get(low)
-                    if other is None:
-                        owners[low] = c
-                        deaths.append(q)
-                        break
-                    c ^= other
-        if d:
-            pairs.append((d - 1, zip(map(below.__getitem__, owners), deaths)))
-        cleared = owners
-    return pairs, cycles
+            cycles[q] = v
+    return zip(map(order.__getitem__, owners), deaths), cycles
 
 
 def site_essential_cycles(
@@ -358,12 +343,7 @@ def site_essential_cycles(
         # a simplex's first and last faces hold all its vertices
         below, faces = r[-1], face_columns(complex_like, d)
         r.append([below[i] if below[i] >= below[j] else below[j] for i, j in zip(faces[0], faces[-1])])
-    ranked = []
-    for d, rd in enumerate(r):
-        # a stable sort of the members alone is their share of the full ranking
-        kept = range(len(rd)) if members is None else compress(range(len(rd)), members[d])
-        ranked.append(sorted(kept, key=rd.__getitem__) if d >= p - 1 else ())
-    _, cycles = _clearing_reduction(complex_like, ranked, top, p, p)
+    _, cycles = _clearing_reduction(complex_like, r, p, members)
     return (
         tuple(ChainVector(n_p, mask=v) for v in cycles.values()),
         tuple(r[p][q] for q in cycles),

@@ -108,33 +108,10 @@ def _mask_rank(masks) -> int:
     return len(_span_rows(masks))
 
 
-def _solve_masks(columns: Sequence[int], target: int) -> Optional[int]:
-    """Coefficient mask c with XOR_{j in c} columns[j] = target, or None."""
-    rows: dict[int, tuple[int, int]] = {}
-    for j, col in enumerate(columns):
-        value, coeffs = col, 1 << j
-        while value:
-            top = value.bit_length() - 1
-            if top in rows:
-                rv, rc = rows[top]
-                value ^= rv
-                coeffs ^= rc
-            else:
-                rows[top] = (value, coeffs)
-                break
-    value, coeffs = target, 0
-    while value:
-        top = value.bit_length() - 1
-        if top not in rows:
-            return None
-        rv, rc = rows[top]
-        value ^= rv
-        coeffs ^= rc
-    return coeffs
-
-
 def _kernel_coefficients(columns: Sequence[int]) -> list[int]:
-    """Coefficient masks of a basis of {c : XOR_{j in c} columns[j] = 0}."""
+    """Coefficient masks of a basis of {c : XOR_{j in c} columns[j] = 0}: one
+    per column that reduces to zero against the echelon rows of those before
+    it, each row tagged with the columns it sums."""
     rows: dict[int, tuple[int, int]] = {}
     kernel = []
     for j, col in enumerate(columns):
@@ -151,6 +128,15 @@ def _kernel_coefficients(columns: Sequence[int]) -> list[int]:
         if not value:
             kernel.append(coeffs)
     return kernel
+
+
+def _solve_masks(columns: Sequence[int], target: int) -> Optional[int]:
+    """Coefficient mask c with XOR_{j in c} columns[j] = target, or None: the
+    target, put last, reduces to zero exactly when it is in the span, and its
+    kernel vector then names it and the columns that sum to it."""
+    n = len(columns)
+    kernel = _kernel_coefficients([*columns, target])
+    return kernel[-1] ^ (1 << n) if kernel and kernel[-1] >> n else None
 
 
 def _xor_select(masks: Sequence[int], bits: int) -> int:

@@ -103,8 +103,8 @@ def test_criterion_1_reduction_matches_dense_ranks():
         simplices = list(complex_.all_simplices())
         for p in range(0, 3):
             result = compute_persistence(filtration, p)
-            bars = result.barcode.in_dim(p)
-            if result.barcode.betti(p) != betti_by_rank(simplices, p):
+            bars = result.barcode.intervals
+            if result.barcode.betti() != betti_by_rank(simplices, p):
                 ok = False
             n_p = complex_.n_simplices(p)
             rank_p = 0
@@ -203,13 +203,13 @@ def test_criterion_5_representative_validity():
     filtrations = []
     while len(filtrations) < 50:
         filtration = _random_filtration(rng)
-        if compute_persistence(filtration, 1).barcode.in_dim(1):
+        if compute_persistence(filtration, 1).barcode.intervals:
             filtrations.append(filtration)
     ok = True
     for filtration in filtrations:
         complex_ = filtration.complex
         last = len(filtration) - 1
-        for iv in compute_persistence(filtration, 1).barcode.in_dim(1):
+        for iv in compute_persistence(filtration, 1).barcode.intervals:
             rep = opt_pers_hom_rep(filtration, iv)
             if complex_.position(iv.creator) not in rep.cycle:
                 ok = False
@@ -224,7 +224,7 @@ def test_criterion_5_representative_validity():
 
 def test_criterion_6_two_loop_barcode():
     filtration = fixtures.two_loop_filtration()
-    pairs = compute_persistence(filtration, 1).barcode.value_pairs(1)
+    pairs = compute_persistence(filtration, 1).barcode.value_pairs()
     ok = pairs == [(1.0, 4.0), (2.0, 3.0)]
     _report(ok, "criterion 6: two-loop filtration yields the 1-bars [1,4) and [2,3)")
 
@@ -234,7 +234,7 @@ def test_criterion_7_scaling_soft_bound():
         scale = 2 * math.sin(2 * math.pi / n) * 1.0001
         filtration = rips_filtration(circle_cloud(n), scale, max_dim=2)
         finite = [
-            iv for iv in compute_persistence(filtration, 1).barcode.in_dim(1)
+            iv for iv in compute_persistence(filtration, 1).barcode.intervals
             if iv.death is not None
         ]
         target = max(finite, key=lambda iv: iv.death)

@@ -92,6 +92,22 @@ def test_localize_shorten_never_grows(tmp_path):
     assert row["edge_count_after"] <= row["edge_count_before"]
 
 
+def test_localize_shorten_stays_inside_the_site_ball(tmp_path):
+    """Vertex 9 lies 5e-10 outside the octagon's ball around the centre, inside
+    the membership tolerance; the shorter path through it would grow r_v."""
+    ring = [(math.cos(k * math.pi / 4), math.sin(k * math.pi / 4)) for k in range(8)]
+    r, t = 1 + 5e-10, 3 * math.pi / 8
+    coords = ring + [(0.0, 0.0), (r * math.cos(t), r * math.sin(t))]
+    loop = [(k, (k + 1) % 8) for k in range(8)]
+    complex_ = EmbeddedComplex(PointCloud(coords), loop + [(0, 9), (3, 9), (0, 1, 9), (1, 2, 9), (2, 3, 9), (8,)])
+    off, cyc = tmp_path / "octagon.off", tmp_path / "ring.txt"
+    write_off(off, complex_)
+    write_cycle(cyc, complex_, complex_.chain(loop, 1), 1)
+    _, report = run_json(tmp_path, ["localize", "--complex", str(off), "--cycle", str(cyc), "--shorten"])
+    (row,) = report["results"]
+    assert (row["site"], row["r_v"], row["edge_count_after"]) == (8, 1.0, 8)
+
+
 def test_basis_on_figure_eight(tmp_path):
     fe = fixtures.figure_eight()
     off = tmp_path / "fe.off"

@@ -163,10 +163,10 @@ def test_square_boundary_matrix():
 
 
 def test_hollow_triangle_barcode():
+    assert compute_persistence(hollow_triangle_filtration(), 0).barcode.betti() == 1
     res = compute_persistence(hollow_triangle_filtration(), 1)
-    assert res.barcode.betti(0) == 1
-    assert res.barcode.betti(1) == 1
-    ones = res.barcode.in_dim(1)
+    assert res.barcode.betti() == 1
+    ones = res.barcode.intervals
     assert len(ones) == 1
     iv = ones[0]
     assert iv.death is None and iv.creator == (0, 2) and iv.birth_value == 2.0
@@ -177,17 +177,19 @@ def test_hollow_triangle_barcode():
 def test_betti_matches_rank_oracle(filtration):
     complex_ = filtration.complex
     all_simplices = list(complex_.all_simplices())
-    res = compute_persistence(filtration, 1)
     for p in range(complex_.max_dim + 1):
-        assert res.barcode.betti(p) == betti_by_rank(all_simplices, p)
+        assert compute_persistence(filtration, p).barcode.betti() == betti_by_rank(all_simplices, p)
 
 
 @settings(max_examples=60, deadline=None)
 @given(filtered_complexes())
 def test_every_position_is_birth_or_death_once(filtration):
-    res = compute_persistence(filtration, 1)
-    births = [iv.birth for iv in res.barcode.intervals]
-    deaths = [iv.death for iv in res.barcode.intervals if iv.death is not None]
+    """Over the barcodes of every dimension."""
+    intervals = [
+        iv for p in range(filtration.complex.max_dim + 1) for iv in compute_persistence(filtration, p).barcode.intervals
+    ]
+    births = [iv.birth for iv in intervals]
+    deaths = [iv.death for iv in intervals if iv.death is not None]
     assert len(set(births)) == len(births)
     assert len(set(deaths)) == len(deaths)
     assert sorted(births + deaths) == list(range(len(filtration)))
@@ -211,8 +213,8 @@ def any_filtrations(draw):
 @settings(max_examples=80, deadline=None)
 @given(any_filtrations())
 def test_persistence_matches_the_square_reduction(filtration):
-    """Every interval of every dimension, as the square reduction of the
-    whole boundary matrix gives them."""
+    """Every interval of every dimension, one dimension per call, as the
+    square reduction of the whole boundary matrix gives them."""
     order, values = filtration.order, filtration.values
     intervals, _ = square_persistence(filtration, 0)
     for p in range(filtration.complex.max_dim + 2):
@@ -221,20 +223,21 @@ def test_persistence_matches_the_square_reduction(filtration):
             Interval(d, i, j, order[i], None if j is None else order[j],
                      values[i], None if j is None else values[j])
             for d, i, j in intervals
+            if d == p
         ]
         assert list(result.barcode.intervals) == expect
 
 
 def test_two_loop_value_barcode():
     res = compute_persistence(fixtures.two_loop_filtration(), 1)
-    assert res.barcode.value_pairs(1) == [(1.0, 4.0), (2.0, 3.0)]
-    assert res.barcode.betti(1) == 0
+    assert res.barcode.value_pairs() == [(1.0, 4.0), (2.0, 3.0)]
+    assert res.barcode.betti() == 0
 
 
 def test_annulus_bar_filtration():
     filtration, _ = fixtures.annulus_bar_filtration()
     res = compute_persistence(filtration, 1)
-    long_bars = [iv for iv in res.barcode.in_dim(1) if iv.value_length() > 0]
+    long_bars = [iv for iv in res.barcode.intervals if iv.value_length() > 0]
     assert [(iv.birth_value, iv.death_value) for iv in long_bars] == [(1.0, 3.0)]
     iv = long_bars[0]
     assert iv.creator == (6, 7)
@@ -257,7 +260,7 @@ def test_value_pairs_zero_length_handling():
         Interval(1, 2, 5, (0, 2), (0, 2, 3), 3.0, 4.0),
     )
     bc = Barcode(ivs)
-    assert bc.value_pairs(1) == [(3.0, 4.0)]
+    assert bc.value_pairs() == [(3.0, 4.0)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -277,7 +280,7 @@ def test_prefix_flags_the_simplices_born_by_each_index(filtration):
 
 def test_bars_keep_positive_length_most_persistent_first():
     res = compute_persistence(fixtures.two_loop_filtration(), 1)
-    assert len(res.barcode.in_dim(1)) == 7
+    assert len(res.barcode.intervals) == 7
     assert [(iv.birth_value, iv.death_value) for iv in res.bars()] == [(1.0, 4.0), (2.0, 3.0)]
     assert res.bars(1) == res.bars()[:1]
     triangle = lower_star_filtration(fixtures.hollow_triangle().complex, {0: 0.0, 1: 1.0, 2: 2.0})
@@ -296,7 +299,7 @@ def test_rips_at_side_scale():
     assert f.complex.n_simplices(1) == 4  # diagonals exceed the scale
     assert f.complex.max_dim == 1
     res = compute_persistence(f, 1)
-    assert res.barcode.betti(1) == 1
+    assert res.barcode.betti() == 1
     # re-validate the constructed order and values
     Filtration(f.complex, f.order, f.values)
 
@@ -315,7 +318,7 @@ def test_rips_at_diagonal_scale():
     for t in f.complex.simplices(2):
         assert f.values[f.index_of(t)] == pytest.approx(math.sqrt(2))
     res = compute_persistence(f, 1)
-    assert res.barcode.betti(1) == 0
+    assert res.barcode.betti() == 0
     Filtration(f.complex, f.order, f.values)
 
 
@@ -332,7 +335,7 @@ def test_rips_higher_dimension():
     # built to dimension p + 1, the hollow octahedron's 2-bar dies when its
     # antipodal edges and their tetrahedra fill it
     f = rips_filtration(PointCloud(OCTAHEDRON), 2.5, max_dim=3)
-    assert compute_persistence(f, 2).barcode.value_pairs(2) == [(math.sqrt(2), 2.0)]
+    assert compute_persistence(f, 2).barcode.value_pairs() == [(math.sqrt(2), 2.0)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -361,7 +364,7 @@ def test_lower_star_hollow_triangle():
     assert f.index_of((0, 1)) == 2  # enters with vertex 1
     assert f.index_of((1, 2)) == 5
     res = compute_persistence(f, 1)
-    ones = res.barcode.in_dim(1)
+    ones = res.barcode.intervals
     assert len(ones) == 1 and ones[0].death is None
     assert ones[0].birth_value == 2.0
     Filtration(f.complex, f.order, f.values)

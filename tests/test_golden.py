@@ -26,6 +26,7 @@ REQUESTS = {
     "annulus_basis": ["basis", "--complex", "annulus.off"],
     "annulus_persistent_lower_star": ["persistent", "--complex", "annulus.off", "--lower-star", "annulus_y.csv"],
     "ring_persistent_rips": ["persistent", "--points", "ring.csv", "--rips", "0.9"],
+    "ring_persistent_rips_p0": ["persistent", "-p", "0", "--points", "ring.csv", "--rips", "0.9"],
     "two_loop_persistent_filtration": ["persistent", "--points", "two_loop.csv", "--filtration", "two_loop.flt"],
     "two_loop_persistent_filtration_top1": [
         "persistent", "--points", "two_loop.csv", "--filtration", "two_loop.flt", "--bars", "top:1",

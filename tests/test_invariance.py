@@ -116,6 +116,18 @@ def test_moving_mesh_points_moves_each_optimum_by_at_most_twice_as_far(seed):
         assert_within_twice(delta, before, after)
 
 
+@settings(max_examples=100, deadline=None)
+@given(loopy_complexes(), st.floats(0.0, 0.25), st.integers(0, 2**32 - 1))
+def test_moving_a_loopy_complex_moves_each_basis_radius_by_at_most_twice_as_far(complex_, delta, seed):
+    """As on the meshes, for the sorted basis r_v of a random complex."""
+    before = [c.r_v for c in opt_homology_basis(complex_, 1).cycles]
+    assume(before)
+    moved = EmbeddedComplex(PointCloud(perturbed(complex_.cloud.coords, delta, seed)), complex_.maximal_simplices())
+    after = [c.r_v for c in opt_homology_basis(moved, 1).cycles]
+    for r, s in zip(sorted(before), sorted(after), strict=True):
+        assert_within_twice(delta, r, s)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_moving_rips_points_moves_each_bar_optimum_by_at_most_twice_as_far(seed):
     """The unperturbed Rips order, kept as an explicit filtration of the
