@@ -7,8 +7,8 @@ for two copies of the package side by side.
 
 Ladders (inputs from perfbench/workloads.py, so they match the benchmark's):
 - mesh-localize: `localize` of the outer loop of a jittered grid with one
-  centre hole, 143 to 2,303 vertices;
-- mesh-basis: `basis` of a grid with four holes, 192 to 2,300 vertices;
+  centre hole, 143 to 9,215 vertices;
+- mesh-basis: `basis` of a grid with four holes, 192 to 9,212 vertices;
 - rips-circle-bar: one representative of the last-dying 1-bar on the Rips
   filtration of a circle sample (4n simplices for n points), 1,600 to
   12,800 simplices; the Rips construction is timed on its own;
@@ -43,8 +43,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
-LOCALIZE_GRIDS = [12, 16, 24, 34, 48]
-BASIS_GRIDS = [14, 24, 34, 48]
+# of these meshes only the 96-side ones have more than 2^14 edges
+LOCALIZE_GRIDS = [12, 16, 24, 34, 48, 68, 96]
+BASIS_GRIDS = [14, 24, 34, 48, 68, 96]
 CIRCLE_POINTS = [400, 800, 1600, 3200]
 ANNULUS = [(40, 0.42), (80, 0.3), (160, 0.22), (320, 0.16)]
 ANNULUS_SEED = 5

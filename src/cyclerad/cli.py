@@ -155,10 +155,12 @@ def _export_obj(args: argparse.Namespace, complex_like, rows: list[OptimalCycleR
 
 
 def _maybe_shorten(
-    args: argparse.Namespace, complex_like, result: OptimalCycleResult
+    args: argparse.Namespace, complex_like, result: OptimalCycleResult, filtration: Optional[Filtration] = None
 ) -> OptimalCycleResult:
     if args.shorten and result.dim == 1:
-        return shorten_cycle(result, complex_like)
+        # a bar's representative stays one only if shortened in its birth prefix
+        members = None if filtration is None else filtration.prefix(result.interval.birth)
+        return shorten_cycle(result, complex_like, members)
     return result
 
 
@@ -215,7 +217,7 @@ def _run_persistent(args: argparse.Namespace) -> tuple[dict, int]:
     complex_ = filtration.complex
     persistence = compute_persistence(filtration, args.p)
     reps = opt_persistent_basis(persistence, args.bars)
-    finals = [_maybe_shorten(args, complex_, r) for r in reps]
+    finals = [_maybe_shorten(args, complex_, r, filtration) for r in reps]
     rows = [_result_json(complex_, "persistent", before, after) for before, after in zip(reps, finals)]
     _export_obj(args, complex_, finals)
     report = {

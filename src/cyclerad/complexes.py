@@ -207,11 +207,9 @@ class EmbeddedComplex:
         return self._positions[s][1]
 
     def powers(self, n: int) -> list[int]:
-        """A list whose first n entries are 1 << k. Allocating these big
-        integers afresh was a large share of the per-site work, so up to 2^14
-        of them (17 MB) are kept with the complex."""
-        if n > 1 << 14:
-            return list(map((1).__lshift__, range(n)))
+        """A list whose first n entries are 1 << k, kept with the complex since
+        allocating them was a large share of the per-site work; n is at most
+        one dimension's size, so the table is no larger than one call's list."""
         self._powers.extend(map((1).__lshift__, range(len(self._powers), n)))
         return self._powers
 

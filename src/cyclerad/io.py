@@ -212,9 +212,9 @@ def write_filtration(path: PathLike, filtration: Filtration) -> None:
 
 
 def read_cycle(path: PathLike, complex_like: EmbeddedComplex, p: int) -> ChainVector:
-    """One simplex per line as vertex indices, all of dimension p; must be a
-    cycle of the complex."""
-    simplices = []
+    """One simplex per line as vertex indices, all of dimension p, each listed
+    once; must be a cycle of the complex."""
+    simplices = set()
     for ln, text in _data_lines(path):
         try:
             simplex = tuple(sorted(int(x) for x in _split_fields(text)))
@@ -224,7 +224,9 @@ def read_cycle(path: PathLike, complex_like: EmbeddedComplex, p: int) -> ChainVe
             raise InputError(path, f"simplex {simplex} not in the complex", ln)
         if len(simplex) - 1 != p:
             raise InputError(path, f"row holds a {len(simplex) - 1}-simplex, expected dimension {p}", ln)
-        simplices.append(simplex)
+        if simplex in simplices:  # over Z2 a repeat would cancel, not collapse
+            raise InputError(path, f"simplex {simplex} is listed twice", ln)
+        simplices.add(simplex)
     if not simplices:
         raise InputError(path, "empty cycle file")
     chain = complex_like.chain(simplices, p)

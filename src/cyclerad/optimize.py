@@ -23,7 +23,7 @@ tie-break included, is identical to visiting every site.
 from __future__ import annotations
 
 import math
-from collections import deque
+from functools import cache
 from itertools import compress
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -340,33 +340,36 @@ def _cycle_loops(edges: list[Simplex]) -> list[list[int]]:
     return loops
 
 
-def _shortest_path(adjacency: dict[int, list[int]], a: int, b: int) -> Optional[list[int]]:
-    if a == b:
-        return [a]
-    parent = {a: a}
-    queue = deque([a])
-    while queue:
-        u = queue.popleft()
+def _bfs_tree(adjacency: dict[int, list[int]], root: int) -> dict[int, int]:
+    """Breadth-first parent of each vertex reachable from root (root's is
+    itself): the tree path to a vertex is the one a search stopping there finds."""
+    parent, queue = {root: root}, [root]
+    for u in queue:  # the queue grows as the search runs
         for w in adjacency.get(u, ()):
             if w not in parent:
                 parent[w] = u
-                if w == b:
-                    path = [b]
-                    while path[-1] != a:
-                        path.append(parent[path[-1]])
-                    return path[::-1]
                 queue.append(w)
-    return None
+    return parent
+
+
+def _tree_path(parent: dict[int, int], b: int) -> list[int]:
+    """The path from the root of a _bfs_tree to b, a vertex of the tree."""
+    path = [b]
+    while parent[path[-1]] != path[-1]:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def shorten_cycle(
-    result: OptimalCycleResult, complex_like: EmbeddedComplex
+    result: OptimalCycleResult, complex_like: EmbeddedComplex, members=None
 ) -> OptimalCycleResult:
     """Replace arcs of the cycle by shorter homologous paths found inside the
-    site ball of the result. The class never changes (every swap is checked
-    against the boundary space), the edge count never grows, and because all
-    replacement paths stay inside the same ball the site radius never grows
-    either."""
+    site ball of the result, and inside the subcomplex that members flags
+    per dimension (Filtration.prefix) when given. The class there never
+    changes (every swap is checked against that subcomplex's boundaries), so
+    a bar representative shortened in its birth prefix still represents the
+    bar. The edge count never grows, and because all replacement paths stay
+    inside the same ball the site radius never grows either."""
     if result.dim != 1:
         raise ValueError("shortening is defined for 1-cycles only")
     if result.cycle.is_zero() or result.site is None:
@@ -375,14 +378,19 @@ def shorten_cycle(
     # the edges of the complex with both endpoints in the site ball; r_v is
     # the max of these same distances over the cycle, so no tolerance is due
     dist = distances_from(complex_like.cloud.point(result.site), complex_like.cloud.columns)
+    graph_edges, columns = complex_like.simplices(1), boundary_columns(complex_like, 1)
+    if members is not None:
+        # a complex without triangles has no flags for them, and no columns
+        graph_edges, columns = compress(graph_edges, members[1]), compress(columns, members[2]) if columns else []
     adjacency: dict[int, list[int]] = {}
-    for a, b in complex_like.simplices(1):
+    for a, b in graph_edges:
         if dist[a] <= result.r_v and dist[b] <= result.r_v:
             adjacency.setdefault(a, []).append(b)
             adjacency.setdefault(b, []).append(a)
     for v in adjacency:
         adjacency[v].sort()
-    bounds = IncrementalSpan(complex_like.n_simplices(1), boundary_columns(complex_like, 1))
+    bounds = IncrementalSpan(complex_like.n_simplices(1), columns)
+    tree = cache(lambda root: _bfs_tree(adjacency, root))  # the ball graph is fixed
 
     cycle = result.cycle
     for _ in range(SHORTEN_PASSES):
@@ -396,13 +404,13 @@ def shorten_cycle(
                     if i == 0 and j == n - 1:
                         continue  # adjacent around the wrap
                     for arc in (loop[i : j + 1], loop[j:] + loop[: i + 1]):
-                        path = _shortest_path(adjacency, arc[0], arc[-1])
-                        if path is None:
+                        if arc[-1] not in tree(arc[0]):
                             continue
+                        path = _tree_path(tree(arc[0]), arc[-1])
                         saving = (len(arc) - 1) - (len(path) - 1)
                         if saving > 0:
                             proposals.append((-saving, arc, path))
-        proposals.sort(key=lambda t: (t[0], t[1], t[2]))
+        proposals.sort()
         changed = False
         for _, arc, path in proposals:
             detour = complex_like.chain(
@@ -412,10 +420,9 @@ def shorten_cycle(
                 [tuple(sorted(e)) for e in zip(path, path[1:])], p=1
             )
             difference = detour ^ replacement
+            # arc and path are trails with the same ends, so the candidate is a cycle
             candidate = cycle ^ difference
             if len(candidate) >= count:
-                continue
-            if not complex_like.is_cycle(candidate, 1):
                 continue
             if not bounds.contains(difference.mask):
                 continue

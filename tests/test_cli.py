@@ -163,6 +163,16 @@ def test_persistent_from_rips(tmp_path):
     assert row["interval"]["death"] == "inf"
 
 
+def test_persistent_shorten_on_a_complex_without_triangles(tmp_path):
+    """At Rips scale 0.9 the 12-point ring has no triangles, so its birth
+    prefixes flag no dimension 2."""
+    csv = tmp_path / "ring.csv"
+    np.savetxt(csv, np.asarray(fixtures.circle_cloud(12).coords), delimiter=",")
+    _, report = run_json(tmp_path, ["persistent", "--points", str(csv), "--rips", "0.9", "--shorten"])
+    (row,) = report["results"]
+    assert row["edge_count_after"] == row["edge_count_before"] == 12
+
+
 @pytest.fixture
 def octahedron_csv(tmp_path):
     csv = tmp_path / "octahedron.csv"
@@ -341,6 +351,17 @@ def test_exit_code_cycle_mixes_dimensions(tmp_path, annulus_files, capsys):
                  "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert f"{bad}:{len(ann.outer_loop) + 1}:" in capsys.readouterr().err
+
+
+def test_exit_code_cycle_lists_a_simplex_twice(tmp_path, annulus_files, capsys):
+    """Over Z2 a repeated row would cancel, so it is rejected, not collapsed."""
+    ann, off, cyc = annulus_files
+    bad = tmp_path / "twice.txt"
+    bad.write_text(open(cyc).read() + "0 1\n")
+    code = main(["localize", "--complex", off, "--cycle", str(bad),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert f"{bad}:{len(ann.outer_loop) + 1}: simplex (0, 1) is listed twice" in capsys.readouterr().err
 
 
 def test_exit_code_two_sources(tmp_path, two_loop_files):

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,11 @@ from cyclerad.complexes import EmbeddedComplex, PointCloud, boundary_columns
 from cyclerad.filtrations import Filtration, compute_persistence, lower_star_filtration
 from cyclerad.optimize import (
     HomologyBasisResult,
+    _bfs_tree,
     _result_for_cycle,
     _rotated_candidates,
     _site_essential_cycles,
+    _tree_path,
     describe_cycle,
     opt_homologous_cycle,
     opt_homology_basis,
@@ -602,6 +605,45 @@ def test_persistent_basis_empty_when_no_bars():
 
 
 # -- shortening ------------------------------------------------------------
+
+
+def _early_exit_path(adjacency, a, b):
+    """The shortener's former per-arc search: breadth-first from a, neighbours
+    in list order, returning as soon as b is reached."""
+    if a == b:
+        return [a]
+    parent = {a: a}
+    queue = deque([a])
+    while queue:
+        u = queue.popleft()
+        for w in adjacency.get(u, ()):
+            if w not in parent:
+                parent[w] = u
+                if w == b:
+                    path = [b]
+                    while path[-1] != a:
+                        path.append(parent[path[-1]])
+                    return path[::-1]
+                queue.append(w)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(embedded_complexes(max_points=10), loopy_complexes()))
+def test_bfs_tree_paths_are_the_early_exit_search_paths(complex_):
+    """Every vertex pair, a == b and unreachable pairs included, reads the
+    path the early-exit search finds off the source's one tree."""
+    adjacency = {}
+    for a, b in complex_.simplices(1):
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    for v in adjacency:
+        adjacency[v].sort()
+    vertices = complex_.vertex_ids()
+    for a in vertices:
+        tree = _bfs_tree(adjacency, a)
+        for b in vertices:
+            assert (_tree_path(tree, b) if b in tree else None) == _early_exit_path(adjacency, a, b)
 
 
 def test_shorten_triangle_fixed_point():
