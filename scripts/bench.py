@@ -82,8 +82,10 @@ def circle_rips(n: int):
 def last_finite_bar(filtration):
     from cyclerad.filtrations import compute_persistence
 
-    # --parent-src may name a package whose barcode holds every dimension
-    finite = [iv for iv in compute_persistence(filtration, 1).barcode.intervals if iv.dim == 1 and iv.death is not None]
+    # --parent-src may name a package whose result keeps its intervals in a
+    # Barcode, or whose barcode holds every dimension
+    res = compute_persistence(filtration, 1)
+    finite = [iv for iv in getattr(res, "barcode", res).intervals if iv.dim == 1 and iv.death is not None]
     return max(finite, key=lambda iv: iv.death)
 
 

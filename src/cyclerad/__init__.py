@@ -15,7 +15,7 @@ _EXPORTS = {
     for module, names in (
         ("z2", "ChainVector IncrementalSpan"),
         ("complexes", "PointCloud EmbeddedComplex boundary_columns"),
-        ("filtrations", "Filtration Interval Barcode PersistenceResult compute_persistence "
+        ("filtrations", "Filtration Interval PersistenceResult compute_persistence "
                         "rips_filtration lower_star_filtration"),
         ("radius", "SphereCertificate site_radius exact_radius min_enclosing_sphere chain_vertices"),
         ("optimize", "OptimalCycleResult HomologyBasisResult opt_homologous_cycle opt_homology_basis "

@@ -69,6 +69,8 @@ def _validate(args: argparse.Namespace) -> None:
     if args.problem == "verify" and args.cycle_path:
         if not args.complex_path:
             raise ConfigError("verify with --cycle needs --complex")
+        if sources:
+            raise ConfigError("verify takes --cycle or a filtration source, not both")
     elif args.problem == "persistent" or sources:
         if sources != 1:
             raise ConfigError(
@@ -80,8 +82,12 @@ def _validate(args: argparse.Namespace) -> None:
             raise ConfigError("--filtration needs --points for the geometry")
         if args.lower_star_path is not None and not args.complex_path:
             raise ConfigError("--lower-star needs --complex")
+        if args.lower_star_path is None and args.complex_path:
+            raise ConfigError("--rips and --filtration take no --complex")
     elif args.problem == "verify" and not args.complex_path:
         raise ConfigError("verify needs --complex, --cycle, or a filtration source")
+    if getattr(args, "points_path", None) and args.rips_scale is None and args.filtration_path is None:
+        raise ConfigError("--points needs --rips or --filtration")
 
 
 # -- serialization ----------------------------------------------------------
@@ -226,7 +232,7 @@ def _run_persistent(args: argparse.Namespace) -> tuple[dict, int]:
         "n_simplices": len(filtration),
         "barcode": [
             [float(b), "inf" if d is None else float(d)]
-            for b, d in persistence.barcode.value_pairs()
+            for b, d in persistence.value_pairs()
         ],
         "results": rows,
     }

@@ -7,16 +7,16 @@ simplices born by index i. One kernel computes persistence in one
 dimension p, ``_clearing_reduction``: it reduces the (p+1)-columns, clears
 the p-columns their pivots name, and reduces the rest with their basis
 change. Its pairs become finite intervals, its zero p-columns essential
-classes; ``PersistenceResult.bars`` names the ones that get representatives.
-All interval bookkeeping is index-based; values are carried along for
-reporting.
+classes. All interval bookkeeping is index-based; values are carried along
+for reporting.
 
 Both callers make the same call. ``compute_persistence`` ranks by filtration
-index and builds the dimension-p barcode from the pairs and the essential
-positions; a bar's representative comes from the site search. The solvers
-read only the essential p-cycles of each site's filtration, so
-``site_essential_cycles`` ranks by distance from the site and never builds
-the pairs.
+index and returns the dimension-p barcode as a ``PersistenceResult``: the
+intervals from the pairs and the essential positions, by birth. Its
+``bars`` are the intervals of positive value length, the ones that get
+representatives from the site search. The solvers read only the essential
+p-cycles of each site's filtration, so ``site_essential_cycles`` ranks by
+distance from the site and never builds the pairs.
 """
 from __future__ import annotations
 
@@ -117,53 +117,27 @@ class Interval(NamedTuple):
         return self.death_value - self.birth_value
 
 
-class Barcode(NamedTuple("Barcode", [("intervals", tuple)])):
-    """The intervals of one dimension, each creator and destroyer used once;
-    a subclass so that the constructor can check them."""
+class PersistenceResult(NamedTuple):
+    """The dimension-p barcode of a filtration: its intervals by birth."""
 
-    __slots__ = ()
-
-    def __new__(cls, intervals: tuple[Interval, ...]):
-        creators: set[Simplex] = set()
-        destroyers: set[Simplex] = set()
-        for iv in intervals:
-            if len(iv.creator) - 1 != iv.dim:
-                raise ValueError("creator dimension does not match the interval")
-            if iv.destroyer is not None and len(iv.destroyer) - 1 != iv.dim + 1:
-                raise ValueError("destroyer must be one dimension above the interval")
-            if iv.creator in creators:
-                raise ValueError(f"{iv.creator} creates two intervals")
-            creators.add(iv.creator)
-            if iv.destroyer is not None:
-                if iv.destroyer in destroyers:
-                    raise ValueError(f"{iv.destroyer} destroys two intervals")
-                destroyers.add(iv.destroyer)
-        return super().__new__(cls, intervals)
+    filtration: Filtration
+    dim: int
+    intervals: tuple[Interval, ...]
 
     def betti(self) -> int:
         return sum(1 for iv in self.intervals if iv.death is None)
 
-    def value_pairs(self) -> list[tuple[float, Optional[float]]]:
-        """(birth value, death value) pairs of the intervals of positive
-        value length, by birth: the bars PersistenceResult.bars ranks, as a
-        coarse (value-level) barcode reads them."""
-        alive = [iv for iv in self.intervals if iv.value_length() > 0]
-        return [(iv.birth_value, iv.death_value) for iv in sorted(alive, key=lambda iv: iv.birth)]
-
-
-class PersistenceResult(NamedTuple):
-    """The dimension-p barcode of a filtration."""
-
-    filtration: Filtration
-    dim: int
-    barcode: Barcode
-
     def bars(self, top: Optional[int] = None) -> list[Interval]:
         """The dimension-p intervals of positive value length, longest first
         (essential bars lead), ties by birth; only the first top when given."""
-        alive = [iv for iv in self.barcode.intervals if iv.value_length() > 0]
+        alive = [iv for iv in self.intervals if iv.value_length() > 0]
         alive.sort(key=lambda iv: (-iv.value_length(), iv.birth))
         return alive if top is None else alive[:top]
+
+    def value_pairs(self) -> list[tuple[float, Optional[float]]]:
+        """(birth value, death value) of each bar, by birth, as a coarse
+        (value-level) barcode reads them."""
+        return [(iv.birth_value, iv.death_value) for iv in sorted(self.bars(), key=lambda iv: iv.birth)]
 
 
 def compute_persistence(filtration: Filtration, p: int) -> PersistenceResult:
@@ -179,7 +153,7 @@ def compute_persistence(filtration: Filtration, p: int) -> PersistenceResult:
         Interval(p, i, k, order[i], None if k is None else order[k], values[i], None if k is None else values[k])
         for i, k in sorted(ends)
     )
-    return PersistenceResult(filtration, p, Barcode(intervals))
+    return PersistenceResult(filtration, p, intervals)
 
 
 # -- filtration constructors ----------------------------------------------
@@ -200,7 +174,7 @@ def rips_filtration(cloud: PointCloud, max_scale: float, max_dim: int) -> Filtra
 
     value: dict[Simplex, float] = {(v,): 0.0 for v in range(n)}
     edges: list[Simplex] = []
-    for i in range(n):
+    for i in range(n if max_dim else 0):  # max_dim 0 excludes every edge
         row = distances_from(coords[i], [column[i + 1 :] for column in cloud.columns])
         for j in compress(range(i + 1, n), map(max_scale.__ge__, row)):
             edges.append((i, j))

@@ -75,6 +75,8 @@ def read_off(path: PathLike) -> EmbeddedComplex:
         n_vertices, n_faces = int(fields[0]), int(fields[1])
     except ValueError as exc:
         raise InputError(path, f"bad counts line: {exc}", ln) from exc
+    if n_vertices < 0 or n_faces < 0:
+        raise InputError(path, "counts line has a negative count", ln)
 
     body = lines[2:]
     if len(body) < n_vertices + n_faces:

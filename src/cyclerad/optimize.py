@@ -3,9 +3,10 @@
 Three solvers share one engine: rank the p- and (p+1)-simplices around a
 site by farthest vertex distance, reduce the (p+1)-columns to clear the
 p-columns they pair, and read the essential cycles off the basis change of
-the remaining p-columns (``filtrations.site_essential_cycles``). That is
-the package's one persistence kernel, ``filtrations._clearing_reduction``,
-which also computes the barcode of a filtration. Because reduced columns
+the remaining p-columns (``filtrations.site_essential_cycles``, which the
+solvers call as ``_site_essential_cycles``). That is the package's one
+persistence kernel, ``filtrations._clearing_reduction``, which also computes
+the barcode of a filtration. Because reduced columns
 have pairwise distinct leading positions, the leading position of any
 combination is the max over its parts. That makes the greedy exact rather
 than heuristic, and also the early stop of the class test that localize and
@@ -34,7 +35,9 @@ from .complexes import (
     distances_from,
     within_radius,
 )
-from .filtrations import Filtration, Interval, PersistenceResult, site_essential_cycles
+from .filtrations import Filtration, Interval, PersistenceResult
+# every solver calls the per-site kernel by this name, which perfbench/wrappers.json wraps
+from .filtrations import site_essential_cycles as _site_essential_cycles
 from .radius import SphereCertificate, chain_vertices, exact_radius, site_radius
 from .z2 import ChainVector, IncrementalSpan
 
@@ -141,14 +144,6 @@ def describe_cycle(
             chain_vertices(complex_like, cycle, p),
         )
     return _result_for_cycle(complex_like, cycle, p, site)
-
-
-def _site_essential_cycles(complex_like: EmbeddedComplex, site: int, p: int, members=None):
-    """Essential p-cycles of the site ordering, earliest first, as chains in
-    the complex's canonical p-basis, with the site radius each enters at.
-    Every solver reaches the per-site kernel through this one name, which
-    perfbench/wrappers.json wraps to time and count the per-site calls."""
-    return site_essential_cycles(complex_like, site, p, members)
 
 
 def _express_over(span: IncrementalSpan, cycles: Sequence[ChainVector], target: ChainVector) -> int:
@@ -392,12 +387,17 @@ def shorten_cycle(
     bounds = IncrementalSpan(complex_like.n_simplices(1), columns)
     tree = cache(lambda root: _bfs_tree(adjacency, root))  # the ball graph is fixed
 
+    bit = complex_like.powers(complex_like.n_simplices(1))
+
+    def mask(trail: list[int]) -> int:
+        # a trail's edges are distinct, so their bits sum to their Z2 chain
+        return sum(bit[complex_like.position(sorted(e))] for e in zip(trail, trail[1:]))
+
     cycle = result.cycle
+    rejected: set[int] = set()  # swaps outside the span, which is fixed
     for _ in range(SHORTEN_PASSES):
-        edges = complex_like.chain_simplices(cycle, 1)
-        count = len(edges)
         proposals = []
-        for loop in _cycle_loops(edges):
+        for loop in _cycle_loops(complex_like.chain_simplices(cycle, 1)):
             n = len(loop)
             for i in range(n):
                 for j in range(i + 2, n):
@@ -411,25 +411,18 @@ def shorten_cycle(
                         if saving > 0:
                             proposals.append((-saving, arc, path))
         proposals.sort()
-        changed = False
         for _, arc, path in proposals:
-            detour = complex_like.chain(
-                [tuple(sorted(e)) for e in zip(arc, arc[1:])], p=1
-            )
-            replacement = complex_like.chain(
-                [tuple(sorted(e)) for e in zip(path, path[1:])], p=1
-            )
-            difference = detour ^ replacement
-            # arc and path are trails with the same ends, so the candidate is a cycle
-            candidate = cycle ^ difference
-            if len(candidate) >= count:
+            difference = mask(arc) ^ mask(path)
+            if difference in rejected:
                 continue
-            if not bounds.contains(difference.mask):
-                continue
-            cycle = candidate
-            changed = True
-            break
-        if not changed:
+            if bounds.contains(difference):
+                # arc and path are trails with the same ends, so the candidate
+                # is a cycle; the arc's edges are the cycle's and the path is
+                # shorter, so it has fewer edges
+                cycle = ChainVector(cycle.ambient_size, mask=cycle.mask ^ difference)
+                break
+            rejected.add(difference)
+        else:
             break
 
     if cycle == result.cycle:

@@ -104,8 +104,8 @@ def test_criterion_1_reduction_matches_dense_ranks():
         simplices = list(complex_.all_simplices())
         for p in range(0, 3):
             result = compute_persistence(filtration, p)
-            bars = result.barcode.intervals
-            if result.barcode.betti() != betti_by_rank(simplices, p):
+            bars = result.intervals
+            if result.betti() != betti_by_rank(simplices, p):
                 ok = False
             n_p = complex_.n_simplices(p)
             rank_p = 0
@@ -222,12 +222,12 @@ def test_criterion_5_representative_validity():
     filtrations = []
     while len(filtrations) < 50:
         filtration = _random_filtration(rng)
-        if compute_persistence(filtration, 1).barcode.intervals:
+        if compute_persistence(filtration, 1).intervals:
             filtrations.append(filtration)
     filtrations += [rips_filtration(PointCloud(annulus_points(40, seed)), 0.42, 2) for seed in range(3)]
     ok = True
     for filtration in filtrations:
-        for iv in compute_persistence(filtration, 1).barcode.intervals:
+        for iv in compute_persistence(filtration, 1).intervals:
             rep = opt_pers_hom_rep(filtration, iv)
             short = shorten_cycle(rep, filtration.complex, filtration.prefix(iv.birth))
             ok = ok and _represents(filtration, iv, rep.cycle) and _represents(filtration, iv, short.cycle)
@@ -237,7 +237,7 @@ def test_criterion_5_representative_validity():
 
 def test_criterion_6_two_loop_barcode():
     filtration = fixtures.two_loop_filtration()
-    pairs = compute_persistence(filtration, 1).barcode.value_pairs()
+    pairs = compute_persistence(filtration, 1).value_pairs()
     ok = pairs == [(1.0, 4.0), (2.0, 3.0)]
     _report(ok, "criterion 6: two-loop filtration yields the 1-bars [1,4) and [2,3)")
 
@@ -247,7 +247,7 @@ def test_criterion_7_scaling_soft_bound():
         scale = 2 * math.sin(2 * math.pi / n) * 1.0001
         filtration = rips_filtration(circle_cloud(n), scale, max_dim=2)
         finite = [
-            iv for iv in compute_persistence(filtration, 1).barcode.intervals
+            iv for iv in compute_persistence(filtration, 1).intervals
             if iv.death is not None
         ]
         target = max(finite, key=lambda iv: iv.death)

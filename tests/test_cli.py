@@ -371,6 +371,36 @@ def test_exit_code_two_sources(tmp_path, two_loop_files):
     assert code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["verify", "--complex", "{off}", "--cycle", "{cyc}", "--points", "{csv}", "--rips", "0.5"],
+     "verify takes --cycle or a filtration source, not both"),
+    (["persistent", "--complex", "{off}", "--points", "{csv}", "--rips", "1.0"],
+     "--rips and --filtration take no --complex"),
+    (["verify", "--complex", "{off}", "--points", "{csv}", "--filtration", "{flt}"],
+     "--rips and --filtration take no --complex"),
+    (["persistent", "--complex", "{off}", "--lower-star", "{vals}", "--points", "{csv}"],
+     "--points needs --rips or --filtration"),
+    (["verify", "--complex", "{off}", "--points", "{csv}"], "--points needs --rips or --filtration"),
+])
+def test_exit_code_flag_the_request_would_not_read(tmp_path, annulus_files, two_loop_files, capsys, args, message):
+    """The inputs are readable, so the dropped flag alone fails the request."""
+    _, off, cyc = annulus_files
+    _, csv, flt = two_loop_files
+    vals = tmp_path / "vals.csv"
+    vals.write_text("".join(f"{i}.0\n" for i in range(9)))
+    argv = [a.format(off=off, cyc=cyc, csv=csv, flt=flt, vals=vals) for a in args]
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"cyclerad: {message}\n"
+
+
+@pytest.mark.parametrize("counts", ["-1 0 0\n0 0\n1 0\n0 1\n", "3 -1 0\n0 0\n1 0\n0 1\n3 0 1 2\n"])
+def test_exit_code_negative_off_count(tmp_path, capsys, counts):
+    off = tmp_path / "negative.off"
+    off.write_text("OFF\n" + counts)
+    assert main(["basis", "--complex", str(off), "--out", str(tmp_path / "r.json")]) == 2
+    assert f"{off}:2: counts line has a negative count" in capsys.readouterr().err
+
+
 
 @pytest.mark.parametrize("args", [
     ["persistent", "-p", "-1"],

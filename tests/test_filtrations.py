@@ -17,9 +17,9 @@ from oracles import (
 
 from cyclerad.complexes import EmbeddedComplex, PointCloud, faces_of
 from cyclerad.filtrations import (
-    Barcode,
     Filtration,
     Interval,
+    PersistenceResult,
     compute_persistence,
     lower_star_filtration,
     rips_filtration,
@@ -163,10 +163,10 @@ def test_square_boundary_matrix():
 
 
 def test_hollow_triangle_barcode():
-    assert compute_persistence(hollow_triangle_filtration(), 0).barcode.betti() == 1
+    assert compute_persistence(hollow_triangle_filtration(), 0).betti() == 1
     res = compute_persistence(hollow_triangle_filtration(), 1)
-    assert res.barcode.betti() == 1
-    ones = res.barcode.intervals
+    assert res.betti() == 1
+    ones = res.intervals
     assert len(ones) == 1
     iv = ones[0]
     assert iv.death is None and iv.creator == (0, 2) and iv.birth_value == 2.0
@@ -178,7 +178,7 @@ def test_betti_matches_rank_oracle(filtration):
     complex_ = filtration.complex
     all_simplices = list(complex_.all_simplices())
     for p in range(complex_.max_dim + 1):
-        assert compute_persistence(filtration, p).barcode.betti() == betti_by_rank(all_simplices, p)
+        assert compute_persistence(filtration, p).betti() == betti_by_rank(all_simplices, p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,7 +186,7 @@ def test_betti_matches_rank_oracle(filtration):
 def test_every_position_is_birth_or_death_once(filtration):
     """Over the barcodes of every dimension."""
     intervals = [
-        iv for p in range(filtration.complex.max_dim + 1) for iv in compute_persistence(filtration, p).barcode.intervals
+        iv for p in range(filtration.complex.max_dim + 1) for iv in compute_persistence(filtration, p).intervals
     ]
     births = [iv.birth for iv in intervals]
     deaths = [iv.death for iv in intervals if iv.death is not None]
@@ -225,33 +225,22 @@ def test_persistence_matches_the_square_reduction(filtration):
             for d, i, j in intervals
             if d == p
         ]
-        assert list(result.barcode.intervals) == expect
+        assert list(result.intervals) == expect
 
 
 def test_two_loop_value_barcode():
     res = compute_persistence(fixtures.two_loop_filtration(), 1)
-    assert res.barcode.value_pairs() == [(1.0, 4.0), (2.0, 3.0)]
-    assert res.barcode.betti() == 0
+    assert res.value_pairs() == [(1.0, 4.0), (2.0, 3.0)]
+    assert res.betti() == 0
 
 
 def test_annulus_bar_filtration():
     filtration, _ = fixtures.annulus_bar_filtration()
     res = compute_persistence(filtration, 1)
-    long_bars = [iv for iv in res.barcode.intervals if iv.value_length() > 0]
+    long_bars = [iv for iv in res.intervals if iv.value_length() > 0]
     assert [(iv.birth_value, iv.death_value) for iv in long_bars] == [(1.0, 3.0)]
     iv = long_bars[0]
     assert iv.creator == (6, 7)
-
-
-def test_barcode_validation_rejects_duplicate_creator():
-    iv = Interval(1, 0, None, (0, 1), None, 0.0, None)
-    with pytest.raises(ValueError, match=r"\(0, 1\) creates two intervals"):
-        Barcode((iv, iv))
-
-
-def test_barcode_validation_rejects_bad_destroyer_dim():
-    with pytest.raises(ValueError, match="destroyer must be one dimension above the interval"):
-        Barcode((Interval(1, 0, 1, (0, 1), (2, 3), 0.0, 1.0),))
 
 
 def test_value_pairs_zero_length_handling():
@@ -259,8 +248,8 @@ def test_value_pairs_zero_length_handling():
         Interval(1, 0, 1, (0, 1), (0, 1, 2), 3.0, 3.0),
         Interval(1, 2, 5, (0, 2), (0, 2, 3), 3.0, 4.0),
     )
-    bc = Barcode(ivs)
-    assert bc.value_pairs() == [(3.0, 4.0)]
+    res = PersistenceResult(None, 1, ivs)
+    assert res.value_pairs() == [(3.0, 4.0)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,7 +269,7 @@ def test_prefix_flags_the_simplices_born_by_each_index(filtration):
 
 def test_bars_keep_positive_length_most_persistent_first():
     res = compute_persistence(fixtures.two_loop_filtration(), 1)
-    assert len(res.barcode.intervals) == 7
+    assert len(res.intervals) == 7
     assert [(iv.birth_value, iv.death_value) for iv in res.bars()] == [(1.0, 4.0), (2.0, 3.0)]
     assert res.bars(1) == res.bars()[:1]
     triangle = lower_star_filtration(fixtures.hollow_triangle().complex, {0: 0.0, 1: 1.0, 2: 2.0})
@@ -299,7 +288,7 @@ def test_rips_at_side_scale():
     assert f.complex.n_simplices(1) == 4  # diagonals exceed the scale
     assert f.complex.max_dim == 1
     res = compute_persistence(f, 1)
-    assert res.barcode.betti() == 1
+    assert res.betti() == 1
     # re-validate the constructed order and values
     Filtration(f.complex, f.order, f.values)
 
@@ -318,7 +307,7 @@ def test_rips_at_diagonal_scale():
     for t in f.complex.simplices(2):
         assert f.values[f.index_of(t)] == pytest.approx(math.sqrt(2))
     res = compute_persistence(f, 1)
-    assert res.barcode.betti() == 0
+    assert res.betti() == 0
     Filtration(f.complex, f.order, f.values)
 
 
@@ -328,6 +317,12 @@ def test_rips_includes_distance_exactly_at_scale():
     assert f.complex.has((0, 1))
 
 
+def test_rips_max_dim_zero_builds_no_edges():
+    f = rips_filtration(PointCloud([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]), 2.0, max_dim=0)
+    assert f.complex.max_dim == 0
+    assert f.order == ((0,), (1,), (2,))
+
+
 def test_rips_higher_dimension():
     f = rips_filtration(unit_square_cloud(), math.sqrt(2) + 1e-9, max_dim=3)
     assert f.complex.n_simplices(3) == 1
@@ -335,7 +330,7 @@ def test_rips_higher_dimension():
     # built to dimension p + 1, the hollow octahedron's 2-bar dies when its
     # antipodal edges and their tetrahedra fill it
     f = rips_filtration(PointCloud(OCTAHEDRON), 2.5, max_dim=3)
-    assert compute_persistence(f, 2).barcode.value_pairs() == [(math.sqrt(2), 2.0)]
+    assert compute_persistence(f, 2).value_pairs() == [(math.sqrt(2), 2.0)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -364,7 +359,7 @@ def test_lower_star_hollow_triangle():
     assert f.index_of((0, 1)) == 2  # enters with vertex 1
     assert f.index_of((1, 2)) == 5
     res = compute_persistence(f, 1)
-    ones = res.barcode.intervals
+    ones = res.intervals
     assert len(ones) == 1 and ones[0].death is None
     assert ones[0].birth_value == 2.0
     Filtration(f.complex, f.order, f.values)

@@ -406,7 +406,7 @@ def test_lower_star_triangle_representative():
     complex_ = fixtures.hollow_triangle().complex
     filtration = lower_star_filtration(complex_, {0: 0.0, 1: 1.0, 2: 2.0})
     res = compute_persistence(filtration, 1)
-    interval = res.barcode.intervals[0]
+    interval = res.intervals[0]
     for v in range(3):
         out = opt_pers_hom_rep(filtration, interval, sites=[v])
         assert out.cycle == fixtures.hollow_triangle().loop
@@ -419,7 +419,7 @@ def test_lower_star_triangle_representative():
 def test_annulus_bar_representative():
     filtration, _ = fixtures.annulus_bar_filtration()
     res = compute_persistence(filtration, 1)
-    bar = [iv for iv in res.barcode.intervals if iv.value_length() > 0][0]
+    bar = [iv for iv in res.intervals if iv.value_length() > 0][0]
     out = opt_pers_hom_rep(filtration, bar)
     inner = filtration.complex.chain([(4, 5), (4, 7), (5, 6), (6, 7)])
     assert out.cycle == inner
@@ -433,7 +433,7 @@ def test_two_loop_bar_representatives():
     res = compute_persistence(filtration, 1)
     bars = {
         (iv.birth_value, iv.death_value): iv
-        for iv in res.barcode.intervals
+        for iv in res.intervals
         if iv.value_length() > 0
     }
     assert set(bars) == {(1.0, 4.0), (2.0, 3.0)}
@@ -456,7 +456,7 @@ def test_two_loop_bar_representatives():
 def test_persistent_representatives_on_random_filtrations(filtration):
     res = compute_persistence(filtration, 1)
     sites = sorted(filtration.complex.vertex_ids())
-    for interval in res.barcode.intervals:
+    for interval in res.intervals:
         out = opt_pers_hom_rep(filtration, interval)
         interval_conditions_hold(filtration, interval, out)
         assert out.r_exact <= out.r_v * (1 + REL)
@@ -511,7 +511,7 @@ def test_binary_search_boundary(filtration, site_seed):
     """The admitted prefix is minimal: one fewer candidate cycle makes the
     bounding system infeasible."""
     res = compute_persistence(filtration, 1)
-    finite = [iv for iv in res.barcode.intervals if iv.death is not None]
+    finite = [iv for iv in res.intervals if iv.death is not None]
     if not finite:
         return
     interval = finite[site_seed % len(finite)]
@@ -564,7 +564,7 @@ def binary_search_representative(filtration, interval, site):
 @given(filtered_complexes(max_dim=3, max_top_cells=12))
 def test_incremental_bar_pass_matches_binary_search(filtration):
     for p in (1, 2):
-        for interval in compute_persistence(filtration, p).barcode.intervals:
+        for interval in compute_persistence(filtration, p).intervals:
             if interval.death is None:
                 continue
             for site in filtration.complex.vertex_ids():
@@ -577,7 +577,7 @@ def test_persistent_basis_two_loop_counts():
     res = compute_persistence(filtration, 1)
     reps = opt_persistent_basis(res)
     # zero-length intervals get no representative
-    assert len(res.barcode.intervals) == 7
+    assert len(res.intervals) == 7
     assert len(reps) == 2
     for rep in reps:
         interval_conditions_hold(filtration, rep.interval, rep)
@@ -709,7 +709,7 @@ def test_records_are_immutable_values():
     inst = fixtures.annulus()
     res = opt_homologous_cycle(inst.complex, inst.outer_loop, sites=[inst.center_vertex])
     again = opt_homologous_cycle(inst.complex, inst.outer_loop, sites=[inst.center_vertex])
-    bar = compute_persistence(fixtures.two_loop_filtration(), 1).barcode.intervals[0]
+    bar = compute_persistence(fixtures.two_loop_filtration(), 1).intervals[0]
     for record, name in [(res, "r_v"), (res.certificate, "radius"), (bar, "death")]:
         with pytest.raises(AttributeError):
             setattr(record, name, 0)

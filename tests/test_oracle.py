@@ -217,7 +217,7 @@ def test_rep_annulus_bar():
     filt, _ = fixtures.annulus_bar_filtration()
     pers = compute_persistence(filt, 1)
     (long_bar,) = [
-        iv for iv in pers.barcode.intervals if (iv.birth_value, iv.death_value) == (1.0, 3.0)
+        iv for iv in pers.intervals if (iv.birth_value, iv.death_value) == (1.0, 3.0)
     ]
     rep = exact_min_persistent_rep(filt, long_bar)
     inner = filt.complex.chain([(4, 5), (4, 7), (5, 6), (6, 7)])
@@ -229,7 +229,7 @@ def test_rep_annulus_bar():
 def test_rep_two_loop_frozen_values():
     filt = fixtures.two_loop_filtration()
     pers = compute_persistence(filt, 1)
-    by_values = {(iv.birth_value, iv.death_value): iv for iv in pers.barcode.intervals}
+    by_values = {(iv.birth_value, iv.death_value): iv for iv in pers.intervals}
 
     rep_long = exact_min_persistent_rep(filt, by_values[(1.0, 4.0)])
     assert filt.complex.chain_simplices(rep_long.cycle, 1) == [(0, 1), (0, 2), (1, 2)]
@@ -246,7 +246,7 @@ def test_rep_two_loop_frozen_values():
 def test_rep_oracle_matches_algorithm_on_two_loop():
     filt = fixtures.two_loop_filtration()
     pers = compute_persistence(filt, 1)
-    for iv in pers.barcode.intervals:
+    for iv in pers.intervals:
         if iv.death_value is not None and iv.death_value == iv.birth_value:
             continue
         rep = exact_min_persistent_rep(filt, iv)
@@ -259,7 +259,7 @@ def test_rep_oracle_matches_algorithm_on_two_loop():
 @given(st.one_of(filtered_complexes(), prefix_filtrations()))
 def test_rep_algorithm_is_exact_on_random_filtrations(filtration):
     pers = compute_persistence(filtration, 1)
-    for iv in pers.barcode.intervals:
+    for iv in pers.intervals:
         try:
             rep = exact_min_persistent_rep(filtration, iv)
         except BudgetExceededError:
