@@ -88,6 +88,8 @@ def _validate(args: argparse.Namespace) -> None:
         raise ConfigError("verify needs --complex, --cycle, or a filtration source")
     if getattr(args, "points_path", None) and args.rips_scale is None and args.filtration_path is None:
         raise ConfigError("--points needs --rips or --filtration")
+    if getattr(args, "bars", None) is not None and not sources:
+        raise ConfigError("--bars needs a filtration source")
 
 
 # -- serialization ----------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from operator import lt
+from operator import and_, lt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .complexes import (
@@ -293,7 +293,8 @@ def _clearing_reduction(
 
 
 def site_essential_cycles(
-    complex_like: EmbeddedComplex, site: int, p: int, members: Optional[Sequence[Sequence[bool]]] = None
+    complex_like: EmbeddedComplex, site: int, p: int, members: Optional[Sequence[Sequence[bool]]] = None,
+    radius: float = math.inf,
 ) -> tuple[tuple[ChainVector, ...], tuple[float, ...]]:
     """The essential p-cycles of the site's filtration, earliest first, as
     chains in the complex's canonical p-basis, with the r value each is born
@@ -304,7 +305,18 @@ def site_essential_cycles(
     its own: a stable sort of the canonical (lexicographic) order by r is the
     filtration's rule within one dimension. Given members (per dimension, a
     flag per canonical position), it is the filtration of the face-closed
-    subcomplex they flag, such as a birth prefix: the complex's ranks, filtered."""
+    subcomplex they flag, such as a birth prefix: the complex's ranks, filtered.
+
+    Given a finite radius, only the simplices with r <= radius (the site's
+    ball, face-closed since no face has a larger r) are ranked and reduced,
+    and the zero p-columns of that reduction come back. A column's reduction
+    reads only earlier columns, and clearing skips only columns that reduce
+    to zero, so every essential cycle born by the radius comes back with the
+    same chain and r, in the same relative order. The others are cycles that
+    a simplex beyond the radius kills: each lies in the span of the
+    boundaries and the essential cycles returned before it, and filtering
+    them out is the caller's part. So the first returned cycle outside the
+    boundary span is the first essential cycle."""
     if p < 0:
         raise ValueError("dimension must be non-negative")
     n_p = complex_like.n_simplices(p)
@@ -317,6 +329,9 @@ def site_essential_cycles(
         # a simplex's first and last faces hold all its vertices
         below, faces = r[-1], face_columns(complex_like, d)
         r.append([below[i] if below[i] >= below[j] else below[j] for i, j in zip(faces[0], faces[-1])])
+    if radius < math.inf:
+        ball = [[x <= radius for x in rd] for rd in r]
+        members = ball if members is None else [list(map(and_, m, b)) for m, b in zip(members, ball)]
     _, cycles = _clearing_reduction(complex_like, r, p, members)
     return (
         tuple(ChainVector(n_p, mask=v) for v in cycles.values()),

@@ -20,6 +20,14 @@ radius the basis greedy admits) are skipped. Every bar representative
 contains the bar's creator, so a bar's bounds start, exactly, at each site's
 distance to the creator's farthest vertex. Every answer, lowest-site-index
 tie-break included, is identical to visiting every site.
+
+The basis greedy cannot admit a cycle born above its threshold, so after
+its first site it reads each site only inside the threshold ball (the
+kernel's radius cut), and it starts at the site nearest the centre, whose
+ball is small; its pool is sorted, so the visiting order cannot change the
+basis. Localize and the bars keep the full kernel and the lowest-index
+start: a site cut at the best radius that finds nothing bounds only that
+radius, which prunes fewer of its neighbours.
 """
 from __future__ import annotations
 
@@ -90,17 +98,22 @@ def _result_for_cycle(
 
 def _site_search(complex_like: EmbeddedComplex, sites: Optional[Sequence[int]],
                  evaluate: Callable[[int], float], cutoff: Callable[[], float],
-                 contains: Sequence[int] = ()) -> None:
+                 contains: Sequence[int] = (), centred: bool = False) -> None:
     """Evaluate sites by smallest lower bound, lowest index first, until every
-    remaining bound exceeds cutoff() by more than the membership tolerance.
-    evaluate(site) returns a radius r_v with r_w >= r_v - |p_v - p_w|, and
-    r_w >= |p_u - p_w| for every vertex u in contains."""
+    remaining bound exceeds cutoff() by more than the membership tolerance;
+    when centred, the first site is the one nearest the centre of the sites'
+    bounding box (lowest index on a tie). evaluate(site) returns a radius r_v
+    with r_w >= r_v - |p_v - p_w|, and r_w >= |p_u - p_w| for every vertex u
+    in contains."""
     chosen = _chosen_sites(complex_like, sites)
     columns = [[column[v] for v in chosen] for column in complex_like.cloud.columns]
     bound = [0.0] * len(chosen)  # visited sites hold +inf
     for u in contains:
         # (u - w)^2 is (w - u)^2 bit for bit, so each bound is a site_radius value
         bound = list(map(max, bound, distances_from(complex_like.cloud.point(u), columns)))
+    if centred:
+        near = distances_from([(min(c) + max(c)) / 2 for c in columns], columns)
+        bound[near.index(min(near))] = -math.inf
     while True:
         k = bound.index(min(bound))
         if bound[k] == math.inf or not within_radius(bound[k], cutoff()):
@@ -204,24 +217,32 @@ def opt_homology_basis(
     sites: Optional[Sequence[int]] = None,
 ) -> HomologyBasisResult:
     """Greedy minimum-weight homology basis from the pooled essential cycles
-    of every site ordering, skipping sites the greedy cannot reach."""
+    of every site ordering, skipping sites the greedy cannot reach. The
+    search starts at the site nearest the sites' centre, and every later site
+    is read only inside the ball of the greedy's threshold."""
     if p < 1:
         raise ValueError("basis dimension must be positive")
     admitted: Optional[list[tuple[float, int, int, ChainVector]]] = None  # (r, site, rank, cycle)
+    beta = None  # the homology rank, from the first site's full call
     boundaries = IncrementalSpan(complex_like.n_simplices(p), boundary_columns(complex_like, p))
 
     def evaluate(site: int) -> float:
-        nonlocal admitted
-        cycles, radii = _site_essential_cycles(complex_like, site, p)
+        nonlocal admitted, beta
+        cut = threshold()
+        # past the first site, a cycle born above the cut cannot be admitted
+        cycles, radii = _site_essential_cycles(complex_like, site, p, radius=cut)
         # classes form a matroid: the old greedy basis stands in for the old
-        # pool, and no cycle born after its last entry can displace one
-        fresh = [(r, site, k, c) for k, (c, r) in enumerate(zip(cycles, radii)) if r <= threshold()]
+        # pool, and no cycle born after its last entry can displace one;
+        # a cycle the cut did not see die lies in the span of those before it
+        fresh = [(r, site, k, c) for k, (c, r) in enumerate(zip(cycles, radii))]
         if fresh or admitted is None:
             pool = sorted((admitted or []) + fresh, key=lambda t: t[:3])
             span = boundaries.copy()
             admitted = [t for t in pool if span.add(t[3].mask)]
-        assert len(admitted) == len(cycles)  # homology rank cannot depend on the site
-        return radii[0] if radii else 0.0
+        beta = len(cycles) if beta is None else beta
+        assert len(admitted) == beta  # homology rank cannot depend on the site
+        # the site's first essential cycle; with none born by the cut, its radius exceeds the cut
+        return next((r for c, r in zip(cycles, radii) if not boundaries.contains(c.mask)), cut)
 
     def threshold() -> float:
         # more sites only lower the last admitted radius, and a site bounded
@@ -230,7 +251,8 @@ def opt_homology_basis(
             return math.inf
         return admitted[-1][0] if admitted else -math.inf
 
-    _site_search(complex_like, sites, evaluate, threshold)
+    # a corner's first threshold ball would hold the whole complex; the centre's holds less
+    _site_search(complex_like, sites, evaluate, threshold, centred=True)
     cycles = tuple(_result_for_cycle(complex_like, c, p, v) for _, v, _, c in admitted)
     return HomologyBasisResult(cycles, sum(x.r_v for x in cycles))
 

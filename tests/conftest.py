@@ -131,6 +131,46 @@ def loopy_complexes(draw, min_points=6, max_points=14):
 
 
 @st.composite
+def four_hole_meshes(draw, min_k=8, max_k=12):
+    """A holed_mesh of k x k vertices with four single-cell holes placed as
+    the benchmark's basis meshes place them, k and the jitter seed drawn.
+    The first hole may be coned off from an apex at a drawn half-integer
+    point: from a site nearer the hole than the apex, its loop is born
+    before the simplices that kill it."""
+    k = draw(st.integers(min_k, max_k))
+    a, b = k // 4 - 1, k - k // 4 - 2
+    coords, triangles, _ = holed_mesh(k, {(a, a), (a, b), (b, a), (b, b)}, draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        apex, corner = len(coords), a * k + a
+        coords.append(tuple(x + 0.5 for x in draw(st.tuples(*[st.integers(-k, 2 * k)] * 2))))
+        loop = [corner, corner + 1, corner + k + 1, corner + k]
+        triangles += [(u, w, apex) for u, w in zip(loop, loop[1:] + loop[:1])]
+    return EmbeddedComplex(PointCloud(coords), triangles)
+
+
+@st.composite
+def hollow_octahedra(draw):
+    """One to three jittered octahedron surfaces of drawn sizes, 5 apart,
+    some coned off from an apex at their centre or 2.5 above it: 2-cycles
+    of different sizes, some born before the simplices that kill them."""
+    places = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=3, unique=True))
+    jitter = st.floats(-0.1, 0.1, allow_nan=False)
+    coords, cells = [], []
+    for place in places:
+        size, base = draw(st.floats(0.5, 2.0)), len(coords)
+        for axis in range(3):
+            for sign in (1.0, -1.0):
+                coords.append(tuple(5.0 * c + (sign * size if a == axis else 0.0) + draw(jitter) for a, c in enumerate(place)))
+        surface = [(base + i, base + 2 + j, base + 4 + k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+        height = draw(st.sampled_from((None, 0.0, 2.5)))
+        if height is not None:
+            coords.append((5.0 * place[0], 5.0 * place[1], 5.0 * place[2] + height))
+            surface = [t + (len(coords) - 1,) for t in surface]
+        cells += surface
+    return EmbeddedComplex(PointCloud(coords), cells)
+
+
+@st.composite
 def filtered_complexes(draw, min_points=3, max_points=8, max_dim=2, max_top_cells=10):
     """A random complex together with a random valid simplexwise filtration."""
     complex_ = draw(

@@ -381,6 +381,8 @@ def test_exit_code_two_sources(tmp_path, two_loop_files):
     (["persistent", "--complex", "{off}", "--lower-star", "{vals}", "--points", "{csv}"],
      "--points needs --rips or --filtration"),
     (["verify", "--complex", "{off}", "--points", "{csv}"], "--points needs --rips or --filtration"),
+    (["verify", "--complex", "{off}", "--bars", "top:1"], "--bars needs a filtration source"),
+    (["verify", "--complex", "{off}", "--cycle", "{cyc}", "--bars", "top:1"], "--bars needs a filtration source"),
 ])
 def test_exit_code_flag_the_request_would_not_read(tmp_path, annulus_files, two_loop_files, capsys, args, message):
     """The inputs are readable, so the dropped flag alone fails the request."""

@@ -1,10 +1,20 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import OCTAHEDRON, coordinate_rows, embedded_complexes, filtered_complexes, loopy_complexes, point_clouds
+from conftest import (
+    OCTAHEDRON,
+    coordinate_rows,
+    embedded_complexes,
+    filtered_complexes,
+    four_hole_meshes,
+    hollow_octahedra,
+    loopy_complexes,
+    point_clouds,
+)
 from oracles import (
     betti_by_rank,
     mask_support,
@@ -15,7 +25,7 @@ from oracles import (
     square_persistence,
 )
 
-from cyclerad.complexes import EmbeddedComplex, PointCloud, faces_of
+from cyclerad.complexes import EmbeddedComplex, PointCloud, boundary_columns, distances_from, faces_of
 from cyclerad.filtrations import (
     Filtration,
     Interval,
@@ -25,7 +35,7 @@ from cyclerad.filtrations import (
     rips_filtration,
     site_essential_cycles,
 )
-from cyclerad.z2 import ChainVector
+from cyclerad.z2 import ChainVector, IncrementalSpan
 from cyclerad import fixtures
 
 
@@ -459,14 +469,15 @@ def test_site_essential_cycles_match_on_prefix_views(filtration, data):
     root = filtration.complex
     prefix = EmbeddedComplex(root.cloud, filtration.order[: i + 1])
     assert_kernel_matches_full_persistence(prefix)
-    # the same prefix as membership flags: the prefix complex's cycles, in the root's basis
+    # the same prefix as membership flags: the prefix complex's cycles, in the root's basis,
+    # also when both are cut at a radius
     members = [[filtration.index_of(s) <= i for s in root.simplices(d)] for d in range(root.max_dim + 1)]
-    for site in range(root.cloud.n_points):
-        for p in (0, 1, 2, 3):
-            cycles, radii = site_essential_cycles(prefix, site, p)
-            masked, masked_radii = site_essential_cycles(root, site, p, members)
-            assert masked == tuple(root.chain(prefix.chain_simplices(c, p), p) for c in cycles)
-            assert list(map(float.hex, masked_radii)) == list(map(float.hex, radii))
+    cut = data.draw(st.floats(0.0, 9.0))
+    for site, p, radius in itertools.product(range(root.cloud.n_points), (0, 1, 2, 3), (math.inf, cut)):
+        cycles, radii = site_essential_cycles(prefix, site, p, radius=radius)
+        masked, masked_radii = site_essential_cycles(root, site, p, members, radius)
+        assert masked == tuple(root.chain(prefix.chain_simplices(c, p), p) for c in cycles)
+        assert list(map(float.hex, masked_radii)) == list(map(float.hex, radii))
 
 
 @settings(max_examples=60, deadline=None)
@@ -477,6 +488,57 @@ def test_site_essential_cycles_match_the_numpy_kernel(complex_):
         for p in (0, 1, 2, 3):
             cycles, radii = site_essential_cycles(complex_, site, p)
             assert ([c.mask for c in cycles], list(radii)) == numpy_site_essential_cycles(complex_, site, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.one_of(embedded_complexes(max_dim=3, max_top_cells=12), loopy_complexes(), four_hole_meshes()),
+                  st.just(1)),
+        st.tuples(hollow_octahedra(), st.just(2)),
+    ),
+    st.data(),
+)
+def test_site_essential_cycles_cut_at_a_radius(args, data):
+    """Cut at R, the kernel returns every essential cycle born by R, in order
+    and bit for bit; each other cycle it returns lies in the span of the
+    boundaries and the cycles returned before it, so the first returned cycle
+    outside the boundary span is the first essential one. R is drawn below
+    the first essential radius and at a simplex's r, and is also inf."""
+    complex_, p = args
+    site = data.draw(st.sampled_from(sorted(complex_.vertex_ids())))
+    cycles, radii = site_essential_cycles(complex_, site, p)
+    dist = distances_from(complex_.cloud.point(site), complex_.cloud.columns)
+    births = sorted({max(dist[v] for v in s) for d in (p - 1, p, p + 1) for s in complex_.simplices(d)})
+    below = [x for x in births if x < radii[0]] + [math.nextafter(radii[0], -math.inf)] if radii else births
+    for cut in (data.draw(st.sampled_from(below)), data.draw(st.sampled_from(births)), math.inf):
+        got, got_radii = site_essential_cycles(complex_, site, p, radius=cut)
+        if cut == math.inf:
+            assert (got, got_radii) == (cycles, radii)
+        assert all(r <= cut for r in got_radii)
+
+        born = [(c, r.hex()) for c, r in zip(cycles, radii) if r <= cut]
+        span = IncrementalSpan(complex_.n_simplices(p), boundary_columns(complex_, p))
+        first_outside, matched = None, 0
+        for c, r in zip(got, got_radii):
+            if first_outside is None and not span.contains(c.mask):
+                first_outside = c, r.hex()
+            if matched < len(born) and (c, r.hex()) == born[matched]:
+                matched += 1
+            else:
+                assert span.contains(c.mask)  # a cycle a simplex beyond the cut kills
+            span.add(c.mask)
+        assert matched == len(born)
+        assert first_outside == (born[0] if born else None)
+
+
+def test_site_essential_cycles_cut_returns_a_cycle_killed_beyond_the_cut():
+    # the loop 0-1-2 is born at r = 1 and filled only by the cone from the far vertex 3
+    complex_ = EmbeddedComplex(PointCloud([(0, 0), (1, 0), (0, 1), (5, 5)]), [(0, 1, 3), (1, 2, 3), (0, 2, 3)])
+    loop = complex_.chain([(0, 1), (1, 2), (0, 2)], 1)
+    assert site_essential_cycles(complex_, 0, 1) == ((), ())
+    assert site_essential_cycles(complex_, 0, 1, radius=2.0) == ((loop,), (1.0,))
+    assert site_essential_cycles(complex_, 0, 1, radius=0.5) == ((), ())
 
 
 def test_site_essential_cycles_keep_the_lexicographic_tie_break():

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import OCTAHEDRON
+from conftest import OCTAHEDRON, holed_mesh
 
 from cyclerad import fixtures
 from cyclerad.cli import main
+from cyclerad.complexes import EmbeddedComplex, PointCloud
 from cyclerad.io import write_cycle, write_filtration, write_off
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -24,6 +25,7 @@ REQUESTS = {
     "annulus_localize": ["localize", "--complex", "annulus.off", "--cycle", "outer.txt"],
     "annulus_localize_shorten": ["localize", "--complex", "annulus.off", "--cycle", "outer.txt", "--shorten"],
     "annulus_basis": ["basis", "--complex", "annulus.off"],
+    "four_hole_mesh_basis": ["basis", "--complex", "four_holes.off"],
     "annulus_persistent_lower_star": ["persistent", "--complex", "annulus.off", "--lower-star", "annulus_y.csv"],
     "ring_persistent_rips": ["persistent", "--points", "ring.csv", "--rips", "0.9"],
     "ring_persistent_rips_p0": ["persistent", "-p", "0", "--points", "ring.csv", "--rips", "0.9"],
@@ -45,7 +47,8 @@ def write_points(path: Path, coords) -> None:
 def write_inputs(directory: Path) -> None:
     """The files REQUESTS names: the annulus, its outer loop and its
     y-coordinate per vertex, a 12-point ring, the two-loop filtration with
-    its points, and the six octahedron vertices."""
+    its points, the six octahedron vertices, and a 144-vertex mesh with
+    four holes."""
     ann = fixtures.annulus()
     write_off(directory / "annulus.off", ann.complex)
     write_points(directory / "annulus_y.csv", [row[1:] for row in ann.complex.cloud.coords])
@@ -55,6 +58,8 @@ def write_inputs(directory: Path) -> None:
     write_filtration(directory / "two_loop.flt", two_loop)
     write_points(directory / "two_loop.csv", two_loop.complex.cloud.coords)
     write_points(directory / "octahedron.csv", OCTAHEDRON)
+    coords, triangles, _ = holed_mesh(12, {(2, 2), (2, 8), (8, 2), (8, 8)}, 25)
+    write_off(directory / "four_holes.off", EmbeddedComplex(PointCloud(coords), triangles))
 
 
 def report_bytes(directory: Path, name: str) -> bytes:

@@ -5,10 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complex_with_cycle, embedded_complexes, filtered_complexes, holed_mesh, loopy_complexes
+from conftest import (
+    complex_with_cycle,
+    embedded_complexes,
+    filtered_complexes,
+    four_hole_meshes,
+    hollow_octahedra,
+    holed_mesh,
+    loopy_complexes,
+)
 from oracles import bounds_in_prefix, gf2_in_span, mask_support, solve_by_reduction
 
-from cyclerad.complexes import EmbeddedComplex, PointCloud, boundary_columns
+from cyclerad.complexes import EmbeddedComplex, PointCloud, boundary_columns, distances_from
 from cyclerad.filtrations import Filtration, compute_persistence, lower_star_filtration
 from cyclerad.optimize import (
     HomologyBasisResult,
@@ -286,20 +294,23 @@ def exhaustive_basis(complex_, p, sites=None):
 @settings(max_examples=60, deadline=None)
 @given(
     st.one_of(
-        embedded_complexes(max_points=14, max_top_cells=16),
-        loopy_complexes(),
+        st.tuples(st.one_of(embedded_complexes(max_points=14, max_top_cells=16), loopy_complexes(),
+                            four_hole_meshes()), st.just(1)),
+        st.tuples(hollow_octahedra(), st.just(2)),
     ),
     st.data(),
 )
-def test_pruned_basis_equals_exhaustive_basis(complex_, data):
-    """Skipping sites the greedy cannot reach changes no cycle, site, radius
-    or order, on every site and on a drawn subset of sites."""
-    assert opt_homology_basis(complex_, 1) == exhaustive_basis(complex_, 1)
+def test_pruned_basis_equals_exhaustive_basis(args, data):
+    """Skipping sites the greedy cannot reach, and reading the others only
+    inside the threshold ball, changes no cycle, site, radius or order, on
+    every site and on a drawn subset of sites."""
+    complex_, p = args
+    assert opt_homology_basis(complex_, p) == exhaustive_basis(complex_, p)
     subset = data.draw(
         st.lists(st.sampled_from(sorted(complex_.vertex_ids())), min_size=1, unique=True)
     )
-    assert opt_homology_basis(complex_, 1, sites=subset) == exhaustive_basis(
-        complex_, 1, subset
+    assert opt_homology_basis(complex_, p, sites=subset) == exhaustive_basis(
+        complex_, p, subset
     )
 
 
@@ -318,36 +329,55 @@ def test_basis_tie_at_a_tight_lower_bound_is_not_skipped():
     assert [(c.site, c.r_v, c.cycle) for c in basis.cycles] == [(1, 5.0, loop)]
 
 
-def test_pruned_basis_empty_homology_stops_after_one_site(monkeypatch):
+def record_kernel_calls(monkeypatch):
+    """Replace the per-site kernel by one that also lists (site, radius) of
+    each call, and return the list."""
     import cyclerad.optimize as optimize
 
-    inst = fixtures.filled_triangle()
-    visited = []
+    calls = []
     original = optimize._site_essential_cycles
-    monkeypatch.setattr(
-        optimize,
-        "_site_essential_cycles",
-        lambda c, v, p: visited.append(v) or original(c, v, p),
-    )
+
+    def kernel(complex_, site, p, *args, **kwargs):
+        calls.append((site, kwargs.get("radius", math.inf)))
+        return original(complex_, site, p, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "_site_essential_cycles", kernel)
+    return calls
+
+
+def ball_size(complex_, site, radius):
+    """The simplices of the complex with every vertex within radius of the site."""
+    dist = distances_from(complex_.cloud.point(site), complex_.cloud.columns)
+    return sum(all(dist[v] <= radius for v in s) for s in complex_.all_simplices())
+
+
+def test_pruned_basis_empty_homology_stops_after_one_site(monkeypatch):
+    inst = fixtures.filled_triangle()
+    calls = record_kernel_calls(monkeypatch)
     assert opt_homology_basis(inst.complex, 1) == exhaustive_basis(inst.complex, 1)
-    assert visited == [0]
+    # vertex 2 is the one nearest the centre (1/2, sqrt(3)/4) of the bounding box
+    assert calls == [(2, math.inf)]
 
 
 def test_basis_skips_sites_the_greedy_cannot_reach(monkeypatch):
-    import cyclerad.optimize as optimize
-
     inst = fixtures.annulus()
-    visited = []
-    original = optimize._site_essential_cycles
-    monkeypatch.setattr(
-        optimize,
-        "_site_essential_cycles",
-        lambda c, v, p: visited.append(v) or original(c, v, p),
-    )
-    basis = opt_homology_basis(inst.complex, 1)
-    assert basis == exhaustive_basis(inst.complex, 1)
+    complex_ = inst.complex
+    calls = record_kernel_calls(monkeypatch)
+    basis = opt_homology_basis(complex_, 1)
+    assert basis == exhaustive_basis(complex_, 1)
     assert basis.cycles[0].site == inst.center_vertex
-    assert len(visited) < len(inst.complex.vertex_ids())
+    # the search starts at the centre; every later site is cut at the
+    # threshold, which the centre's inner loop sets at once
+    assert calls[0] == (inst.center_vertex, math.inf)
+    assert all(radius == basis.cycles[-1].r_v for _, radius in calls[1:])
+    assert sum(ball_size(complex_, v, radius) for v, radius in calls[1:]) < complex_.total_simplices()
+
+    calls.clear()
+    coords, triangles, _ = holed_mesh(14, {(2, 2), (2, 9), (9, 2), (9, 9)}, 7)
+    mesh = EmbeddedComplex(PointCloud(coords), triangles)
+    assert len(opt_homology_basis(mesh, 1).cycles) == 4
+    assert len(calls) < len(mesh.vertex_ids())
+    assert sum(ball_size(mesh, v, radius) for v, radius in calls) < len(calls) * mesh.total_simplices()
 
 
 def test_tiny_meshes_scale_bit_for_bit():
