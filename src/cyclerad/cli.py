@@ -1,6 +1,7 @@
 """Command-line surface: localize / basis / persistent / verify.
 
-Exit codes: 0 on success, 2 on unreadable or malformed input, 3 on semantic
+Exit codes: 0 on success, 2 on unreadable or malformed input or on an
+output path (--out, --export-obj) that cannot be written, 3 on semantic
 failure (chain is not a cycle, non-monotone filtration, oracle budget,
 verification miss).  Reports are JSON with sorted keys, so identical inputs
 produce byte-identical output.
@@ -404,8 +405,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT
     try:
         report, code = _RUNNERS[args.problem](args)
+        _emit(report, args.out)
     except InputError as exc:
         print(f"cyclerad: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # the readers raise InputError, so --out or --export-obj failed
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"cyclerad: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:  # an oracle BudgetExceededError among them
         print(f"cyclerad: {exc}", file=sys.stderr)
@@ -413,7 +419,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception as exc:  # last resort: a message, never a traceback
         print(f"cyclerad: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    _emit(report, args.out)
     return code
 
 

@@ -19,7 +19,10 @@ sites whose bound exceeds a cutoff (the best radius so far, or the last
 radius the basis greedy admits) are skipped. Every bar representative
 contains the bar's creator, so a bar's bounds start, exactly, at each site's
 distance to the creator's farthest vertex. Every answer, lowest-site-index
-tie-break included, is identical to visiting every site.
+tie-break included, is identical to visiting every site. Each solver does
+the work that does not depend on the site once, before its search: localize
+reduces the input against the boundaries, and the bar pass builds the
+boundary table that every bar's death span is read from.
 
 The basis greedy cannot admit a cycle born above its threshold, so after
 its first site it reads each site only inside the threshold ball (the
@@ -54,9 +57,13 @@ SiteEvaluator = Callable[[int], tuple[float, ChainVector]]
 
 
 def _chosen_sites(complex_like: EmbeddedComplex, sites: Optional[Sequence[int]]) -> list[int]:
-    chosen = sorted(set(complex_like.vertex_ids() if sites is None else sites))
+    vertices = set(complex_like.vertex_ids())
+    chosen = sorted(vertices if sites is None else set(sites))
     if not chosen:
         raise ValueError("need at least one site")
+    stray = [v for v in chosen if v not in vertices]
+    if stray:
+        raise ValueError(f"site {stray[0]} is not a vertex of the complex")
     return chosen
 
 
@@ -150,7 +157,9 @@ def describe_cycle(
     best site (smallest r_v, lowest index) is chosen."""
     if not complex_like.is_cycle(cycle, p):
         raise ValueError("chain is not a cycle")
-    if site is None and not cycle.is_zero():
+    if site is not None:
+        _chosen_sites(complex_like, [site])  # raises unless the site is a vertex
+    elif not cycle.is_zero():
         # every site's bound from the cycle's vertices is its r_v already
         site, _ = _best_site(
             complex_like, None, lambda v: (site_radius(complex_like, v, cycle, p), cycle),
@@ -177,27 +186,6 @@ def _express_over(span: IncrementalSpan, cycles: Sequence[ChainVector], target: 
     return tag
 
 
-def _homologous_evaluator(
-    complex_like: EmbeddedComplex, cycle: ChainVector, p: int
-) -> SiteEvaluator:
-    """Per site, express the input over the boundaries and the essential
-    cycles of the site ordering and keep the essential part. The essential
-    cycles are a homology basis, so that part is the input's class in it
-    whatever the order of reduction, and the boundaries are reduced once."""
-    if not complex_like.is_cycle(cycle, p):
-        raise ValueError("input chain is not a cycle")
-    n_p = complex_like.n_simplices(p)
-    boundaries = IncrementalSpan(n_p, boundary_columns(complex_like, p))
-
-    def evaluate(site: int) -> tuple[float, ChainVector]:
-        essential, _ = _site_essential_cycles(complex_like, site, p)
-        # essential cycles and boundaries together span every cycle
-        out = ChainVector(n_p, mask=_express_over(boundaries, essential, cycle))
-        return (0.0 if out.is_zero() else site_radius(complex_like, site, out, p)), out
-
-    return evaluate
-
-
 def opt_homologous_cycle(
     complex_like: EmbeddedComplex,
     cycle: ChainVector,
@@ -205,8 +193,23 @@ def opt_homologous_cycle(
     sites: Optional[Sequence[int]] = None,
 ) -> OptimalCycleResult:
     """Best homologous cycle over the sites; ties broken toward the lowest
-    site index."""
-    evaluate = _homologous_evaluator(complex_like, cycle, p)
+    site index. Per site, the input is expressed over the boundaries and the
+    essential cycles of the site ordering, and its essential part kept. The
+    essential cycles are a homology basis, so that part is the input's class
+    in it whatever the order of reduction."""
+    if not complex_like.is_cycle(cycle, p):
+        raise ValueError("input chain is not a cycle")
+    n_p = complex_like.n_simplices(p)
+    boundaries = IncrementalSpan(n_p, boundary_columns(complex_like, p))
+    # the input less a boundary: its coordinates over a homology basis are the input's
+    rest = ChainVector(n_p, mask=boundaries.reduce(cycle.mask)[0])
+
+    def evaluate(site: int) -> tuple[float, ChainVector]:
+        essential, _ = _site_essential_cycles(complex_like, site, p)
+        # essential cycles and boundaries together span every cycle
+        out = ChainVector(n_p, mask=_express_over(boundaries, essential, rest))
+        return (0.0 if out.is_zero() else site_radius(complex_like, site, out, p)), out
+
     site, out = _best_site(complex_like, sites, evaluate)
     return _result_for_cycle(complex_like, out, p, site)
 
@@ -257,51 +260,48 @@ def opt_homology_basis(
     return HomologyBasisResult(cycles, sum(x.r_v for x in cycles))
 
 
-def _rotated_candidates(complex_like: EmbeddedComplex, members, creator_bit: int, site: int, p: int):
-    """Essential cycles of the site ordering of the birth prefix members flags,
-    rotated so only the first creator-containing column keeps the creator."""
-    essential, _ = _site_essential_cycles(complex_like, site, p, members)
-    alpha = next(
-        (j for j, c in enumerate(essential) if creator_bit in c), None
-    )
-    # the interval's class is born here, so some essential cycle meets it
-    assert alpha is not None
-    anchor = essential[alpha]
-    others = []
-    for j, c in enumerate(essential):
-        if j == alpha:
-            continue
-        others.append(c ^ anchor if creator_bit in c else c)
-    return anchor, others
-
-
-def _bar_evaluator(filtration: Filtration, interval: Interval) -> SiteEvaluator:
-    """Per site, anchor on the first essential cycle of the birth prefix that
-    contains the creator, then admit the remaining cycles in order, after the
-    boundaries born by the death time, until the anchor lies in their span;
-    the representative is the anchor plus the admitted cycles it needs."""
-    p = interval.dim
+def _bar_representatives(
+    filtration: Filtration, intervals: Sequence[Interval], sites: Optional[Sequence[int]] = None
+) -> list[OptimalCycleResult]:
+    """Best representative of each interval, all of one dimension, over the
+    sites. Per site, anchor on the first essential cycle of the birth prefix
+    that contains the creator, then admit the remaining cycles in order,
+    rotated so only the anchor keeps the creator, after the boundaries born by
+    the death time, until the anchor lies in their span; the representative
+    is the anchor plus the admitted cycles it needs. The boundary table is
+    built once, at the first bar that dies."""
     complex_like = filtration.complex
-    members = filtration.prefix(interval.birth)
-    creator_bit = complex_like.position(interval.creator)
-    n_p = complex_like.n_simplices(p)
-    born_by_death = []  # only the boundaries born by the death time, in canonical order
-    if interval.death is not None:
-        born_by_death = compress(boundary_columns(complex_like, p), filtration.prefix(interval.death)[p + 1])
-    death_span = IncrementalSpan(n_p, born_by_death)
+    columns = None  # boundary_columns(complex_like, p), the same for every bar
+    reps = []
+    for interval in intervals:
+        p = interval.dim
+        members = filtration.prefix(interval.birth)
+        creator_bit = complex_like.position(interval.creator)
+        n_p = complex_like.n_simplices(p)
+        death_span = None
+        if interval.death is not None:
+            if columns is None:
+                columns = boundary_columns(complex_like, p)
+            # only the boundaries born by the death time, in canonical order
+            death_span = IncrementalSpan(n_p, compress(columns, map(interval.death.__ge__, filtration.indices[p + 1])))
 
-    def evaluate(site: int) -> tuple[float, ChainVector]:
-        anchor, others = _rotated_candidates(complex_like, members, creator_bit, site, p)
-        if interval.death is None:
-            # nothing below the anchor's leading position can represent an
-            # essential class, so the anchor itself is optimal
-            return site_radius(complex_like, site, anchor, p), anchor
+        def evaluate(site: int) -> tuple[float, ChainVector]:
+            essential, _ = _site_essential_cycles(complex_like, site, p, members)
+            alpha = next((j for j, c in enumerate(essential) if creator_bit in c), None)
+            # the interval's class is born here, so some essential cycle meets it
+            assert alpha is not None
+            out = anchor = essential[alpha]
+            # an essential bar keeps the anchor: nothing below its leading
+            # position can represent an essential class
+            if death_span is not None:
+                others = [c ^ anchor if creator_bit in c else c for j, c in enumerate(essential) if j != alpha]
+                # the bar dies, so the span of every admitted cycle holds the anchor
+                out = anchor ^ ChainVector(n_p, mask=_express_over(death_span, others, anchor))
+            return site_radius(complex_like, site, out, p), out
 
-        # the bar dies, so the span of every admitted cycle holds the anchor
-        out = anchor ^ ChainVector(n_p, mask=_express_over(death_span, others, anchor))
-        return site_radius(complex_like, site, out, p), out
-
-    return evaluate
+        site, out = _best_site(complex_like, sites, evaluate, interval.creator)
+        reps.append(_result_for_cycle(complex_like, out, p, site, interval))
+    return reps
 
 
 def opt_pers_hom_rep(
@@ -311,15 +311,13 @@ def opt_pers_hom_rep(
 ) -> OptimalCycleResult:
     """Best bar representative over the sites; ties broken toward the lowest
     site index."""
-    evaluate = _bar_evaluator(filtration, interval)
-    site, out = _best_site(filtration.complex, sites, evaluate, interval.creator)
-    return _result_for_cycle(filtration.complex, out, interval.dim, site, interval)
+    return _bar_representatives(filtration, [interval], sites)[0]
 
 
 def opt_persistent_basis(persistence: PersistenceResult, top: Optional[int] = None) -> list[OptimalCycleResult]:
     """One optimal representative per bar of persistence.bars(top), over
     every site; per-bar minima assemble into the minimum persistent basis."""
-    return [opt_pers_hom_rep(persistence.filtration, iv) for iv in persistence.bars(top)]
+    return _bar_representatives(persistence.filtration, persistence.bars(top))
 
 
 # -- cycle shortening ------------------------------------------------------

@@ -505,6 +505,21 @@ def test_unexpected_error_exits_invalid_without_traceback(
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--export-obj"])
+def test_exit_code_output_path_cannot_be_written(tmp_path, annulus_files, capsys, flag):
+    """A report into a missing directory, and OBJ files into a path that
+    names a file, are failures of the request: exit 2 with the path and the
+    reason, never a traceback or an internal error."""
+    _, off, _ = annulus_files
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = str(tmp_path / "missing" / "r.json") if flag == "--out" else str(taken)
+    code = main(["basis", "--complex", off, flag, path])
+    assert code == 2
+    reason = "No such file or directory" if flag == "--out" else "File exists"
+    assert capsys.readouterr() == ("", f"cyclerad: {path}: {reason}\n")
+
+
 def test_bad_bars_flag_rejected(tmp_path, two_loop_files):
     _, csv, flt = two_loop_files
     with pytest.raises(SystemExit) as exc:

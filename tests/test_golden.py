@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import OCTAHEDRON, holed_mesh
+from conftest import OCTAHEDRON, annulus_points, holed_mesh
 
 from cyclerad import fixtures
 from cyclerad.cli import main
@@ -33,6 +33,7 @@ REQUESTS = {
     "two_loop_persistent_filtration_top1": [
         "persistent", "--points", "two_loop.csv", "--filtration", "two_loop.flt", "--bars", "top:1",
     ],
+    "annulus_persistent_rips": ["persistent", "--points", "annulus80.csv", "--rips", "0.3"],
     "octahedron_persistent_p2": ["persistent", "-p", "2", "--points", "octahedron.csv", "--rips", "2.5"],
     "annulus_verify_localize": ["verify", "--complex", "annulus.off", "--cycle", "outer.txt"],
     "annulus_verify_basis": ["verify", "--complex", "annulus.off"],
@@ -47,8 +48,8 @@ def write_points(path: Path, coords) -> None:
 def write_inputs(directory: Path) -> None:
     """The files REQUESTS names: the annulus, its outer loop and its
     y-coordinate per vertex, a 12-point ring, the two-loop filtration with
-    its points, the six octahedron vertices, and a 144-vertex mesh with
-    four holes."""
+    its points, the six octahedron vertices, a 144-vertex mesh with four
+    holes, and 80 annulus points."""
     ann = fixtures.annulus()
     write_off(directory / "annulus.off", ann.complex)
     write_points(directory / "annulus_y.csv", [row[1:] for row in ann.complex.cloud.coords])
@@ -60,6 +61,7 @@ def write_inputs(directory: Path) -> None:
     write_points(directory / "octahedron.csv", OCTAHEDRON)
     coords, triangles, _ = holed_mesh(12, {(2, 2), (2, 8), (8, 2), (8, 8)}, 25)
     write_off(directory / "four_holes.off", EmbeddedComplex(PointCloud(coords), triangles))
+    write_points(directory / "annulus80.csv", annulus_points(80, 26))
 
 
 def report_bytes(directory: Path, name: str) -> bytes:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    annulus_points,
     complex_with_cycle,
     embedded_complexes,
     filtered_complexes,
@@ -17,12 +18,11 @@ from conftest import (
 from oracles import bounds_in_prefix, gf2_in_span, mask_support, solve_by_reduction
 
 from cyclerad.complexes import EmbeddedComplex, PointCloud, boundary_columns, distances_from
-from cyclerad.filtrations import Filtration, compute_persistence, lower_star_filtration
+from cyclerad.filtrations import Filtration, compute_persistence, lower_star_filtration, rips_filtration
 from cyclerad.optimize import (
     HomologyBasisResult,
     _bfs_tree,
     _result_for_cycle,
-    _rotated_candidates,
     _site_essential_cycles,
     _tree_path,
     describe_cycle,
@@ -525,14 +525,19 @@ def bounds_born_by_death(filtration, interval):
 
 
 def birth_prefix_candidates(filtration, interval, site):
-    """The bar pass's anchor and other candidates at one site, with the birth
-    prefix flagged on the filtration's complex."""
+    """The bar pass's anchor and other candidates at one site: the essential
+    cycles of the birth prefix, flagged on the filtration's complex, rotated
+    so only the first that holds the creator, the anchor, keeps it."""
     complex_ = filtration.complex
     members = [
         [filtration.index_of(s) <= interval.birth for s in complex_.simplices(d)]
         for d in range(interval.dim + 2)
     ]
-    return _rotated_candidates(complex_, members, complex_.position(interval.creator), site, interval.dim)
+    creator = complex_.position(interval.creator)
+    essential, _ = _site_essential_cycles(complex_, site, interval.dim, members)
+    alpha = next(j for j, c in enumerate(essential) if creator in c)
+    anchor = essential[alpha]
+    return anchor, [c ^ anchor if creator in c else c for j, c in enumerate(essential) if j != alpha]
 
 
 @settings(max_examples=30, deadline=None)
@@ -626,6 +631,72 @@ def test_persistent_basis_matches_homology_basis_on_figure_eight():
     assert len(reps) == 2
     basis = opt_homology_basis(inst.complex, 1)
     assert {r.cycle for r in reps} == {c.cycle for c in basis.cycles}
+
+
+@st.composite
+def annulus_rips(draw):
+    """A Rips filtration of 48 to 80 annulus points at a scale where several
+    small holes are born and most of them die."""
+    points = annulus_points(draw(st.integers(48, 80)), draw(st.integers(0, 10**6)))
+    return rips_filtration(PointCloud(points), draw(st.floats(0.26, 0.34)), 2)
+
+
+def rep_key(rep):
+    return rep.interval, rep.cycle, rep.site, rep.r_v.hex()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.tuples(filtered_complexes(), st.integers(0, 1)), st.tuples(annulus_rips(), st.just(1))))
+def test_persistent_basis_equals_one_bar_at_a_time(args):
+    """The bar pass over every bar shares the boundary table, and each bar
+    still gets its own death span."""
+    filtration, p = args
+    per = compute_persistence(filtration, p)
+    expected = [rep_key(opt_pers_hom_rep(filtration, iv)) for iv in per.bars()]
+    assert [rep_key(r) for r in opt_persistent_basis(per)] == expected
+
+
+def test_persistent_basis_builds_the_boundary_table_once(monkeypatch):
+    import cyclerad.optimize as optimize
+
+    calls = []
+    original = optimize.boundary_columns
+    monkeypatch.setattr(optimize, "boundary_columns", lambda *args: calls.append(args) or original(*args))
+    several = compute_persistence(rips_filtration(PointCloud(annulus_points(80, 26)), 0.3, 2), 1)
+    assert sum(iv.death is not None for iv in several.bars()) == 6
+    assert len(opt_persistent_basis(several)) == 7
+    assert len(calls) == 1
+
+    calls.clear()
+    figure_eight = lower_star_filtration(fixtures.figure_eight().complex, {v: 0.0 for v in range(5)})
+    essential = compute_persistence(figure_eight, 1)
+    assert [iv.death for iv in essential.bars()] == [None, None]
+    assert len(opt_persistent_basis(essential)) == 2
+    assert calls == []
+
+
+def annulus_with_a_stray_point():
+    """The annulus fixture with a tenth cloud point, 9, in no simplex."""
+    ann = fixtures.annulus()
+    coords = [ann.complex.cloud.point(v) for v in range(9)] + [(5.0, 5.0)]
+    return EmbeddedComplex(PointCloud(coords), ann.complex.maximal_simplices())
+
+
+@pytest.mark.parametrize("site", [-1, 99, 9])
+@pytest.mark.parametrize("solver", ["localize", "basis", "bar", "describe"])
+def test_a_site_that_is_not_a_vertex_is_rejected(solver, site):
+    complex_ = annulus_with_a_stray_point()
+    outer = complex_.chain([(0, 1), (1, 2), (2, 3), (0, 3)])
+    filtration = lower_star_filtration(complex_, {v: complex_.cloud.point(v)[1] for v in complex_.vertex_ids()})
+    (bar,) = compute_persistence(filtration, 1).bars()
+    run = {
+        "localize": lambda: opt_homologous_cycle(complex_, outer, 1, sites=[0, site]),
+        "basis": lambda: opt_homology_basis(complex_, 1, sites=[0, site]),
+        "bar": lambda: opt_pers_hom_rep(filtration, bar, sites=[0, site]),
+        "describe": lambda: describe_cycle(complex_, outer, 1, site=site),
+    }[solver]
+    with pytest.raises(ValueError, match=f"^site {site} is not a vertex of the complex$"):
+        run()
 
 
 def test_persistent_basis_empty_when_no_bars():
