@@ -12,7 +12,7 @@ Ladders (inputs from perfbench/workloads.py, so they match the benchmark's):
 - rips-circle-bar: one representative of the last-dying 1-bar on the Rips
   filtration of a circle sample (4n simplices for n points), 1,600 to
   12,800 simplices; the Rips construction is timed on its own;
-- annulus-persistent: `persistent` of annulus samples, 40 to 320 points.
+- annulus-persistent: `persistent` of annulus samples, 40 to 640 points.
 Requests run through `cyclerad.cli.main` in a worker process per package, so
 the two copies never share an interpreter. Workers alternate between the
 packages round by round, and each point keeps the fastest of its samples: on
@@ -47,7 +47,7 @@ PERFBENCH = ROOT / "perfbench"
 LOCALIZE_GRIDS = [12, 16, 24, 34, 48, 68, 96]
 BASIS_GRIDS = [14, 24, 34, 48, 68, 96]
 CIRCLE_POINTS = [400, 800, 1600, 3200]
-ANNULUS = [(40, 0.42), (80, 0.3), (160, 0.22), (320, 0.16)]
+ANNULUS = [(40, 0.42), (80, 0.3), (160, 0.22), (320, 0.16), (640, 0.115)]
 ANNULUS_SEED = 5
 # alternating worker rounds per package, least samples per ladder point per
 # round, least seconds those samples take, fresh-process import samples per

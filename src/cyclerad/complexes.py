@@ -19,6 +19,7 @@ depend on the interpreter or on an array library.
 from __future__ import annotations
 
 import math
+import sys
 from functools import reduce
 from operator import add, eq, lt, mul, xor
 from typing import Iterable, Optional, Sequence
@@ -27,6 +28,11 @@ from .z2 import ChainVector
 
 # relative tolerance for sphere membership tests
 MEMBERSHIP_REL_TOL = 1e-9
+
+# the largest squared bounding-box diagonal a cloud may have: every squared
+# distance is at most that, the circumsphere's Gram entries reach twice one,
+# and its elimination may grow them further
+MAX_SQUARED_DIAGONAL = sys.float_info.max / 2**10
 
 
 def within_radius(distance: float, radius: float) -> bool:
@@ -59,7 +65,10 @@ def distances_from(center: Point, columns: Iterable[Sequence[float]]) -> list[fl
 
 class PointCloud:
     """Finite set of distinct points in R^d, d >= 1: ``coords`` holds a float
-    tuple per point, ``columns`` one per coordinate."""
+    tuple per point, ``columns`` one per coordinate. Two or more points must
+    have a squared bounding-box diagonal from the smallest normal float to
+    ``MAX_SQUARED_DIAGONAL``, so that every squared distance is finite and
+    the largest is not subnormal."""
 
     __slots__ = ("coords", "columns")
 
@@ -74,6 +83,14 @@ class PointCloud:
             seen[row] = i
         self.coords = rows
         self.columns = tuple(zip(*rows))
+        spread = [max(c) - min(c) for c in self.columns]
+        diagonal = sum(map(mul, spread, spread))
+        if len(rows) > 1 and not sys.float_info.min <= diagonal <= MAX_SQUARED_DIAGONAL:
+            # squared distances would overflow, or lose their bits below the normal floats
+            raise ValueError(
+                f"point coordinates span too {'wide' if diagonal > 1 else 'narrow'} a range: the squared"
+                f" bounding-box diagonal, {diagonal!r}, must lie in [{sys.float_info.min!r}, {MAX_SQUARED_DIAGONAL!r}]"
+            )
 
     @property
     def n_points(self) -> int:

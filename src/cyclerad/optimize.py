@@ -5,13 +5,13 @@ site by farthest vertex distance, reduce the (p+1)-columns to clear the
 p-columns they pair, and read the essential cycles off the basis change of
 the remaining p-columns (``filtrations.site_essential_cycles``, which the
 solvers call as ``_site_essential_cycles``). That is the package's one
-persistence kernel, ``filtrations._clearing_reduction``, which also computes
-the barcode of a filtration. Because reduced columns
-have pairwise distinct leading positions, the leading position of any
-combination is the max over its parts. That makes the greedy exact rather
-than heuristic, and also the early stop of the class test that localize and
-the bars share (``_express_over``): a cycle admitted after the target lies
-in the span takes a leading position the target's reduction never reads.
+persistence kernel, ``filtrations._clearing_reduction``, which also
+computes the barcode of a filtration. Because reduced columns have pairwise
+distinct leading positions, the leading position of any combination is the
+max over its parts. That makes the greedy exact rather than heuristic, and
+also the early stop of the class test that localize and the bars share
+(``_express_over``): a cycle admitted after the target lies in the span
+takes a leading position the target's reduction never reads.
 
 All three solvers share one best-first site search: per-site answers are
 minima over site-independent chain sets, so r_w >= r_v - |p_v - p_w|, and
@@ -21,8 +21,8 @@ contains the bar's creator, so a bar's bounds start, exactly, at each site's
 distance to the creator's farthest vertex. Every answer, lowest-site-index
 tie-break included, is identical to visiting every site. Each solver does
 the work that does not depend on the site once, before its search: localize
-reduces the input against the boundaries, and the bar pass builds the
-boundary table that every bar's death span is read from.
+reduces the input against the boundaries, and the bar pass grows one
+boundary span in death order, which each site's trial extends, not copies.
 
 The basis greedy cannot admit a cycle born above its threshold, so after
 its first site it reads each site only inside the threshold ball (the
@@ -169,11 +169,11 @@ def describe_cycle(
 
 
 def _express_over(span: IncrementalSpan, cycles: Sequence[ChainVector], target: ChainVector) -> int:
-    """Sum of the cycles that, with the span's columns, make up the target.
-    They join a copy of the span in order, each tagged with itself, only
-    until the target lies in it: a later cycle would take a lowest-one row
-    the target's reduction never reads, so the sum would be the same."""
-    span = span.copy()
+    """Sum of the cycles that, with the span's columns, make up the target. They
+    join an extension of the span in order, each tagged with itself, until the
+    target lies in it (a later cycle would take a lowest-one row the target's
+    reduction never reads); only the space the span's columns span matters."""
+    span = IncrementalSpan(span.n_rows, base=span)
     rest, tag = span.reduce(target.mask)
     for c in cycles:
         if not rest:
@@ -240,7 +240,7 @@ def opt_homology_basis(
         fresh = [(r, site, k, c) for k, (c, r) in enumerate(zip(cycles, radii))]
         if fresh or admitted is None:
             pool = sorted((admitted or []) + fresh, key=lambda t: t[:3])
-            span = boundaries.copy()
+            span = IncrementalSpan(boundaries.n_rows, base=boundaries)
             admitted = [t for t in pool if span.add(t[3].mask)]
         beta = len(cycles) if beta is None else beta
         assert len(admitted) == beta  # homology rank cannot depend on the site
@@ -268,22 +268,22 @@ def _bar_representatives(
     that contains the creator, then admit the remaining cycles in order,
     rotated so only the anchor keeps the creator, after the boundaries born by
     the death time, until the anchor lies in their span; the representative
-    is the anchor plus the admitted cycles it needs. The boundary table is
-    built once, at the first bar that dies."""
+    is the anchor plus the admitted cycles it needs. Bars go by death (no two
+    share one), essential last; one boundary span grows to each death in turn."""
     complex_like = filtration.complex
-    columns = None  # boundary_columns(complex_like, p), the same for every bar
-    reps = []
-    for interval in intervals:
-        p = interval.dim
+    span, entered, reps = None, 0, {}  # span: the (p+1)-boundaries born before filtration index `entered`
+    for interval in sorted(intervals, key=lambda iv: (iv.death is None, iv.death)):
+        p, death = interval.dim, interval.death
         members = filtration.prefix(interval.birth)
         creator_bit = complex_like.position(interval.creator)
-        n_p = complex_like.n_simplices(p)
-        death_span = None
-        if interval.death is not None:
-            if columns is None:
-                columns = boundary_columns(complex_like, p)
-            # only the boundaries born by the death time, in canonical order
-            death_span = IncrementalSpan(n_p, compress(columns, map(interval.death.__ge__, filtration.indices[p + 1])))
+        if death is not None:
+            if span is None:
+                born, span = [None] * len(filtration), IncrementalSpan(complex_like.n_simplices(p))
+                for i, column in zip(filtration.indices[p + 1], boundary_columns(complex_like, p)):
+                    born[i] = column  # the boundary of the (p+1)-simplex at filtration index i
+            for column in filter(None, born[entered : death + 1]):
+                span.add(column)
+            entered = death + 1
 
         def evaluate(site: int) -> tuple[float, ChainVector]:
             essential, _ = _site_essential_cycles(complex_like, site, p, members)
@@ -293,15 +293,15 @@ def _bar_representatives(
             out = anchor = essential[alpha]
             # an essential bar keeps the anchor: nothing below its leading
             # position can represent an essential class
-            if death_span is not None:
+            if death is not None:
                 others = [c ^ anchor if creator_bit in c else c for j, c in enumerate(essential) if j != alpha]
                 # the bar dies, so the span of every admitted cycle holds the anchor
-                out = anchor ^ ChainVector(n_p, mask=_express_over(death_span, others, anchor))
+                out = anchor ^ ChainVector(span.n_rows, mask=_express_over(span, others, anchor))
             return site_radius(complex_like, site, out, p), out
 
         site, out = _best_site(complex_like, sites, evaluate, interval.creator)
-        reps.append(_result_for_cycle(complex_like, out, p, site, interval))
-    return reps
+        reps[interval] = _result_for_cycle(complex_like, out, p, site, interval)
+    return [reps[iv] for iv in intervals]
 
 
 def opt_pers_hom_rep(

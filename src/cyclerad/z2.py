@@ -89,22 +89,21 @@ class IncrementalSpan:
     so each stored column has a distinct lowest-one row. Columns and vectors
     are masks over n_rows rows. Each added column may carry a tag mask that
     is summed along with it, so ``reduce`` can say which added columns a
-    vector is the sum of."""
+    vector is the sum of. A span built on a base reads the base's columns,
+    which must not change meanwhile, and stores only its own."""
 
-    def __init__(self, n_rows: int, masks: Iterable[int] = ()):
+    def __init__(self, n_rows: int, masks: Iterable[int] = (), base: Optional["IncrementalSpan"] = None):
+        if base is not None and (base._base or base.n_rows != n_rows):
+            raise ValueError("a base must have the same rows and store every column it reads")
         self.n_rows = n_rows
+        self._base = {} if base is None else base._by_low  # read, never written
         self._by_low: dict[int, tuple[int, int]] = {}  # low row -> (mask, tag)
         for mask in masks:
             self.add(mask)
 
     @property
     def rank(self) -> int:
-        return len(self._by_low)
-
-    def copy(self) -> "IncrementalSpan":
-        out = IncrementalSpan(self.n_rows)
-        out._by_low = dict(self._by_low)
-        return out
+        return len(self._base) + len(self._by_low)
 
     def reduce(self, mask: int, tag: int = 0) -> tuple[int, int]:
         """The vector's remainder against the span, and the tag plus the tags
@@ -116,7 +115,8 @@ class IncrementalSpan:
         if mask < 0 or mask >> self.n_rows:
             raise ValueError("mask exceeds the row count")
         while mask:
-            stored = self._by_low.get(mask.bit_length() - 1)
+            low = mask.bit_length() - 1
+            stored = self._base.get(low) or self._by_low.get(low)
             if stored is None:
                 break
             mask ^= stored[0]

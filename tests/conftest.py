@@ -2,6 +2,8 @@ import math
 import os
 import random
 import sys
+from collections import Counter
+from itertools import combinations
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -30,6 +32,37 @@ def holed_mesh(k, holes, seed):
                 triangles += [(a, a + 1, a + k + 1), (a, a + k, a + k + 1)]
     ring = [*range(k), *range(2 * k - 1, k * k, k), *range(k * k - 2, k * k - k - 1, -1), *range(k * k - 2 * k, 0, -k)]
     return coords, triangles, [tuple(sorted(e)) for e in zip(ring, ring[1:] + ring[:1])]
+
+
+def _segment_distance(p, a, b):
+    """Distance from p to the segment ab."""
+    u, w = (b[0] - a[0], b[1] - a[1]), (p[0] - a[0], p[1] - a[1])
+    t = max(0.0, min(1.0, (u[0] * w[0] + u[1] * w[1]) / (u[0] * u[0] + u[1] * u[1])))
+    return math.dist(p, (a[0] + t * u[0], a[1] + t * u[1]))
+
+
+def _triangle_meets_disk(corners, centre, radius):
+    """Whether a triangle, given by its corners, meets a closed disk: the
+    centre lies inside it, or an edge comes within the radius."""
+    sides = [(b[0] - a[0]) * (centre[1] - a[1]) - (b[1] - a[1]) * (centre[0] - a[0])
+             for a, b in zip(corners, corners[1:] + corners[:1])]
+    if all(x >= 0 for x in sides) or all(x <= 0 for x in sides):
+        return True
+    return any(_segment_distance(centre, a, b) <= radius for a, b in zip(corners, corners[1:] + corners[:1]))
+
+
+def disk_holed_mesh(k, disks, seed):
+    """holed_mesh's k x k jittered grid with no cell left open, less every
+    triangle that meets one of the disks, each given as (centre, radius).
+    Returns the points, the triangles kept, and per disk the boundary of the
+    triangles it removed as sorted edges: a loop around that hole. The disks
+    must lie inside the grid, far enough apart that no kept triangle lies
+    between two of them."""
+    coords, triangles, _ = holed_mesh(k, set(), seed)
+    removed = [[t for t in triangles if _triangle_meets_disk([coords[v] for v in t], c, r)] for c, r in disks]
+    gone = {t for ts in removed for t in ts}
+    loops = [sorted(e for e, n in Counter(e for t in ts for e in combinations(t, 2)).items() if n % 2) for ts in removed]
+    return coords, [t for t in triangles if t not in gone], loops
 
 
 def annulus_points(n, seed):
@@ -72,17 +105,33 @@ def point_clouds(draw, min_points=3, max_points=10, dim=2):
     return PointCloud(coords)
 
 
+def scaled_rows(rows, exponent):
+    """Every coordinate multiplied by 2^exponent, exactly unless it leaves
+    the normal floats."""
+    return [[math.ldexp(x, exponent) for x in row] for row in rows]
+
+
+def accepted_by_point_cloud(rows):
+    try:
+        PointCloud(rows)
+    except ValueError:
+        return False
+    return True
+
+
 @st.composite
-def coordinate_rows(draw, min_dim=1, max_dim=12, min_points=2, max_points=9):
+def coordinate_rows(draw, min_dim=1, max_dim=12, min_points=2, max_points=9, cloud=False):
     """Distinct points in R^d for a drawn d, as tuples: uniform floats of
-    mixed magnitude, or half-integers, which make exact distance ties."""
+    mixed magnitude, or half-integers, which make exact distance ties. With
+    cloud, only rows a PointCloud accepts: not points so close together that
+    every squared distance underflows."""
     d = draw(st.integers(min_dim, max_dim))
     if draw(st.booleans()):
         coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
     else:
         coord = st.integers(-8, 8).map(lambda k: k / 2)
-    row = st.tuples(*[coord] * d)
-    return draw(st.lists(row, min_size=min_points, max_size=max_points, unique=True))
+    rows = st.lists(st.tuples(*[coord] * d), min_size=min_points, max_size=max_points, unique=True)
+    return draw(rows.filter(accepted_by_point_cloud) if cloud else rows)
 
 
 @st.composite

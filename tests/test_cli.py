@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import OCTAHEDRON
+from conftest import OCTAHEDRON, accepted_by_point_cloud, scaled_rows
 
 from cyclerad import fixtures
 from cyclerad.cli import main
@@ -243,6 +243,42 @@ def test_verify_localize_on_a_tiny_annulus(tmp_path, exponent):
     assert check["oracle"]["radius"] == math.ldexp(math.sqrt(0.5), exponent)
 
 
+def write_scaled_inputs(directory, exponent):
+    """annulus.off, outer.txt and ring.csv (the 12-point unit ring) with every
+    coordinate multiplied by 2^exponent, written as text, so that a cloud out
+    of range reaches the readers."""
+    ann = fixtures.annulus()
+    off = directory / "annulus.off"
+    write_off(off, ann.complex)
+    write_cycle(directory / "outer.txt", ann.complex, ann.outer_loop, 1)
+    lines = off.read_text().splitlines()
+    rows = scaled_rows(ann.complex.cloud.coords, exponent)
+    lines[2 : 2 + len(rows)] = [" ".join(map(repr, row)) for row in rows]
+    off.write_text("\n".join(lines) + "\n")
+    ring = scaled_rows(fixtures.circle_cloud(12).coords, exponent)
+    (directory / "ring.csv").write_text("".join(",".join(map(repr, row)) + "\n" for row in ring))
+
+
+def accepted_annulus_exponents():
+    """The powers of two by which a PointCloud accepts the scaled annulus."""
+    rows = fixtures.annulus().complex.cloud.coords
+    return [e for e in range(-600, 601) if accepted_by_point_cloud(scaled_rows(rows, e))]
+
+
+@pytest.mark.parametrize("end", [min, max])
+def test_verify_localize_at_the_ends_of_the_coordinate_range(tmp_path, end):
+    """The largest and the smallest accepted scales verify as at unit scale."""
+    accepted = accepted_annulus_exponents()
+    assert accepted == list(range(accepted[0], accepted[-1] + 1)) and accepted[0] <= -510 and accepted[-1] >= 500
+    exponent = end(accepted)
+    write_scaled_inputs(tmp_path, exponent)
+    code, report = run_json(tmp_path, ["verify", "--complex", str(tmp_path / "annulus.off"), "--cycle", str(tmp_path / "outer.txt")])
+    assert code == 0 and report["ok"] is True
+    (check,) = report["checks"]
+    assert check["ratio"] == 1.0
+    assert check["oracle"]["radius"] == math.ldexp(math.sqrt(0.5), exponent)
+
+
 def test_verify_basis_and_persistent(tmp_path, two_loop_files):
     fe = fixtures.figure_eight()
     off = tmp_path / "fe.off"
@@ -291,6 +327,26 @@ def test_exit_code_non_finite_points(tmp_path, bad):
     code = main(["persistent", "--points", str(csv), "--rips", "2.0",
                  "--out", str(tmp_path / "r.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize("exponent", [-600, 600])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["localize", "--complex", "annulus.off", "--cycle", "outer.txt"],
+        ["basis", "--complex", "annulus.off"],
+        ["verify", "--complex", "annulus.off", "--cycle", "outer.txt"],
+        ["persistent", "--points", "ring.csv", "--rips", "1e200"],
+    ],
+    ids=["localize", "basis", "verify", "persistent"],
+)
+def test_exit_code_coordinates_out_of_range(tmp_path, capsys, exponent, argv):
+    """Squared distances that overflow, or that all fall below the normal
+    floats, are refused as input."""
+    write_scaled_inputs(tmp_path, exponent)
+    args = [str(tmp_path / a) if (tmp_path / a).is_file() else a for a in argv]
+    assert main(args + ["--out", str(tmp_path / "r.json")]) == 2
+    assert "range" in capsys.readouterr().err
 
 
 def test_exit_code_non_finite_off_vertex(tmp_path):

@@ -212,7 +212,7 @@ def any_filtrations(draw):
     if kind == "random":
         return draw(filtered_complexes(max_dim=3))
     if kind == "rips":
-        rows = draw(coordinate_rows(max_points=8))
+        rows = draw(coordinate_rows(max_points=8, cloud=True))
         diameter = max(math.dist(a, b) for a in rows for b in rows)
         return rips_filtration(PointCloud(rows), draw(st.floats(0.0, 1.5)) * diameter, draw(st.integers(1, 3)))
     complex_ = draw(st.one_of(embedded_complexes(max_dim=3, max_top_cells=12), loopy_complexes()))
@@ -344,7 +344,7 @@ def test_rips_higher_dimension():
 
 
 @settings(max_examples=150, deadline=None)
-@given(coordinate_rows(max_points=8), st.floats(0.0, 1.5), st.integers(1, 3))
+@given(coordinate_rows(max_points=8, cloud=True), st.floats(0.0, 1.5), st.integers(1, 3))
 def test_rips_matches_the_numpy_build(rows, share, max_dim):
     """The same simplices, order and values as from numpy's dense distance
     matrix: bit for bit up to seven coordinates, to rounding from eight."""

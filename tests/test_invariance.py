@@ -9,6 +9,10 @@ may win.
 Stability: moving each point by at most delta, with the complex (and, for
 bars, the filtration order) held fixed, moves every site radius of a fixed
 chain by at most 2 delta, so each optimum moves by at most that much.
+
+Scale: every tolerance is relative, so scaling the points by a power of two
+scales every answer by it exactly, as long as no squared distance overflows
+or leaves the normal floats; a cloud outside that range is refused.
 """
 import math
 import random
@@ -19,7 +23,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import annulus_points, holed_mesh, loopy_complexes
+from conftest import annulus_points, holed_mesh, loopy_complexes, scaled_rows
+
+from cyclerad import fixtures
 
 from cyclerad.complexes import MEMBERSHIP_REL_TOL, EmbeddedComplex, PointCloud
 from cyclerad.filtrations import Filtration, compute_persistence, rips_filtration
@@ -27,6 +33,9 @@ from cyclerad.optimize import opt_homologous_cycle, opt_homology_basis, opt_pers
 
 MESH_SIDE, MESH_HOLES = 9, {(2, 2), (5, 4)}
 RIPS_POINTS, RIPS_SCALE = 40, 0.42
+# powers of two to scale by: all inputs below are accepted and exact in
+# [-510, 500], and the ends are refused
+SCALE_LADDER = (-600, -540, -515, -513, -510, -45, 500, 504, 511, 600)
 
 
 def relabelled(coords, simplices, seed):
@@ -141,3 +150,48 @@ def test_moving_rips_points_moves_each_bar_optimum_by_at_most_twice_as_far(seed)
     assert [iv for iv, _ in after] == [iv for iv, _ in before]
     for (_, r), (_, s) in zip(before, after):
         assert_within_twice(delta, r, s)
+
+
+def annulus_answers(exponent):
+    """Localize of the annulus fixture's outer loop, then its basis, with the
+    points scaled by 2^exponent."""
+    ann = fixtures.annulus()
+    complex_ = EmbeddedComplex(PointCloud(scaled_rows(ann.complex.cloud.coords, exponent)), ann.complex.maximal_simplices())
+    return [opt_homologous_cycle(complex_, ann.outer_loop, 1), *opt_homology_basis(complex_, 1).cycles]
+
+
+def ring_answers(exponent):
+    """The bar pass of the 12-point unit ring's Rips filtration at scale 0.9,
+    points and scale multiplied by 2^exponent."""
+    cloud = PointCloud(scaled_rows(fixtures.circle_cloud(12).coords, exponent))
+    return opt_persistent_basis(compute_persistence(rips_filtration(cloud, math.ldexp(0.9, exponent), 2), 1))
+
+
+def scaled_result(res, exponent):
+    """An answer with every length in it multiplied by 2^exponent."""
+
+    def scale(x):
+        return None if x is None else math.ldexp(x, exponent)
+
+    cert, interval = res.certificate, res.interval
+    return res._replace(
+        r_v=scale(res.r_v),
+        r_exact=scale(res.r_exact),
+        certificate=cert._replace(center=tuple(map(scale, cert.center)), radius=scale(cert.radius)),
+        interval=interval and interval._replace(birth_value=scale(interval.birth_value), death_value=scale(interval.death_value)),
+    )
+
+
+@pytest.mark.parametrize("exponent", SCALE_LADDER)
+@pytest.mark.parametrize("answers", [annulus_answers, ring_answers])
+def test_scaling_by_a_power_of_two_scales_every_answer_exactly_or_is_refused(answers, exponent):
+    """Localize, basis and the bar pass at 2^exponent are the unscaled
+    answers scaled exactly; past the coordinate range the cloud is refused."""
+    try:
+        got = answers(exponent)
+    except ValueError as exc:
+        assert "range" in str(exc)
+        assert not -510 <= exponent <= 500
+        return
+    assert abs(exponent) < 600
+    assert got == [scaled_result(res, exponent) for res in answers(0)]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     annulus_points,
     complex_with_cycle,
+    disk_holed_mesh,
     embedded_complexes,
     filtered_complexes,
     four_hole_meshes,
@@ -21,6 +22,8 @@ from cyclerad.complexes import EmbeddedComplex, PointCloud, boundary_columns, di
 from cyclerad.filtrations import Filtration, compute_persistence, lower_star_filtration, rips_filtration
 from cyclerad.optimize import (
     HomologyBasisResult,
+    _bar_representatives,
+    _best_site,
     _bfs_tree,
     _result_for_cycle,
     _site_essential_cycles,
@@ -32,7 +35,7 @@ from cyclerad.optimize import (
     opt_persistent_basis,
     shorten_cycle,
 )
-from cyclerad.radius import site_radius
+from cyclerad.radius import exact_radius, site_radius
 from cyclerad.z2 import ChainVector, IncrementalSpan
 from cyclerad import fixtures
 
@@ -136,13 +139,13 @@ def test_global_result_never_beats_per_site(args):
 
 def every_cycle_localize(complex_, cycle, p):
     """Localize without the early stop: at every site, each essential cycle
-    of the site ordering joins the boundaries before the input is expressed.
-    Returns the (r_v, site)-least (r_v, site, chain)."""
+    of the site ordering joins an extension of the boundaries before the
+    input is expressed. Returns the (r_v, site)-least (r_v, site, chain)."""
     n_p = complex_.n_simplices(p)
     boundaries = IncrementalSpan(n_p, boundary_columns(complex_, p))
     best = None
     for site in sorted(complex_.vertex_ids()):
-        span = boundaries.copy()
+        span = IncrementalSpan(n_p, base=boundaries)
         for c in _site_essential_cycles(complex_, site, p)[0]:
             span.add(c.mask, c.mask)
         rest, tag = span.reduce(cycle.mask)
@@ -415,6 +418,51 @@ def test_first_essential_radius_is_lipschitz_in_the_site(complex_):
                 assert r_w >= r_v - math.dist(coords[v], coords[w]) - 1e-12
 
 
+# -- planted bounds at scale ------------------------------------------------
+
+# (k, seed, disks): a k x k jittered grid less every triangle that meets a
+# disk (centre, radius); the disks differ in radius and lie far apart
+PLANTED = {
+    "1024-vertices": (32, 3, [((9.3, 9.1), 1.0), ((21.2, 20.4), 3.0)]),
+    "1296-vertices": (36, 1, [((8.3, 8.1), 0.8), ((24.2, 11.4), 2.6), ((12.6, 25.3), 4.2)]),
+    "2304-vertices": (48, 2, [((14.2, 30.5), 4.0), ((33.7, 17.1), 2.0)]),
+}
+
+
+def planted_mesh(name):
+    """The mesh, its hole radii, and per hole the loop around it as a chain."""
+    k, seed, disks = PLANTED[name]
+    coords, triangles, loops = disk_holed_mesh(k, disks, seed)
+    complex_ = EmbeddedComplex(PointCloud(coords), triangles)
+    return complex_, [rho for _, rho in disks], [complex_.chain(loop, 1) for loop in loops]
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_localize_meets_the_planted_hole_bounds(name):
+    """A Z2 cycle in a round hole's class winds an odd number of times round
+    every point of the hole, so the hole lies in its convex hull and its
+    enclosing ball: rho <= r_exact. The hole's loop is in the class, so the
+    x2 guarantee gives r_v <= 2 r_exact(loop)."""
+    complex_, radii, loops = planted_mesh(name)
+    for rho, loop in zip(radii, loops):
+        res = opt_homologous_cycle(complex_, loop, 1)
+        assert rho <= res.r_exact * (1 + REL)
+        assert res.r_exact <= res.r_v * (1 + REL)
+        assert res.r_v <= 2 * exact_radius(complex_, loop, 1).radius * (1 + REL)
+
+
+@pytest.mark.parametrize("name", ["1024-vertices", "1296-vertices"])
+def test_basis_meets_the_planted_hole_bounds(name):
+    """A class is a parity vector over the holes, and a cycle winds oddly only
+    round holes inside its ball. So k independent cycles involve at least k
+    holes, and the k-th smallest r_exact is at least the k-th smallest hole
+    radius."""
+    complex_, radii, _ = planted_mesh(name)
+    got = sorted(c.r_exact for c in opt_homology_basis(complex_, 1).cycles)
+    assert len(got) == len(radii)
+    assert all(rho <= r * (1 + REL) for rho, r in zip(sorted(radii), got))
+
+
 # -- persistent representatives -------------------------------------------
 
 
@@ -673,6 +721,71 @@ def test_persistent_basis_builds_the_boundary_table_once(monkeypatch):
     assert [iv.death for iv in essential.bars()] == [None, None]
     assert len(opt_persistent_basis(essential)) == 2
     assert calls == []
+
+
+def per_bar_representative(filtration, interval):
+    """The bar pass one bar at a time, as it was before the bars shared a
+    span: each site reduces against a fresh span of the boundaries born by
+    the death, entered in canonical order as bounds_born_by_death lists them."""
+    complex_, p = filtration.complex, interval.dim
+    n_p = complex_.n_simplices(p)
+    death_bounds = None if interval.death is None else [c.mask for c in bounds_born_by_death(filtration, interval)]
+
+    def evaluate(site):
+        anchor, others = birth_prefix_candidates(filtration, interval, site)
+        out = anchor
+        if death_bounds is not None:
+            span = IncrementalSpan(n_p, death_bounds)
+            rest, tag = span.reduce(anchor.mask)
+            for c in others:
+                if not rest:
+                    break
+                span.add(c.mask, c.mask)
+                rest, tag = span.reduce(rest, tag)
+            out = anchor ^ ChainVector(n_p, mask=tag)
+        return site_radius(complex_, site, out, p), out
+
+    site, out = _best_site(complex_, None, evaluate, interval.creator)
+    return _result_for_cycle(complex_, out, p, site, interval)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(filtered_complexes(), st.integers(0, 1)),
+        st.tuples(annulus_rips(), st.just(1)),
+        # its two bars need more than the anchor, so a span holding too much shows
+        st.just((fixtures.two_loop_filtration(), 1)),
+    ),
+    st.data(),
+)
+def test_bar_pass_in_any_order_equals_the_per_bar_evaluator(args, data):
+    """One span grown in death order, with every trial extending it, gives
+    each bar the answer of its own canonical-order death span, and the
+    results come back in the order the bars were given."""
+    filtration, p = args
+    bars = data.draw(st.permutations(compute_persistence(filtration, p).bars()))
+    expected = [rep_key(per_bar_representative(filtration, iv)) for iv in bars]
+    assert [rep_key(r) for r in _bar_representatives(filtration, bars)] == expected
+
+
+def test_each_boundary_enters_a_span_once_per_request(monkeypatch):
+    """The bars share one death-ordered span: a boundary enters it once, and
+    only the boundaries born by the last death enter at all."""
+    entered = []
+    add = IncrementalSpan.add
+
+    def counted(span, mask, tag=0):
+        if not tag:  # boundaries enter untagged; the trial cycles carry themselves as tags
+            entered.append(mask)
+        return add(span, mask, tag)
+
+    monkeypatch.setattr(IncrementalSpan, "add", counted)
+    per = compute_persistence(rips_filtration(PointCloud(annulus_points(80, 26)), 0.3, 2), 1)
+    assert len(opt_persistent_basis(per)) == 7
+    last = max(iv.death for iv in per.bars() if iv.death is not None)
+    born = [m for m, i in zip(boundary_columns(per.filtration.complex, 1), per.filtration.indices[2]) if i <= last]
+    assert sorted(entered) == sorted(born)
 
 
 def annulus_with_a_stray_point():

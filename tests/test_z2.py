@@ -207,14 +207,23 @@ def test_incremental_span_tracks_rank():
         span.add(1 << 4)  # a row the span does not have
 
 
-def test_incremental_span_copy_diverges_independently():
-    span = IncrementalSpan(4, [ChainVector(4, [0, 1]).mask])
-    twin = span.copy()
-    assert twin.add(ChainVector(4, [2]).mask)
-    assert span.add(ChainVector(4, [3]).mask)
-    assert (span.rank, twin.rank) == (2, 2)
-    assert twin.contains(ChainVector(4, [0, 1, 2]).mask) and not span.contains(ChainVector(4, [2]).mask)
-    assert span.contains(ChainVector(4, [0, 1, 3]).mask) and not twin.contains(ChainVector(4, [3]).mask)
+def test_incremental_span_extensions_read_their_base_and_leave_it_unchanged():
+    base = IncrementalSpan(4, [ChainVector(4, [0, 1]).mask])
+    twin, other = IncrementalSpan(4, base=base), IncrementalSpan(4, base=base)
+    assert twin.rank == 1 and twin.contains(ChainVector(4, [0, 1]).mask)
+    assert not twin.add(ChainVector(4, [0, 1]).mask)  # the base holds it
+    assert twin.add(ChainVector(4, [1, 2]).mask, 1)
+    assert other.add(ChainVector(4, [3]).mask)
+    assert (base.rank, twin.rank, other.rank) == (1, 2, 2)
+    assert twin.reduce(ChainVector(4, [0, 2]).mask) == (0, 1)  # one base column, one of its own
+    assert not base.contains(ChainVector(4, [1, 2]).mask) and not base.contains(ChainVector(4, [3]).mask)
+    assert not twin.contains(ChainVector(4, [3]).mask) and not other.contains(ChainVector(4, [1, 2]).mask)
+    # a span reads one level: extending an extension, or other rows, is refused
+    with pytest.raises(ValueError):
+        IncrementalSpan(4, base=twin)
+    with pytest.raises(ValueError):
+        IncrementalSpan(5, base=base)
+    assert IncrementalSpan(4, base=IncrementalSpan(4, base=IncrementalSpan(4))).rank == 0
 
 
 def test_incremental_span_seeded_matches_batch_rank():
@@ -228,11 +237,16 @@ def test_incremental_span_seeded_matches_batch_rank():
 def test_incremental_span_reduce_finds_the_solve_combination(data, rng):
     """Tagging column k with bit k, reduce leaves no remainder exactly when
     solve_by_reduction is feasible, and then returns its selection as a
-    mask."""
+    mask; also when a base holds the first columns and an extension of it
+    the rest."""
     n_rows, cols = data
     m = masks(n_rows, cols)
-    span = IncrementalSpan(n_rows)
-    for k, c in enumerate(m):
+    split = rng.randint(0, len(m))
+    base = IncrementalSpan(n_rows)
+    for k, c in enumerate(m[:split]):
+        base.add(c, 1 << k)
+    span = IncrementalSpan(n_rows, base=base)
+    for k, c in enumerate(m[split:], split):
         span.add(c, 1 << k)
     rhs = ChainVector(n_rows, sorted({i for i in range(n_rows) if rng.random() < 0.3}))
     got = solve_by_reduction(n_rows, m, rhs.mask)
