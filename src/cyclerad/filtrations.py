@@ -10,20 +10,21 @@ change. Its pairs become finite intervals, its zero p-columns essential
 classes. All interval bookkeeping is index-based; values are carried along
 for reporting.
 
-Both callers make the same call. ``compute_persistence`` ranks by filtration
-index and returns the dimension-p barcode as a ``PersistenceResult``: the
-intervals from the pairs and the essential positions, by birth. Its
-``bars`` are the intervals of positive value length, the ones that get
-representatives from the site search. The solvers read only the essential
-p-cycles of each site's filtration, so ``site_essential_cycles`` ranks by
+The kernel reduces what its caller ranks, in that order.
+``compute_persistence`` ranks every simplex by filtration index and returns
+the dimension-p barcode as a ``PersistenceResult``: the intervals from the
+pairs and the essential positions, by birth. Its ``bars`` are the intervals
+of positive value length, the ones that get representatives from the site
+search. The solvers read only the essential p-cycles of each site's
+filtration, so ``site_essential_cycles`` ranks its call's subcomplex by
 distance from the site and never builds the pairs.
 """
 from __future__ import annotations
 
 import math
 from itertools import compress
-from operator import and_, lt
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from operator import lt
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .complexes import (
     EmbeddedComplex,
@@ -146,7 +147,8 @@ def compute_persistence(filtration: Filtration, p: int) -> PersistenceResult:
     if p < 0:
         raise ValueError("dimension must be non-negative")
     order, values, at = filtration.order, filtration.values, filtration.indices
-    pairs, cycles = _clearing_reduction(filtration.complex, at, p)
+    pairs, cycles = _clearing_reduction(
+        filtration.complex, p, lambda d: sorted(range(len(at[d])), key=at[d].__getitem__))
     # (birth, death) filtration indices, death None for an essential class
     ends = [(at[p][birth], at[p + 1][death]) for birth, death in pairs] + [(at[p][q], None) for q in cycles]
     intervals = tuple(
@@ -222,17 +224,12 @@ def lower_star_filtration(complex_like: EmbeddedComplex, vertex_values) -> Filtr
 
 
 def _clearing_reduction(
-    complex_like: EmbeddedComplex,
-    keys: Sequence[Sequence],
-    p: int,
-    members: Optional[Sequence[Sequence[bool]]] = None,
+    complex_like: EmbeddedComplex, p: int, rank: Callable[[int], list[int]]
 ) -> tuple[Iterator[tuple[int, int]], dict[int, int]]:
-    """Z2 persistence in dimension p of a face-closed subcomplex: all of the
-    complex, or the simplices members flags (per dimension, a flag per
-    canonical position). keys[d] holds a sort key per canonical position,
-    read for dimensions p - 1 to p + 1; each dimension is ranked by a stable
-    sort of its canonical order by key, over the members alone when given:
-    a stable sort of the members is their share of the full ranking.
+    """Z2 persistence in dimension p of a face-closed subcomplex, in the
+    order its caller ranks it: rank(d), called for the dimensions p - 1 to
+    p + 1 that the complex has, lists the canonical positions of the
+    subcomplex's d-simplices in filtration order.
 
     The (p+1)-columns are reduced first. The p-simplices their pivots name
     are cleared: their p-columns would reduce to zero, and a zero column
@@ -245,13 +242,6 @@ def _clearing_reduction(
     - the essential p-cycles: position -> basis change in canonical
       p-positions, in rank order (the kept p-columns that reduce to zero)."""
 
-    def ranked(d: int) -> list[int]:
-        n = complex_like.n_simplices(d)
-        if not n:
-            return []
-        kept = range(n) if members is None else compress(range(n), members[d])
-        return sorted(kept, key=keys[d].__getitem__)
-
     def columns(d: int, below: Sequence[int], kept: Sequence[int]) -> list[int]:
         """Boundary masks of the d-simplices at the kept positions: bit j for the face ranked j in below."""
         if not d or not kept:
@@ -261,7 +251,7 @@ def _clearing_reduction(
             row_bits[position] = bit
         return face_masks(face_columns(complex_like, d), row_bits, kept)
 
-    below, order, above = ranked(p - 1), ranked(p), ranked(p + 1)
+    below, order, above = (rank(d) if 0 <= d <= complex_like.max_dim else [] for d in (p - 1, p, p + 1))
     owners: dict = {}
     deaths = []  # the position of each (p+1)-column that stored a pivot, as owners gains it
     for c, q in zip(columns(p + 1, order, above), above):
@@ -305,7 +295,8 @@ def site_essential_cycles(
     its own: a stable sort of the canonical (lexicographic) order by r is the
     filtration's rule within one dimension. Given members (per dimension, a
     flag per canonical position), it is the filtration of the face-closed
-    subcomplex they flag, such as a birth prefix: the complex's ranks, filtered.
+    subcomplex they flag, such as a birth prefix: a stable sort of the
+    members is their share of the complex's ranking.
 
     Given a finite radius, only the simplices with r <= radius (the site's
     ball, face-closed since no face has a larger r) are ranked and reduced,
@@ -320,8 +311,6 @@ def site_essential_cycles(
     if p < 0:
         raise ValueError("dimension must be non-negative")
     n_p = complex_like.n_simplices(p)
-    if n_p == 0:
-        return (), ()
     dist = distances_from(complex_like.cloud.point(site), complex_like.cloud.columns)
     top = min(p + 1, complex_like.max_dim)
     r = [[dist[v] for v, in complex_like.simplices(0)]]  # per dimension, canonical order
@@ -329,10 +318,14 @@ def site_essential_cycles(
         # a simplex's first and last faces hold all its vertices
         below, faces = r[-1], face_columns(complex_like, d)
         r.append([below[i] if below[i] >= below[j] else below[j] for i, j in zip(faces[0], faces[-1])])
-    if radius < math.inf:
-        ball = [[x <= radius for x in rd] for rd in r]
-        members = ball if members is None else [list(map(and_, m, b)) for m, b in zip(members, ball)]
-    _, cycles = _clearing_reduction(complex_like, r, p, members)
+
+    def rank(d: int) -> list[int]:
+        """The d-simplices of the site's call by r: the members (all when None) with r <= radius."""
+        rd = r[d]
+        kept = range(len(rd)) if members is None else compress(range(len(rd)), members[d])
+        return sorted([q for q in kept if rd[q] <= radius] if radius < math.inf else kept, key=rd.__getitem__)
+
+    _, cycles = _clearing_reduction(complex_like, p, rank)
     return (
         tuple(ChainVector(n_p, mask=v) for v in cycles.values()),
         tuple(r[p][q] for q in cycles),

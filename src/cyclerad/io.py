@@ -102,6 +102,8 @@ def read_off(path: PathLike) -> EmbeddedComplex:
             verts = [int(x) for x in fields[1 : 1 + k]]
         except (ValueError, IndexError) as exc:
             raise InputError(path, f"bad face row: {exc}", ln) from exc
+        if k < 1:
+            raise InputError(path, "face row needs at least one vertex", ln)
         if len(verts) != k:
             raise InputError(path, f"face row promises {k} vertices", ln)
         if any(v < 0 or v >= n_vertices for v in verts):

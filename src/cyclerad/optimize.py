@@ -383,10 +383,13 @@ def shorten_cycle(
     per dimension (Filtration.prefix) when given. The class there never
     changes (every swap is checked against that subcomplex's boundaries), so
     a bar representative shortened in its birth prefix still represents the
-    bar. The edge count never grows, and because all replacement paths stay
-    inside the same ball the site radius never grows either."""
+    bar; a result with an interval and no members raises ValueError. The
+    edge count never grows, and because all replacement paths stay inside
+    the same ball the site radius never grows either."""
     if result.dim != 1:
         raise ValueError("shortening is defined for 1-cycles only")
+    if result.interval is not None and members is None:
+        raise ValueError("a bar representative is shortened in its birth prefix: pass members")
     if result.cycle.is_zero() or result.site is None:
         return result
 

@@ -6,9 +6,9 @@ points in index order, with the recursion on the points unrolled into a
 loop, so it nests at most d+2 calls deep whatever the point count. Each
 boundary set's circumsphere solves its Gram system of at most d x d by
 Gaussian elimination with partial pivoting; a pivot at rounding level marks
-the set affinely dependent (exactly collinear inputs can force this), and
-such sets are repaired locally by enumerating their own subsets, which is
-cheap because boundary sets never exceed d+1 points.
+the set affinely dependent, and such a set is repaired by enumerating its
+own subsets (at most d+1 points). Welzl's boundary sets are independent in
+exact arithmetic, and no test input reaches the repair through the solver.
 """
 from __future__ import annotations
 

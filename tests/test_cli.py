@@ -666,6 +666,16 @@ def test_off_errors_carry_context(tmp_path):
     assert ":4" in str(exc.value)
 
 
+@pytest.mark.parametrize("row", ["0", "-1"])
+def test_off_rejects_a_face_row_with_no_vertices(tmp_path, capsys, row):
+    empty = tmp_path / "F.off"
+    empty.write_text(f"OFF\n3 2 0\n0 0\n1 0\n0 1\n3 0 1 2\n{row}\n")
+    with pytest.raises(InputError, match=r"F\.off:7: face row needs at least one vertex"):
+        read_off(empty)
+    assert main(["basis", "--complex", str(empty), "--out", str(tmp_path / "r.json")]) == 2
+    assert f"{empty}:7: face row needs at least one vertex" in capsys.readouterr().err
+
+
 def test_cycle_reader_rejects_unknown_simplex(tmp_path, annulus_files):
     ann, _, _ = annulus_files
     bad = tmp_path / "bad.txt"

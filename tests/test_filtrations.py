@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     OCTAHEDRON,
+    annulus_points,
     coordinate_rows,
     embedded_complexes,
     filtered_complexes,
@@ -25,7 +26,15 @@ from oracles import (
     square_persistence,
 )
 
-from cyclerad.complexes import EmbeddedComplex, PointCloud, boundary_columns, distances_from, faces_of
+from cyclerad.complexes import (
+    EmbeddedComplex,
+    PointCloud,
+    boundary_columns,
+    distances_from,
+    face_columns,
+    face_masks,
+    faces_of,
+)
 from cyclerad.filtrations import (
     Filtration,
     Interval,
@@ -558,3 +567,116 @@ def test_site_essential_cycles_at_and_above_the_top_dimension():
     assert site_essential_cycles(fixtures.hollow_triangle().complex, 1, 2) == ((), ())
     with pytest.raises(ValueError, match="dimension must be non-negative"):
         site_essential_cycles(filled, 0, -1)
+
+
+# -- the kernel against its earlier form, where it ranked its callers' subcomplexes --
+
+
+def kernel_with_keys(complex_like, keys, p, members=None):
+    """The clearing reduction as it ranked each dimension itself: a stable
+    sort of keys[d] over all positions, or over those members flags."""
+
+    def ranked(d):
+        n = complex_like.n_simplices(d)
+        if not n:
+            return []
+        kept = range(n) if members is None else itertools.compress(range(n), members[d])
+        return sorted(kept, key=keys[d].__getitem__)
+
+    def columns(d, below, kept):
+        if not d or not kept:
+            return [0] * len(kept)
+        row_bits = [0] * complex_like.n_simplices(d - 1)
+        for position, bit in zip(below, complex_like.powers(len(below))):
+            row_bits[position] = bit
+        return face_masks(face_columns(complex_like, d), row_bits, kept)
+
+    below, order, above = ranked(p - 1), ranked(p), ranked(p + 1)
+    owners, deaths = {}, []
+    for c, q in zip(columns(p + 1, order, above), above):
+        while c:
+            low = c.bit_length() - 1
+            other = owners.get(low)
+            if other is None:
+                owners[low] = c
+                deaths.append(q)
+                break
+            c ^= other
+    kept = [q for j, q in enumerate(order) if j not in owners] if owners else order
+    cycles, reduced = {}, {}
+    bit_at = complex_like.powers(complex_like.n_simplices(p))
+    for c, q in zip(columns(p, below, kept), kept):
+        v = bit_at[q]
+        while c:
+            low = c.bit_length() - 1
+            other = reduced.get(low)
+            if other is None:
+                reduced[low] = (c, v)
+                break
+            c ^= other[0]
+            v ^= other[1]
+        else:
+            cycles[q] = v
+    return zip(map(order.__getitem__, owners), deaths), cycles
+
+
+def site_cycles_by_flags(complex_like, site, p, members=None, radius=math.inf):
+    """Essential cycles of a site's filtration, the ball and the members
+    ANDed into one flag list per dimension before the kernel ranks them."""
+    n_p = complex_like.n_simplices(p)
+    if n_p == 0:
+        return (), ()
+    dist = distances_from(complex_like.cloud.point(site), complex_like.cloud.columns)
+    r = [[dist[v] for v, in complex_like.simplices(0)]]
+    for d in range(1, min(p + 1, complex_like.max_dim) + 1):
+        below, faces = r[-1], face_columns(complex_like, d)
+        r.append([below[i] if below[i] >= below[j] else below[j] for i, j in zip(faces[0], faces[-1])])
+    if radius < math.inf:
+        ball = [[x <= radius for x in rd] for rd in r]
+        members = ball if members is None else [[m and b for m, b in zip(*mb)] for mb in zip(members, ball)]
+    _, cycles = kernel_with_keys(complex_like, r, p, members)
+    return tuple(ChainVector(n_p, mask=v) for v in cycles.values()), tuple(r[p][q] for q in cycles)
+
+
+def intervals_by_keys(filtration, p):
+    at = filtration.indices
+    pairs, cycles = kernel_with_keys(filtration.complex, at, p)
+    ends = [(at[p][b], at[p + 1][d]) for b, d in pairs] + [(at[p][q], None) for q in cycles]
+    return sorted(ends)
+
+
+@st.composite
+def ranked_inputs(draw):
+    """(filtration, p): small filtered complexes at p = 0, 1, 2, four-hole
+    meshes in a lower-star filtration along a drawn direction, and Rips
+    filtrations of annulus samples."""
+    kind = draw(st.sampled_from(["filtered", "mesh", "annulus"]))
+    if kind == "filtered":
+        return draw(filtered_complexes(max_dim=3)), draw(st.sampled_from((0, 1, 2)))
+    if kind == "mesh":
+        complex_ = draw(four_hole_meshes())
+        a, b = draw(st.tuples(*[st.integers(-3, 3)] * 2))
+        return lower_star_filtration(complex_, [a * x + b * y for x, y in complex_.cloud.coords]), 1
+    cloud = PointCloud(annulus_points(draw(st.integers(8, 30)), draw(st.integers(0, 2**16))))
+    return rips_filtration(cloud, draw(st.sampled_from((0.4, 0.6, 0.8))), 2), draw(st.sampled_from((0, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ranked_inputs(), st.data())
+def test_kernel_ranked_by_its_callers_matches_the_flag_kernel(args, data):
+    """Unrestricted, in a birth prefix, in a ball, and in both: the same
+    chains and bitwise the same radii as the kernel that took keys and
+    flags; and compute_persistence gives the same intervals."""
+    filtration, p = args
+    complex_ = filtration.complex
+    site = data.draw(st.sampled_from(sorted(complex_.vertex_ids())))
+    members = filtration.prefix(data.draw(st.integers(0, len(filtration) - 1)))
+    dist = distances_from(complex_.cloud.point(site), complex_.cloud.columns)
+    # the cut sits exactly at a simplex's r, where <= and < part
+    radius = data.draw(st.sampled_from(sorted({max(dist[v] for v in s) for s in complex_.all_simplices()})))
+    for given_members, given_radius in itertools.product((None, members), (math.inf, radius)):
+        cycles, radii = site_essential_cycles(complex_, site, p, given_members, given_radius)
+        expect, expect_radii = site_cycles_by_flags(complex_, site, p, given_members, given_radius)
+        assert cycles == expect
+        assert [r.hex() for r in radii] == [r.hex() for r in expect_radii]
+    assert [(iv.birth, iv.death) for iv in compute_persistence(filtration, p).intervals] == intervals_by_keys(filtration, p)

@@ -900,6 +900,23 @@ def test_shorten_requires_dimension_one():
         shorten_cycle(res, inst.complex)
 
 
+def test_shorten_keeps_a_bar_representative_in_its_birth_prefix():
+    filtration = rips_filtration(PointCloud(annulus_points(24, 0)), 0.6, 2)
+    complex_ = filtration.complex
+    (rep,) = opt_persistent_basis(compute_persistence(filtration, 1))
+    birth = rep.interval.birth
+
+    def latest(result):
+        return max(filtration.index_of(e) for e in complex_.chain_simplices(result.cycle, 1))
+
+    # shortened in the whole complex, the representative takes an edge born after the bar
+    whole = [[True] * complex_.n_simplices(d) for d in range(complex_.max_dim + 1)]
+    assert latest(shorten_cycle(rep, complex_, whole)) > birth
+    with pytest.raises(ValueError, match="birth prefix"):
+        shorten_cycle(rep, complex_)
+    assert latest(shorten_cycle(rep, complex_, filtration.prefix(birth))) <= birth
+
+
 def test_shorten_empty_cycle_noop():
     inst = fixtures.filled_triangle()
     res = opt_homologous_cycle(inst.complex, inst.loop, 1)

@@ -10,6 +10,7 @@ from oracles import brute_min_enclosing_radius, lstsq_min_enclosing_sphere, site
 
 from cyclerad.radius import (
     SphereCertificate,
+    _circumsphere,
     chain_vertices,
     exact_radius,
     _sphere_of_boundary,
@@ -46,6 +47,19 @@ def test_collinear_points_sphere():
     cert = min_enclosing_sphere([(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)])
     assert cert.radius == pytest.approx(1.5, rel=REL)
     assert cert.center == pytest.approx((1.5, 0.0), rel=REL)
+
+
+@pytest.mark.parametrize("points, radius", [
+    ([(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)], 1.5),  # collinear in 2-D
+    ([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)], 1.0),  # concyclic in 3-D
+])
+def test_dependent_boundary_falls_back_to_its_subsets(points, radius):
+    boundary = list(range(len(points)))
+    assert _circumsphere(points, boundary) is None
+    center, got = _sphere_of_boundary(points, boundary)
+    expected, _ = brute_min_enclosing_radius(points)
+    assert got == pytest.approx(expected, rel=REL) and got == pytest.approx(radius, rel=REL)
+    assert all(within_radius(x, got) for x in distances_from(center, zip(*points)))
 
 
 def test_interior_point_does_not_matter():
