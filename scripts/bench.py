@@ -23,6 +23,11 @@ points get more samples, so each has as fair a chance as a large one at a
 quiet spell. The largest point of each ladder also runs once in a fresh
 interpreter of its own, which reports its peak RSS: the memory of that one
 request, imports included.
+Each point also runs once more, untimed, with two work counts switched on:
+kernel_calls, the calls of the per-site kernel (`optimize._site_essential_cycles`),
+and point_distances, the summed length of the `distances_from` rows that
+`optimize`, `filtrations` and `radius` compute. Both are deterministic, so
+they compare two packages exactly where the times cannot.
 The import time is the median wall time of fresh `import cyclerad.cli`
 processes, next to a bare interpreter's, with their peak RSS.
 """
@@ -38,7 +43,9 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import ExitStack
 from pathlib import Path
+from unittest.mock import patch
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -54,6 +61,7 @@ ANNULUS_SEED = 5
 # package; --quick takes QUICK_COUNTS
 COUNTS = (5, 3, 0.5, 21)
 QUICK_COUNTS = (1, 1, 0.0, 3)
+WORK_COUNTS = ("kernel_calls", "point_distances")
 
 
 def _timed(fn) -> float:
@@ -84,6 +92,31 @@ def last_finite_bar(filtration):
 
     finite = [iv for iv in compute_persistence(filtration, 1).intervals if iv.death is not None]
     return max(finite, key=lambda iv: iv.death)
+
+
+def work_counts(fn) -> dict[str, int]:
+    """WORK_COUNTS of one call of fn: the site kernel's calls, and the points
+    of every distances_from row, wrapped where each module binds them."""
+    from cyclerad import filtrations, optimize, radius
+
+    counts = dict.fromkeys(WORK_COUNTS, 0)
+    kernel, distances = optimize._site_essential_cycles, optimize.distances_from
+
+    def counted_kernel(*args, **kwargs):
+        counts["kernel_calls"] += 1
+        return kernel(*args, **kwargs)
+
+    def counted_distances(center, columns):
+        row = distances(center, columns)
+        counts["point_distances"] += len(row)
+        return row
+
+    with ExitStack() as stack:
+        stack.enter_context(patch.object(optimize, "_site_essential_cycles", counted_kernel))
+        for module in (optimize, filtrations, radius):
+            stack.enter_context(patch.object(module, "distances_from", counted_distances))
+        fn()
+    return counts
 
 
 # The child reports its own high-water mark: wait4's ru_maxrss would carry
@@ -128,7 +161,8 @@ def run_ladders(work: Path, quick: bool) -> dict:
             workloads.write_simplices(cyc, outer)
             argv = argv_of(off, cyc)
             rows.append({"vertices": len(coords), "simplices": workloads._mesh_simplices(coords, tris),
-                         "samples": _samples(lambda: request(argv), repeats, seconds)})
+                         "samples": _samples(lambda: request(argv), repeats, seconds),
+                         **work_counts(lambda: request(argv))})
         request_peak(rows, argv)
 
     mesh("mesh-localize", LOCALIZE_GRIDS, workloads._centre_hole, 1,
@@ -142,7 +176,8 @@ def run_ladders(work: Path, quick: bool) -> dict:
         filtration = circle_rips(n)
         target = last_finite_bar(filtration)
         rows.append({"points": n, "simplices": len(filtration), "rips_s": rips_s,
-                     "samples": _samples(lambda: opt_pers_hom_rep(filtration, target), repeats, seconds)})
+                     "samples": _samples(lambda: opt_pers_hom_rep(filtration, target), repeats, seconds),
+                     **work_counts(lambda: opt_pers_hom_rep(filtration, target))})
     rows[-1]["peak_rss_mb"] = fresh_peak_rss_mb(
         f"import sys\nsys.path.insert(0, {str(ROOT / 'scripts')!r})\nfrom bench import circle_rips, last_finite_bar\n"
         f"from cyclerad.optimize import opt_pers_hom_rep\nf = circle_rips({n})\nopt_pers_hom_rep(f, last_finite_bar(f))")
@@ -153,7 +188,8 @@ def run_ladders(work: Path, quick: bool) -> dict:
         workloads.write_points(pts, workloads.annulus_points(n, workloads._rng(ANNULUS_SEED)))
         argv = ["persistent", "--points", str(pts), "--rips", repr(scale)]
         rows.append({"points": n, "scale": scale,
-                     "samples": _samples(lambda: request(argv), repeats, seconds)})
+                     "samples": _samples(lambda: request(argv), repeats, seconds),
+                     **work_counts(lambda: request(argv))})
     request_peak(rows, argv)
     return ladders
 
@@ -182,7 +218,8 @@ def worker(src: Path, quick: bool) -> dict:
 
 
 def merge(columns: dict[str, list[dict]]) -> dict:
-    """One row per ladder point: its size, each column's fastest seconds, per
+    """One row per ladder point: its size, each column's fastest seconds and
+    work counts (a list of each round's count where the rounds differ), per
     column the ratio to the previous point, and on the largest point each
     column's largest peak RSS. With a parent column, change_over_parent is
     the median over rounds of the change/parent ratio of the round's fastest
@@ -194,9 +231,12 @@ def merge(columns: dict[str, list[dict]]) -> dict:
     for name, rows in first.items():
         out = []
         for i, row in enumerate(rows):
-            entry = {k: v for k, v in row.items() if k not in ("samples", "rips_s", "peak_rss_mb")}
+            entry = {k: v for k, v in row.items() if k not in ("samples", "rips_s", "peak_rss_mb", *WORK_COUNTS)}
             for col, runs in columns.items():
                 entry[f"{col}_s"] = min(s for run in runs for s in run[name][i]["samples"])
+                for key in WORK_COUNTS:
+                    counts = [run[name][i][key] for run in runs]
+                    entry[f"{col}_{key}"] = counts[0] if len(set(counts)) == 1 else counts
                 if "peak_rss_mb" in row:
                     entry[f"{col}_peak_rss_mb"] = max(run[name][i]["peak_rss_mb"] for run in runs)
                 if "rips_s" in row:

@@ -283,13 +283,14 @@ def _clearing_reduction(
 
 
 def site_essential_cycles(
-    complex_like: EmbeddedComplex, site: int, p: int, members: Optional[Sequence[Sequence[bool]]] = None,
+    complex_like: EmbeddedComplex, dist: Sequence[float], p: int, members: Optional[Sequence[Sequence[bool]]] = None,
     radius: float = math.inf,
 ) -> tuple[tuple[ChainVector, ...], tuple[float, ...]]:
     """The essential p-cycles of the site's filtration, earliest first, as
     chains in the complex's canonical p-basis, with the r value each is born
-    at. The site's filtration ranks a simplex by the distance from the site
-    to its farthest vertex, ties broken by (dimension, lexicographic tuple).
+    at. dist holds the site's distance to each cloud point; the kernel
+    computes none. The site's filtration ranks a simplex by its farthest
+    vertex's distance, ties broken by (dimension, lexicographic tuple).
 
     Only the p- and (p+1)-columns are reduced. Each dimension is ranked on
     its own: a stable sort of the canonical (lexicographic) order by r is the
@@ -311,7 +312,6 @@ def site_essential_cycles(
     if p < 0:
         raise ValueError("dimension must be non-negative")
     n_p = complex_like.n_simplices(p)
-    dist = distances_from(complex_like.cloud.point(site), complex_like.cloud.columns)
     top = min(p + 1, complex_like.max_dim)
     r = [[dist[v] for v, in complex_like.simplices(0)]]  # per dimension, canonical order
     for d in range(1, top + 1):

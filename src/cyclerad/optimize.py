@@ -13,16 +13,19 @@ also the early stop of the class test that localize and the bars share
 (``_express_over``): a cycle admitted after the target lies in the span
 takes a leading position the target's reduction never reads.
 
-All three solvers share one best-first site search: per-site answers are
-minima over site-independent chain sets, so r_w >= r_v - |p_v - p_w|, and
-sites whose bound exceeds a cutoff (the best radius so far, or the last
-radius the basis greedy admits) are skipped. Every bar representative
-contains the bar's creator, so a bar's bounds start, exactly, at each site's
-distance to the creator's farthest vertex. Every answer, lowest-site-index
-tie-break included, is identical to visiting every site. Each solver does
-the work that does not depend on the site once, before its search: localize
-reduces the input against the boundaries, and the bar pass grows one
-boundary span in death order, which each site's trial extends, not copies.
+All three solvers share one best-first site search, ``_site_search``:
+per-site answers are minima over site-independent chain sets, so
+r_w >= r_v - |p_v - p_w|, and sites whose bound exceeds a cutoff (the best
+radius so far, or the last radius the basis greedy admits) are skipped.
+A visit computes the site's distances once: the kernel ranks by them, r_v
+is their max over the chain's vertices (``site_radius`` bit for bit), and
+the bounds rise by them. Every bar representative contains the bar's creator, so a
+bar's bounds start, exactly, at each site's distance to the creator's
+farthest vertex. Every answer, lowest-site-index tie-break included, is
+identical to visiting every site. Each solver does the work that does not
+depend on the site once, before its search: localize reduces the input
+against the boundaries, and the bar pass grows one boundary span in death
+order, which each site's trial extends, not copies.
 
 The basis greedy cannot admit a cycle born above its threshold, so after
 its first site it reads each site only inside the threshold ball (the
@@ -52,8 +55,8 @@ from .filtrations import site_essential_cycles as _site_essential_cycles
 from .radius import SphereCertificate, chain_vertices, exact_radius, site_radius
 from .z2 import ChainVector, IncrementalSpan
 
-# evaluate(site) -> (site radius, chain), closing over the site-invariant work
-SiteEvaluator = Callable[[int], tuple[float, ChainVector]]
+# evaluate(site, its distance to each cloud point) -> (site radius, chain)
+SiteEvaluator = Callable[[int, list[float]], tuple[float, Optional[ChainVector]]]
 
 
 def _chosen_sites(complex_like: EmbeddedComplex, sites: Optional[Sequence[int]]) -> list[int]:
@@ -103,48 +106,45 @@ def _result_for_cycle(
     return OptimalCycleResult(cycle, p, site, r_v, cert.radius, cert, interval)
 
 
-def _site_search(complex_like: EmbeddedComplex, sites: Optional[Sequence[int]],
-                 evaluate: Callable[[int], float], cutoff: Callable[[], float],
-                 contains: Sequence[int] = (), centred: bool = False) -> None:
-    """Evaluate sites by smallest lower bound, lowest index first, until every
-    remaining bound exceeds cutoff() by more than the membership tolerance;
-    when centred, the first site is the one nearest the centre of the sites'
-    bounding box (lowest index on a tie). evaluate(site) returns a radius r_v
-    with r_w >= r_v - |p_v - p_w|, and r_w >= |p_u - p_w| for every vertex u
-    in contains."""
+def _site_search(complex_like: EmbeddedComplex, sites: Optional[Sequence[int]], evaluate: SiteEvaluator,
+                 cutoff: Optional[Callable[[], float]] = None, contains: Sequence[int] = (),
+                 centred: bool = False) -> tuple[int, Optional[ChainVector]]:
+    """The one site search of every solver. Sites are visited by smallest
+    lower bound, lowest index first, until every remaining bound exceeds
+    cutoff() by more than the membership tolerance. cutoff defaults to the
+    best radius so far, and to -inf once that is 0 (a zero radius is the zero
+    chain, which nothing beats). When centred, the first site is the one
+    nearest the centre of the sites' bounding box (lowest index on a tie).
+
+    Each visit computes the site's distance to every cloud point once, as the
+    row dist, and calls evaluate(site, dist) -> (r_v, chain); r_v must satisfy
+    r_w >= r_v - |p_v - p_w|, and r_w >= |p_u - p_w| for every vertex u in
+    contains. The bounds, one per cloud point, are raised from the same row.
+    Returns the site and chain of the smallest (r_v, site)."""
     chosen = _chosen_sites(complex_like, sites)
-    columns = [[column[v] for v in chosen] for column in complex_like.cloud.columns]
-    bound = [0.0] * len(chosen)  # visited sites hold +inf
+    cloud = complex_like.cloud
+    bound = [math.inf] * cloud.n_points  # visited sites and points that are not chosen sites hold +inf
+    for v in chosen:
+        bound[v] = 0.0
     for u in contains:
-        # (u - w)^2 is (w - u)^2 bit for bit, so each bound is a site_radius value
-        bound = list(map(max, bound, distances_from(complex_like.cloud.point(u), columns)))
+        # (u - w)^2 is (w - u)^2 bit for bit, so each bound is a site radius
+        bound = list(map(max, bound, distances_from(cloud.point(u), cloud.columns)))
     if centred:
-        near = distances_from([(min(c) + max(c)) / 2 for c in columns], columns)
-        bound[near.index(min(near))] = -math.inf
+        box = [[column[v] for v in chosen] for column in cloud.columns]
+        near = distances_from([(min(c) + max(c)) / 2 for c in box], cloud.columns)
+        bound[min(chosen, key=near.__getitem__)] = -math.inf
+    best_r, best_site, best_chain = math.inf, -1, None
     while True:
-        k = bound.index(min(bound))
-        if bound[k] == math.inf or not within_radius(bound[k], cutoff()):
-            break
-        bound[k] = math.inf
-        r = evaluate(chosen[k])
-        near = distances_from(complex_like.cloud.point(chosen[k]), columns)
-        bound = [b if b >= r - x else r - x for b, x in zip(bound, near)]
-
-
-def _best_site(complex_like: EmbeddedComplex, sites: Optional[Sequence[int]], evaluate: SiteEvaluator,
-               contains: Sequence[int] = ()) -> tuple[int, ChainVector]:
-    """Site and chain with the lexicographically smallest (radius, site)."""
-    best = [math.inf, -1, None]  # (radius, site, chain)
-
-    def visit(site: int) -> float:
-        r, chain = evaluate(site)
-        if (r, site) < (best[0], best[1]):
-            best[:] = r, site, chain
-        return r
-
-    # a zero radius is the zero chain, reached first, so nothing can beat it
-    _site_search(complex_like, sites, visit, lambda: -math.inf if best[0] == 0.0 else best[0], contains)
-    return best[1], best[2]
+        site = bound.index(min(bound))
+        limit = cutoff() if cutoff else (-math.inf if best_r == 0.0 else best_r)
+        if bound[site] == math.inf or not within_radius(bound[site], limit):
+            return best_site, best_chain
+        bound[site] = math.inf
+        dist = distances_from(cloud.point(site), cloud.columns)
+        r, chain = evaluate(site, dist)
+        if (r, site) < (best_r, best_site):
+            best_r, best_site, best_chain = r, site, chain
+        bound = [b if b >= r - x else r - x for b, x in zip(bound, dist)]
 
 
 def describe_cycle(
@@ -161,10 +161,9 @@ def describe_cycle(
         _chosen_sites(complex_like, [site])  # raises unless the site is a vertex
     elif not cycle.is_zero():
         # every site's bound from the cycle's vertices is its r_v already
-        site, _ = _best_site(
-            complex_like, None, lambda v: (site_radius(complex_like, v, cycle, p), cycle),
-            chain_vertices(complex_like, cycle, p),
-        )
+        vertices = chain_vertices(complex_like, cycle, p)
+        site, _ = _site_search(complex_like, None, lambda v, dist: (max(map(dist.__getitem__, vertices)), cycle),
+                               contains=vertices)
     return _result_for_cycle(complex_like, cycle, p, site)
 
 
@@ -204,13 +203,13 @@ def opt_homologous_cycle(
     # the input less a boundary: its coordinates over a homology basis are the input's
     rest = ChainVector(n_p, mask=boundaries.reduce(cycle.mask)[0])
 
-    def evaluate(site: int) -> tuple[float, ChainVector]:
-        essential, _ = _site_essential_cycles(complex_like, site, p)
+    def evaluate(site: int, dist: list[float]) -> tuple[float, ChainVector]:
+        essential, _ = _site_essential_cycles(complex_like, dist, p)
         # essential cycles and boundaries together span every cycle
         out = ChainVector(n_p, mask=_express_over(boundaries, essential, rest))
-        return (0.0 if out.is_zero() else site_radius(complex_like, site, out, p)), out
+        return (0.0 if out.is_zero() else max(map(dist.__getitem__, chain_vertices(complex_like, out, p)))), out
 
-    site, out = _best_site(complex_like, sites, evaluate)
+    site, out = _site_search(complex_like, sites, evaluate)
     return _result_for_cycle(complex_like, out, p, site)
 
 
@@ -229,11 +228,11 @@ def opt_homology_basis(
     beta = None  # the homology rank, from the first site's full call
     boundaries = IncrementalSpan(complex_like.n_simplices(p), boundary_columns(complex_like, p))
 
-    def evaluate(site: int) -> float:
+    def evaluate(site: int, dist: list[float]) -> tuple[float, None]:
         nonlocal admitted, beta
         cut = threshold()
         # past the first site, a cycle born above the cut cannot be admitted
-        cycles, radii = _site_essential_cycles(complex_like, site, p, radius=cut)
+        cycles, radii = _site_essential_cycles(complex_like, dist, p, radius=cut)
         # classes form a matroid: the old greedy basis stands in for the old
         # pool, and no cycle born after its last entry can displace one;
         # a cycle the cut did not see die lies in the span of those before it
@@ -245,7 +244,7 @@ def opt_homology_basis(
         beta = len(cycles) if beta is None else beta
         assert len(admitted) == beta  # homology rank cannot depend on the site
         # the site's first essential cycle; with none born by the cut, its radius exceeds the cut
-        return next((r for c, r in zip(cycles, radii) if not boundaries.contains(c.mask)), cut)
+        return next((r for c, r in zip(cycles, radii) if not boundaries.contains(c.mask)), cut), None
 
     def threshold() -> float:
         # more sites only lower the last admitted radius, and a site bounded
@@ -285,8 +284,8 @@ def _bar_representatives(
                 span.add(column)
             entered = death + 1
 
-        def evaluate(site: int) -> tuple[float, ChainVector]:
-            essential, _ = _site_essential_cycles(complex_like, site, p, members)
+        def evaluate(site: int, dist: list[float]) -> tuple[float, ChainVector]:
+            essential, _ = _site_essential_cycles(complex_like, dist, p, members)
             alpha = next((j for j, c in enumerate(essential) if creator_bit in c), None)
             # the interval's class is born here, so some essential cycle meets it
             assert alpha is not None
@@ -297,9 +296,9 @@ def _bar_representatives(
                 others = [c ^ anchor if creator_bit in c else c for j, c in enumerate(essential) if j != alpha]
                 # the bar dies, so the span of every admitted cycle holds the anchor
                 out = anchor ^ ChainVector(span.n_rows, mask=_express_over(span, others, anchor))
-            return site_radius(complex_like, site, out, p), out
+            return max(map(dist.__getitem__, chain_vertices(complex_like, out, p))), out
 
-        site, out = _best_site(complex_like, sites, evaluate, interval.creator)
+        site, out = _site_search(complex_like, sites, evaluate, contains=interval.creator)
         reps[interval] = _result_for_cycle(complex_like, out, p, site, interval)
     return [reps[iv] for iv in intervals]
 

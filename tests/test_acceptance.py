@@ -7,7 +7,7 @@ import math
 import random
 import time
 
-from conftest import annulus_points
+from conftest import annulus_points, site_row
 from oracles import betti_by_rank, bounds_in_prefix, dense_from_columns, gf2_in_span, gf2_rank, mask_support
 
 from cyclerad import fixtures
@@ -76,7 +76,7 @@ def _random_filtration(rng: random.Random, max_simplices: int = 40) -> Filtratio
 def _random_cycle(rng: random.Random, complex_: EmbeddedComplex) -> ChainVector:
     """A 1-cycle assembled from essential cycles and boundaries of the lowest
     site's ordering; may be zero."""
-    essential, _unused = _site_essential_cycles(complex_, 0, 1)
+    essential, _unused = _site_essential_cycles(complex_, site_row(complex_, 0), 1)
     n_1 = complex_.n_simplices(1)
     parts = list(essential) + [ChainVector(n_1, mask=m) for m in boundary_columns(complex_, 1)]
     cycle = ChainVector(n_1, [])

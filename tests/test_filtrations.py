@@ -15,6 +15,7 @@ from conftest import (
     hollow_octahedra,
     loopy_complexes,
     point_clouds,
+    site_row,
 )
 from oracles import (
     betti_by_rank,
@@ -461,7 +462,7 @@ def assert_kernel_matches_full_persistence(complex_like, dims=(0, 1, 2, 3)):
     for site in range(complex_like.cloud.n_points):
         for p in dims:
             expect = essential_by_full_persistence(complex_like, site, p)
-            assert site_essential_cycles(complex_like, site, p) == expect
+            assert site_essential_cycles(complex_like, site_row(complex_like, site), p) == expect
 
 
 @settings(max_examples=60, deadline=None)
@@ -483,8 +484,8 @@ def test_site_essential_cycles_match_on_prefix_views(filtration, data):
     members = [[filtration.index_of(s) <= i for s in root.simplices(d)] for d in range(root.max_dim + 1)]
     cut = data.draw(st.floats(0.0, 9.0))
     for site, p, radius in itertools.product(range(root.cloud.n_points), (0, 1, 2, 3), (math.inf, cut)):
-        cycles, radii = site_essential_cycles(prefix, site, p, radius=radius)
-        masked, masked_radii = site_essential_cycles(root, site, p, members, radius)
+        cycles, radii = site_essential_cycles(prefix, site_row(prefix, site), p, radius=radius)
+        masked, masked_radii = site_essential_cycles(root, site_row(root, site), p, members, radius)
         assert masked == tuple(root.chain(prefix.chain_simplices(c, p), p) for c in cycles)
         assert list(map(float.hex, masked_radii)) == list(map(float.hex, radii))
 
@@ -495,7 +496,7 @@ def test_site_essential_cycles_match_the_numpy_kernel(complex_):
     """Plain-Python ranking gives the numpy-ranked kernel's cycles and radii."""
     for site in range(complex_.cloud.n_points):
         for p in (0, 1, 2, 3):
-            cycles, radii = site_essential_cycles(complex_, site, p)
+            cycles, radii = site_essential_cycles(complex_, site_row(complex_, site), p)
             assert ([c.mask for c in cycles], list(radii)) == numpy_site_essential_cycles(complex_, site, p)
 
 
@@ -516,12 +517,12 @@ def test_site_essential_cycles_cut_at_a_radius(args, data):
     the first essential radius and at a simplex's r, and is also inf."""
     complex_, p = args
     site = data.draw(st.sampled_from(sorted(complex_.vertex_ids())))
-    cycles, radii = site_essential_cycles(complex_, site, p)
-    dist = distances_from(complex_.cloud.point(site), complex_.cloud.columns)
+    dist = site_row(complex_, site)
+    cycles, radii = site_essential_cycles(complex_, dist, p)
     births = sorted({max(dist[v] for v in s) for d in (p - 1, p, p + 1) for s in complex_.simplices(d)})
     below = [x for x in births if x < radii[0]] + [math.nextafter(radii[0], -math.inf)] if radii else births
     for cut in (data.draw(st.sampled_from(below)), data.draw(st.sampled_from(births)), math.inf):
-        got, got_radii = site_essential_cycles(complex_, site, p, radius=cut)
+        got, got_radii = site_essential_cycles(complex_, dist, p, radius=cut)
         if cut == math.inf:
             assert (got, got_radii) == (cycles, radii)
         assert all(r <= cut for r in got_radii)
@@ -545,28 +546,29 @@ def test_site_essential_cycles_cut_returns_a_cycle_killed_beyond_the_cut():
     # the loop 0-1-2 is born at r = 1 and filled only by the cone from the far vertex 3
     complex_ = EmbeddedComplex(PointCloud([(0, 0), (1, 0), (0, 1), (5, 5)]), [(0, 1, 3), (1, 2, 3), (0, 2, 3)])
     loop = complex_.chain([(0, 1), (1, 2), (0, 2)], 1)
-    assert site_essential_cycles(complex_, 0, 1) == ((), ())
-    assert site_essential_cycles(complex_, 0, 1, radius=2.0) == ((loop,), (1.0,))
-    assert site_essential_cycles(complex_, 0, 1, radius=0.5) == ((), ())
+    assert site_essential_cycles(complex_, site_row(complex_, 0), 1) == ((), ())
+    assert site_essential_cycles(complex_, site_row(complex_, 0), 1, radius=2.0) == ((loop,), (1.0,))
+    assert site_essential_cycles(complex_, site_row(complex_, 0), 1, radius=0.5) == ((), ())
 
 
 def test_site_essential_cycles_keep_the_lexicographic_tie_break():
     # at side 3 every edge is bitwise 3.0 from every site
     inst = fixtures.hollow_triangle(3.0)
     assert_kernel_matches_full_persistence(inst.complex)
-    assert site_essential_cycles(inst.complex, 0, 1) == ((inst.loop,), (3.0,))
+    assert site_essential_cycles(inst.complex, site_row(inst.complex, 0), 1) == ((inst.loop,), (3.0,))
 
 
 def test_site_essential_cycles_at_and_above_the_top_dimension():
     filled = fixtures.filled_triangle().complex
     annulus = fixtures.annulus().complex
+    hollow = fixtures.hollow_triangle().complex
     # p = max_dim has no (p+1)-columns to clear with
     assert_kernel_matches_full_persistence(filled, dims=(2,))
     assert_kernel_matches_full_persistence(annulus, dims=(2,))
-    assert site_essential_cycles(filled, 0, 2) == ((), ())
-    assert site_essential_cycles(fixtures.hollow_triangle().complex, 1, 2) == ((), ())
+    assert site_essential_cycles(filled, site_row(filled, 0), 2) == ((), ())
+    assert site_essential_cycles(hollow, site_row(hollow, 1), 2) == ((), ())
     with pytest.raises(ValueError, match="dimension must be non-negative"):
-        site_essential_cycles(filled, 0, -1)
+        site_essential_cycles(filled, site_row(filled, 0), -1)
 
 
 # -- the kernel against its earlier form, where it ranked its callers' subcomplexes --
@@ -671,11 +673,11 @@ def test_kernel_ranked_by_its_callers_matches_the_flag_kernel(args, data):
     complex_ = filtration.complex
     site = data.draw(st.sampled_from(sorted(complex_.vertex_ids())))
     members = filtration.prefix(data.draw(st.integers(0, len(filtration) - 1)))
-    dist = distances_from(complex_.cloud.point(site), complex_.cloud.columns)
+    dist = site_row(complex_, site)
     # the cut sits exactly at a simplex's r, where <= and < part
     radius = data.draw(st.sampled_from(sorted({max(dist[v] for v in s) for s in complex_.all_simplices()})))
     for given_members, given_radius in itertools.product((None, members), (math.inf, radius)):
-        cycles, radii = site_essential_cycles(complex_, site, p, given_members, given_radius)
+        cycles, radii = site_essential_cycles(complex_, dist, p, given_members, given_radius)
         expect, expect_radii = site_cycles_by_flags(complex_, site, p, given_members, given_radius)
         assert cycles == expect
         assert [r.hex() for r in radii] == [r.hex() for r in expect_radii]

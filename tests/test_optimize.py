@@ -1,5 +1,7 @@
 import math
+import tempfile
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,18 +17,22 @@ from conftest import (
     hollow_octahedra,
     holed_mesh,
     loopy_complexes,
+    site_row,
 )
 from oracles import bounds_in_prefix, gf2_in_span, mask_support, solve_by_reduction
 
-from cyclerad.complexes import EmbeddedComplex, PointCloud, boundary_columns, distances_from
+from cyclerad.complexes import EmbeddedComplex, PointCloud, boundary_columns, distances_from, within_radius
 from cyclerad.filtrations import Filtration, compute_persistence, lower_star_filtration, rips_filtration
+from cyclerad.io import read_filtration
 from cyclerad.optimize import (
     HomologyBasisResult,
     _bar_representatives,
-    _best_site,
     _bfs_tree,
+    _chosen_sites,
+    _express_over,
     _result_for_cycle,
     _site_essential_cycles,
+    _site_search,
     _tree_path,
     describe_cycle,
     opt_homologous_cycle,
@@ -35,7 +41,7 @@ from cyclerad.optimize import (
     opt_persistent_basis,
     shorten_cycle,
 )
-from cyclerad.radius import exact_radius, site_radius
+from cyclerad.radius import chain_vertices, exact_radius, site_radius
 from cyclerad.z2 import ChainVector, IncrementalSpan
 from cyclerad import fixtures
 
@@ -146,7 +152,7 @@ def every_cycle_localize(complex_, cycle, p):
     best = None
     for site in sorted(complex_.vertex_ids()):
         span = IncrementalSpan(n_p, base=boundaries)
-        for c in _site_essential_cycles(complex_, site, p)[0]:
+        for c in _site_essential_cycles(complex_, site_row(complex_, site), p)[0]:
             span.add(c.mask, c.mask)
         rest, tag = span.reduce(cycle.mask)
         assert rest == 0
@@ -162,7 +168,7 @@ def loopy_complex_with_cycle(draw):
     """A loopy complex plus a sum of essential cycles of the lowest site."""
     complex_ = draw(loopy_complexes())
     cycle = ChainVector(complex_.n_simplices(1))
-    for c in _site_essential_cycles(complex_, 0, 1)[0]:
+    for c in _site_essential_cycles(complex_, site_row(complex_, 0), 1)[0]:
         if draw(st.booleans()):
             cycle = cycle ^ c
     return complex_, cycle
@@ -282,7 +288,7 @@ def exhaustive_basis(complex_, p, sites=None):
     chosen = sorted(set(complex_.vertex_ids() if sites is None else sites))
     pool = []
     for v in chosen:
-        cycles, radii = _site_essential_cycles(complex_, v, p)
+        cycles, radii = _site_essential_cycles(complex_, site_row(complex_, v), p)
         pool += [(r, v, k, c) for k, (c, r) in enumerate(zip(cycles, radii))]
     pool.sort(key=lambda t: t[:3])
     span = IncrementalSpan(complex_.n_simplices(p), boundary_columns(complex_, p))
@@ -334,15 +340,16 @@ def test_basis_tie_at_a_tight_lower_bound_is_not_skipped():
 
 def record_kernel_calls(monkeypatch):
     """Replace the per-site kernel by one that also lists (site, radius) of
-    each call, and return the list."""
+    each call, and return the list. The site is the one point its row puts
+    at distance 0, as the points are distinct."""
     import cyclerad.optimize as optimize
 
     calls = []
     original = optimize._site_essential_cycles
 
-    def kernel(complex_, site, p, *args, **kwargs):
-        calls.append((site, kwargs.get("radius", math.inf)))
-        return original(complex_, site, p, *args, **kwargs)
+    def kernel(complex_, dist, p, *args, **kwargs):
+        calls.append((dist.index(0.0), kwargs.get("radius", math.inf)))
+        return original(complex_, dist, p, *args, **kwargs)
 
     monkeypatch.setattr(optimize, "_site_essential_cycles", kernel)
     return calls
@@ -350,7 +357,7 @@ def record_kernel_calls(monkeypatch):
 
 def ball_size(complex_, site, radius):
     """The simplices of the complex with every vertex within radius of the site."""
-    dist = distances_from(complex_.cloud.point(site), complex_.cloud.columns)
+    dist = site_row(complex_, site)
     return sum(all(dist[v] <= radius for v in s) for s in complex_.all_simplices())
 
 
@@ -410,7 +417,7 @@ def test_first_essential_radius_is_lipschitz_in_the_site(complex_):
     for p in (1, 2):
         first = {}
         for v in complex_.vertex_ids():
-            _, radii = _site_essential_cycles(complex_, v, p)
+            _, radii = _site_essential_cycles(complex_, site_row(complex_, v), p)
             if radii:
                 first[v] = radii[0]
         for v, r_v in first.items():
@@ -582,7 +589,7 @@ def birth_prefix_candidates(filtration, interval, site):
         for d in range(interval.dim + 2)
     ]
     creator = complex_.position(interval.creator)
-    essential, _ = _site_essential_cycles(complex_, site, interval.dim, members)
+    essential, _ = _site_essential_cycles(complex_, site_row(complex_, site), interval.dim, members)
     alpha = next(j for j, c in enumerate(essential) if creator in c)
     anchor = essential[alpha]
     return anchor, [c ^ anchor if creator in c else c for j, c in enumerate(essential) if j != alpha]
@@ -723,10 +730,11 @@ def test_persistent_basis_builds_the_boundary_table_once(monkeypatch):
     assert calls == []
 
 
-def per_bar_representative(filtration, interval):
-    """The bar pass one bar at a time, as it was before the bars shared a
-    span: each site reduces against a fresh span of the boundaries born by
-    the death, entered in canonical order as bounds_born_by_death lists them."""
+def per_bar_evaluator(filtration, interval):
+    """The bar pass's evaluate(site) -> (r_v, chain) one bar at a time, as it
+    was before the bars shared a span: each site reduces against a fresh span
+    of the boundaries born by the death, entered in canonical order as
+    bounds_born_by_death lists them."""
     complex_, p = filtration.complex, interval.dim
     n_p = complex_.n_simplices(p)
     death_bounds = None if interval.death is None else [c.mask for c in bounds_born_by_death(filtration, interval)]
@@ -745,8 +753,14 @@ def per_bar_representative(filtration, interval):
             out = anchor ^ ChainVector(n_p, mask=tag)
         return site_radius(complex_, site, out, p), out
 
-    site, out = _best_site(complex_, None, evaluate, interval.creator)
-    return _result_for_cycle(complex_, out, p, site, interval)
+    return evaluate
+
+
+def per_bar_representative(filtration, interval):
+    """The bar's representative from per_bar_evaluator's answers."""
+    evaluate = per_bar_evaluator(filtration, interval)
+    site, out = _site_search(filtration.complex, None, lambda site, dist: evaluate(site), contains=interval.creator)
+    return _result_for_cycle(filtration.complex, out, interval.dim, site, interval)
 
 
 @settings(max_examples=40, deadline=None)
@@ -810,6 +824,205 @@ def test_a_site_that_is_not_a_vertex_is_rejected(solver, site):
     }[solver]
     with pytest.raises(ValueError, match=f"^site {site} is not a vertex of the complex$"):
         run()
+
+
+# -- the site search against its earlier form ----------------------------------
+
+
+def parent_site_search(complex_like, sites, evaluate, cutoff, visits, contains=(), centred=False):
+    """The site search as it was: bounds for the chosen sites only, each
+    visit recomputing the site's distances; evaluate(site) -> r_v. Appends
+    (site, r_v.hex()) to visits per evaluation."""
+    chosen = _chosen_sites(complex_like, sites)
+    columns = [[column[v] for v in chosen] for column in complex_like.cloud.columns]
+    bound = [0.0] * len(chosen)
+    for u in contains:
+        bound = list(map(max, bound, distances_from(complex_like.cloud.point(u), columns)))
+    if centred:
+        near = distances_from([(min(c) + max(c)) / 2 for c in columns], columns)
+        bound[near.index(min(near))] = -math.inf
+    while True:
+        k = bound.index(min(bound))
+        if bound[k] == math.inf or not within_radius(bound[k], cutoff()):
+            break
+        bound[k] = math.inf
+        r = evaluate(chosen[k])
+        visits.append((chosen[k], r.hex()))
+        near = distances_from(complex_like.cloud.point(chosen[k]), columns)
+        bound = [b if b >= r - x else r - x for b, x in zip(bound, near)]
+
+
+def parent_best_site(complex_like, sites, evaluate, visits, contains=()):
+    """_best_site as it was: evaluate(site) -> (r_v, chain), the search cut
+    at the best radius so far, and the (r_v, site)-least site and chain."""
+    best = [math.inf, -1, None]
+
+    def visit(site):
+        r, chain = evaluate(site)
+        if (r, site) < (best[0], best[1]):
+            best[:] = r, site, chain
+        return r
+
+    parent_site_search(complex_like, sites, visit, lambda: -math.inf if best[0] == 0.0 else best[0], visits, contains)
+    return best[1], best[2]
+
+
+def parent_kernel(complex_like, site, p, *args, **kwargs):
+    """The kernel as it was called, by site, computing the site's row itself;
+    its ranking and reduction are held to their earlier form in
+    test_filtrations.py."""
+    return _site_essential_cycles(complex_like, site_row(complex_like, site), p, *args, **kwargs)
+
+
+def parent_localize(complex_, cycle, p, sites, visits):
+    n_p = complex_.n_simplices(p)
+    boundaries = IncrementalSpan(n_p, boundary_columns(complex_, p))
+    rest = ChainVector(n_p, mask=boundaries.reduce(cycle.mask)[0])
+
+    def evaluate(site):
+        essential, _ = parent_kernel(complex_, site, p)
+        out = ChainVector(n_p, mask=_express_over(boundaries, essential, rest))
+        return (0.0 if out.is_zero() else site_radius(complex_, site, out, p)), out
+
+    site, out = parent_best_site(complex_, sites, evaluate, visits)
+    return _result_for_cycle(complex_, out, p, site)
+
+
+def parent_basis(complex_, p, sites, visits):
+    admitted = None
+    boundaries = IncrementalSpan(complex_.n_simplices(p), boundary_columns(complex_, p))
+
+    def evaluate(site):
+        nonlocal admitted
+        cut = threshold()
+        cycles, radii = parent_kernel(complex_, site, p, radius=cut)
+        fresh = [(r, site, k, c) for k, (c, r) in enumerate(zip(cycles, radii))]
+        if fresh or admitted is None:
+            pool = sorted((admitted or []) + fresh, key=lambda t: t[:3])
+            span = IncrementalSpan(boundaries.n_rows, base=boundaries)
+            admitted = [t for t in pool if span.add(t[3].mask)]
+        return next((r for c, r in zip(cycles, radii) if not boundaries.contains(c.mask)), cut)
+
+    def threshold():
+        if admitted is None:
+            return math.inf
+        return admitted[-1][0] if admitted else -math.inf
+
+    parent_site_search(complex_, sites, evaluate, threshold, visits, centred=True)
+    return tuple(_result_for_cycle(complex_, c, p, v) for _, v, _, c in admitted)
+
+
+def record_site_search(monkeypatch, visits):
+    """Wrap optimize._site_search so that each evaluation checks it got its
+    own site's row and appends (site, r_v.hex()) to visits."""
+    import cyclerad.optimize as optimize
+
+    search = optimize._site_search
+
+    def traced_search(complex_like, sites, evaluate, *args, **kwargs):
+        def traced(site, dist):
+            assert dist == site_row(complex_like, site)
+            r, chain = evaluate(site, dist)
+            visits.append((site, r.hex()))
+            return r, chain
+
+        return search(complex_like, sites, traced, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "_site_search", traced_search)
+
+
+def search_key(result):
+    return result.site, result.r_v.hex(), result.cycle
+
+
+@st.composite
+def with_stray_points(draw, complex_):
+    """The complex in a lower-star filtration along x - 2y, read back by
+    read_filtration from a cloud that holds one to three more points in no
+    simplex, at drawn indices."""
+    points = [("vertex", v) for v in range(complex_.cloud.n_points)]
+    cells = draw(st.lists(st.tuples(st.integers(-1, 12), st.integers(-1, 12)), min_size=1, max_size=3, unique=True))
+    for i, j in cells:
+        # no vertex, apex included, has a coordinate at j + 3/8
+        points.insert(draw(st.integers(0, len(points))), ("stray", (i + 0.5, j + 0.375)))
+    cloud = PointCloud([complex_.cloud.point(x) if kind == "vertex" else x for kind, x in points])
+    new_id = {x: k for k, (kind, x) in enumerate(points) if kind == "vertex"}
+    filtration = lower_star_filtration(complex_, [x - 2 * y for x, y in complex_.cloud.coords])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "stray.flt"
+        path.write_text("".join(f"{value!r} {' '.join(str(new_id[v]) for v in s)}\n"
+                                for s, value in zip(filtration.order, filtration.values)))
+        return read_filtration(path, cloud)
+
+
+@st.composite
+def site_search_inputs(draw):
+    """A filtration of a loopy complex or a four-hole mesh (lower-star along
+    a drawn direction), of annulus points (Rips), or read from a file whose
+    cloud has points in no simplex."""
+    kind = draw(st.sampled_from(["loopy", "mesh", "annulus", "stray"]))
+    if kind == "annulus":
+        return draw(annulus_rips())
+    complex_ = draw(loopy_complexes() if kind == "loopy" else four_hole_meshes(max_k=10))
+    if kind == "stray":
+        return draw(with_stray_points(complex_))
+    a, b = draw(st.tuples(*[st.integers(-3, 3)] * 2))
+    return lower_star_filtration(complex_, [a * x + b * y for x, y in complex_.cloud.coords])
+
+
+@settings(max_examples=40, deadline=None)
+@given(site_search_inputs(), st.data())
+def test_every_solver_matches_the_earlier_site_search(filtration, data):
+    """Localize and basis over every site and a drawn subset (basis from the
+    centred start), one bar, and describe_cycle visit the same sites in the
+    same order with bitwise the same r_v, and answer with the same site,
+    r_v and chain, as the search that recomputed each site's distances; each
+    evaluation gets its own site's row, and no point outside a simplex or
+    outside the subset is ever visited."""
+    complex_ = filtration.complex
+    vertices = sorted(complex_.vertex_ids())
+    subset = data.draw(st.lists(st.sampled_from(vertices), min_size=1, unique=True))
+    cycle = ChainVector(complex_.n_simplices(1))
+    for c in parent_kernel(complex_, vertices[0], 1)[0]:
+        if data.draw(st.booleans()):
+            cycle = cycle ^ c
+    bars = compute_persistence(filtration, 1).bars()
+    bar = data.draw(st.sampled_from(bars)) if bars else None
+
+    def parent_bar(visits):
+        evaluate = per_bar_evaluator(filtration, bar)
+        site, out = parent_best_site(complex_, None, evaluate, visits, bar.creator)
+        return [_result_for_cycle(complex_, out, 1, site, bar)]
+
+    def parent_describe(visits):
+        def evaluate(v):
+            return site_radius(complex_, v, cycle, 1), cycle
+
+        site, _ = parent_best_site(complex_, None, evaluate, visits, chain_vertices(complex_, cycle, 1))
+        return [_result_for_cycle(complex_, cycle, 1, site)]
+
+    # (sites a search may visit, the solver's results, their earlier form appending to a visit list)
+    runs = []
+    for sites in (None, subset):
+        runs += [
+            (sites or vertices, lambda s=sites: [opt_homologous_cycle(complex_, cycle, 1, s)],
+             lambda visits, s=sites: [parent_localize(complex_, cycle, 1, s, visits)]),
+            (sites or vertices, lambda s=sites: opt_homology_basis(complex_, 1, s).cycles,
+             lambda visits, s=sites: parent_basis(complex_, 1, s, visits)),
+        ]
+    if bar is not None:
+        runs.append((vertices, lambda: [opt_pers_hom_rep(filtration, bar)], parent_bar))
+    if not cycle.is_zero():
+        runs.append((vertices, lambda: [describe_cycle(complex_, cycle, 1)], parent_describe))
+    for allowed, solve, parent in runs:
+        visits, expect_visits = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            record_site_search(mp, visits)
+            got = solve()
+        expect = parent(expect_visits)
+        assert visits == expect_visits
+        assert {site for site, _ in visits} <= set(allowed)
+        assert list(map(search_key, got)) == list(map(search_key, expect))
 
 
 def test_persistent_basis_empty_when_no_bars():
