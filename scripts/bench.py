@@ -12,7 +12,9 @@ Ladders (inputs from perfbench/workloads.py, so they match the benchmark's):
 - rips-circle-bar: one representative of the last-dying 1-bar on the Rips
   filtration of a circle sample (4n simplices for n points), 1,600 to
   12,800 simplices; the Rips construction is timed on its own;
-- annulus-persistent: `persistent` of annulus samples, 40 to 640 points.
+- annulus-persistent: `persistent` of annulus samples, 40 to 640 points,
+  each the first sample of its size with a positive-length 1-bar, so that
+  every point runs the bar pass.
 Requests run through `cyclerad.cli.main` in a worker process per package, so
 the two copies never share an interpreter. Workers alternate between the
 packages round by round, and each point keeps the fastest of its samples: on
@@ -34,6 +36,7 @@ processes, next to a bare interpreter's, with their peak RSS.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -92,6 +95,19 @@ def last_finite_bar(filtration):
 
     finite = [iv for iv in compute_persistence(filtration, 1).intervals if iv.death is not None]
     return max(finite, key=lambda iv: iv.death)
+
+
+def annulus_sample(n: int, scale: float):
+    """n annulus points from _rng(ANNULUS_SEED) or, while the sample's Rips
+    filtration at the scale has no positive-length 1-bar, from
+    _rng(ANNULUS_SEED, attempt) for attempt 1, 2, ... (perfbench/ on sys.path)."""
+    import workloads
+
+    for attempt in itertools.count():
+        rng = workloads._rng(ANNULUS_SEED, attempt) if attempt else workloads._rng(ANNULUS_SEED)
+        coords = workloads.annulus_points(n, rng)
+        if workloads.positive_bars(*workloads.rips_order(coords, scale), 1):
+            return coords
 
 
 def work_counts(fn) -> dict[str, int]:
@@ -185,7 +201,7 @@ def run_ladders(work: Path, quick: bool) -> dict:
     rows = ladders["annulus-persistent"] = []
     for n, scale in pick(ANNULUS):
         pts = work / f"annulus_{n}.csv"
-        workloads.write_points(pts, workloads.annulus_points(n, workloads._rng(ANNULUS_SEED)))
+        workloads.write_points(pts, annulus_sample(n, scale))
         argv = ["persistent", "--points", str(pts), "--rips", repr(scale)]
         rows.append({"points": n, "scale": scale,
                      "samples": _samples(lambda: request(argv), repeats, seconds),

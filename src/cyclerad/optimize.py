@@ -18,8 +18,10 @@ per-site answers are minima over site-independent chain sets, so
 r_w >= r_v - |p_v - p_w|, and sites whose bound exceeds a cutoff (the best
 radius so far, or the last radius the basis greedy admits) are skipped.
 A visit computes the site's distances once: the kernel ranks by them, r_v
-is their max over the chain's vertices (``site_radius`` bit for bit), and
-the bounds rise by them. Every bar representative contains the bar's creator, so a
+is their max over the chain's vertices (``radius.site_radius`` bit for bit),
+and the bounds rise by them. The search returns the winner's r_v, so a
+result computes only its exact sphere; ``describe_cycle`` is the search with
+the chain fixed. Every bar representative contains the bar's creator, so a
 bar's bounds start, exactly, at each site's distance to the creator's
 farthest vertex. Every answer, lowest-site-index tie-break included, is
 identical to visiting every site. Each solver does the work that does not
@@ -52,11 +54,11 @@ from .complexes import (
 from .filtrations import Filtration, Interval, PersistenceResult
 # every solver calls the per-site kernel by this name, which perfbench/wrappers.json wraps
 from .filtrations import site_essential_cycles as _site_essential_cycles
-from .radius import SphereCertificate, chain_vertices, exact_radius, site_radius
+from .radius import SphereCertificate, chain_vertices, exact_radius
 from .z2 import ChainVector, IncrementalSpan
 
-# evaluate(site, its distance to each cloud point) -> (site radius, chain)
-SiteEvaluator = Callable[[int, list[float]], tuple[float, Optional[ChainVector]]]
+# evaluate(site, its distance to each cloud point, the cutoff the visit passed) -> (site radius, chain)
+SiteEvaluator = Callable[[int, list[float], float], tuple[float, Optional[ChainVector]]]
 
 
 def _chosen_sites(complex_like: EmbeddedComplex, sites: Optional[Sequence[int]]) -> list[int]:
@@ -92,23 +94,17 @@ class HomologyBasisResult(NamedTuple):
     total_weight: float
 
 
-def _result_for_cycle(
-    complex_like: EmbeddedComplex,
-    cycle: ChainVector,
-    p: int,
-    site: Optional[int],
-    interval: Optional[Interval] = None,
-) -> OptimalCycleResult:
-    if cycle.is_zero():
-        return OptimalCycleResult(cycle, p, site, 0.0, 0.0, SphereCertificate(None, 0.0, ()), interval)
+def _result_for_cycle(complex_like: EmbeddedComplex, cycle: ChainVector, p: int, site: Optional[int], r_v: float,
+                      interval: Optional[Interval] = None) -> OptimalCycleResult:
+    """The cycle with the r_v its solver measured at the site (0.0 for the
+    zero cycle, whose certificate is the empty one) and its exact sphere."""
     cert = exact_radius(complex_like, cycle, p)
-    r_v = site_radius(complex_like, site, cycle, p) if site is not None else cert.radius
     return OptimalCycleResult(cycle, p, site, r_v, cert.radius, cert, interval)
 
 
 def _site_search(complex_like: EmbeddedComplex, sites: Optional[Sequence[int]], evaluate: SiteEvaluator,
                  cutoff: Optional[Callable[[], float]] = None, contains: Sequence[int] = (),
-                 centred: bool = False) -> tuple[int, Optional[ChainVector]]:
+                 centred: bool = False) -> tuple[float, int, Optional[ChainVector]]:
     """The one site search of every solver. Sites are visited by smallest
     lower bound, lowest index first, until every remaining bound exceeds
     cutoff() by more than the membership tolerance. cutoff defaults to the
@@ -117,10 +113,11 @@ def _site_search(complex_like: EmbeddedComplex, sites: Optional[Sequence[int]], 
     nearest the centre of the sites' bounding box (lowest index on a tie).
 
     Each visit computes the site's distance to every cloud point once, as the
-    row dist, and calls evaluate(site, dist) -> (r_v, chain); r_v must satisfy
+    row dist, and calls evaluate(site, dist, cut) -> (r_v, chain), where cut
+    is the cutoff the site's bound was just tested against; r_v must satisfy
     r_w >= r_v - |p_v - p_w|, and r_w >= |p_u - p_w| for every vertex u in
     contains. The bounds, one per cloud point, are raised from the same row.
-    Returns the site and chain of the smallest (r_v, site)."""
+    Returns the r_v, site and chain of the smallest (r_v, site)."""
     chosen = _chosen_sites(complex_like, sites)
     cloud = complex_like.cloud
     bound = [math.inf] * cloud.n_points  # visited sites and points that are not chosen sites hold +inf
@@ -136,12 +133,12 @@ def _site_search(complex_like: EmbeddedComplex, sites: Optional[Sequence[int]], 
     best_r, best_site, best_chain = math.inf, -1, None
     while True:
         site = bound.index(min(bound))
-        limit = cutoff() if cutoff else (-math.inf if best_r == 0.0 else best_r)
-        if bound[site] == math.inf or not within_radius(bound[site], limit):
-            return best_site, best_chain
+        cut = cutoff() if cutoff else (-math.inf if best_r == 0.0 else best_r)
+        if bound[site] == math.inf or not within_radius(bound[site], cut):
+            return best_r, best_site, best_chain
         bound[site] = math.inf
         dist = distances_from(cloud.point(site), cloud.columns)
-        r, chain = evaluate(site, dist)
+        r, chain = evaluate(site, dist, cut)
         if (r, site) < (best_r, best_site):
             best_r, best_site, best_chain = r, site, chain
         bound = [b if b >= r - x else r - x for b, x in zip(bound, dist)]
@@ -153,18 +150,19 @@ def describe_cycle(
     p: int,
     site: Optional[int] = None,
 ) -> OptimalCycleResult:
-    """Measure a given cycle without optimizing it; with no site given, the
-    best site (smallest r_v, lowest index) is chosen."""
+    """Measure a given cycle without optimizing it: the site search over the
+    given site, or with none given over every site for the best one (smallest
+    r_v, lowest index). The zero cycle with no site given has no site."""
     if not complex_like.is_cycle(cycle, p):
         raise ValueError("chain is not a cycle")
-    if site is not None:
-        _chosen_sites(complex_like, [site])  # raises unless the site is a vertex
-    elif not cycle.is_zero():
-        # every site's bound from the cycle's vertices is its r_v already
-        vertices = chain_vertices(complex_like, cycle, p)
-        site, _ = _site_search(complex_like, None, lambda v, dist: (max(map(dist.__getitem__, vertices)), cycle),
-                               contains=vertices)
-    return _result_for_cycle(complex_like, cycle, p, site)
+    if site is None and cycle.is_zero():
+        return _result_for_cycle(complex_like, cycle, p, None, 0.0)
+    # every site's bound from the cycle's vertices is its r_v already
+    vertices = chain_vertices(complex_like, cycle, p)
+    r_v, site, _ = _site_search(complex_like, None if site is None else [site],
+                                lambda v, dist, cut: (max(map(dist.__getitem__, vertices), default=0.0), cycle),
+                                contains=vertices)
+    return _result_for_cycle(complex_like, cycle, p, site, r_v)
 
 
 def _express_over(span: IncrementalSpan, cycles: Sequence[ChainVector], target: ChainVector) -> int:
@@ -203,14 +201,14 @@ def opt_homologous_cycle(
     # the input less a boundary: its coordinates over a homology basis are the input's
     rest = ChainVector(n_p, mask=boundaries.reduce(cycle.mask)[0])
 
-    def evaluate(site: int, dist: list[float]) -> tuple[float, ChainVector]:
+    def evaluate(site: int, dist: list[float], cut: float) -> tuple[float, ChainVector]:
         essential, _ = _site_essential_cycles(complex_like, dist, p)
         # essential cycles and boundaries together span every cycle
         out = ChainVector(n_p, mask=_express_over(boundaries, essential, rest))
-        return (0.0 if out.is_zero() else max(map(dist.__getitem__, chain_vertices(complex_like, out, p)))), out
+        return max(map(dist.__getitem__, chain_vertices(complex_like, out, p)), default=0.0), out
 
-    site, out = _site_search(complex_like, sites, evaluate)
-    return _result_for_cycle(complex_like, out, p, site)
+    r_v, site, out = _site_search(complex_like, sites, evaluate)
+    return _result_for_cycle(complex_like, out, p, site, r_v)
 
 
 def opt_homology_basis(
@@ -228,9 +226,8 @@ def opt_homology_basis(
     beta = None  # the homology rank, from the first site's full call
     boundaries = IncrementalSpan(complex_like.n_simplices(p), boundary_columns(complex_like, p))
 
-    def evaluate(site: int, dist: list[float]) -> tuple[float, None]:
+    def evaluate(site: int, dist: list[float], cut: float) -> tuple[float, None]:
         nonlocal admitted, beta
-        cut = threshold()
         # past the first site, a cycle born above the cut cannot be admitted
         cycles, radii = _site_essential_cycles(complex_like, dist, p, radius=cut)
         # classes form a matroid: the old greedy basis stands in for the old
@@ -255,7 +252,8 @@ def opt_homology_basis(
 
     # a corner's first threshold ball would hold the whole complex; the centre's holds less
     _site_search(complex_like, sites, evaluate, threshold, centred=True)
-    cycles = tuple(_result_for_cycle(complex_like, c, p, v) for _, v, _, c in admitted)
+    # a cycle holds its creator and nothing born later, so its r is the max over its vertices
+    cycles = tuple(_result_for_cycle(complex_like, c, p, v, r) for r, v, _, c in admitted)
     return HomologyBasisResult(cycles, sum(x.r_v for x in cycles))
 
 
@@ -284,7 +282,7 @@ def _bar_representatives(
                 span.add(column)
             entered = death + 1
 
-        def evaluate(site: int, dist: list[float]) -> tuple[float, ChainVector]:
+        def evaluate(site: int, dist: list[float], cut: float) -> tuple[float, ChainVector]:
             essential, _ = _site_essential_cycles(complex_like, dist, p, members)
             alpha = next((j for j, c in enumerate(essential) if creator_bit in c), None)
             # the interval's class is born here, so some essential cycle meets it
@@ -298,8 +296,8 @@ def _bar_representatives(
                 out = anchor ^ ChainVector(span.n_rows, mask=_express_over(span, others, anchor))
             return max(map(dist.__getitem__, chain_vertices(complex_like, out, p))), out
 
-        site, out = _site_search(complex_like, sites, evaluate, contains=interval.creator)
-        reps[interval] = _result_for_cycle(complex_like, out, p, site, interval)
+        r_v, site, out = _site_search(complex_like, sites, evaluate, contains=interval.creator)
+        reps[interval] = _result_for_cycle(complex_like, out, p, site, r_v, interval)
     return [reps[iv] for iv in intervals]
 
 
@@ -449,7 +447,8 @@ def shorten_cycle(
 
     if cycle == result.cycle:
         return result
-    out = _result_for_cycle(complex_like, cycle, 1, result.site, result.interval)
+    r_v = max(map(dist.__getitem__, chain_vertices(complex_like, cycle, 1)), default=0.0)
+    out = _result_for_cycle(complex_like, cycle, 1, result.site, r_v, result.interval)
     assert out.r_v <= result.r_v
     assert len(out.cycle) <= len(result.cycle)
     return out

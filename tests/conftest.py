@@ -3,10 +3,11 @@ import os
 import random
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+import numpy as np
 from hypothesis import strategies as st
 
 from cyclerad.complexes import EmbeddedComplex, PointCloud, distances_from
@@ -69,6 +70,53 @@ def disk_holed_mesh(k, disks, seed):
     gone = {t for ts in removed for t in ts}
     loops = [sorted(e for e, n in Counter(e for t in ts for e in combinations(t, 2)).items() if n % 2) for ts in removed]
     return coords, [t for t in triangles if t not in gone], loops
+
+
+def _simplex_distance(point, corners):
+    """Distance from a point to the convex hull of affinely independent
+    corners: the least distance to a face's affine hull, over the faces
+    whose hull the point projects into."""
+    point, best = np.asarray(point, dtype=float), math.inf
+    for k in range(1, len(corners) + 1):
+        for face in combinations(np.asarray(corners, dtype=float), k):
+            edges = np.array(face[1:]).reshape(k - 1, len(point)) - face[0]
+            x = np.linalg.lstsq(edges.T, point - face[0], rcond=None)[0] if k > 1 else np.zeros(0)
+            if (x >= 0).all() and x.sum() <= 1:
+                best = min(best, float(np.linalg.norm(point - face[0] - x @ edges)))
+    return best
+
+
+def cavity_mesh(k, centre, radius, seed):
+    """A k x k x k grid of jittered unit cubes, each split into six
+    tetrahedra along its main diagonal (the Freudenthal triangulation), less
+    every tetrahedron that meets the closed ball (centre, radius). Returns
+    the points, the tetrahedra kept, and the cavity surface: the triangles
+    on one kept and one removed tetrahedron. The ball must lie far enough
+    inside the grid that no removed tetrahedron touches its boundary."""
+    rng = random.Random(seed)
+    coords = [(i + rng.uniform(-0.15, 0.15), j + rng.uniform(-0.15, 0.15), h + rng.uniform(-0.15, 0.15))
+              for h in range(k) for j in range(k) for i in range(k)]
+    steps = (1, k, k * k)  # the index offsets of the three axes
+    tetrahedra = []
+    for h in range(k - 1):
+        for j in range(k - 1):
+            for i in range(k - 1):
+                a = h * k * k + j * k + i
+                for x, y, _ in permutations(steps):
+                    tetrahedra.append(tuple(sorted((a, a + x, a + x + y, a + sum(steps)))))
+
+    def meets_ball(t):
+        corners = [coords[v] for v in t]
+        mid = [sum(c) / 4 for c in zip(*corners)]
+        # no point of the tetrahedron is farther from its centroid than a corner
+        if math.dist(mid, centre) > radius + max(math.dist(mid, c) for c in corners):
+            return False
+        return _simplex_distance(centre, corners) <= radius
+
+    removed = list(filter(meets_ball, tetrahedra))
+    gone = set(removed)
+    surface = sorted(f for f, n in Counter(f for t in removed for f in combinations(t, 3)).items() if n % 2)
+    return coords, [t for t in tetrahedra if t not in gone], surface
 
 
 def annulus_points(n, seed):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     annulus_points,
+    cavity_mesh,
     complex_with_cycle,
     disk_holed_mesh,
     embedded_complexes,
@@ -283,6 +284,13 @@ def test_basis_spans_and_is_independent(complex_):
     assert weights == sorted(weights)
 
 
+def measured_result(complex_, cycle, p, site, interval=None):
+    """The result with r_v measured by site_radius, as results were before the
+    site search handed them its radius."""
+    r_v = 0.0 if cycle.is_zero() else site_radius(complex_, site, cycle, p)
+    return _result_for_cycle(complex_, cycle, p, site, r_v, interval)
+
+
 def exhaustive_basis(complex_, p, sites=None):
     """The greedy over the essential cycles of every site, none skipped."""
     chosen = sorted(set(complex_.vertex_ids() if sites is None else sites))
@@ -293,7 +301,7 @@ def exhaustive_basis(complex_, p, sites=None):
     pool.sort(key=lambda t: t[:3])
     span = IncrementalSpan(complex_.n_simplices(p), boundary_columns(complex_, p))
     admitted = [
-        _result_for_cycle(complex_, c, p, v)
+        measured_result(complex_, c, p, v)
         for _, v, _, c in pool
         if span.add(c.mask)
     ]
@@ -468,6 +476,38 @@ def test_basis_meets_the_planted_hole_bounds(name):
     got = sorted(c.r_exact for c in opt_homology_basis(complex_, 1).cycles)
     assert len(got) == len(radii)
     assert all(rho <= r * (1 + REL) for rho, r in zip(sorted(radii), got))
+
+
+# (k, seed, centre, radius): a k x k x k jittered grid less every tetrahedron
+# that meets the ball (centre, radius), which lies well inside the grid
+CAVITY = (7, 1, (3.1, 2.9, 3.05), 1.2)
+
+
+def cavity_complex():
+    """The cavity mesh, the ball's radius, and the cavity surface as a chain."""
+    k, seed, centre, rho = CAVITY
+    coords, tetrahedra, surface = cavity_mesh(k, centre, rho, seed)
+    complex_ = EmbeddedComplex(PointCloud(coords), tetrahedra)
+    return complex_, rho, complex_.chain(surface, 2)
+
+
+def test_localize_meets_the_planted_cavity_bounds():
+    """The p = 2 form of the hole bounds: a Z2 2-cycle in the cavity's class
+    encloses every point of the cavity an odd number of times, so the ball
+    lies in its convex hull and its enclosing ball: rho <= r_exact. The
+    surface is in the class, so the x2 guarantee gives r_v <= 2 r_exact(surface)."""
+    complex_, rho, surface = cavity_complex()
+    res = opt_homologous_cycle(complex_, surface, 2)
+    assert rho <= res.r_exact * (1 + REL)
+    assert res.r_exact <= res.r_v * (1 + REL)
+    assert res.r_v <= 2 * exact_radius(complex_, surface, 2).radius * (1 + REL)
+
+
+def test_basis_meets_the_planted_cavity_bound():
+    """One cavity, one 2-class: the basis is one cycle, and it encloses the ball."""
+    complex_, rho, _ = cavity_complex()
+    (cycle,) = opt_homology_basis(complex_, 2).cycles
+    assert rho <= cycle.r_exact * (1 + REL)
 
 
 # -- persistent representatives -------------------------------------------
@@ -759,8 +799,9 @@ def per_bar_evaluator(filtration, interval):
 def per_bar_representative(filtration, interval):
     """The bar's representative from per_bar_evaluator's answers."""
     evaluate = per_bar_evaluator(filtration, interval)
-    site, out = _site_search(filtration.complex, None, lambda site, dist: evaluate(site), contains=interval.creator)
-    return _result_for_cycle(filtration.complex, out, interval.dim, site, interval)
+    _, site, out = _site_search(filtration.complex, None, lambda site, dist, cut: evaluate(site),
+                                contains=interval.creator)
+    return measured_result(filtration.complex, out, interval.dim, site, interval)
 
 
 @settings(max_examples=40, deadline=None)
@@ -885,7 +926,7 @@ def parent_localize(complex_, cycle, p, sites, visits):
         return (0.0 if out.is_zero() else site_radius(complex_, site, out, p)), out
 
     site, out = parent_best_site(complex_, sites, evaluate, visits)
-    return _result_for_cycle(complex_, out, p, site)
+    return measured_result(complex_, out, p, site)
 
 
 def parent_basis(complex_, p, sites, visits):
@@ -909,7 +950,7 @@ def parent_basis(complex_, p, sites, visits):
         return admitted[-1][0] if admitted else -math.inf
 
     parent_site_search(complex_, sites, evaluate, threshold, visits, centred=True)
-    return tuple(_result_for_cycle(complex_, c, p, v) for _, v, _, c in admitted)
+    return tuple(measured_result(complex_, c, p, v) for _, v, _, c in admitted)
 
 
 def record_site_search(monkeypatch, visits):
@@ -920,9 +961,9 @@ def record_site_search(monkeypatch, visits):
     search = optimize._site_search
 
     def traced_search(complex_like, sites, evaluate, *args, **kwargs):
-        def traced(site, dist):
+        def traced(site, dist, cut):
             assert dist == site_row(complex_like, site)
-            r, chain = evaluate(site, dist)
+            r, chain = evaluate(site, dist, cut)
             visits.append((site, r.hex()))
             return r, chain
 
@@ -992,14 +1033,14 @@ def test_every_solver_matches_the_earlier_site_search(filtration, data):
     def parent_bar(visits):
         evaluate = per_bar_evaluator(filtration, bar)
         site, out = parent_best_site(complex_, None, evaluate, visits, bar.creator)
-        return [_result_for_cycle(complex_, out, 1, site, bar)]
+        return [measured_result(complex_, out, 1, site, bar)]
 
     def parent_describe(visits):
         def evaluate(v):
             return site_radius(complex_, v, cycle, 1), cycle
 
         site, _ = parent_best_site(complex_, None, evaluate, visits, chain_vertices(complex_, cycle, 1))
-        return [_result_for_cycle(complex_, cycle, 1, site)]
+        return [measured_result(complex_, cycle, 1, site)]
 
     # (sites a search may visit, the solver's results, their earlier form appending to a visit list)
     runs = []
@@ -1023,6 +1064,50 @@ def test_every_solver_matches_the_earlier_site_search(filtration, data):
         assert visits == expect_visits
         assert {site for site, _ in visits} <= set(allowed)
         assert list(map(search_key, got)) == list(map(search_key, expect))
+
+
+@st.composite
+def one_r_v_inputs(draw):
+    """A filtration and the dimension to solve in: a loopy complex, a
+    four-hole mesh or hollow octahedra (p = 2), lower-star along a drawn
+    direction, or annulus points (Rips)."""
+    kind = draw(st.sampled_from(["loopy", "mesh", "annulus", "octahedra"]))
+    if kind == "annulus":
+        return draw(annulus_rips()), 1
+    complex_ = draw({"loopy": loopy_complexes(), "mesh": four_hole_meshes(max_k=10),
+                     "octahedra": hollow_octahedra()}[kind])
+    direction = draw(st.tuples(*[st.integers(-3, 3)] * complex_.cloud.dim))
+    values = [sum(a * x for a, x in zip(direction, point)) for point in complex_.cloud.coords]
+    return lower_star_filtration(complex_, values), 2 if kind == "octahedra" else 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(one_r_v_inputs(), st.data())
+def test_every_reported_r_v_is_the_site_radius(args, data):
+    """Localize, basis over every site and a drawn subset, every bar,
+    describe_cycle with and without a site, and the shortener (p = 1) report
+    bitwise the r_v that site_radius measures for the result's cycle at its
+    site, and 0.0 for the zero cycle."""
+    filtration, p = args
+    complex_ = filtration.complex
+    vertices = sorted(complex_.vertex_ids())
+    subset = data.draw(st.lists(st.sampled_from(vertices), min_size=1, unique=True))
+    cycle = ChainVector(complex_.n_simplices(p))
+    for c in _site_essential_cycles(complex_, site_row(complex_, vertices[0]), p)[0]:
+        if data.draw(st.booleans()):
+            cycle = cycle ^ c
+    localized = opt_homologous_cycle(complex_, cycle, p)
+    bars = opt_persistent_basis(compute_persistence(filtration, p))
+    site = data.draw(st.sampled_from(vertices))
+    described = [describe_cycle(complex_, cycle, p), describe_cycle(complex_, cycle, p, site)]
+    results = [localized, *opt_homology_basis(complex_, p).cycles, *opt_homology_basis(complex_, p, subset).cycles,
+               *bars, *described]
+    if p == 1:
+        results += [shorten_cycle(r, complex_) for r in (localized, *described)]
+        results += [shorten_cycle(r, complex_, filtration.prefix(r.interval.birth)) for r in bars]
+    for r in results:
+        expect = 0.0 if r.cycle.is_zero() else site_radius(complex_, r.site, r.cycle, r.dim)
+        assert r.r_v.hex() == expect.hex()
 
 
 def test_persistent_basis_empty_when_no_bars():
@@ -1128,6 +1213,17 @@ def test_shorten_keeps_a_bar_representative_in_its_birth_prefix():
     with pytest.raises(ValueError, match="birth prefix"):
         shorten_cycle(rep, complex_)
     assert latest(shorten_cycle(rep, complex_, filtration.prefix(birth))) <= birth
+
+
+def test_shorten_a_bounding_loop_to_the_zero_cycle():
+    """The rim of a filled pentagon fan is a boundary: one swap removes it all,
+    and the zero cycle keeps the site with r_v 0.0 and the empty certificate."""
+    coords = [(math.cos(2 * math.pi * k / 5), math.sin(2 * math.pi * k / 5)) for k in range(5)] + [(0.0, 0.0)]
+    complex_ = EmbeddedComplex(PointCloud(coords), [(k, (k + 1) % 5, 5) for k in range(5)])
+    rim = describe_cycle(complex_, complex_.chain([tuple(sorted((k, (k + 1) % 5))) for k in range(5)], 1), 1)
+    out = shorten_cycle(rim, complex_)
+    assert out.cycle.is_zero()
+    assert (out.site, out.r_v, out.r_exact, out.certificate.center) == (rim.site, 0.0, 0.0, None)
 
 
 def test_shorten_empty_cycle_noop():

@@ -34,7 +34,8 @@ def run_script(argv):
 
 
 def test_bench_work_counts_are_deterministic():
-    """Every ladder point carries both work counts, equal in two rounds."""
+    """Every ladder point carries both work counts, equal in two rounds, and
+    the annulus point runs the bar pass: its sample has a bar."""
     rounds = [json.loads(run_script(["scripts/bench.py", "--quick"]))["ladders"] for _ in range(2)]
     counts = [
         [(name, point[f"change_{key}"]) for name, points in ladders.items() for point in points
@@ -44,3 +45,4 @@ def test_bench_work_counts_are_deterministic():
     assert len(counts[0]) == 2 * sum(map(len, rounds[0].values())) == 8
     assert all(isinstance(n, int) for _, n in counts[0])
     assert counts[0] == counts[1]
+    assert rounds[0]["annulus-persistent"][0]["change_kernel_calls"] > 0
