@@ -6,10 +6,15 @@ restriction is visible, and checks the result against the exact oracle.
 
 import argparse
 import math
+import sys
+from pathlib import Path
 
-from cyclerad import fixtures
 from cyclerad.optimize import describe_cycle, opt_homologous_cycle
 from cyclerad.oracle import exact_optimal_homologous_cycle
+
+# the annulus is the tests' own fixture
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import fixtures
 
 
 def main() -> None:

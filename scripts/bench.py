@@ -52,6 +52,9 @@ from unittest.mock import patch
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+# the circle sample is the tests' own fixture; it imports whichever cyclerad
+# is on the path, so --parent-src measures the parent's package with it
+sys.path.insert(0, str(ROOT / "tests"))
 
 # of these meshes only the 96-side ones have more than 2^14 edges
 LOCALIZE_GRIDS = [12, 16, 24, 34, 48, 68, 96]
@@ -85,7 +88,7 @@ def circle_rips(n: int):
     """Rips filtration of n points on the unit circle, at a scale just above
     the second-neighbour chord: n vertices, 2n edges, n triangles."""
     from cyclerad.filtrations import rips_filtration
-    from cyclerad.fixtures import circle_cloud
+    from fixtures import circle_cloud
 
     return rips_filtration(circle_cloud(n), 2 * math.sin(2 * math.pi / n) * 1.0001, max_dim=2)
 

@@ -4,11 +4,15 @@ swap the detours back for the direct edges without leaving the homology
 class."""
 
 import argparse
+import sys
 from pathlib import Path
 
-from cyclerad.fixtures import spiked_loop
 from cyclerad.io import write_obj_polylines
 from cyclerad.optimize import describe_cycle, shorten_cycle
+
+# the instances are the tests' own
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from fixtures import spiked_loop
 
 
 def main() -> None:

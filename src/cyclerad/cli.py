@@ -96,9 +96,10 @@ def _validate(args: argparse.Namespace) -> None:
 # -- serialization ----------------------------------------------------------
 
 
-def _sphere_json(cert) -> dict:
-    center = None if cert.center is None else [float(x) for x in cert.center]
-    return {"center": center, "radius": float(cert.radius)}
+def _sphere_json(sphere) -> dict:
+    """A result's certificate or the oracle's optimum: a centre and a radius."""
+    center = None if sphere.center is None else [float(x) for x in sphere.center]
+    return {"center": center, "radius": float(sphere.radius)}
 
 
 def _interval_json(iv: Optional[Interval]):
@@ -112,10 +113,10 @@ def _interval_json(iv: Optional[Interval]):
     }
 
 
-def _cycle_json(complex_like: EmbeddedComplex, result: OptimalCycleResult) -> list[list[int]]:
+def _cycle_json(complex_like: EmbeddedComplex, chain, dim: int) -> list[list[int]]:
     return [
         [int(v) for v in s]
-        for s in complex_like.chain_simplices(result.cycle, result.dim)
+        for s in complex_like.chain_simplices(chain, dim)
     ]
 
 
@@ -133,7 +134,7 @@ def _result_json(
         "r_v": float(after.r_v),
         "r_exact": float(after.r_exact),
         "sphere": _sphere_json(after.certificate),
-        "cycle": _cycle_json(complex_like, after),
+        "cycle": _cycle_json(complex_like, after.cycle, after.dim),
         "edge_count_before": len(before.cycle),
         "edge_count_after": len(after.cycle),
     }
@@ -147,30 +148,26 @@ def _emit(report: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _export_obj(args: argparse.Namespace, complex_like, rows: list[OptimalCycleResult]) -> None:
-    if not args.export_obj:
-        return
-    out_dir = Path(args.export_obj)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for i, res in enumerate(rows):
-        if res.dim != 1:
-            continue
-        write_obj_polylines(
-            out_dir / f"{args.problem}_{i:03d}.obj", complex_like, [res.cycle]
-        )
-
-
 # -- shared plumbing --------------------------------------------------------
 
 
-def _maybe_shorten(
-    args: argparse.Namespace, complex_like, result: OptimalCycleResult, filtration: Optional[Filtration] = None
-) -> OptimalCycleResult:
-    if args.shorten and result.dim == 1:
-        # a bar's representative stays one only if shortened in its birth prefix
-        members = None if filtration is None else filtration.prefix(result.interval.birth)
-        return shorten_cycle(result, complex_like, members)
-    return result
+def _rows(args: argparse.Namespace, complex_like, results, filtration: Optional[Filtration] = None) -> list[dict]:
+    """The report rows of a solver's results.  With --shorten each 1-cycle is
+    shortened, a bar's in its birth prefix so that it stays a representative;
+    with --export-obj the 1-cycles are written as OBJ polylines."""
+    finals = [
+        shorten_cycle(r, complex_like, None if filtration is None else filtration.prefix(r.interval.birth))
+        if args.shorten and r.dim == 1
+        else r
+        for r in results
+    ]
+    if args.export_obj:
+        out_dir = Path(args.export_obj)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for i, res in enumerate(finals):
+            if res.dim == 1:
+                write_obj_polylines(out_dir / f"{args.problem}_{i:03d}.obj", complex_like, [res.cycle])
+    return [_result_json(complex_like, args.problem, before, after) for before, after in zip(results, finals)]
 
 
 def _build_filtration(args: argparse.Namespace) -> Filtration:
@@ -192,43 +189,26 @@ def _build_filtration(args: argparse.Namespace) -> Filtration:
 def _run_localize(args: argparse.Namespace) -> tuple[dict, int]:
     complex_ = read_off(args.complex_path)
     cycle = read_cycle(args.cycle_path, complex_, args.p)
-    res = opt_homologous_cycle(complex_, cycle, args.p)
-    final = _maybe_shorten(args, complex_, res)
-    _export_obj(args, complex_, [final])
-    report = {
-        "problem": "localize",
-        "p": args.p,
-        "results": [_result_json(complex_, "localize", res, final)],
-    }
-    return report, EXIT_OK
+    rows = _rows(args, complex_, [opt_homologous_cycle(complex_, cycle, args.p)])
+    return {"problem": "localize", "p": args.p, "results": rows}, EXIT_OK
 
 
 def _run_basis(args: argparse.Namespace) -> tuple[dict, int]:
     complex_ = read_off(args.complex_path)
-    basis = opt_homology_basis(complex_, args.p)
-    finals = [_maybe_shorten(args, complex_, r) for r in basis.cycles]
-    _export_obj(args, complex_, finals)
+    rows = _rows(args, complex_, opt_homology_basis(complex_, args.p).cycles)
     report = {
         "problem": "basis",
         "p": args.p,
-        "betti": len(finals),
-        "total_weight": float(sum(r.r_v for r in finals)),
-        "results": [
-            _result_json(complex_, "basis", before, after)
-            for before, after in zip(basis.cycles, finals)
-        ],
+        "betti": len(rows),
+        "total_weight": float(sum(row["r_v"] for row in rows)),
+        "results": rows,
     }
     return report, EXIT_OK
 
 
 def _run_persistent(args: argparse.Namespace) -> tuple[dict, int]:
     filtration = _build_filtration(args)
-    complex_ = filtration.complex
     persistence = compute_persistence(filtration, args.p)
-    reps = opt_persistent_basis(persistence, args.bars)
-    finals = [_maybe_shorten(args, complex_, r, filtration) for r in reps]
-    rows = [_result_json(complex_, "persistent", before, after) for before, after in zip(reps, finals)]
-    _export_obj(args, complex_, finals)
     report = {
         "problem": "persistent",
         "p": args.p,
@@ -237,7 +217,7 @@ def _run_persistent(args: argparse.Namespace) -> tuple[dict, int]:
             [float(b), "inf" if d is None else float(d)]
             for b, d in persistence.value_pairs()
         ],
-        "results": rows,
+        "results": _rows(args, filtration.complex, opt_persistent_basis(persistence, args.bars), filtration),
     }
     return report, EXIT_OK
 
@@ -269,14 +249,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict, int]:
             {
                 "kind": "localize",
                 "algorithm": _result_json(complex_, "verify", res, res),
-                "oracle": {
-                    "radius": float(opt.radius),
-                    "center": None if opt.center is None else [float(x) for x in opt.center],
-                    "cycle": [
-                        [int(v) for v in s]
-                        for s in complex_.chain_simplices(opt.cycle, args.p)
-                    ],
-                },
+                "oracle": {**_sphere_json(opt), "cycle": _cycle_json(complex_, opt.cycle, args.p)},
                 "ratio": float(ratio),
                 "ok": bool(opt.radius * (1 - tol) <= res.r_v <= 2 * opt.radius * (1 + tol)),
             }

@@ -9,9 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .complexes import EmbeddedComplex, PointCloud
-from .filtrations import Filtration
-from .z2 import ChainVector
+from cyclerad.complexes import EmbeddedComplex, PointCloud
+from cyclerad.filtrations import Filtration
+from cyclerad.z2 import ChainVector
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,13 @@ import math
 import random
 import time
 
+import fixtures
+from fixtures import circle_cloud
 from conftest import annulus_points, site_row
 from oracles import betti_by_rank, bounds_in_prefix, dense_from_columns, gf2_in_span, gf2_rank, mask_support
 
-from cyclerad import fixtures
 from cyclerad.complexes import EmbeddedComplex, PointCloud, boundary_columns, faces_of
 from cyclerad.filtrations import Filtration, compute_persistence, rips_filtration
-from cyclerad.fixtures import circle_cloud
 from cyclerad.optimize import (
     _site_essential_cycles,
     describe_cycle,

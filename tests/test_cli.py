@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fixtures
 from conftest import OCTAHEDRON, accepted_by_point_cloud, scaled_rows
 
-from cyclerad import fixtures
 from cyclerad.cli import main
 from cyclerad.complexes import EmbeddedComplex, PointCloud
 from cyclerad.io import (
@@ -389,14 +389,28 @@ def bad_filtration_file(tmp_path, flt, row):
     return str(bad), len(lines) + 1
 
 
-@pytest.mark.parametrize("row", ["9 1 1", "9 0 99", "9 0 1", "9 0 1 4", "9 0 1 4\n9 0 4"])
-def test_exit_code_bad_filtration_row(tmp_path, two_loop_files, capsys, row):
+# rows appended to a valid filtration file, each with its reader's message
+BAD_FILTRATION_ROWS = [
+    ("9 1 1", "repeats a vertex"),
+    ("9 0 99", "missing vertex"),
+    ("9 0 1", "listed twice"),
+    ("9 0 1 4", "face (0, 4) of (0, 1, 4) is not listed before it"),
+    ("9 0 1 4\n9 0 4", "face (0, 4) of (0, 1, 4) is not listed before it"),
+    ("9", "need a value and at least one vertex"),
+    ("9 0 x", "bad filtration row: invalid literal for int() with base 10: 'x'"),
+    ("x 0 1", "bad filtration row: could not convert string to float: 'x'"),
+]
+
+
+@pytest.mark.parametrize("row, message", BAD_FILTRATION_ROWS, ids=[row for row, _ in BAD_FILTRATION_ROWS])
+def test_exit_code_bad_filtration_row(tmp_path, two_loop_files, capsys, row, message):
     _, csv, flt = two_loop_files
     bad, line = bad_filtration_file(tmp_path, flt, row)
     code = main(["persistent", "--points", csv, "--filtration", bad,
                  "--out", str(tmp_path / "r.json")])
     assert code == 2
-    assert f"{bad}:{line}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"cyclerad: {bad}:{line}: ") and message in err
 
 
 def test_exit_code_cycle_mixes_dimensions(tmp_path, annulus_files, capsys):
@@ -439,9 +453,14 @@ def test_exit_code_two_sources(tmp_path, two_loop_files):
     (["verify", "--complex", "{off}", "--points", "{csv}"], "--points needs --rips or --filtration"),
     (["verify", "--complex", "{off}", "--bars", "top:1"], "--bars needs a filtration source"),
     (["verify", "--complex", "{off}", "--cycle", "{cyc}", "--bars", "top:1"], "--bars needs a filtration source"),
+    (["verify", "--cycle", "{cyc}"], "verify with --cycle needs --complex"),
+    (["persistent", "--rips", "1.0"], "--rips needs --points"),
+    (["verify", "--filtration", "{flt}"], "--filtration needs --points for the geometry"),
+    (["persistent", "--lower-star", "{vals}"], "--lower-star needs --complex"),
+    (["verify"], "verify needs --complex, --cycle, or a filtration source"),
 ])
 def test_exit_code_flag_the_request_would_not_read(tmp_path, annulus_files, two_loop_files, capsys, args, message):
-    """The inputs are readable, so the dropped flag alone fails the request."""
+    """The inputs are readable, so the flags alone fail the request."""
     _, off, cyc = annulus_files
     _, csv, flt = two_loop_files
     vals = tmp_path / "vals.csv"
@@ -583,6 +602,15 @@ def test_bad_bars_flag_rejected(tmp_path, two_loop_files):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("bars, message", [("top:x", "expected top:k"), ("top:0", "k must be positive")])
+def test_bad_bars_count_rejected(two_loop_files, capsys, bars, message):
+    _, csv, flt = two_loop_files
+    with pytest.raises(SystemExit) as exc:
+        main(["persistent", "--points", csv, "--filtration", flt, "--bars", bars])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"cyclerad persistent: error: argument --bars: {message}\n")
+
+
 @pytest.mark.parametrize("flag", [["--shorten"], ["--export-obj", "objs"]])
 def test_verify_rejects_flags_it_does_not_read(tmp_path, annulus_files, flag):
     _, off, _ = annulus_files
@@ -694,19 +722,50 @@ def test_cycle_reader_rejects_mixed_dimensions(tmp_path, annulus_files):
     assert ":2" in str(exc.value) and "expected dimension 1" in str(exc.value)
 
 
-@pytest.mark.parametrize("row, message", [
-    ("9 1 1", "repeats a vertex"),
-    ("9 0 99", "missing vertex"),
-    ("9 0 1", "listed twice"),
-    ("9 0 1 4", "face (0, 4) of (0, 1, 4) is not listed before it"),
-    ("9 0 1 4\n9 0 4", "face (0, 4) of (0, 1, 4) is not listed before it"),
-])
+@pytest.mark.parametrize("row, message", BAD_FILTRATION_ROWS)
 def test_filtration_reader_rejects_bad_rows(tmp_path, two_loop_files, row, message):
     filt, _, flt = two_loop_files
     bad, line = bad_filtration_file(tmp_path, flt, row)
     with pytest.raises(InputError) as exc:
         read_filtration(bad, filt.complex.cloud)
     assert f":{line}:" in str(exc.value) and message in str(exc.value)
+
+
+OFF_TRIANGLE = "OFF\n3 1 0\n0 0\n1 0\n0 1\n"
+
+
+@pytest.mark.parametrize("args, text, message", [
+    (["basis", "--complex", "{bad}"], "OFF\n", ": missing the counts line"),
+    (["basis", "--complex", "{bad}"], "OFF\n3\n", ":2: counts line needs vertex and face counts"),
+    (["basis", "--complex", "{bad}"], "OFF\n3 x 0\n", ":2: bad counts line: invalid literal for int() with base 10: 'x'"),
+    (["basis", "--complex", "{bad}"], OFF_TRIANGLE, ": expected 3 vertices and 1 faces"),
+    (["basis", "--complex", "{bad}"], "OFF\n3 0 0\n0\n1 0\n0 1\n", ":3: vertex row needs at least two coordinates"),
+    (["basis", "--complex", "{bad}"], OFF_TRIANGLE + "3 0 x 2\n",
+     ":6: bad face row: invalid literal for int() with base 10: 'x'"),
+    (["basis", "--complex", "{bad}"], OFF_TRIANGLE + "3 0 1\n", ":6: face row promises 3 vertices"),
+    (["basis", "--complex", "{bad}"], OFF_TRIANGLE + "3 0 1 3\n", ":6: face references a missing vertex"),
+    (["basis", "--complex", "{bad}"], OFF_TRIANGLE + "3 0 1 1\n", ":6: face repeats a vertex"),
+    (["persistent", "--points", "{bad}", "--rips", "1.0"], "0,0\n1,x\n",
+     ":2: bad point row: could not convert string to float: 'x'"),
+    (["persistent", "--points", "{bad}", "--rips", "1.0"], "0,0\n1,0,0\n", ":2: point rows mix widths"),
+    (["persistent", "--points", "{bad}", "--rips", "1.0"], "# no rows\n", ": no points"),
+    (["persistent", "--complex", "{off}", "--lower-star", "{bad}"], "", ": no scalars"),
+    (["persistent", "--complex", "{off}", "--lower-star", "{bad}"], "0.0\n,\n", ":2: bad scalar row: no value"),
+    (["persistent", "--points", "{csv}", "--filtration", "{bad}"], "# no rows\n", ": empty filtration"),
+    (["localize", "--complex", "{off}", "--cycle", "{bad}"], "", ": empty cycle file"),
+    (["localize", "--complex", "{off}", "--cycle", "{bad}"], "0 1\n1 x\n",
+     ":2: bad simplex row: invalid literal for int() with base 10: 'x'"),
+])
+def test_exit_code_malformed_input_file(tmp_path, annulus_files, two_loop_files, capsys, args, text, message):
+    """A malformed file fails the request with its path, and its line where
+    the reader knows it."""
+    _, off, _ = annulus_files
+    _, csv, _ = two_loop_files
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    argv = [a.format(off=off, csv=csv, bad=bad) for a in args]
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"cyclerad: {bad}{message}\n"
 
 
 # -- what a request imports ---------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fixtures
 from conftest import coordinate_rows, embedded_complexes, loopy_complexes
 from oracles import dense_from_columns, gf2_rank, mask_support, matmul, numpy_distances, rank
 
@@ -16,7 +17,6 @@ from cyclerad.complexes import (
     distances_from,
     faces_of,
 )
-from cyclerad import fixtures
 from cyclerad.oracle import _ball_members
 from cyclerad.z2 import ChainVector
 

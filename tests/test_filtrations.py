@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fixtures
 from conftest import (
     OCTAHEDRON,
     annulus_points,
@@ -46,7 +47,6 @@ from cyclerad.filtrations import (
     site_essential_cycles,
 )
 from cyclerad.z2 import ChainVector, IncrementalSpan
-from cyclerad import fixtures
 
 
 def hollow_triangle_filtration():

@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
+import fixtures
 from conftest import OCTAHEDRON, annulus_points, holed_mesh
 
-from cyclerad import fixtures
 from cyclerad.cli import main
 from cyclerad.complexes import EmbeddedComplex, PointCloud
 from cyclerad.io import write_cycle, write_filtration, write_off

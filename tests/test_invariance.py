@@ -23,9 +23,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fixtures
 from conftest import annulus_points, holed_mesh, loopy_complexes, scaled_rows
-
-from cyclerad import fixtures
 
 from cyclerad.complexes import MEMBERSHIP_REL_TOL, EmbeddedComplex, PointCloud
 from cyclerad.filtrations import Filtration, compute_persistence, rips_filtration

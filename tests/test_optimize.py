@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fixtures
 from conftest import (
     annulus_points,
     cavity_mesh,
@@ -44,7 +45,6 @@ from cyclerad.optimize import (
 )
 from cyclerad.radius import chain_vertices, exact_radius, site_radius
 from cyclerad.z2 import ChainVector, IncrementalSpan
-from cyclerad import fixtures
 
 REL = 1e-9
 

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fixtures
 from conftest import complex_with_cycle, embedded_complexes, filtered_complexes, loopy_complexes, prefix_filtrations
 from oracles import gf2_in_span, mask_support
 
-from cyclerad import fixtures
 from cyclerad.complexes import EmbeddedComplex, boundary_columns
 from cyclerad.filtrations import compute_persistence
 from cyclerad.optimize import opt_homologous_cycle, opt_homology_basis, opt_pers_hom_rep

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fixtures
 from conftest import embedded_complexes, point_clouds
 from oracles import brute_min_enclosing_radius, lstsq_min_enclosing_sphere, site_ordering
 
@@ -18,7 +19,6 @@ from cyclerad.radius import (
     site_radius,
 )
 from cyclerad.complexes import as_rows, distances_from, within_radius
-from cyclerad import fixtures
 
 REL = 1e-9
 
