@@ -20,7 +20,7 @@ _EXPORTS = {
         ("radius", "SphereCertificate site_radius exact_radius min_enclosing_sphere chain_vertices"),
         ("optimize", "OptimalCycleResult HomologyBasisResult opt_homologous_cycle opt_homology_basis "
                      "opt_pers_hom_rep opt_persistent_basis shorten_cycle describe_cycle"),
-        ("oracle", "OracleBudget BudgetExceededError ExactOptimum ExactBasis ExactRepresentative "
+        ("oracle", "BudgetExceededError ExactOptimum ExactBasis ExactRepresentative "
                    "exact_optimal_homologous_cycle enumerate_class exact_min_basis "
                    "exact_min_persistent_rep"),
     )

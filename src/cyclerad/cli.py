@@ -225,13 +225,12 @@ def _run_persistent(args: argparse.Namespace) -> tuple[dict, int]:
 def _run_verify(args: argparse.Namespace) -> tuple[dict, int]:
     # the oracle is loaded here, so the other subcommands never import it
     from .oracle import (
-        OracleBudget,
+        check_complex,
         exact_min_basis,
         exact_min_persistent_rep,
         exact_optimal_homologous_cycle,
     )
 
-    budget = OracleBudget(max_vertices=args.budget)
     tol = MEMBERSHIP_REL_TOL
     checks = []
 
@@ -240,7 +239,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict, int]:
         complex_ = read_off(args.complex_path)
         cycle = read_cycle(args.cycle_path, complex_, args.p)
         res = opt_homologous_cycle(complex_, cycle, args.p)
-        opt = exact_optimal_homologous_cycle(complex_, cycle, args.p, budget)
+        opt = exact_optimal_homologous_cycle(complex_, cycle, args.p, max_vertices=args.budget)
         if opt.radius > 0:
             ratio = res.r_v / opt.radius
         else:
@@ -260,9 +259,9 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict, int]:
         complex_ = filtration.complex
         persistence = compute_persistence(filtration, args.p)
         if persistence.bars(args.bars):  # the oracle's size cap, checked before the bar searches
-            budget.check_complex(complex_)
+            check_complex(complex_, max_vertices=args.budget)
         for res in opt_persistent_basis(persistence, args.bars):
-            rep = exact_min_persistent_rep(filtration, res.interval, budget)
+            rep = exact_min_persistent_rep(filtration, res.interval, max_vertices=args.budget)
             ratio = res.r_v / rep.weight if rep.weight > 0 else 1.0
             checks.append(
                 {
@@ -278,7 +277,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict, int]:
         mode = "basis"
         complex_ = read_off(args.complex_path)
         greedy = opt_homology_basis(complex_, args.p)
-        oracle = exact_min_basis(complex_, args.p, budget, weight="site")
+        oracle = exact_min_basis(complex_, args.p, weight="site", max_vertices=args.budget)
         checks.append(
             {
                 "kind": "basis",

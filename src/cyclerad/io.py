@@ -33,7 +33,7 @@ def _data_lines(path: PathLike):
     """(line number, stripped text) for non-blank, non-comment lines."""
     try:
         raw = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(path, str(exc)) from exc
     for i, line in enumerate(raw.splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
@@ -252,17 +252,11 @@ def write_cycle(path: PathLike, complex_like: EmbeddedComplex, chain: ChainVecto
 def write_obj_polylines(
     path: PathLike, complex_like: EmbeddedComplex, cycles: Sequence[ChainVector]
 ) -> None:
-    """1-cycles as OBJ line elements over the full vertex set; flat complexes
-    get a zero z."""
-    ids = complex_like.vertex_ids()
-    if ids != tuple(range(len(ids))):
-        raise ValueError("OBJ export needs contiguous vertex ids")
+    """1-cycles as OBJ line elements over every point of the cloud, so a
+    line's indices are cloud ids + 1; flat clouds get a zero z."""
     with open(path, "w") as fh:
-        for v in ids:
-            xyz = list(float(x) for x in complex_like.cloud.point(v))
-            while len(xyz) < 3:
-                xyz.append(0.0)
-            fh.write("v " + " ".join(repr(x) for x in xyz[:3]) + "\n")
+        for point in complex_like.cloud.coords:
+            fh.write("v " + " ".join(repr(x) for x in (*point, 0.0, 0.0)[:3]) + "\n")
         for chain in cycles:
             for a, b in complex_like.chain_simplices(chain, 1):
                 fh.write(f"l {a + 1} {b + 1}\n")

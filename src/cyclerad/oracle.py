@@ -3,8 +3,9 @@
 Everything here trades time for certainty: candidate spheres are enumerated
 from vertex subsets, homology classes are unrolled element by element, and
 search spaces are walked completely.  None of it is meant to run beyond a
-dozen vertices; the budget guard exists so a test that outgrows the oracle
-fails loudly instead of hanging.
+dozen vertices; three caps (the max_vertices keyword of every entry point,
+12 by default, MAX_SIMPLICES and MAX_SPAN_DIM) make a test that outgrows the
+oracle fail loudly instead of hanging.
 
 The linear algebra is redone locally on dense bitmasks rather than routed
 through the site kernel in ``filtrations``, so the reference results do not
@@ -29,40 +30,36 @@ from .radius import exact_radius, min_enclosing_sphere, site_radius
 from .z2 import ChainVector
 
 
+MAX_SIMPLICES = 400
+MAX_SPAN_DIM = 16
+
+
 class BudgetExceededError(ValueError):
-    """An exhaustive enumeration would exceed the configured budget; a
+    """An exhaustive enumeration would exceed one of the oracle's three caps:
+    the max_vertices keyword (12 by default), MAX_SIMPLICES or MAX_SPAN_DIM; a
     ValueError, so the CLI reports it with exit code 3 like other semantic
     failures."""
 
 
-class OracleBudget(NamedTuple):
-    """Caps on the exhaustive searches; the defaults fit the test fixtures."""
-
-    max_vertices: int = 12
-    max_simplices: int = 400
-    max_cycle_space_dim: int = 16
-
-    def check_complex(self, complex_like: EmbeddedComplex) -> None:
-        n_v = len(complex_like.vertex_ids())
-        if n_v > self.max_vertices:
-            raise BudgetExceededError(
-                f"{n_v} vertices exceed the oracle cap of {self.max_vertices}"
-            )
-        n_s = complex_like.total_simplices()
-        if n_s > self.max_simplices:
-            raise BudgetExceededError(
-                f"{n_s} simplices exceed the oracle cap of {self.max_simplices}"
-            )
-
-    def check_span(self, dim: int) -> None:
-        if dim > self.max_cycle_space_dim:
-            raise BudgetExceededError(
-                f"enumerating a span of dimension {dim} exceeds the"
-                f" 2^{self.max_cycle_space_dim} oracle cap"
-            )
+def check_complex(complex_like: EmbeddedComplex, max_vertices: int = 12) -> None:
+    n_v = len(complex_like.vertex_ids())
+    if n_v > max_vertices:
+        raise BudgetExceededError(
+            f"{n_v} vertices exceed the oracle cap of {max_vertices}"
+        )
+    n_s = complex_like.total_simplices()
+    if n_s > MAX_SIMPLICES:
+        raise BudgetExceededError(
+            f"{n_s} simplices exceed the oracle cap of {MAX_SIMPLICES}"
+        )
 
 
-DEFAULT_BUDGET = OracleBudget()
+def _check_span(dim: int) -> None:
+    if dim > MAX_SPAN_DIM:
+        raise BudgetExceededError(
+            f"enumerating a span of dimension {dim} exceeds the"
+            f" 2^{MAX_SPAN_DIM} oracle cap"
+        )
 
 
 # -- dense Z2 helpers on int masks -----------------------------------------
@@ -78,34 +75,17 @@ def _reduce_mask(mask: int, rows: dict[int, int]) -> int:
     return mask
 
 
-def _insert_mask(mask: int, rows: dict[int, int]) -> bool:
-    """Grow the span; True when the mask was independent of it."""
-    residue = _reduce_mask(mask, rows)
-    if residue:
-        rows[residue.bit_length() - 1] = residue
-        return True
-    return False
-
-
-def _span_rows(masks) -> dict[int, int]:
-    rows: dict[int, int] = {}
-    for m in masks:
-        _insert_mask(m, rows)
-    return rows
-
-
-def _independent_masks(masks) -> list[int]:
-    """Greedy independent subset, keeping the original unreduced masks."""
-    rows: dict[int, int] = {}
+def _independent(masks, rows: Optional[dict[int, int]] = None) -> list[int]:
+    """The masks, unreduced, that are independent of rows and of the masks
+    before them; each one's residue joins rows, so rows grows to span all."""
+    rows = {} if rows is None else rows
     kept = []
     for m in masks:
-        if _insert_mask(m, rows):
+        residue = _reduce_mask(m, rows)
+        if residue:
+            rows[residue.bit_length() - 1] = residue
             kept.append(m)
     return kept
-
-
-def _mask_rank(masks) -> int:
-    return len(_span_rows(masks))
 
 
 def _kernel_coefficients(columns: Sequence[int]) -> list[int]:
@@ -239,12 +219,12 @@ def exact_optimal_homologous_cycle(
     complex_like: EmbeddedComplex,
     cycle: ChainVector,
     p: int = 1,
-    budget: OracleBudget = DEFAULT_BUDGET,
+    max_vertices: int = 12,
 ) -> ExactOptimum:
     """Minimum-radius cycle in the input's homology class, by trying every
     candidate sphere in radius order and asking whether the subcomplex it
     induces holds a homologous cycle."""
-    budget.check_complex(complex_like)
+    check_complex(complex_like, max_vertices)
     if not complex_like.is_cycle(cycle, p):
         raise ValueError("input chain is not a cycle")
     bmasks = boundary_columns(complex_like, p)
@@ -268,15 +248,15 @@ def enumerate_class(
     complex_like: EmbeddedComplex,
     cycle: ChainVector,
     p: int = 1,
-    budget: OracleBudget = DEFAULT_BUDGET,
+    max_vertices: int = 12,
 ) -> list[ChainVector]:
     """Every cycle homologous to the input: the input shifted by each element
     of the boundary span, 2^rank of them."""
-    budget.check_complex(complex_like)
+    check_complex(complex_like, max_vertices)
     if not complex_like.is_cycle(cycle, p):
         raise ValueError("input chain is not a cycle")
-    basis = _independent_masks(boundary_columns(complex_like, p))
-    budget.check_span(len(basis))
+    basis = _independent(boundary_columns(complex_like, p))
+    _check_span(len(basis))
     n_p = complex_like.n_simplices(p)
     return [
         ChainVector(n_p, mask=cycle.mask ^ _xor_select(basis, bits))
@@ -287,27 +267,24 @@ def enumerate_class(
 def exact_min_basis(
     complex_like: EmbeddedComplex,
     p: int = 1,
-    budget: OracleBudget = DEFAULT_BUDGET,
     weight: str = "exact",
+    max_vertices: int = 12,
 ) -> ExactBasis:
     """Minimum-weight homology basis by full enumeration: the cheapest cycle
     of every class, then the cheapest independent set of classes."""
-    budget.check_complex(complex_like)
+    check_complex(complex_like, max_vertices)
     weigh = _weight_fn(complex_like, p, weight)
     n_p = complex_like.n_simplices(p)
-    bbasis = _independent_masks(boundary_columns(complex_like, p))
-    budget.check_span(len(bbasis))
+    rows: dict[int, int] = {}
+    bbasis = _independent(boundary_columns(complex_like, p), rows)
+    _check_span(len(bbasis))
 
-    rows = _span_rows(bbasis)
-    hbasis = []
-    for m in _cycle_space_masks(complex_like, p):
-        if _insert_mask(m, rows):
-            hbasis.append(m)
+    hbasis = _independent(_cycle_space_masks(complex_like, p), rows)
     beta = len(hbasis)
     if beta == 0:
         return ExactBasis((), (), 0.0)
-    budget.check_span(beta)
-    if math.comb((1 << beta) - 1, beta) > 1 << budget.max_cycle_space_dim:
+    _check_span(beta)
+    if math.comb((1 << beta) - 1, beta) > 1 << MAX_SPAN_DIM:
         raise BudgetExceededError(
             f"enumerating bases over {beta} classes exceeds the oracle cap"
         )
@@ -317,23 +294,11 @@ def exact_min_basis(
     class_best: dict[int, tuple[float, int]] = {}
     for cls in range(1, 1 << beta):
         base = _xor_select(hbasis, cls)
-        best = None
-        for bits in range(1 << len(bbasis)):
-            m = base ^ _xor_select(bbasis, bits)
-            cand = (weigh(ChainVector(n_p, mask=m)), m)
-            if best is None or cand < best:
-                best = cand
-        class_best[cls] = best
+        members = (base ^ _xor_select(bbasis, bits) for bits in range(1 << len(bbasis)))
+        class_best[cls] = min((weigh(ChainVector(n_p, mask=m)), m) for m in members)
 
-    best_total = None
-    best_subset = None
-    for subset in combinations(sorted(class_best), beta):
-        if _mask_rank(subset) < beta:
-            continue
-        total = sum(class_best[c][0] for c in subset)
-        if best_total is None or total < best_total:
-            best_total = total
-            best_subset = subset
+    full_rank = (s for s in combinations(class_best, beta) if len(_independent(s)) == beta)
+    best_subset = min(full_rank, key=lambda s: sum(class_best[c][0] for c in s), default=None)
     assert best_subset is not None  # the hbasis classes themselves qualify
 
     picked = sorted((class_best[c] for c in best_subset))
@@ -347,7 +312,7 @@ def exact_min_basis(
 def exact_min_persistent_rep(
     filtration: Filtration,
     interval: Interval,
-    budget: OracleBudget = DEFAULT_BUDGET,
+    max_vertices: int = 12,
 ) -> ExactRepresentative:
     """Minimum-weight representative of a bar by walking the whole cycle
     space of the birth prefix and keeping every chain that is a valid
@@ -356,35 +321,30 @@ def exact_min_persistent_rep(
     smallest site radius over every vertex; the site returned is the
     lowest-index vertex at which the winner attains its weight."""
     complex_like = filtration.complex
-    budget.check_complex(complex_like)
+    check_complex(complex_like, max_vertices)
     p = interval.dim
     weigh = _weight_fn(complex_like, p, "site")
     n_p = complex_like.n_simplices(p)
     creator_bit = complex_like.position(interval.creator)
 
     cycles = _cycle_space_masks(complex_like, p, filtration.prefix(interval.birth)[p])
-    budget.check_span(len(cycles))
+    _check_span(len(cycles))
 
     full = boundary_columns(complex_like, p)
+    pre_rows: dict[int, int] = {}
+    death_rows: dict[int, int] = {}
     if interval.death is None:
-        pre_rows = _span_rows(full)
-        death_rows = None
+        _independent(full, pre_rows)
     else:
-        pre_rows = _span_rows(compress(full, filtration.prefix(interval.death - 1)[p + 1]))
-        death_rows = _span_rows(compress(full, filtration.prefix(interval.death)[p + 1]))
+        _independent(compress(full, filtration.prefix(interval.death - 1)[p + 1]), pre_rows)
+        _independent(compress(full, filtration.prefix(interval.death)[p + 1]), death_rows)
 
-    best = None
-    for bits in range(1, 1 << len(cycles)):
-        m = _xor_select(cycles, bits)
-        if not m >> creator_bit & 1:
-            continue
-        if _reduce_mask(m, pre_rows) == 0:
-            continue
-        if death_rows is not None and _reduce_mask(m, death_rows) != 0:
-            continue
-        cand = (weigh(ChainVector(n_p, mask=m)), m)
-        if best is None or cand < best:
-            best = cand
+    reps = (
+        m for m in (_xor_select(cycles, bits) for bits in range(1, 1 << len(cycles)))
+        if m >> creator_bit & 1 and _reduce_mask(m, pre_rows)
+        and (interval.death is None or not _reduce_mask(m, death_rows))
+    )
+    best = min(((weigh(ChainVector(n_p, mask=m)), m) for m in reps), default=None)
     # the bar exists, so at least one representative does
     assert best is not None
     w, m = best

@@ -595,6 +595,43 @@ def test_exit_code_output_path_cannot_be_written(tmp_path, annulus_files, capsys
     assert capsys.readouterr() == ("", f"cyclerad: {path}: {reason}\n")
 
 
+def test_export_obj_writes_a_point_in_no_simplex(tmp_path):
+    """Point 1 lies in no simplex of the filtration; the OBJ still has a v
+    line per point, so its l lines are the report's cycle edges + 1."""
+    pts, flt, objs = tmp_path / "five.csv", tmp_path / "square.flt", tmp_path / "objs"
+    pts.write_text("0,0\n5,5\n1,0\n1,1\n0,1\n")
+    flt.write_text("0 0\n0 2\n0 3\n0 4\n1 0 2\n1 2 3\n1 3 4\n1 0 4\n")
+    _, report = run_json(tmp_path, ["persistent", "--points", str(pts), "--filtration", str(flt),
+                                    "--export-obj", str(objs)])
+    (row,) = report["results"]
+    lines = (objs / "persistent_000.obj").read_text().splitlines()
+    assert [line for line in lines if line.startswith("v ")] == [
+        "v 0.0 0.0 0.0", "v 5.0 5.0 0.0", "v 1.0 0.0 0.0", "v 1.0 1.0 0.0", "v 0.0 1.0 0.0",
+    ]
+    assert [line.split()[1:] for line in lines if line.startswith("l ")] == [
+        [str(a + 1), str(b + 1)] for a, b in row["cycle"]
+    ]
+
+
+def test_write_off_rejects_non_contiguous_vertex_ids(tmp_path):
+    gap = EmbeddedComplex(PointCloud([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]), [(0, 2)])
+    with pytest.raises(ValueError, match="^OFF export needs contiguous vertex ids$"):
+        write_off(tmp_path / "gap.off", gap)
+
+
+def test_verify_a_bounding_cycle(tmp_path):
+    """The filled triangle's loop bounds, so the oracle's optimum is the empty
+    cycle at radius 0, and the algorithm's r_v of 0 gives the ratio 1.0."""
+    inst = fixtures.filled_triangle()
+    off, cyc = tmp_path / "filled.off", tmp_path / "loop.txt"
+    write_off(off, inst.complex)
+    write_cycle(cyc, inst.complex, inst.loop, 1)
+    _, report = run_json(tmp_path, ["verify", "--complex", str(off), "--cycle", str(cyc)])
+    (check,) = report["checks"]
+    assert (check["oracle"]["radius"], check["oracle"]["cycle"], check["algorithm"]["r_v"]) == (0.0, [], 0.0)
+    assert (check["ratio"], check["ok"], report["ok"]) == (1.0, True, True)
+
+
 def test_bad_bars_flag_rejected(tmp_path, two_loop_files):
     _, csv, flt = two_loop_files
     with pytest.raises(SystemExit) as exc:
@@ -755,6 +792,17 @@ OFF_TRIANGLE = "OFF\n3 1 0\n0 0\n1 0\n0 1\n"
     (["localize", "--complex", "{off}", "--cycle", "{bad}"], "", ": empty cycle file"),
     (["localize", "--complex", "{off}", "--cycle", "{bad}"], "0 1\n1 x\n",
      ":2: bad simplex row: invalid literal for int() with base 10: 'x'"),
+    # a byte that is not UTF-8, one row per reader
+    (["basis", "--complex", "{bad}"], "OFF\n3 0 0\n0 0\n1 0\n0 \xff\n",
+     ": 'utf-8' codec can't decode byte 0xff in position 20: invalid start byte"),
+    (["persistent", "--points", "{bad}", "--rips", "1.0"], "0,0\n1,\xff\n",
+     ": 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
+    (["persistent", "--complex", "{off}", "--lower-star", "{bad}"], "0.0\n\xff\n",
+     ": 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
+    (["persistent", "--points", "{csv}", "--filtration", "{bad}"], "0 0\n\xff\n",
+     ": 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
+    (["localize", "--complex", "{off}", "--cycle", "{bad}"], "0 1\n\xff\n",
+     ": 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
 ])
 def test_exit_code_malformed_input_file(tmp_path, annulus_files, two_loop_files, capsys, args, text, message):
     """A malformed file fails the request with its path, and its line where
@@ -762,7 +810,7 @@ def test_exit_code_malformed_input_file(tmp_path, annulus_files, two_loop_files,
     _, off, _ = annulus_files
     _, csv, _ = two_loop_files
     bad = tmp_path / "bad.txt"
-    bad.write_text(text)
+    bad.write_text(text, encoding="latin-1")  # one byte per character
     argv = [a.format(off=off, csv=csv, bad=bad) for a in args]
     assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr().err == f"cyclerad: {bad}{message}\n"

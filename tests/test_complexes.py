@@ -102,6 +102,8 @@ def test_repeated_vertex_rejected():
         ((2, 1, 2), "simplex (2, 1, 2) has repeated vertices"),
         ((1, 1, 2), "simplex (1, 1, 2) has repeated vertices"),
         ((), "empty simplex"),
+        ((0, 3), "simplex (0, 3) references a vertex outside the cloud"),
+        ((-1, 2), "simplex (-1, 2) references a vertex outside the cloud"),
     ],
 )
 def test_malformed_simplex_messages(raw, message):
@@ -175,6 +177,16 @@ def test_chain_roundtrip():
         complex_.chain([(0, 1), (0, 1, 4)])  # mixed dimensions
     with pytest.raises(KeyError):
         complex_.chain([(0, 2)])  # not a simplex of the annulus
+
+
+def test_chain_and_is_cycle_reject_what_they_cannot_place():
+    complex_ = fixtures.annulus().complex
+    assert complex_.chain([], 1).is_zero()
+    with pytest.raises(ValueError, match="^cannot infer dimension of an empty chain$"):
+        complex_.chain([])
+    # the hollow triangle's loop lives in a basis of 3 edges, not the annulus's
+    with pytest.raises(ValueError, match="^chain does not live in the complex's p-basis$"):
+        complex_.is_cycle(fixtures.hollow_triangle().loop, 1)
 
 
 def test_is_cycle():

@@ -319,6 +319,13 @@ def test_rips_rejects_a_negative_or_nan_scale(scale):
         rips_filtration(unit_square_cloud(), scale, max_dim=2)
 
 
+def test_negative_dimensions_rejected():
+    with pytest.raises(ValueError, match="^dimension must be non-negative$"):
+        compute_persistence(rips_filtration(unit_square_cloud(), 1.0, max_dim=2), -1)
+    with pytest.raises(ValueError, match="^max_dim must be non-negative$"):
+        rips_filtration(unit_square_cloud(), 1.0, max_dim=-1)
+
+
 def test_rips_at_diagonal_scale():
     scale = math.sqrt(2) + 1e-9
     f = rips_filtration(unit_square_cloud(), scale, max_dim=2)

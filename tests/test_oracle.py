@@ -1,4 +1,6 @@
 import math
+import re
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,8 +15,9 @@ from cyclerad.filtrations import compute_persistence
 from cyclerad.optimize import opt_homologous_cycle, opt_homology_basis, opt_pers_hom_rep
 from cyclerad.oracle import (
     BudgetExceededError,
-    OracleBudget,
     _cycle_space_masks,
+    _independent,
+    _reduce_mask,
     enumerate_class,
     exact_min_basis,
     exact_min_persistent_rep,
@@ -161,16 +164,91 @@ def test_algorithm_sandwiched_by_oracle(args):
 # -- budget ----------------------------------------------------------------
 
 
+def full_skeleton(n_points: int, dim: int) -> EmbeddedComplex:
+    """Every simplex of dimension up to dim on n points of a circle."""
+    return EmbeddedComplex(fixtures.circle_cloud(n_points), combinations(range(n_points), dim + 1))
+
+
 def test_budget_guards():
     ann = fixtures.annulus()
     with pytest.raises(BudgetExceededError):
-        exact_optimal_homologous_cycle(
-            ann.complex, ann.outer_loop, budget=OracleBudget(max_vertices=4)
-        )
+        exact_optimal_homologous_cycle(ann.complex, ann.outer_loop, max_vertices=4)
+    # the boundaries of the full 2-skeleton on 8 points span dimension 21
+    k8 = full_skeleton(8, 2)
     with pytest.raises(BudgetExceededError):
-        enumerate_class(
-            ann.complex, ann.outer_loop, budget=OracleBudget(max_cycle_space_dim=4)
-        )
+        enumerate_class(k8, k8.chain([(0, 1), (0, 2), (1, 2)]))
+
+
+def wedge_of_triangles(n_triangles: int) -> EmbeddedComplex:
+    """Hollow triangles sharing vertex 0: beta_1 = n_triangles, no boundaries."""
+    edges = []
+    for k in range(n_triangles):
+        a, b = 2 * k + 1, 2 * k + 2
+        edges += [(0, a), (0, b), (a, b)]
+    return EmbeddedComplex(fixtures.circle_cloud(2 * n_triangles + 1), edges)
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: exact_min_basis(fixtures.annulus().complex, max_vertices=8), "9 vertices exceed the oracle cap of 8"),
+    # 11 + 55 + 165 + 330 simplices
+    (lambda: exact_min_basis(full_skeleton(11, 3)), "561 simplices exceed the oracle cap of 400"),
+    (lambda: exact_min_basis(full_skeleton(8, 2)), "enumerating a span of dimension 21 exceeds the 2^16 oracle cap"),
+    # comb(31, 5) five-class subsets exceed 2^16
+    (lambda: exact_min_basis(wedge_of_triangles(5)), "enumerating bases over 5 classes exceeds the oracle cap"),
+])
+def test_budget_messages(run, message):
+    with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
+        run()
+
+
+def test_min_basis_rejects_an_unknown_weight():
+    with pytest.raises(ValueError, match="^weight must be 'exact' or 'site'$"):
+        exact_min_basis(fixtures.hollow_triangle().complex, weight="radius")
+
+
+# -- the echelon step -------------------------------------------------------
+
+
+# the helpers _independent replaced, kept here as the reference it must match
+def insert_mask(mask, rows):
+    residue = _reduce_mask(mask, rows)
+    if residue:
+        rows[residue.bit_length() - 1] = residue
+        return True
+    return False
+
+
+def span_rows(masks):
+    rows = {}
+    for m in masks:
+        insert_mask(m, rows)
+    return rows
+
+
+def independent_masks(masks):
+    rows = {}
+    return [m for m in masks if insert_mask(m, rows)]
+
+
+def mask_rank(masks):
+    return len(span_rows(masks))
+
+
+masks_12 = st.lists(st.integers(0, (1 << 12) - 1), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(masks_12, masks_12)
+def test_independent_matches_the_helpers_it_replaced(filled, masks):
+    rows = {}
+    assert _independent(masks, rows) == independent_masks(masks) == _independent(masks)
+    assert rows == span_rows(masks)
+    assert len(rows) == mask_rank(masks)
+
+    rows, expect_rows = span_rows(filled), span_rows(filled)
+    assert _independent(masks, rows) == [m for m in masks if insert_mask(m, expect_rows)]
+    assert rows == expect_rows
+    assert len(rows) == mask_rank(filled + masks)
 
 
 # -- minimum basis ----------------------------------------------------------

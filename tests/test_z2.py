@@ -73,6 +73,15 @@ def test_chain_vector_rejects_bad_support():
         ChainVector(4, [4])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ChainVector(3, mask=0b1000), "mask exceeds ambient size"),
+    (lambda: ChainVector(3, [0]) ^ ChainVector(4, [0]), "ambient sizes differ"),
+])
+def test_chain_vector_rejects_a_mismatched_size(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_xor_is_symmetric_difference():
     a = ChainVector(8, [0, 2, 5])
     b = ChainVector(8, [2, 3])
