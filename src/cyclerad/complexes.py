@@ -44,11 +44,26 @@ Point = tuple[float, ...]
 
 def as_rows(coords) -> tuple[Point, ...]:
     """A nonempty sequence of equal-length, nonempty rows (lists, tuples, a
-    2-d array) as a tuple of float tuples."""
+    2-d array) of finite values as a tuple of float tuples."""
     rows = tuple(tuple(map(float, row)) for row in coords)
     if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("points must be a nonempty sequence of equal-length rows")
+    if not all(math.isfinite(x) for row in rows for x in row):
+        raise ValueError("point coordinates must be finite")
     return rows
+
+
+def _check_spread(columns: Iterable[Sequence[float]], narrowest: float) -> None:
+    """Raise ValueError unless the points' squared bounding-box diagonal, summed left to right (sum() of
+    floats is compensated from Python 3.12 on), lies in [narrowest, MAX_SQUARED_DIAGONAL]."""
+    spread = [max(c) - min(c) for c in columns]
+    diagonal = reduce(add, map(mul, spread, spread), 0.0)
+    if not narrowest <= diagonal <= MAX_SQUARED_DIAGONAL:
+        # squared distances would overflow, or lose their bits below the normal floats
+        raise ValueError(
+            f"point coordinates span too {'wide' if diagonal > 1 else 'narrow'} a range: the squared"
+            f" bounding-box diagonal, {diagonal!r}, must lie in [{narrowest!r}, {MAX_SQUARED_DIAGONAL!r}]"
+        )
 
 
 def distances_from(center: Point, columns: Iterable[Sequence[float]]) -> list[float]:
@@ -74,8 +89,6 @@ class PointCloud:
 
     def __init__(self, coords):
         rows = as_rows(coords)
-        if not all(math.isfinite(x) for row in rows for x in row):
-            raise ValueError("point coordinates must be finite")
         seen = {}
         for i, row in enumerate(rows):
             if row in seen:
@@ -83,14 +96,8 @@ class PointCloud:
             seen[row] = i
         self.coords = rows
         self.columns = tuple(zip(*rows))
-        spread = [max(c) - min(c) for c in self.columns]
-        diagonal = sum(map(mul, spread, spread))
-        if len(rows) > 1 and not sys.float_info.min <= diagonal <= MAX_SQUARED_DIAGONAL:
-            # squared distances would overflow, or lose their bits below the normal floats
-            raise ValueError(
-                f"point coordinates span too {'wide' if diagonal > 1 else 'narrow'} a range: the squared"
-                f" bounding-box diagonal, {diagonal!r}, must lie in [{sys.float_info.min!r}, {MAX_SQUARED_DIAGONAL!r}]"
-            )
+        if len(rows) > 1:
+            _check_spread(self.columns, sys.float_info.min)
 
     @property
     def n_points(self) -> int:

@@ -70,20 +70,18 @@ class Filtration:
         for i, at in enumerate(located):
             if at is not None:
                 indices[at[0]][at[1]] = i
-        # (index, its first late face), or (index, None) for a simplex not in the complex
+        # (index, None) for a simplex not in the complex, (index, k) for its face without vertex k
+        # (column k of face_columns) born after it; an unlisted simplex's index, total, is above every face's
         late = [(located.index(None), None)] if None in located else []
         for d in range(1, len(indices)):
-            below, index, faces = indices[d - 1], indices[d], face_columns(complex_like, d)
-            if not all(all(map(lt, map(below.__getitem__, column), index)) for column in faces):
-                # column k of face_columns holds the faces without vertex k, in faces_of order
-                for i, face_positions in zip(index, zip(*faces)):
-                    k = next((k for k, f in enumerate(face_positions) if below[f] > i), None)
-                    if k is not None and i < total:
-                        late.append((i, order[i][:k] + order[i][k + 1 :]))
+            below, index = indices[d - 1], indices[d]
+            late += [(i, k) for k, faces in enumerate(face_columns(complex_like, d))
+                     for f, i in zip(faces, index) if below[f] > i]
         if late:
-            i, f = min(late)
+            i, k = min(late)
             s = order[i]
-            raise ValueError(f"simplex {s} not in the complex" if f is None else f"face {f} of {s} does not precede it")
+            raise ValueError(f"simplex {s} not in the complex" if k is None
+                             else f"face {s[:k] + s[k + 1 :]} of {s} does not precede it")
         if any(map(lt, values[1:], values)):
             raise ValueError("filtration values must be non-decreasing")
 
@@ -171,32 +169,24 @@ def rips_filtration(cloud: PointCloud, max_scale: float, max_dim: int) -> Filtra
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
     n = cloud.n_points
-    coords = cloud.coords
     max_scale = float(max_scale)
 
     value: dict[Simplex, float] = {(v,): 0.0 for v in range(n)}
     edges: list[Simplex] = []
+    upper = [set() for _ in range(n)]  # each vertex's neighbors of larger index
     for i in range(n if max_dim else 0):  # max_dim 0 excludes every edge
-        row = distances_from(coords[i], [column[i + 1 :] for column in cloud.columns])
+        row = distances_from(cloud.coords[i], [column[i + 1 :] for column in cloud.columns])
         for j in compress(range(i + 1, n), map(max_scale.__ge__, row)):
             edges.append((i, j))
+            upper[i].add(j)
             value[(i, j)] = row[j - i - 1]
-    adjacency = [set() for _ in range(n)]
-    for i, j in edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
 
     previous = edges
-    for d in range(2, max_dim + 1):
-        current: list[Simplex] = []
-        for s in previous:
-            common = set.intersection(*(adjacency[v] for v in s)) if s else set()
-            for w in sorted(common):
-                if w > s[-1]:
-                    t = s + (w,)
-                    current.append(t)
-                    value[t] = max(value[s], max(value[(v, w)] for v in s))
-        previous = current
+    for _ in range(2, max_dim + 1):
+        # a clique's extensions are the common neighbors above all its vertices, in order
+        previous = [s + (w,) for s in previous for w in sorted(set.intersection(*(upper[v] for v in s)))]
+        for t in previous:
+            value[t] = max(value[t[:-1]], max(value[(v, t[-1])] for v in t[:-1]))
 
     complex_ = EmbeddedComplex(cloud, value.keys())
     order = sorted(value, key=lambda s: (value[s], len(s), s))

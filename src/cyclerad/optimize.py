@@ -40,8 +40,9 @@ radius, which prunes fewer of its neighbours.
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, reduce
 from itertools import compress
+from operator import add
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .complexes import (
@@ -254,7 +255,8 @@ def opt_homology_basis(
     _site_search(complex_like, sites, evaluate, threshold, centred=True)
     # a cycle holds its creator and nothing born later, so its r is the max over its vertices
     cycles = tuple(_result_for_cycle(complex_like, c, p, v, r) for r, v, _, c in admitted)
-    return HomologyBasisResult(cycles, sum(x.r_v for x in cycles))
+    # summed left to right: sum() of floats is compensated from Python 3.12 on
+    return HomologyBasisResult(cycles, reduce(add, (x.r_v for x in cycles), 0.0))
 
 
 def _bar_representatives(
@@ -324,31 +326,21 @@ SHORTEN_PASSES = 50
 
 
 def _cycle_loops(edges: list[Simplex]) -> list[list[int]]:
-    """Closed vertex walks covering the edge set, smallest neighbor first."""
+    """Closed vertex walks covering the edge set, smallest neighbor first. The
+    edges come in canonical order, so each neighbor list is sorted, and a walk
+    pops each edge it takes from both of its ends' lists."""
     neighbors: dict[int, list[int]] = {}
     for a, b in edges:
         neighbors.setdefault(a, []).append(b)
         neighbors.setdefault(b, []).append(a)
-    for v in neighbors:
-        neighbors[v].sort()
-    unused = set(edges)
     loops = []
-    while unused:
-        start = min(min(e) for e in unused)
-        walk = [start]
-        current = start
-        while True:
-            step = next(
-                w
-                for w in neighbors[current]
-                if tuple(sorted((current, w))) in unused
-            )
-            unused.discard(tuple(sorted((current, step))))
-            if step == start:
-                break
-            walk.append(step)
-            current = step
-        loops.append(walk)
+    for start in sorted(neighbors):
+        while neighbors[start]:
+            walk = [start]
+            while len(walk) == 1 or walk[-1] != start:  # every vertex has even degree, so it ends at start
+                walk.append(neighbors[walk[-1]].pop(0))
+                neighbors[walk[-1]].remove(walk[-2])
+            loops.append(walk[:-1])
     return loops
 
 
@@ -382,7 +374,9 @@ def shorten_cycle(
     a bar representative shortened in its birth prefix still represents the
     bar; a result with an interval and no members raises ValueError. The
     edge count never grows, and because all replacement paths stay inside
-    the same ball the site radius never grows either."""
+    the same ball the site radius never grows either. The complex's edges
+    come in canonical order, so the ball's adjacency lists are sorted, and a
+    tree path, like a loop walk, takes the smallest neighbor first."""
     if result.dim != 1:
         raise ValueError("shortening is defined for 1-cycles only")
     if result.interval is not None and members is None:
@@ -402,8 +396,6 @@ def shorten_cycle(
         if dist[a] <= result.r_v and dist[b] <= result.r_v:
             adjacency.setdefault(a, []).append(b)
             adjacency.setdefault(b, []).append(a)
-    for v in adjacency:
-        adjacency[v].sort()
     bounds = IncrementalSpan(complex_like.n_simplices(1), columns)
     tree = cache(lambda root: _bfs_tree(adjacency, root))  # the ball graph is fixed
 
@@ -418,18 +410,12 @@ def shorten_cycle(
     for _ in range(SHORTEN_PASSES):
         proposals = []
         for loop in _cycle_loops(complex_like.chain_simplices(cycle, 1)):
-            n = len(loop)
-            for i in range(n):
-                for j in range(i + 2, n):
-                    if i == 0 and j == n - 1:
-                        continue  # adjacent around the wrap
-                    for arc in (loop[i : j + 1], loop[j:] + loop[: i + 1]):
-                        if arc[-1] not in tree(arc[0]):
-                            continue
-                        path = _tree_path(tree(arc[0]), arc[-1])
-                        saving = (len(arc) - 1) - (len(path) - 1)
-                        if saving > 0:
-                            proposals.append((-saving, arc, path))
+            n, twice = len(loop), loop + loop
+            # the forward arcs of 2 to n - 2 edges: the rest of the loop has at least 2 edges too
+            for arc in (twice[i : j + 1] for i in range(n) for j in range(i + 2, i + n - 1)):
+                parent = tree(arc[0])
+                if arc[-1] in parent and len(path := _tree_path(parent, arc[-1])) < len(arc):
+                    proposals.append((len(path) - len(arc), arc, path))
         proposals.sort()
         for _, arc, path in proposals:
             difference = mask(arc) ^ mask(path)

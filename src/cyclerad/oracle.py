@@ -21,7 +21,9 @@ other as well as against the fast paths.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import combinations, compress
+from operator import add
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .complexes import EmbeddedComplex, boundary_columns, distances_from, within_radius
@@ -298,14 +300,15 @@ def exact_min_basis(
         class_best[cls] = min((weigh(ChainVector(n_p, mask=m)), m) for m in members)
 
     full_rank = (s for s in combinations(class_best, beta) if len(_independent(s)) == beta)
-    best_subset = min(full_rank, key=lambda s: sum(class_best[c][0] for c in s), default=None)
+    best_subset = min(full_rank, key=lambda s: reduce(add, (class_best[c][0] for c in s), 0.0), default=None)
     assert best_subset is not None  # the hbasis classes themselves qualify
 
     picked = sorted((class_best[c] for c in best_subset))
+    # weights are summed left to right, here and above: sum() of floats is compensated from Python 3.12 on
     return ExactBasis(
         cycles=tuple(ChainVector(n_p, mask=m) for _, m in picked),
         weights=tuple(w for w, _ in picked),
-        total_weight=float(sum(w for w, _ in picked)),
+        total_weight=reduce(add, (w for w, _ in picked), 0.0),
     )
 
 

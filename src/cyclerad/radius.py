@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .complexes import MEMBERSHIP_REL_TOL, EmbeddedComplex, Point, as_rows, distances_from, within_radius
+from .complexes import MEMBERSHIP_REL_TOL, EmbeddedComplex, Point, _check_spread, as_rows, distances_from, within_radius
 from .z2 import ChainVector
 
 
@@ -107,8 +107,10 @@ def _sphere_of_boundary(points: tuple[Point, ...], boundary: list[int]):
 
 def min_enclosing_sphere(points) -> SphereCertificate:
     """Deterministic minimum enclosing sphere. Support indices refer to the
-    input rows; at most d+1 of them."""
+    input rows; at most d+1 of them. Raises ValueError, as PointCloud does, on a non-finite
+    value or too wide a spread; unlike PointCloud, it accepts coincident and close points."""
     pts = as_rows(points)
+    _check_spread(zip(*pts), 0.0)
     n, d = len(pts), len(pts[0])
 
     def solve(i: int, boundary: list[int]):

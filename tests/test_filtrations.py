@@ -379,6 +379,54 @@ def test_rips_matches_the_numpy_build(rows, share, max_dim):
             assert value == pytest.approx(expect[s], rel=1e-15, abs=0.0)
 
 
+def rips_with_full_adjacency(cloud, max_scale, max_dim):
+    """rips_filtration's order and values as its builder made them before it
+    kept upper-neighbor sets: a full adjacency set per vertex, and each clique
+    extended by the common neighbors above its last vertex."""
+    n = cloud.n_points
+    max_scale = float(max_scale)
+    value = {(v,): 0.0 for v in range(n)}
+    edges = []
+    for i in range(n if max_dim else 0):
+        row = distances_from(cloud.coords[i], [column[i + 1 :] for column in cloud.columns])
+        for j in itertools.compress(range(i + 1, n), map(max_scale.__ge__, row)):
+            edges.append((i, j))
+            value[(i, j)] = row[j - i - 1]
+    adjacency = [set() for _ in range(n)]
+    for i, j in edges:
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+    previous = edges
+    for d in range(2, max_dim + 1):
+        current = []
+        for s in previous:
+            common = set.intersection(*(adjacency[v] for v in s)) if s else set()
+            for w in sorted(common):
+                if w > s[-1]:
+                    t = s + (w,)
+                    current.append(t)
+                    value[t] = max(value[s], max(value[(v, w)] for v in s))
+        previous = current
+    order = sorted(value, key=lambda s: (value[s], len(s), s))
+    return order, [value[s] for s in order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(coordinate_rows(max_dim=3, max_points=9, cloud=True), st.data())
+def test_rips_matches_the_builder_with_full_adjacency(rows, data):
+    """Cliques grown from upper-neighbor sets give the order and values of the
+    full-adjacency builder: d = 1 to 3, half-integer rows with tied distances,
+    scale 0, a scale at exactly a pairwise distance, scales up to and past the
+    diameter, and max_dim 0 to 3."""
+    cloud = PointCloud(rows)
+    distances = sorted({cloud.distance(i, j) for i in range(cloud.n_points) for j in range(i)})
+    scale = data.draw(st.one_of(st.just(0.0), st.sampled_from(distances),
+                                st.floats(0.0, 1.5).map(lambda share: share * distances[-1])))
+    max_dim = data.draw(st.integers(0, 3))
+    filtration = rips_filtration(cloud, scale, max_dim)
+    assert (list(filtration.order), list(filtration.values)) == rips_with_full_adjacency(cloud, scale, max_dim)
+
+
 def test_lower_star_hollow_triangle():
     complex_ = fixtures.hollow_triangle().complex
     f = lower_star_filtration(complex_, {0: 0.0, 1: 1.0, 2: 2.0})

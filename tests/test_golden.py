@@ -8,6 +8,7 @@ change that alters a report on purpose regenerates the files with
 
 and says why in CHANGES.md.
 """
+import math
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 import fixtures
 from conftest import OCTAHEDRON, annulus_points, holed_mesh
 
+from cyclerad import cli, complexes, optimize, oracle
 from cyclerad.cli import main
 from cyclerad.complexes import EmbeddedComplex, PointCloud
 from cyclerad.io import write_cycle, write_filtration, write_off
@@ -73,6 +75,38 @@ def report_bytes(directory: Path, name: str) -> bytes:
 
 @pytest.mark.parametrize("name", sorted(REQUESTS))
 def test_report_matches_golden_file(tmp_path, name):
+    write_inputs(tmp_path)
+    assert report_bytes(tmp_path, name) == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def compensated_sum(iterable, start=0):
+    """sum() as Python 3.12 computes it: exact while the total is an int, then,
+    from the first float on, Neumaier's compensated summation of the floats."""
+    items = iter(iterable)
+    total = start
+    for x in items:
+        total = total + x
+        if type(total) is float:
+            break
+    else:
+        return total
+    c = 0.0
+    for x in items:
+        if type(x) is not float:
+            total += x
+            continue
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+@pytest.mark.parametrize("name", ["four_hole_mesh_basis", "annulus_verify_basis"])
+def test_report_keeps_its_bytes_under_a_compensated_sum(tmp_path, monkeypatch, name):
+    """Every float sum on the request path folds left to right, so a report
+    keeps its bytes on an interpreter whose sum() is compensated."""
+    for module in (cli, complexes, optimize, oracle):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
     write_inputs(tmp_path)
     assert report_bytes(tmp_path, name) == (GOLDEN / f"{name}.json").read_bytes()
 

@@ -1,6 +1,9 @@
 import math
 import tempfile
 from collections import deque
+from functools import cache, reduce
+from itertools import compress
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,7 @@ from cyclerad.complexes import EmbeddedComplex, PointCloud, boundary_columns, di
 from cyclerad.filtrations import Filtration, compute_persistence, lower_star_filtration, rips_filtration
 from cyclerad.io import read_filtration
 from cyclerad.optimize import (
+    SHORTEN_PASSES,
     HomologyBasisResult,
     _bar_representatives,
     _bfs_tree,
@@ -226,6 +230,18 @@ def test_filled_triangle_empty_basis():
     assert basis.cycles == () and basis.total_weight == 0
 
 
+def test_basis_total_weight_is_the_left_to_right_float_sum():
+    """With no classes the total is the float 0.0; otherwise the r_v summed
+    left to right, as sum() of floats gave them before Python 3.12."""
+    assert repr(opt_homology_basis(fixtures.filled_triangle().complex, 1).total_weight) == "0.0"
+    coords, triangles, _ = holed_mesh(12, {(2, 2), (2, 8), (8, 2), (8, 8)}, 25)
+    basis = opt_homology_basis(EmbeddedComplex(PointCloud(coords), triangles), 1)
+    total = 0.0
+    for result in basis.cycles:
+        total += result.r_v
+    assert len(basis.cycles) == 4 and basis.total_weight.hex() == total.hex()
+
+
 def test_hollow_triangle_single_basis():
     inst = fixtures.hollow_triangle()
     basis = opt_homology_basis(inst.complex, 1)
@@ -305,7 +321,7 @@ def exhaustive_basis(complex_, p, sites=None):
         for _, v, _, c in pool
         if span.add(c.mask)
     ]
-    return HomologyBasisResult(tuple(admitted), sum(x.r_v for x in admitted))
+    return HomologyBasisResult(tuple(admitted), reduce(add, (x.r_v for x in admitted), 0.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1156,6 +1172,151 @@ def test_bfs_tree_paths_are_the_early_exit_search_paths(complex_):
         tree = _bfs_tree(adjacency, a)
         for b in vertices:
             assert (_tree_path(tree, b) if b in tree else None) == _early_exit_path(adjacency, a, b)
+
+
+def cycle_loops_with_a_used_set(edges):
+    """The shortener's former loop walk: neighbor lists sorted, and each step
+    takes the smallest neighbor whose edge is not yet in the used set."""
+    neighbors = {}
+    for a, b in edges:
+        neighbors.setdefault(a, []).append(b)
+        neighbors.setdefault(b, []).append(a)
+    for v in neighbors:
+        neighbors[v].sort()
+    unused = set(edges)
+    loops = []
+    while unused:
+        start = min(min(e) for e in unused)
+        walk = [start]
+        current = start
+        while True:
+            step = next(w for w in neighbors[current] if tuple(sorted((current, w))) in unused)
+            unused.discard(tuple(sorted((current, step))))
+            if step == start:
+                break
+            walk.append(step)
+            current = step
+        loops.append(walk)
+    return loops
+
+
+def shorten_with_two_arc_forms(result, complex_like, members=None):
+    """The shortener as it was before its walks took one path each: the loop
+    walk above, sorted ball adjacency, and two arc forms per pair (i, j)
+    with the pair adjacent around the wrap skipped."""
+    if result.cycle.is_zero() or result.site is None:
+        return result
+    dist = distances_from(complex_like.cloud.point(result.site), complex_like.cloud.columns)
+    graph_edges, columns = complex_like.simplices(1), boundary_columns(complex_like, 1)
+    if members is not None:
+        graph_edges, columns = compress(graph_edges, members[1]), compress(columns, members[2]) if columns else []
+    adjacency = {}
+    for a, b in graph_edges:
+        if dist[a] <= result.r_v and dist[b] <= result.r_v:
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+    for v in adjacency:
+        adjacency[v].sort()
+    bounds = IncrementalSpan(complex_like.n_simplices(1), columns)
+    tree = cache(lambda root: _bfs_tree(adjacency, root))
+    bit = complex_like.powers(complex_like.n_simplices(1))
+
+    def mask(trail):
+        return sum(bit[complex_like.position(sorted(e))] for e in zip(trail, trail[1:]))
+
+    cycle = result.cycle
+    rejected = set()
+    for _ in range(SHORTEN_PASSES):
+        proposals = []
+        for loop in cycle_loops_with_a_used_set(complex_like.chain_simplices(cycle, 1)):
+            n = len(loop)
+            for i in range(n):
+                for j in range(i + 2, n):
+                    if i == 0 and j == n - 1:
+                        continue
+                    for arc in (loop[i : j + 1], loop[j:] + loop[: i + 1]):
+                        if arc[-1] not in tree(arc[0]):
+                            continue
+                        path = _tree_path(tree(arc[0]), arc[-1])
+                        saving = (len(arc) - 1) - (len(path) - 1)
+                        if saving > 0:
+                            proposals.append((-saving, arc, path))
+        proposals.sort()
+        for _, arc, path in proposals:
+            difference = mask(arc) ^ mask(path)
+            if difference in rejected:
+                continue
+            if bounds.contains(difference):
+                cycle = ChainVector(cycle.ambient_size, mask=cycle.mask ^ difference)
+                break
+            rejected.add(difference)
+        else:
+            break
+    if cycle == result.cycle:
+        return result
+    r_v = max(map(dist.__getitem__, chain_vertices(complex_like, cycle, 1)), default=0.0)
+    return _result_for_cycle(complex_like, cycle, 1, result.site, r_v, result.interval)
+
+
+@st.composite
+def shortening_cases(draw):
+    """(complex, result, members) triples: on loopy complexes, four-hole
+    meshes and random complexes, a drawn sum of a site's essential cycles and
+    a few boundaries, described at that site and at its best site, and
+    localized; on filtered complexes and annulus Rips inputs, every 1-bar's
+    representative with its birth prefix."""
+    if draw(st.booleans()):
+        complex_ = draw(st.one_of(loopy_complexes(), four_hole_meshes(), embedded_complexes(max_points=10)))
+        n_1 = complex_.n_simplices(1)
+        site = draw(st.sampled_from(complex_.vertex_ids()))
+        cycle = ChainVector(n_1)
+        for c in _site_essential_cycles(complex_, site_row(complex_, site), 1)[0]:
+            if draw(st.booleans()):
+                cycle = cycle ^ c
+        columns = boundary_columns(complex_, 1)
+        for m in draw(st.lists(st.sampled_from(columns), max_size=3)) if columns else []:
+            cycle = cycle ^ ChainVector(n_1, mask=m)
+        results = [describe_cycle(complex_, cycle, 1, site), describe_cycle(complex_, cycle, 1),
+                   opt_homologous_cycle(complex_, cycle, 1)]
+        return [(complex_, r, None) for r in results]
+    filtration = draw(st.one_of(filtered_complexes(), annulus_rips()))
+    bars = opt_persistent_basis(compute_persistence(filtration, 1))
+    return [(filtration.complex, r, filtration.prefix(r.interval.birth)) for r in bars]
+
+
+def fixed_shortening_cases():
+    """The spiked loop, which one swap shortens, the chord across a hole and
+    the annulus's outer loop, which stay, and the bars of 24 annulus points
+    shortened in their birth prefixes and in the whole complex."""
+    cases = []
+    for inst, loop in [(fixtures.spiked_loop(), "cycle"), (fixtures.hexagon_with_chord(), "loop"),
+                       (fixtures.annulus(), "outer_loop")]:
+        cases.append((inst.complex, describe_cycle(inst.complex, getattr(inst, loop), 1), None))
+    filtration = rips_filtration(PointCloud(annulus_points(24, 0)), 0.6, 2)
+    complex_ = filtration.complex
+    whole = [[True] * complex_.n_simplices(d) for d in range(complex_.max_dim + 1)]
+    for rep in opt_persistent_basis(compute_persistence(filtration, 1)):
+        cases += [(complex_, rep, filtration.prefix(rep.interval.birth)), (complex_, rep, whole)]
+    return cases
+
+
+@settings(max_examples=60, deadline=None)
+@given(shortening_cases())
+def test_shorten_matches_the_shortener_with_two_arc_forms(cases):
+    """One walk per loop and one arc form give the result of the former
+    shortener, with its used-edge set and its two arc forms per pair."""
+    for complex_, result, members in cases:
+        assert shorten_cycle(result, complex_, members) == shorten_with_two_arc_forms(result, complex_, members)
+
+
+def test_shorten_matches_the_shortener_with_two_arc_forms_on_fixed_cases():
+    """The same on fixed cases, at least one of which the shortening changes."""
+    changed = 0
+    for complex_, result, members in fixed_shortening_cases():
+        out = shorten_cycle(result, complex_, members)
+        assert out == shorten_with_two_arc_forms(result, complex_, members)
+        changed += out != result
+    assert changed
 
 
 def test_shorten_triangle_fixed_point():

@@ -18,7 +18,7 @@ from cyclerad.radius import (
     min_enclosing_sphere,
     site_radius,
 )
-from cyclerad.complexes import as_rows, distances_from, within_radius
+from cyclerad.complexes import PointCloud, as_rows, distances_from, within_radius
 
 REL = 1e-9
 
@@ -70,6 +70,27 @@ def test_interior_point_does_not_matter():
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         min_enclosing_sphere(np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize("points, message", [
+    ([(math.inf, 0.0), (0.0, 0.0)], "^point coordinates must be finite$"),
+    ([(math.nan, 0.0), (0.0, 0.0)], "^point coordinates must be finite$"),
+    ([(1e154, 0.0), (-1e154, 0.0)], "^point coordinates span too wide a range"),
+])
+def test_unusable_coordinates_rejected_as_a_point_cloud_rejects_them(points, message):
+    with pytest.raises(ValueError, match=message):
+        min_enclosing_sphere(points)
+    with pytest.raises(ValueError, match=message):
+        PointCloud(points)
+
+
+@pytest.mark.parametrize("points", [
+    [(1.0, 2.0), (1.0, 2.0)],  # coincident
+    [(0.0, 0.0), (1e-200, 0.0)],  # every squared distance underflows, so no PointCloud holds them
+])
+def test_coincident_and_close_points_accepted(points):
+    cert = min_enclosing_sphere(points)
+    assert all(within_radius(x, cert.radius) for x in distances_from(cert.center, zip(*points)))
 
 
 @settings(max_examples=80, deadline=None)
