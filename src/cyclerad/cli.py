@@ -60,9 +60,12 @@ def _validate(args: argparse.Namespace) -> None:
     """The checks argparse cannot make; raises ConfigError at the first that
     fails."""
     sources = _filtration_sources(args)
-    verify_basis = args.problem == "verify" and not (args.cycle_path or sources)
-    if (args.problem in ("localize", "basis") or verify_basis) and args.p < 1:
-        raise ConfigError(f"{'basis' if verify_basis else args.problem} needs a positive dimension p")
+    # verify checks the solver its inputs name, as _run_verify picks it
+    solver = args.problem
+    if solver == "verify":
+        solver = "localize" if args.cycle_path else "persistent" if sources else "basis"
+    if solver != "persistent" and args.p < 1:
+        raise ConfigError(f"{solver} needs a positive dimension p")
     if args.p < 0:
         raise ConfigError("-p must be non-negative")
     if getattr(args, "rips_scale", None) is not None and not args.rips_scale >= 0:
@@ -300,14 +303,9 @@ def _parse_bars(text: str) -> int:
     return k
 
 
-def _add_common(sp: argparse.ArgumentParser, solver: bool = True) -> None:
+def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("-p", type=int, default=1, help="homology dimension")
     sp.add_argument("--out", metavar="FILE", help="write the JSON report here")
-    if solver:  # verify reports checks, not cycles to shorten or export
-        sp.add_argument("--shorten", action="store_true",
-                        help="post-process 1-cycles with the edge-count shortener")
-        sp.add_argument("--export-obj", dest="export_obj", metavar="DIR",
-                        help="write 1-cycles as OBJ polylines into DIR")
 
 
 def _add_filtration_source(sp: argparse.ArgumentParser) -> None:
@@ -345,8 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_filtration_source(ver)
     ver.add_argument("--budget", type=int, default=12,
                      help="oracle vertex cap")
-    _add_common(ver, solver=False)
+    _add_common(ver)
 
+    for sp in (loc, bas, per):  # verify reports checks, not cycles to shorten or export
+        sp.add_argument("--shorten", action="store_true",
+                        help="post-process 1-cycles with the edge-count shortener")
+        sp.add_argument("--export-obj", dest="export_obj", metavar="DIR",
+                        help="write 1-cycles as OBJ polylines into DIR")
     return ap
 
 
@@ -362,13 +365,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _validate(args)
-    except ConfigError as exc:
-        print(f"cyclerad: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
         report, code = _RUNNERS[args.problem](args)
         _emit(report, args.out)
-    except InputError as exc:
+    except (ConfigError, InputError) as exc:
         print(f"cyclerad: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:  # the readers raise InputError, so --out or --export-obj failed

@@ -136,7 +136,7 @@ class PersistenceResult(NamedTuple):
     def value_pairs(self) -> list[tuple[float, Optional[float]]]:
         """(birth value, death value) of each bar, by birth, as a coarse
         (value-level) barcode reads them."""
-        return [(iv.birth_value, iv.death_value) for iv in sorted(self.bars(), key=lambda iv: iv.birth)]
+        return [(iv.birth_value, iv.death_value) for iv in self.intervals if iv.value_length() > 0]
 
 
 def compute_persistence(filtration: Filtration, p: int) -> PersistenceResult:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .complexes import EmbeddedComplex, PointCloud, faces_of
 from .filtrations import Filtration
@@ -56,6 +56,13 @@ def _floats(path: PathLike, line: int, fields: list[str], what: str) -> list[flo
     return row
 
 
+def _write_rows(path: PathLike, rows: Iterable[Iterable[object]]) -> None:
+    """Each row's fields, str-joined by spaces, one line per row; str of a
+    float is its repr, so the values read back exactly."""
+    with open(path, "w") as fh:
+        fh.writelines(" ".join(map(str, row)) + "\n" for row in rows)
+
+
 # -- OFF meshes -------------------------------------------------------------
 
 
@@ -83,14 +90,11 @@ def read_off(path: PathLike) -> EmbeddedComplex:
         raise InputError(path, f"expected {n_vertices} vertices and {n_faces} faces")
 
     coords = []
-    dim = None
     for ln, text in body[:n_vertices]:
         row = _floats(path, ln, _split_fields(text), "vertex")
         if len(row) < 2:
             raise InputError(path, "vertex row needs at least two coordinates", ln)
-        if dim is None:
-            dim = len(row)
-        elif len(row) != dim:
+        if coords and len(row) != len(coords[0]):
             raise InputError(path, "vertex rows mix dimensions", ln)
         coords.append(row)
 
@@ -123,15 +127,8 @@ def write_off(path: PathLike, complex_like: EmbeddedComplex) -> None:
     ids = complex_like.vertex_ids()
     if ids != tuple(range(len(ids))):
         raise ValueError("OFF export needs contiguous vertex ids")
-    with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{len(ids)} {len(faces)} 0\n")
-        for v in ids:
-            fh.write(" ".join(repr(float(x)) for x in complex_like.cloud.point(v)))
-            fh.write("\n")
-        for s in faces:
-            fh.write(" ".join(str(x) for x in (len(s), *s)))
-            fh.write("\n")
+    points = [complex_like.cloud.point(v) for v in ids]
+    _write_rows(path, [("OFF",), (len(ids), len(faces), 0), *points, *((len(s), *s) for s in faces)])
 
 
 # -- CSV points and scalars -------------------------------------------------
@@ -140,12 +137,9 @@ def write_off(path: PathLike, complex_like: EmbeddedComplex) -> None:
 def read_points(path: PathLike) -> PointCloud:
     """Point cloud from CSV or whitespace rows; every column is a coordinate."""
     rows = []
-    width = None
     for ln, text in _data_lines(path):
         row = _floats(path, ln, _split_fields(text), "point")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if rows and len(row) != len(rows[0]):
             raise InputError(path, "point rows mix widths", ln)
         rows.append(row)
     if not rows:
@@ -206,10 +200,7 @@ def read_filtration(path: PathLike, cloud: PointCloud) -> Filtration:
 
 
 def write_filtration(path: PathLike, filtration: Filtration) -> None:
-    with open(path, "w") as fh:
-        for simplex, value in zip(filtration.order, filtration.values):
-            fh.write(" ".join([repr(float(value)), *map(str, simplex)]))
-            fh.write("\n")
+    _write_rows(path, [(value, *simplex) for simplex, value in zip(filtration.order, filtration.values)])
 
 
 # -- cycle files ------------------------------------------------------------
@@ -240,10 +231,7 @@ def read_cycle(path: PathLike, complex_like: EmbeddedComplex, p: int) -> ChainVe
 
 
 def write_cycle(path: PathLike, complex_like: EmbeddedComplex, chain: ChainVector, p: int) -> None:
-    with open(path, "w") as fh:
-        for s in complex_like.chain_simplices(chain, p):
-            fh.write(" ".join(map(str, s)))
-            fh.write("\n")
+    _write_rows(path, complex_like.chain_simplices(chain, p))
 
 
 # -- OBJ polylines ----------------------------------------------------------
@@ -254,9 +242,7 @@ def write_obj_polylines(
 ) -> None:
     """1-cycles as OBJ line elements over every point of the cloud, so a
     line's indices are cloud ids + 1; flat clouds get a zero z."""
-    with open(path, "w") as fh:
-        for point in complex_like.cloud.coords:
-            fh.write("v " + " ".join(repr(x) for x in (*point, 0.0, 0.0)[:3]) + "\n")
-        for chain in cycles:
-            for a, b in complex_like.chain_simplices(chain, 1):
-                fh.write(f"l {a + 1} {b + 1}\n")
+    rows = [("v", *(*point, 0.0, 0.0)[:3]) for point in complex_like.cloud.coords]
+    for chain in cycles:
+        rows += [("l", a + 1, b + 1) for a, b in complex_like.chain_simplices(chain, 1)]
+    _write_rows(path, rows)

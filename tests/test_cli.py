@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import fixtures
-from conftest import OCTAHEDRON, accepted_by_point_cloud, scaled_rows
+from conftest import OCTAHEDRON, accepted_by_point_cloud, holed_mesh, scaled_rows
 
 from cyclerad.cli import main
 from cyclerad.complexes import EmbeddedComplex, PointCloud
+from cyclerad.filtrations import lower_star_filtration
 from cyclerad.io import (
     InputError,
     read_cycle,
@@ -22,6 +23,7 @@ from cyclerad.io import (
     read_off,
     write_cycle,
     write_filtration,
+    write_obj_polylines,
     write_off,
 )
 
@@ -534,6 +536,20 @@ def test_exit_code_basis_mode_verify_needs_positive_dimension(tmp_path, annulus_
     assert "needs a positive dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["0", "-1"])
+def test_exit_code_cycle_mode_verify_needs_positive_dimension(tmp_path, annulus_files, capsys, p):
+    """verify --cycle checks localize, so it takes the dimensions localize
+    takes: a 0-cycle fails as localize -p 0 fails."""
+    _, off, _ = annulus_files
+    cyc = tmp_path / "v.txt"
+    cyc.write_text("0\n3\n")
+    for problem in ("verify", "localize"):
+        code = main([problem, "--complex", off, "--cycle", str(cyc), "-p", p, "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == "cyclerad: localize needs a positive dimension p\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_exit_code_budget(tmp_path, annulus_files):
     _, off, cyc = annulus_files
     code = main(["verify", "--complex", off, "--cycle", cyc, "--budget", "4",
@@ -714,6 +730,115 @@ def test_filtration_roundtrip(tmp_path):
     assert list(again.values) == list(filt.values)
 
 
+# -- writers' bytes -----------------------------------------------------------
+# The writers as they stood with one open/write loop each, copied here so the
+# package's row writer is held to their bytes.
+
+
+def loop_write_off(path, complex_like):
+    faces = sorted(s for s in complex_like.maximal_simplices() if len(s) >= 2)
+    ids = complex_like.vertex_ids()
+    if ids != tuple(range(len(ids))):
+        raise ValueError("OFF export needs contiguous vertex ids")
+    with open(path, "w") as fh:
+        fh.write("OFF\n")
+        fh.write(f"{len(ids)} {len(faces)} 0\n")
+        for v in ids:
+            fh.write(" ".join(repr(float(x)) for x in complex_like.cloud.point(v)))
+            fh.write("\n")
+        for s in faces:
+            fh.write(" ".join(str(x) for x in (len(s), *s)))
+            fh.write("\n")
+
+
+def loop_write_filtration(path, filtration):
+    with open(path, "w") as fh:
+        for simplex, value in zip(filtration.order, filtration.values):
+            fh.write(" ".join([repr(float(value)), *map(str, simplex)]))
+            fh.write("\n")
+
+
+def loop_write_cycle(path, complex_like, chain, p):
+    with open(path, "w") as fh:
+        for s in complex_like.chain_simplices(chain, p):
+            fh.write(" ".join(map(str, s)))
+            fh.write("\n")
+
+
+def loop_write_obj_polylines(path, complex_like, cycles):
+    with open(path, "w") as fh:
+        for point in complex_like.cloud.coords:
+            fh.write("v " + " ".join(repr(x) for x in (*point, 0.0, 0.0)[:3]) + "\n")
+        for chain in cycles:
+            for a, b in complex_like.chain_simplices(chain, 1):
+                fh.write(f"l {a + 1} {b + 1}\n")
+
+
+def writer_case(name):
+    """(complex, its 1-cycles, a p-cycle and its p) of a named case."""
+    if name in ("annulus", "annulus_2^-45"):
+        ann = fixtures.annulus()
+        complex_ = ann.complex
+        if name != "annulus":
+            cloud = PointCloud(scaled_rows(complex_.cloud.coords, -45))
+            complex_ = EmbeddedComplex(cloud, complex_.maximal_simplices())
+        loops = [complex_.chain(ann.complex.chain_simplices(c, 1), 1) for c in (ann.outer_loop, ann.inner_loop)]
+        return complex_, loops, loops[0], 1
+    if name == "four_hole_mesh":
+        coords, triangles, ring = holed_mesh(12, {(2, 2), (2, 8), (8, 2), (8, 8)}, 25)
+        complex_ = EmbeddedComplex(PointCloud(coords), triangles)
+        loop = complex_.chain(ring, 1)
+        return complex_, [loop], loop, 1
+    if name == "two_loop":
+        complex_ = fixtures.two_loop_filtration().complex
+        loops = [complex_.chain([(0, 1), (1, 2), (0, 2)], 1), complex_.chain([(3, 4), (4, 5), (3, 5)], 1)]
+        return complex_, loops, loops[1], 1
+    if name == "octahedron":  # 3-D: the surface, its equator, and the surface as a 2-cycle
+        faces = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+        complex_ = EmbeddedComplex(PointCloud(OCTAHEDRON), faces)
+        equator = complex_.chain([(0, 2), (1, 2), (1, 3), (0, 3)], 1)
+        return complex_, [equator], complex_.chain(faces, 2), 2
+    if name == "line":  # 1-D: a hollow triangle on a line
+        complex_ = EmbeddedComplex(PointCloud([(0.0,), (1.0,), (2.5,)]), [(0, 1), (1, 2), (0, 2)])
+        loop = complex_.chain([(0, 1), (1, 2), (0, 2)], 1)
+        return complex_, [loop], loop, 1
+    # point 1 lies in no simplex, so the vertex ids are not contiguous
+    complex_ = EmbeddedComplex(PointCloud([(0, 0), (5, 5), (1, 0), (1, 1), (0, 1)]), [(0, 2), (2, 3), (3, 4), (0, 4)])
+    loop = complex_.chain([(0, 2), (2, 3), (3, 4), (0, 4)], 1)
+    return complex_, [loop], loop, 1
+
+
+@pytest.mark.parametrize("name", ["annulus", "annulus_2^-45", "four_hole_mesh", "two_loop",
+                                  "octahedron", "line", "point_in_no_simplex"])
+def test_writers_keep_the_bytes_of_their_loops(tmp_path, name):
+    """Each writer writes the bytes its open/write loop wrote: OFF, cycle
+    and OBJ files of the case's complex, and its lower-star filtration by
+    the last coordinate (the two-loop case's own filtration too)."""
+    complex_, loops, cycle, p = writer_case(name)
+    last = {v: complex_.cloud.point(v)[-1] for v in complex_.vertex_ids()}
+    filtrations = [lower_star_filtration(complex_, last)]
+    if name == "two_loop":
+        filtrations.append(fixtures.two_loop_filtration())
+    writes = [
+        (write_obj_polylines, loop_write_obj_polylines, (complex_, loops)),
+        (write_obj_polylines, loop_write_obj_polylines, (complex_, [])),
+        (write_cycle, loop_write_cycle, (complex_, cycle, p)),
+        *((write_filtration, loop_write_filtration, (f,)) for f in filtrations),
+    ]
+    if name == "point_in_no_simplex":
+        for writer in (write_off, loop_write_off):
+            with pytest.raises(ValueError, match="^OFF export needs contiguous vertex ids$"):
+                writer(tmp_path / "gap.off", complex_)
+        assert not (tmp_path / "gap.off").exists()
+    else:
+        writes.append((write_off, loop_write_off, (complex_,)))
+    for i, (writer, loop_writer, args) in enumerate(writes):
+        new, old = tmp_path / f"new{i}", tmp_path / f"old{i}"
+        writer(new, *args)
+        loop_writer(old, *args)
+        assert new.read_bytes() == old.read_bytes(), writer.__name__
+
+
 # -- reader errors ----------------------------------------------------------
 
 
@@ -803,6 +928,10 @@ OFF_TRIANGLE = "OFF\n3 1 0\n0 0\n1 0\n0 1\n"
      ": 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
     (["localize", "--complex", "{off}", "--cycle", "{bad}"], "0 1\n\xff\n",
      ": 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
+    # rows of different widths: the second or third OFF vertex row, the third point row
+    (["basis", "--complex", "{bad}"], "OFF\n3 0 0\n0 0\n1 0 0\n0 1\n", ":4: vertex rows mix dimensions"),
+    (["basis", "--complex", "{bad}"], "OFF\n3 0 0\n0 0\n1 0\n0 1 0\n", ":5: vertex rows mix dimensions"),
+    (["persistent", "--points", "{bad}", "--rips", "1.0"], "0,0\n1,0\n0,1,0\n", ":3: point rows mix widths"),
 ])
 def test_exit_code_malformed_input_file(tmp_path, annulus_files, two_loop_files, capsys, args, text, message):
     """A malformed file fails the request with its path, and its line where
