@@ -56,14 +56,19 @@ def _filtration_sources(args: argparse.Namespace) -> int:
     return sum(getattr(args, name, None) is not None for name in ("rips_scale", "filtration_path", "lower_star_path"))
 
 
+def _solver(args: argparse.Namespace) -> str:
+    """The solver a request runs: its subcommand's, or for verify the one its
+    inputs name."""
+    if args.problem != "verify":
+        return args.problem
+    return "localize" if args.cycle_path else "persistent" if _filtration_sources(args) else "basis"
+
+
 def _validate(args: argparse.Namespace) -> None:
     """The checks argparse cannot make; raises ConfigError at the first that
     fails."""
     sources = _filtration_sources(args)
-    # verify checks the solver its inputs name, as _run_verify picks it
-    solver = args.problem
-    if solver == "verify":
-        solver = "localize" if args.cycle_path else "persistent" if sources else "basis"
+    solver = _solver(args)
     if solver != "persistent" and args.p < 1:
         raise ConfigError(f"{solver} needs a positive dimension p")
     if args.p < 0:
@@ -72,12 +77,12 @@ def _validate(args: argparse.Namespace) -> None:
         raise ConfigError("--rips must be non-negative")
     if getattr(args, "budget", 1) < 1:
         raise ConfigError("--budget must be positive")
-    if args.problem == "verify" and args.cycle_path:
+    if solver == "localize":
         if not args.complex_path:
             raise ConfigError("verify with --cycle needs --complex")
         if sources:
             raise ConfigError("verify takes --cycle or a filtration source, not both")
-    elif args.problem == "persistent" or sources:
+    elif solver == "persistent":
         if sources != 1:
             raise ConfigError(
                 "need exactly one filtration source: --rips, --filtration, or --lower-star"
@@ -90,7 +95,7 @@ def _validate(args: argparse.Namespace) -> None:
             raise ConfigError("--lower-star needs --complex")
         if args.lower_star_path is None and args.complex_path:
             raise ConfigError("--rips and --filtration take no --complex")
-    elif args.problem == "verify" and not args.complex_path:
+    elif not args.complex_path:
         raise ConfigError("verify needs --complex, --cycle, or a filtration source")
     if getattr(args, "points_path", None) and args.rips_scale is None and args.filtration_path is None:
         raise ConfigError("--points needs --rips or --filtration")
@@ -135,14 +140,6 @@ def _result_json(
         "edge_count_before": len(before.cycle),
         "edge_count_after": len(after.cycle),
     }
-
-
-def _emit(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
 
 
 # -- shared plumbing --------------------------------------------------------
@@ -216,69 +213,62 @@ def _run_persistent(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _run_verify(args: argparse.Namespace) -> tuple[dict, int]:
-    # the oracle is loaded here, so the other subcommands never import it
+    # the oracle answers first, so its caps stop an input too large before any
+    # search; it is loaded here, so the other subcommands never import it
     from .oracle import (
-        check_complex,
         exact_min_basis,
         exact_min_persistent_rep,
         exact_optimal_homologous_cycle,
     )
 
     tol = MEMBERSHIP_REL_TOL
-    checks = []
-
-    if args.cycle_path:
-        mode = "localize"
+    mode = _solver(args)
+    if mode == "localize":
         complex_ = read_off(args.complex_path)
         cycle = read_cycle(args.cycle_path, complex_, args.p)
-        res = opt_homologous_cycle(complex_, cycle, args.p)
         opt = exact_optimal_homologous_cycle(complex_, cycle, args.p, max_vertices=args.budget)
+        (row,) = _RUNNERS[mode](args)[0]["results"]
         if opt.radius > 0:
-            ratio = res.r_v / opt.radius
+            ratio = row["r_v"] / opt.radius
         else:
-            ratio = 1.0 if res.r_v == 0 else float("inf")
-        checks.append(
+            ratio = 1.0 if row["r_v"] == 0 else float("inf")
+        checks = [
             {
                 "kind": "localize",
-                "algorithm": _result_json(complex_, "verify", res, res),
+                "algorithm": row,
                 "oracle": {**_sphere_json(opt), "cycle": complex_.chain_simplices(opt.cycle, args.p)},
                 "ratio": ratio,
-                "ok": opt.radius * (1 - tol) <= res.r_v <= 2 * opt.radius * (1 + tol),
+                "ok": opt.radius * (1 - tol) <= row["r_v"] <= 2 * opt.radius * (1 + tol),
             }
-        )
-    elif _filtration_sources(args):
-        mode = "persistent"
+        ]
+    elif mode == "persistent":
         filtration = _build_filtration(args)
-        complex_ = filtration.complex
-        persistence = compute_persistence(filtration, args.p)
-        if persistence.bars(args.bars):  # the oracle's size cap, checked before the bar searches
-            check_complex(complex_, max_vertices=args.budget)
-        for res in opt_persistent_basis(persistence, args.bars):
-            rep = exact_min_persistent_rep(filtration, res.interval, max_vertices=args.budget)
-            ratio = res.r_v / rep.weight if rep.weight > 0 else 1.0
-            checks.append(
-                {
-                    "kind": "persistent",
-                    "interval": _interval_json(res.interval),
-                    "algorithm": _result_json(complex_, "verify", res, res),
-                    "oracle": {"weight": rep.weight, "site": rep.site},
-                    "ratio": ratio,
-                    "ok": abs(res.r_v - rep.weight) <= tol * rep.weight,
-                }
-            )
+        reps = [
+            exact_min_persistent_rep(filtration, iv, max_vertices=args.budget)
+            for iv in compute_persistence(filtration, args.p).bars(args.bars)
+        ]
+        checks = [
+            {
+                "kind": "persistent",
+                "interval": row["interval"],
+                "algorithm": row,
+                "oracle": {"weight": rep.weight, "site": rep.site},
+                "ratio": row["r_v"] / rep.weight if rep.weight > 0 else 1.0,
+                "ok": abs(row["r_v"] - rep.weight) <= tol * rep.weight,
+            }
+            for row, rep in zip(_RUNNERS[mode](args)[0]["results"], reps, strict=True)
+        ]
     else:
-        mode = "basis"
-        complex_ = read_off(args.complex_path)
-        greedy = opt_homology_basis(complex_, args.p)
-        oracle = exact_min_basis(complex_, args.p, weight="site", max_vertices=args.budget)
-        checks.append(
+        oracle = exact_min_basis(read_off(args.complex_path), args.p, weight="site", max_vertices=args.budget)
+        greedy = _RUNNERS[mode](args)[0]["total_weight"]
+        checks = [
             {
                 "kind": "basis",
-                "algorithm": {"total_weight": greedy.total_weight},
+                "algorithm": {"total_weight": greedy},
                 "oracle": {"total_weight": oracle.total_weight},
-                "ok": greedy.total_weight <= oracle.total_weight * (1 + tol),
+                "ok": greedy <= oracle.total_weight * (1 + tol),
             }
-        )
+        ]
 
     if not checks:
         print(f"cyclerad: nothing to verify: no positive-length {args.p}-bar", file=sys.stderr)
@@ -344,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--budget", type=int, default=12,
                      help="oracle vertex cap")
     _add_common(ver)
+    ver.set_defaults(shorten=False, export_obj=None)  # read by the subcommand verify runs
 
     for sp in (loc, bas, per):  # verify reports checks, not cycles to shorten or export
         sp.add_argument("--shorten", action="store_true",
@@ -366,7 +357,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         _validate(args)
         report, code = _RUNNERS[args.problem](args)
-        _emit(report, args.out)
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
     except (ConfigError, InputError) as exc:
         print(f"cyclerad: {exc}", file=sys.stderr)
         return EXIT_INPUT

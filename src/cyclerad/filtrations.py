@@ -129,6 +129,8 @@ class PersistenceResult(NamedTuple):
     def bars(self, top: Optional[int] = None) -> list[Interval]:
         """The dimension-p intervals of positive value length, longest first
         (essential bars lead), ties by birth; only the first top when given."""
+        if top is not None and top < 0:
+            raise ValueError("top must be non-negative")
         alive = [iv for iv in self.intervals if iv.value_length() > 0]
         alive.sort(key=lambda iv: (-iv.value_length(), iv.birth))
         return alive if top is None else alive[:top]

@@ -127,6 +127,8 @@ def write_off(path: PathLike, complex_like: EmbeddedComplex) -> None:
     ids = complex_like.vertex_ids()
     if ids != tuple(range(len(ids))):
         raise ValueError("OFF export needs contiguous vertex ids")
+    if complex_like.cloud.dim < 2:  # read_off refuses a vertex row of one coordinate
+        raise ValueError("OFF export needs at least two coordinates")
     points = [complex_like.cloud.point(v) for v in ids]
     _write_rows(path, [("OFF",), (len(ids), len(faces), 0), *points, *((len(s), *s) for s in faces)])
 

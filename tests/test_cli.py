@@ -12,10 +12,11 @@ import pytest
 
 import fixtures
 from conftest import OCTAHEDRON, accepted_by_point_cloud, holed_mesh, scaled_rows
+from test_golden import write_inputs
 
-from cyclerad.cli import main
+from cyclerad.cli import _build_filtration, build_parser, main
 from cyclerad.complexes import EmbeddedComplex, PointCloud
-from cyclerad.filtrations import lower_star_filtration
+from cyclerad.filtrations import compute_persistence, lower_star_filtration
 from cyclerad.io import (
     InputError,
     read_cycle,
@@ -26,6 +27,7 @@ from cyclerad.io import (
     write_obj_polylines,
     write_off,
 )
+from cyclerad.oracle import exact_min_persistent_rep
 
 REL = 1e-9
 
@@ -566,6 +568,50 @@ def test_verify_checks_the_oracle_cap_before_any_bar_search(tmp_path, two_loop_f
     assert "vertices exceed the oracle cap of 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("solver", ["opt_homologous_cycle", "opt_homology_basis"])
+def test_verify_checks_the_oracle_cap_before_the_solver(tmp_path, annulus_files, capsys, monkeypatch, solver):
+    _, off, cyc = annulus_files
+    monkeypatch.setattr(f"cyclerad.cli.{solver}", lambda *args: pytest.fail("the solver ran"))
+    cycle = ["--cycle", cyc] if solver == "opt_homologous_cycle" else []
+    code = main(["verify", "--complex", off, *cycle, "--budget", "4", "--out", str(tmp_path / "r.json")])
+    assert code == 3
+    assert "vertices exceed the oracle cap of 4" in capsys.readouterr().err
+
+
+VERIFIED_SOURCES = {
+    "localize": ("localize", ["--complex", "annulus.off", "--cycle", "outer.txt"]),
+    "basis": ("basis", ["--complex", "annulus.off"]),
+    "rips": ("persistent", ["--points", "ring.csv", "--rips", "0.9"]),
+    "filtration": ("persistent", ["--points", "two_loop.csv", "--filtration", "two_loop.flt"]),
+    "filtration_top1": ("persistent", ["--points", "two_loop.csv", "--filtration", "two_loop.flt", "--bars", "top:1"]),
+    "lower_star_p0": ("persistent", ["-p", "0", "--complex", "annulus.off", "--lower-star", "annulus_y.csv"]),
+    "lower_star_p1": ("persistent", ["-p", "1", "--complex", "annulus.off", "--lower-star", "annulus_y.csv"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIED_SOURCES))
+def test_verify_checks_the_report_of_the_subcommand_it_runs(tmp_path, name):
+    """Each check's algorithm row is the row of the subcommand verify runs,
+    with its problem read as verify (for basis, the report's total weight),
+    and a bar's check holds the oracle's answer for that bar."""
+    write_inputs(tmp_path)
+    solver, source = VERIFIED_SOURCES[name]
+    argv = [str(tmp_path / a) if (tmp_path / a).is_file() else a for a in source]
+    _, solved = run_json(tmp_path, [solver, *argv])
+    _, verified = run_json(tmp_path, ["verify", *argv])
+    assert verified["mode"] == solver
+    assert solved["results"]
+    expected = ([{"total_weight": solved["total_weight"]}] if solver == "basis"
+                else [{**row, "problem": "verify"} for row in solved["results"]])
+    assert [c["algorithm"] for c in verified["checks"]] == expected
+    if solver == "persistent":
+        args = build_parser().parse_args(["verify", *argv])
+        filtration = _build_filtration(args)
+        bars = compute_persistence(filtration, args.p).bars(args.bars)
+        reps = [exact_min_persistent_rep(filtration, iv) for iv in bars]
+        assert [c["oracle"] for c in verified["checks"]] == [{"weight": r.weight, "site": r.site} for r in reps]
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_exit_code_budget_must_be_positive(tmp_path, two_loop_files, capsys, budget):
     _, csv, _ = two_loop_files
@@ -830,6 +876,10 @@ def test_writers_keep_the_bytes_of_their_loops(tmp_path, name):
             with pytest.raises(ValueError, match="^OFF export needs contiguous vertex ids$"):
                 writer(tmp_path / "gap.off", complex_)
         assert not (tmp_path / "gap.off").exists()
+    elif name == "line":  # read_off needs two coordinates, so write_off refuses one
+        with pytest.raises(ValueError, match="^OFF export needs at least two coordinates$"):
+            write_off(tmp_path / "line.off", complex_)
+        assert not (tmp_path / "line.off").exists()
     else:
         writes.append((write_off, loop_write_off, (complex_,)))
     for i, (writer, loop_writer, args) in enumerate(writes):
@@ -837,6 +887,17 @@ def test_writers_keep_the_bytes_of_their_loops(tmp_path, name):
         writer(new, *args)
         loop_writer(old, *args)
         assert new.read_bytes() == old.read_bytes(), writer.__name__
+
+
+@pytest.mark.parametrize("name", ["annulus", "annulus_2^-45", "four_hole_mesh", "two_loop", "octahedron"])
+def test_off_files_read_back_as_written(tmp_path, name):
+    """read_off of a written OFF file gives back the complex's simplices and
+    coordinates."""
+    complex_ = writer_case(name)[0]
+    write_off(tmp_path / "c.off", complex_)
+    back = read_off(tmp_path / "c.off")
+    assert back.cloud.coords == complex_.cloud.coords
+    assert [back.simplices(d) for d in range(4)] == [complex_.simplices(d) for d in range(4)]
 
 
 # -- reader errors ----------------------------------------------------------

@@ -46,6 +46,7 @@ from cyclerad.filtrations import (
     rips_filtration,
     site_essential_cycles,
 )
+from cyclerad.optimize import opt_persistent_basis
 from cyclerad.z2 import ChainVector, IncrementalSpan
 
 
@@ -294,6 +295,17 @@ def test_bars_keep_positive_length_most_persistent_first():
     assert res.bars(1) == res.bars()[:1]
     triangle = lower_star_filtration(fixtures.hollow_triangle().complex, {0: 0.0, 1: 1.0, 2: 2.0})
     assert [iv.death for iv in compute_persistence(triangle, 1).bars()] == [None]
+
+
+def test_bars_refuse_a_negative_top():
+    """A negative top would slice off the shortest bars: on the 12-point
+    circle's 0-dimensional Rips barcode at 0.9, bars(-1) kept 11 of 12."""
+    res = compute_persistence(rips_filtration(fixtures.circle_cloud(12), 0.9, 1), 0)
+    assert len(res.bars()) == 12
+    assert res.bars(0) == []
+    for call in (res.bars, lambda top: opt_persistent_basis(res, top)):
+        with pytest.raises(ValueError, match="^top must be non-negative$"):
+            call(-1)
 
 
 # -- constructors ---------------------------------------------------------

@@ -40,6 +40,10 @@ REQUESTS = {
     "annulus_verify_localize": ["verify", "--complex", "annulus.off", "--cycle", "outer.txt"],
     "annulus_verify_basis": ["verify", "--complex", "annulus.off"],
     "ring_verify_rips": ["verify", "--points", "ring.csv", "--rips", "0.9"],
+    "annulus_verify_lower_star": ["verify", "--complex", "annulus.off", "--lower-star", "annulus_y.csv"],
+    "two_loop_verify_filtration_top1": [
+        "verify", "--points", "two_loop.csv", "--filtration", "two_loop.flt", "--bars", "top:1",
+    ],
 }
 
 
