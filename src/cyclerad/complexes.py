@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import reduce
-from operator import add, eq, lt, mul, xor
+from operator import add, eq, index, lt, mul, xor
 from typing import Iterable, Optional, Sequence
 
 from .z2 import ChainVector
@@ -147,7 +147,7 @@ def face_masks(faces: Sequence[Sequence[int]], row_bits: Sequence[int], position
 
 
 def _normalize_simplex(simplex: Iterable[int]) -> Simplex:
-    s = tuple(map(int, simplex))
+    s = tuple(map(index, simplex))
     if all(map(lt, s, s[1:])):
         return s
     ordered = tuple(sorted(s))

@@ -7,15 +7,15 @@ dozen vertices; three caps (the max_vertices keyword of every entry point,
 12 by default, MAX_SIMPLICES and MAX_SPAN_DIM) make a test that outgrows the
 oracle fail loudly instead of hanging.
 
-The linear algebra is redone locally on dense bitmasks rather than routed
-through the site kernel in ``filtrations``, so the reference results do not
-inherit a bug from the machinery they are supposed to check; only the
-boundary columns come from ``complexes``. A candidate ball or a bar's birth
-prefix is a flag per canonical position of the complex, so every chain stays
-in the complex's own basis.  Two deliberately different routes to the same
-optimum exist (sphere enumeration in ``exact_optimal_homologous_cycle``,
-class unrolling in ``enumerate_class``); tests compare them against each
-other as well as against the fast paths.
+The linear algebra, one elimination step (``_reduce``) on dense bitmasks that
+serves membership, independence, kernels and solves, is redone here rather
+than routed through the site kernel in ``filtrations``, so the results inherit
+no bug from the machinery they check; only the boundary columns come from
+``complexes``. A candidate ball or a bar's birth prefix is a flag per
+canonical position of the complex, so every chain stays in the complex's own
+basis.  Two deliberately different routes to the same optimum exist (sphere
+enumeration in ``exact_optimal_homologous_cycle``, class unrolling in
+``enumerate_class``); tests compare them to each other and to the fast paths.
 """
 
 from __future__ import annotations
@@ -67,58 +67,50 @@ def _check_span(dim: int) -> None:
 # -- dense Z2 helpers on int masks -----------------------------------------
 
 
-def _reduce_mask(mask: int, rows: dict[int, int]) -> int:
-    """Eliminate against rows keyed by leading bit until stuck or zero."""
+def _reduce(mask: int, rows: dict[int, tuple[int, int]], coeffs: int = 0) -> tuple[int, int]:
+    """Eliminate against (residue, coeffs) rows keyed by leading bit until
+    stuck or zero, adding up the coefficient masks of the rows removed."""
     while mask:
         row = rows.get(mask.bit_length() - 1)
         if row is None:
             break
-        mask ^= row
-    return mask
+        mask ^= row[0]
+        coeffs ^= row[1]
+    return mask, coeffs
 
 
-def _independent(masks, rows: Optional[dict[int, int]] = None) -> list[int]:
+def _independent(masks, rows: Optional[dict[int, tuple[int, int]]] = None) -> list[int]:
     """The masks, unreduced, that are independent of rows and of the masks
     before them; each one's residue joins rows, so rows grows to span all."""
     rows = {} if rows is None else rows
     kept = []
     for m in masks:
-        residue = _reduce_mask(m, rows)
+        residue = _reduce(m, rows)[0]
         if residue:
-            rows[residue.bit_length() - 1] = residue
+            rows[residue.bit_length() - 1] = (residue, 0)
             kept.append(m)
     return kept
 
 
-def _kernel_coefficients(columns: Sequence[int]) -> list[int]:
-    """Coefficient masks of a basis of {c : XOR_{j in c} columns[j] = 0}: one
-    per column that reduces to zero against the echelon rows of those before
-    it, each row tagged with the columns it sums."""
+def _echelon(columns: Sequence[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Echelon rows of the columns, each tagged with the columns it sums, and a
+    basis of {c : XOR_{j in c} columns[j] = 0}: the tag of each zero residue."""
     rows: dict[int, tuple[int, int]] = {}
     kernel = []
     for j, col in enumerate(columns):
-        value, coeffs = col, 1 << j
-        while value:
-            top = value.bit_length() - 1
-            if top in rows:
-                rv, rc = rows[top]
-                value ^= rv
-                coeffs ^= rc
-            else:
-                rows[top] = (value, coeffs)
-                break
-        if not value:
+        residue, coeffs = _reduce(col, rows, 1 << j)
+        if residue:
+            rows[residue.bit_length() - 1] = (residue, coeffs)
+        else:
             kernel.append(coeffs)
-    return kernel
+    return rows, kernel
 
 
 def _solve_masks(columns: Sequence[int], target: int) -> Optional[int]:
-    """Coefficient mask c with XOR_{j in c} columns[j] = target, or None: the
-    target, put last, reduces to zero exactly when it is in the span, and its
-    kernel vector then names it and the columns that sum to it."""
-    n = len(columns)
-    kernel = _kernel_coefficients([*columns, target])
-    return kernel[-1] ^ (1 << n) if kernel and kernel[-1] >> n else None
+    """Coefficient mask c with XOR_{j in c} columns[j] = target, the tags of
+    the rows the target clears against, or None when it leaves a residue."""
+    residue, coeffs = _reduce(target, _echelon(columns)[0])
+    return None if residue else coeffs
 
 
 def _xor_select(masks: Sequence[int], bits: int) -> int:
@@ -151,7 +143,7 @@ def _cycle_space_masks(
     if p == 0:
         return bits
     columns = boundary_columns(complex_like, p - 1)
-    return [_xor_select(bits, c) for c in _kernel_coefficients([columns[q] for q in positions])]
+    return [_xor_select(bits, c) for c in _echelon([columns[q] for q in positions])[1]]
 
 
 def _ball_members(complex_like: EmbeddedComplex, center, radius: float, p: int) -> list[bool]:
@@ -277,7 +269,7 @@ def exact_min_basis(
     check_complex(complex_like, max_vertices)
     weigh = _weight_fn(complex_like, p, weight)
     n_p = complex_like.n_simplices(p)
-    rows: dict[int, int] = {}
+    rows: dict[int, tuple[int, int]] = {}
     bbasis = _independent(boundary_columns(complex_like, p), rows)
     _check_span(len(bbasis))
 
@@ -334,8 +326,8 @@ def exact_min_persistent_rep(
     _check_span(len(cycles))
 
     full = boundary_columns(complex_like, p)
-    pre_rows: dict[int, int] = {}
-    death_rows: dict[int, int] = {}
+    pre_rows: dict[int, tuple[int, int]] = {}
+    death_rows: dict[int, tuple[int, int]] = {}
     if interval.death is None:
         _independent(full, pre_rows)
     else:
@@ -344,8 +336,8 @@ def exact_min_persistent_rep(
 
     reps = (
         m for m in (_xor_select(cycles, bits) for bits in range(1, 1 << len(cycles)))
-        if m >> creator_bit & 1 and _reduce_mask(m, pre_rows)
-        and (interval.death is None or not _reduce_mask(m, death_rows))
+        if m >> creator_bit & 1 and _reduce(m, pre_rows)[0]
+        and (interval.death is None or not _reduce(m, death_rows)[0])
     )
     best = min(((weigh(ChainVector(n_p, mask=m)), m) for m in reps), default=None)
     # the bar exists, so at least one representative does

@@ -63,7 +63,7 @@ class ChainVector:
         return bin(self.mask).count("1")
 
     def __contains__(self, index: int) -> bool:
-        return bool((self.mask >> index) & 1)
+        return index >= 0 and bool((self.mask >> index) & 1)
 
     def __xor__(self, other: "ChainVector") -> "ChainVector":
         if self.ambient_size != other.ambient_size:

@@ -375,7 +375,7 @@ def test_exit_code_non_finite_scalars(tmp_path):
 
 def test_exit_code_non_finite_filtration(tmp_path, two_loop_files):
     _, csv, flt = two_loop_files
-    lines = open(flt).read().splitlines()
+    lines = Path(flt).read_text().splitlines()
     lines[-1] = "inf " + lines[-1].split(" ", 1)[1]
     bad = tmp_path / "bad.flt"
     bad.write_text("\n".join(lines) + "\n")
@@ -387,7 +387,7 @@ def test_exit_code_non_finite_filtration(tmp_path, two_loop_files):
 def bad_filtration_file(tmp_path, flt, row):
     """The filtration file with more rows at the end, as (path, line of the
     first)."""
-    lines = open(flt).read().splitlines()
+    lines = Path(flt).read_text().splitlines()
     bad = tmp_path / "bad.flt"
     bad.write_text("\n".join(lines + [row]) + "\n")
     return str(bad), len(lines) + 1
@@ -420,7 +420,7 @@ def test_exit_code_bad_filtration_row(tmp_path, two_loop_files, capsys, row, mes
 def test_exit_code_cycle_mixes_dimensions(tmp_path, annulus_files, capsys):
     ann, off, cyc = annulus_files
     bad = tmp_path / "mixed.txt"
-    bad.write_text(open(cyc).read() + " ".join(map(str, ann.complex.simplices(2)[0])) + "\n")
+    bad.write_text(Path(cyc).read_text() + " ".join(map(str, ann.complex.simplices(2)[0])) + "\n")
     code = main(["localize", "--complex", off, "--cycle", str(bad),
                  "--out", str(tmp_path / "r.json")])
     assert code == 2
@@ -431,7 +431,7 @@ def test_exit_code_cycle_lists_a_simplex_twice(tmp_path, annulus_files, capsys):
     """Over Z2 a repeated row would cancel, so it is rejected, not collapsed."""
     ann, off, cyc = annulus_files
     bad = tmp_path / "twice.txt"
-    bad.write_text(open(cyc).read() + "0 1\n")
+    bad.write_text(Path(cyc).read_text() + "0 1\n")
     code = main(["localize", "--complex", off, "--cycle", str(bad),
                  "--out", str(tmp_path / "r.json")])
     assert code == 2

@@ -96,6 +96,20 @@ def test_repeated_vertex_rejected():
         EmbeddedComplex(cloud, [(0, 0, 1)])
 
 
+def test_non_integral_vertex_ids_rejected():
+    """Ids go through operator.index: a float, integral or not, is refused
+    rather than truncated, and numpy integers still pass."""
+    cloud = PointCloud([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    for simplex in [(0.9, 1.9), (0.0, 1.0)]:
+        with pytest.raises(TypeError):
+            EmbeddedComplex(cloud, [simplex])
+    complex_ = EmbeddedComplex(cloud, [np.array([0, 1])])
+    assert complex_.simplices(1) == ((0, 1),)
+    assert complex_.chain([np.array([1, 0])]) == complex_.chain([(0, 1)])
+    with pytest.raises(TypeError):
+        complex_.chain([(0.5, 1.5)])
+
+
 @pytest.mark.parametrize(
     "raw, message",
     [

@@ -1,6 +1,8 @@
 import math
 import re
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,8 +18,9 @@ from cyclerad.optimize import opt_homologous_cycle, opt_homology_basis, opt_pers
 from cyclerad.oracle import (
     BudgetExceededError,
     _cycle_space_masks,
+    _echelon,
     _independent,
-    _reduce_mask,
+    _solve_masks,
     enumerate_class,
     exact_min_basis,
     exact_min_persistent_rep,
@@ -209,9 +212,43 @@ def test_min_basis_rejects_an_unknown_weight():
 # -- the echelon step -------------------------------------------------------
 
 
-# the helpers _independent replaced, kept here as the reference it must match
+# the helpers _reduce and _independent replaced, kept here as the reference they must match
+def reduce_mask(mask, rows):
+    while mask:
+        row = rows.get(mask.bit_length() - 1)
+        if row is None:
+            break
+        mask ^= row
+    return mask
+
+
+def kernel_coefficients(columns):
+    rows = {}
+    kernel = []
+    for j, col in enumerate(columns):
+        value, coeffs = col, 1 << j
+        while value:
+            top = value.bit_length() - 1
+            if top in rows:
+                rv, rc = rows[top]
+                value ^= rv
+                coeffs ^= rc
+            else:
+                rows[top] = (value, coeffs)
+                break
+        if not value:
+            kernel.append(coeffs)
+    return kernel
+
+
+def solve_masks(columns, target):
+    n = len(columns)
+    kernel = kernel_coefficients([*columns, target])
+    return kernel[-1] ^ (1 << n) if kernel and kernel[-1] >> n else None
+
+
 def insert_mask(mask, rows):
-    residue = _reduce_mask(mask, rows)
+    residue = reduce_mask(mask, rows)
     if residue:
         rows[residue.bit_length() - 1] = residue
         return True
@@ -234,6 +271,11 @@ def mask_rank(masks):
     return len(span_rows(masks))
 
 
+def residues(rows):
+    """The tagged rows the oracle keeps, without their coefficient masks."""
+    return {lead: residue for lead, (residue, _) in rows.items()}
+
+
 masks_12 = st.lists(st.integers(0, (1 << 12) - 1), max_size=12)
 
 
@@ -242,13 +284,30 @@ masks_12 = st.lists(st.integers(0, (1 << 12) - 1), max_size=12)
 def test_independent_matches_the_helpers_it_replaced(filled, masks):
     rows = {}
     assert _independent(masks, rows) == independent_masks(masks) == _independent(masks)
-    assert rows == span_rows(masks)
+    assert residues(rows) == span_rows(masks)
     assert len(rows) == mask_rank(masks)
 
-    rows, expect_rows = span_rows(filled), span_rows(filled)
+    expect_rows = span_rows(filled)
+    rows = {lead: (residue, 0) for lead, residue in expect_rows.items()}
     assert _independent(masks, rows) == [m for m in masks if insert_mask(m, expect_rows)]
-    assert rows == expect_rows
+    assert residues(rows) == expect_rows
     assert len(rows) == mask_rank(filled + masks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(masks_12, masks_12, masks_12)
+def test_solves_and_kernels_match_the_helpers_they_replaced(columns, targets, subsets):
+    """Solves of targets in the span, outside it and of zero, and the kernel,
+    against the test-local copies above; the test before holds _independent.
+    Every row is reduced: keyed by its own leading bit, the sum of its tag."""
+    def select(bits):
+        return reduce(xor, (c for j, c in enumerate(columns) if bits >> j & 1), 0)
+
+    for target in [0, *columns, *targets, *map(select, subsets)]:
+        assert _solve_masks(columns, target) == solve_masks(columns, target)
+    rows, kernel = _echelon(columns)
+    assert kernel == kernel_coefficients(columns)
+    assert all(lead == r.bit_length() - 1 and r == select(c) for lead, (r, c) in rows.items())
 
 
 # -- minimum basis ----------------------------------------------------------

@@ -64,6 +64,12 @@ def test_chain_vector_support_roundtrip():
     assert ChainVector(10).is_zero()
 
 
+def test_chain_vector_contains_nothing_outside_its_range():
+    v = ChainVector(3, [0])
+    assert 0 in v
+    assert -1 not in v and -3 not in v and 3 not in v and 7 not in v
+
+
 def test_chain_vector_rejects_bad_support():
     with pytest.raises(ValueError):
         ChainVector(4, [1, 1])
