@@ -30,8 +30,15 @@ kernel_calls, the calls of the per-site kernel (`optimize._site_essential_cycles
 and point_distances, the summed length of the `distances_from` rows that
 `optimize`, `filtrations` and `radius` compute. Both are deterministic, so
 they compare two packages exactly where the times cannot.
-The import time is the median wall time of fresh `import cyclerad.cli`
-processes, next to a bare interpreter's, with their peak RSS.
+The import block times fresh interpreters, next to a bare one: per package,
+`import cyclerad.cli`, and one CLI request per subcommand on the smallest
+point of its ladder (localize and basis on the smallest meshes, persistent
+--rips on the smallest annulus), run as `from cyclerad.cli import main;
+raise SystemExit(main([...]))`, so it counts the modules a request loads
+and compiles. Each keeps its fastest and median wall time and its peak RSS.
+Each package also records whether its `cyclerad/__pycache__` held bytecode
+when the block began, and the PYTHONDONTWRITEBYTECODE its interpreters ran
+with: set, no interpreter writes bytecode, so each compiles what it loads.
 """
 from __future__ import annotations
 
@@ -55,6 +62,9 @@ PERFBENCH = ROOT / "perfbench"
 # the circle sample is the tests' own fixture; it imports whichever cyclerad
 # is on the path, so --parent-src measures the parent's package with it
 sys.path.insert(0, str(ROOT / "tests"))
+# the ladders' inputs come from perfbench's workloads, which needs numpy, not cyclerad
+sys.path.insert(0, str(PERFBENCH))
+import workloads  # noqa: E402
 
 # of these meshes only the 96-side ones have more than 2^14 edges
 LOCALIZE_GRIDS = [12, 16, 24, 34, 48, 68, 96]
@@ -65,7 +75,7 @@ ANNULUS_SEED = 5
 # alternating worker rounds per package, least samples per ladder point per
 # round, least seconds those samples take, fresh-process import samples per
 # package; --quick takes QUICK_COUNTS
-COUNTS = (5, 3, 0.5, 21)
+COUNTS = (5, 3, 0.5, 31)
 QUICK_COUNTS = (1, 1, 0.0, 3)
 WORK_COUNTS = ("kernel_calls", "point_distances")
 
@@ -103,14 +113,32 @@ def last_finite_bar(filtration):
 def annulus_sample(n: int, scale: float):
     """n annulus points from _rng(ANNULUS_SEED) or, while the sample's Rips
     filtration at the scale has no positive-length 1-bar, from
-    _rng(ANNULUS_SEED, attempt) for attempt 1, 2, ... (perfbench/ on sys.path)."""
-    import workloads
-
+    _rng(ANNULUS_SEED, attempt) for attempt 1, 2, ..."""
     for attempt in itertools.count():
         rng = workloads._rng(ANNULUS_SEED, attempt) if attempt else workloads._rng(ANNULUS_SEED)
         coords = workloads.annulus_points(n, rng)
         if workloads.positive_bars(*workloads.rips_order(coords, scale), 1):
             return coords
+
+
+def write_mesh(work: Path, name: str, k: int) -> tuple[int, int, list[str]]:
+    """Writes the side-k mesh of a mesh ladder and its outer loop under work:
+    (vertices, simplices, the request's argv)."""
+    holes, stream = (workloads._centre_hole, 1) if name == "mesh-localize" else (workloads._four_holes, 2)
+    coords, tris, outer = workloads.holed_grid(k, holes(k), workloads._rng(ANNULUS_SEED, stream, k))
+    off, cyc = work / f"{name}_{k}.off", work / f"{name}_{k}.cyc"
+    workloads.write_off(off, coords, tris)
+    workloads.write_simplices(cyc, outer)
+    argv = (["localize", "--complex", str(off), "--cycle", str(cyc)] if name == "mesh-localize"
+            else ["basis", "--complex", str(off)])
+    return len(coords), workloads._mesh_simplices(coords, tris), argv
+
+
+def write_annulus(work: Path, n: int, scale: float) -> list[str]:
+    """Writes the n-point annulus sample under work: the request's argv."""
+    pts = work / f"annulus_{n}.csv"
+    workloads.write_points(pts, annulus_sample(n, scale))
+    return ["persistent", "--points", str(pts), "--rips", repr(scale)]
 
 
 def work_counts(fn) -> dict[str, int]:
@@ -138,14 +166,16 @@ def work_counts(fn) -> dict[str, int]:
     return counts
 
 
-# The child reports its own high-water mark: wait4's ru_maxrss would carry
-# the RSS of this process across the exec (Linux).
-PEAK_RSS = "\nprint(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')))"
+# The child reports its own high-water mark, at exit so that code ending in
+# SystemExit reports too: wait4's ru_maxrss would carry the RSS of this
+# process across the exec (Linux).
+PEAK_RSS = ("import atexit\natexit.register(lambda: print(next(line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM'))))\n")
 
 
 def fresh_peak_rss_mb(code: str, env=None) -> float:
-    """Peak RSS (MB) of a fresh interpreter that runs the code."""
-    proc = subprocess.run([sys.executable, "-c", code + PEAK_RSS], env=env,
+    """Peak RSS (MB) of a fresh interpreter that runs the code, which must exit 0."""
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS + code], env=env,
                           capture_output=True, text=True, check=True)
     return int(proc.stdout.split()[-1]) / 1024
 
@@ -154,8 +184,6 @@ def run_ladders(work: Path, quick: bool) -> dict:
     """Samples of every ladder point with the package on sys.path, and the
     peak RSS of the largest point on its own:
     {ladder: [{size fields..., "samples": [seconds...]}]}."""
-    sys.path.insert(0, str(PERFBENCH))
-    import workloads
     from cyclerad import cli
     from cyclerad.optimize import opt_pers_hom_rep
 
@@ -171,23 +199,14 @@ def run_ladders(work: Path, quick: bool) -> dict:
         argv = [*argv, "--out", str(out)]
         rows[-1]["peak_rss_mb"] = fresh_peak_rss_mb(f"from cyclerad import cli\nassert cli.main({argv!r}) == 0")
 
-    def mesh(name, grids, holes, stream, argv_of):
+    for name, grids in (("mesh-localize", LOCALIZE_GRIDS), ("mesh-basis", BASIS_GRIDS)):
         rows = ladders[name] = []
         for k in pick(grids):
-            coords, tris, outer = workloads.holed_grid(k, holes(k), workloads._rng(ANNULUS_SEED, stream, k))
-            off, cyc = work / f"{name}_{k}.off", work / f"{name}_{k}.cyc"
-            workloads.write_off(off, coords, tris)
-            workloads.write_simplices(cyc, outer)
-            argv = argv_of(off, cyc)
-            rows.append({"vertices": len(coords), "simplices": workloads._mesh_simplices(coords, tris),
+            vertices, simplices, argv = write_mesh(work, name, k)
+            rows.append({"vertices": vertices, "simplices": simplices,
                          "samples": _samples(lambda: request(argv), repeats, seconds),
                          **work_counts(lambda: request(argv))})
         request_peak(rows, argv)
-
-    mesh("mesh-localize", LOCALIZE_GRIDS, workloads._centre_hole, 1,
-         lambda off, cyc: ["localize", "--complex", str(off), "--cycle", str(cyc)])
-    mesh("mesh-basis", BASIS_GRIDS, workloads._four_holes, 2,
-         lambda off, cyc: ["basis", "--complex", str(off)])
 
     rows = ladders["rips-circle-bar"] = []
     for n in pick(CIRCLE_POINTS):
@@ -203,9 +222,7 @@ def run_ladders(work: Path, quick: bool) -> dict:
 
     rows = ladders["annulus-persistent"] = []
     for n, scale in pick(ANNULUS):
-        pts = work / f"annulus_{n}.csv"
-        workloads.write_points(pts, annulus_sample(n, scale))
-        argv = ["persistent", "--points", str(pts), "--rips", repr(scale)]
+        argv = write_annulus(work, n, scale)
         rows.append({"points": n, "scale": scale,
                      "samples": _samples(lambda: request(argv), repeats, seconds),
                      **work_counts(lambda: request(argv))})
@@ -213,19 +230,46 @@ def run_ladders(work: Path, quick: bool) -> dict:
     return ladders
 
 
-def fresh_processes(runs: dict[str, tuple[str, Path]], samples: int) -> dict:
-    """Per name, the median wall seconds and the largest peak RSS (MB) of
-    fresh interpreters running its code with its package first on the path.
-    The names take turns, so slow spells hit all of them alike."""
-    walls: dict[str, list] = {name: [] for name in runs}
-    rss: dict[str, list] = {name: [] for name in runs}
-    for _ in range(samples):
-        for name, (code, src) in runs.items():
+def fresh_processes(runs: dict, samples: int) -> dict:
+    """Per name, the fastest and median wall seconds and the largest peak RSS
+    (MB) of fresh interpreters running its code with its package first on the
+    path. The names take turns, in reverse every other round, so slow spells
+    hit all of them alike."""
+    walls: dict = {name: [] for name in runs}
+    rss: dict = {name: [] for name in runs}
+    for i in range(samples):
+        for name in reversed(runs) if i % 2 else runs:
+            code, src = runs[name]
             env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
             t0 = time.perf_counter()
             rss[name].append(fresh_peak_rss_mb(code, env))
             walls[name].append(time.perf_counter() - t0)
-    return {name: {"median_s": statistics.median(walls[name]), "peak_rss_mb": max(rss[name])} for name in runs}
+    return {name: {"min_s": min(walls[name]), "median_s": statistics.median(walls[name]),
+                   "peak_rss_mb": max(rss[name])} for name in runs}
+
+
+def import_block(packages: dict[str, Path], samples: int) -> dict:
+    """fresh_processes of a bare interpreter and, per package, of `import
+    cyclerad.cli` and of the request at the smallest point of each CLI
+    ladder; per package too, whether its cyclerad/__pycache__ held bytecode
+    as the block began, and the PYTHONDONTWRITEBYTECODE its interpreters see."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        argvs = {"localize": write_mesh(work, "mesh-localize", LOCALIZE_GRIDS[0])[2],
+                 "basis": write_mesh(work, "mesh-basis", BASIS_GRIDS[0])[2],
+                 "persistent --rips": write_annulus(work, *ANNULUS[0])}
+        out = str(work / "report.json")
+        codes = {"import cyclerad.cli": "import cyclerad.cli",
+                 **{name: f"from cyclerad.cli import main\nraise SystemExit(main({[*argv, '--out', out]!r}))"
+                    for name, argv in argvs.items()}}
+        block = {col: {"bytecode_cached": any((src / "cyclerad" / "__pycache__").glob("*.pyc")),
+                       "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
+                 for col, src in packages.items()}
+        timed = fresh_processes({"bare_python": ("pass", ROOT),
+                                 **{(col, name): (code, src) for col, src in packages.items()
+                                    for name, code in codes.items()}}, samples)
+    return {"bare_python": timed["bare_python"],
+            **{col: {**block[col], **{name: timed[col, name] for name in codes}} for col in packages}}
 
 
 def worker(src: Path, quick: bool) -> dict:
@@ -298,8 +342,7 @@ def main() -> None:
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "cpus": os.cpu_count()},
         "settings": {"rounds": rounds, "repeats": repeats, "point_seconds": seconds, "import_samples": imports},
-        "import": fresh_processes({"bare_python": ("pass", ROOT),
-                                   **{col: ("import cyclerad.cli", src) for col, src in packages.items()}}, imports),
+        "import": import_block(packages, imports),
         "ladders": merge(columns),
     }
     text = json.dumps(report, indent=2) + "\n"

@@ -8,7 +8,8 @@ import sys
 from pathlib import Path
 
 from cyclerad.io import write_obj_polylines
-from cyclerad.optimize import describe_cycle, shorten_cycle
+from cyclerad.optimize import describe_cycle
+from cyclerad.shorten import shorten_cycle
 
 # the instances are the tests' own
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))

@@ -19,7 +19,8 @@ _EXPORTS = {
                         "rips_filtration lower_star_filtration"),
         ("radius", "SphereCertificate site_radius exact_radius min_enclosing_sphere chain_vertices"),
         ("optimize", "OptimalCycleResult HomologyBasisResult opt_homologous_cycle opt_homology_basis "
-                     "opt_pers_hom_rep opt_persistent_basis shorten_cycle describe_cycle"),
+                     "opt_pers_hom_rep opt_persistent_basis describe_cycle"),
+        ("shorten", "shorten_cycle"),
         ("oracle", "BudgetExceededError ExactOptimum ExactBasis ExactRepresentative "
                    "exact_optimal_homologous_cycle enumerate_class exact_min_basis "
                    "exact_min_persistent_rep"),

@@ -18,13 +18,6 @@ from pathlib import Path
 from typing import Optional
 
 from .complexes import MEMBERSHIP_REL_TOL, EmbeddedComplex
-from .filtrations import (
-    Filtration,
-    Interval,
-    compute_persistence,
-    lower_star_filtration,
-    rips_filtration,
-)
 from .io import (
     InputError,
     read_cycle,
@@ -39,7 +32,6 @@ from .optimize import (
     opt_homologous_cycle,
     opt_homology_basis,
     opt_persistent_basis,
-    shorten_cycle,
 )
 
 EXIT_OK = 0
@@ -111,7 +103,7 @@ def _sphere_json(sphere) -> dict:
     return {"center": sphere.center, "radius": sphere.radius}
 
 
-def _interval_json(iv: Optional[Interval]):
+def _interval_json(iv):
     if iv is None:
         return None
     return {
@@ -145,10 +137,12 @@ def _result_json(
 # -- shared plumbing --------------------------------------------------------
 
 
-def _rows(args: argparse.Namespace, complex_like, results, filtration: Optional[Filtration] = None) -> list[dict]:
+def _rows(args: argparse.Namespace, complex_like, results, filtration=None) -> list[dict]:
     """The report rows of a solver's results.  With --shorten each 1-cycle is
     shortened, a bar's in its birth prefix so that it stays a representative;
     with --export-obj the 1-cycles are written as OBJ polylines."""
+    if args.shorten:  # the shortener loads only for the requests that run it
+        from .shorten import shorten_cycle
     finals = [
         shorten_cycle(r, complex_like, None if filtration is None else filtration.prefix(r.interval.birth))
         if args.shorten and r.dim == 1
@@ -164,17 +158,23 @@ def _rows(args: argparse.Namespace, complex_like, results, filtration: Optional[
     return [_result_json(complex_like, args.problem, before, after) for before, after in zip(results, finals)]
 
 
-def _build_filtration(args: argparse.Namespace) -> Filtration:
+def _persistence(args: argparse.Namespace):
+    """The dimension-p barcode of the request's filtration, whose module loads
+    here: only persistent and verify's persistent mode build one."""
+    from .filtrations import compute_persistence, lower_star_filtration, rips_filtration
+
     if args.rips_scale is not None:
         # p-bars are born by p-simplices and die by (p+1)-simplices
-        return rips_filtration(read_points(args.points_path), args.rips_scale, args.p + 1)
-    if args.filtration_path is not None:
-        return read_filtration(args.filtration_path, read_points(args.points_path))
-    complex_ = read_off(args.complex_path)
-    values = read_scalars(args.lower_star_path)
-    if len(values) != complex_.n_simplices(0):
-        raise InputError(args.lower_star_path, f"{len(values)} scalar rows for {complex_.n_simplices(0)} vertices")
-    return lower_star_filtration(complex_, values)
+        filtration = rips_filtration(read_points(args.points_path), args.rips_scale, args.p + 1)
+    elif args.filtration_path is not None:
+        filtration = read_filtration(args.filtration_path, read_points(args.points_path))
+    else:
+        complex_ = read_off(args.complex_path)
+        values = read_scalars(args.lower_star_path)
+        if len(values) != complex_.n_simplices(0):
+            raise InputError(args.lower_star_path, f"{len(values)} scalar rows for {complex_.n_simplices(0)} vertices")
+        filtration = lower_star_filtration(complex_, values)
+    return compute_persistence(filtration, args.p)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -201,8 +201,8 @@ def _run_basis(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _run_persistent(args: argparse.Namespace) -> tuple[dict, int]:
-    filtration = _build_filtration(args)
-    persistence = compute_persistence(filtration, args.p)
+    persistence = _persistence(args)
+    filtration = persistence.filtration
     return {
         "problem": "persistent",
         "p": args.p,
@@ -242,10 +242,10 @@ def _run_verify(args: argparse.Namespace) -> tuple[dict, int]:
             }
         ]
     elif mode == "persistent":
-        filtration = _build_filtration(args)
+        persistence = _persistence(args)
         reps = [
-            exact_min_persistent_rep(filtration, iv, max_vertices=args.budget)
-            for iv in compute_persistence(filtration, args.p).bars(args.bars)
+            exact_min_persistent_rep(persistence.filtration, iv, max_vertices=args.budget)
+            for iv in persistence.bars(args.bars)
         ]
         checks = [
             {

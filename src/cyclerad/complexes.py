@@ -12,6 +12,13 @@ it is a flag per canonical position of the complex it lies in, so its chains
 need no re-indexing. The site kernel takes a prefix that way, and the exact
 oracle its balls and prefixes.
 
+The package's one persistence kernel, ``_clearing_reduction``, reduces a
+subcomplex in the order its caller ranks: ``filtrations.compute_persistence``
+ranks by filtration index, and the solvers' ``site_essential_cycles`` by
+distance from a site, reading only the essential cycles. Both live here, by
+the face tables they read, so a request that builds no filtration never
+loads ``filtrations``.
+
 Geometry is plain Python: points are float tuples, and every distance comes
 from ``distances_from``, whose float operations are fixed, so radii do not
 depend on the interpreter or on an array library.
@@ -21,8 +28,9 @@ from __future__ import annotations
 import math
 import sys
 from functools import reduce
+from itertools import compress
 from operator import add, eq, index, lt, mul, xor
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .z2 import ChainVector
 
@@ -283,3 +291,115 @@ def boundary_columns(complex_like: EmbeddedComplex, p: int) -> list[int]:
         return []
     row_bits = complex_like.powers(complex_like.n_simplices(p))
     return face_masks(face_columns(complex_like, p + 1), row_bits, range(n_cols))
+
+
+# -- the clearing reduction ------------------------------------------------
+
+
+def _clearing_reduction(
+    complex_like: EmbeddedComplex, p: int, rank: Callable[[int], list[int]]
+) -> tuple[Iterator[tuple[int, int]], dict[int, int]]:
+    """Z2 persistence in dimension p of a face-closed subcomplex, in the
+    order its caller ranks it: rank(d), called for the dimensions p - 1 to
+    p + 1 that the complex has, lists the canonical positions of the
+    subcomplex's d-simplices in filtration order.
+
+    The (p+1)-columns are reduced first. The p-simplices their pivots name
+    are cleared: their p-columns would reduce to zero, and a zero column
+    never owns a pivot, so skipping them changes no other column (Chen &
+    Kerber, "Persistent homology computation with a twist", 2011). The kept
+    p-columns are then reduced with their basis change. Returns, with
+    simplices named by canonical position:
+    - the pairs, a lazy iterator of (birth, death): the (p+1)-simplex at
+      death kills the class the p-simplex at birth created;
+    - the essential p-cycles: position -> basis change in canonical
+      p-positions, in rank order (the kept p-columns that reduce to zero)."""
+
+    def columns(d: int, below: Sequence[int], kept: Sequence[int]) -> list[int]:
+        """Boundary masks of the d-simplices at the kept positions: bit j for the face ranked j in below."""
+        if not d or not kept:
+            return [0] * len(kept)
+        row_bits = [0] * complex_like.n_simplices(d - 1)
+        for position, bit in zip(below, complex_like.powers(len(below))):
+            row_bits[position] = bit
+        return face_masks(face_columns(complex_like, d), row_bits, kept)
+
+    below, order, above = (rank(d) if 0 <= d <= complex_like.max_dim else [] for d in (p - 1, p, p + 1))
+    owners: dict = {}
+    deaths = []  # the position of each (p+1)-column that stored a pivot, as owners gains it
+    for c, q in zip(columns(p + 1, order, above), above):
+        while c:
+            low = c.bit_length() - 1
+            other = owners.get(low)
+            if other is None:
+                owners[low] = c
+                deaths.append(q)
+                break
+            c ^= other
+    kept = [q for j, q in enumerate(order) if j not in owners] if owners else order
+    cycles: dict[int, int] = {}
+    reduced: dict = {}  # pivot rank -> (reduced p-column, its basis change)
+    bit_at = complex_like.powers(complex_like.n_simplices(p))
+    for c, q in zip(columns(p, below, kept), kept):
+        v = bit_at[q]
+        while c:
+            low = c.bit_length() - 1
+            other = reduced.get(low)
+            if other is None:
+                reduced[low] = (c, v)
+                break
+            c ^= other[0]
+            v ^= other[1]
+        else:
+            cycles[q] = v
+    return zip(map(order.__getitem__, owners), deaths), cycles
+
+
+def site_essential_cycles(
+    complex_like: EmbeddedComplex, dist: Sequence[float], p: int, members: Optional[Sequence[Sequence[bool]]] = None,
+    radius: float = math.inf,
+) -> tuple[tuple[ChainVector, ...], tuple[float, ...]]:
+    """The essential p-cycles of the site's filtration, earliest first, as
+    chains in the complex's canonical p-basis, with the r value each is born
+    at. dist holds the site's distance to each cloud point; the kernel
+    computes none. The site's filtration ranks a simplex by its farthest
+    vertex's distance, ties broken by (dimension, lexicographic tuple).
+
+    Only the p- and (p+1)-columns are reduced. Each dimension is ranked on
+    its own: a stable sort of the canonical (lexicographic) order by r is the
+    filtration's rule within one dimension. Given members (per dimension, a
+    flag per canonical position), it is the filtration of the face-closed
+    subcomplex they flag, such as a birth prefix: a stable sort of the
+    members is their share of the complex's ranking.
+
+    Given a finite radius, only the simplices with r <= radius (the site's
+    ball, face-closed since no face has a larger r) are ranked and reduced,
+    and the zero p-columns of that reduction come back. A column's reduction
+    reads only earlier columns, and clearing skips only columns that reduce
+    to zero, so every essential cycle born by the radius comes back with the
+    same chain and r, in the same relative order. The others are cycles that
+    a simplex beyond the radius kills: each lies in the span of the
+    boundaries and the essential cycles returned before it, and filtering
+    them out is the caller's part. So the first returned cycle outside the
+    boundary span is the first essential cycle."""
+    if p < 0:
+        raise ValueError("dimension must be non-negative")
+    n_p = complex_like.n_simplices(p)
+    top = min(p + 1, complex_like.max_dim)
+    r = [[dist[v] for v, in complex_like.simplices(0)]]  # per dimension, canonical order
+    for d in range(1, top + 1):
+        # a simplex's first and last faces hold all its vertices
+        below, faces = r[-1], face_columns(complex_like, d)
+        r.append([below[i] if below[i] >= below[j] else below[j] for i, j in zip(faces[0], faces[-1])])
+
+    def rank(d: int) -> list[int]:
+        """The d-simplices of the site's call by r: the members (all when None) with r <= radius."""
+        rd = r[d]
+        kept = range(len(rd)) if members is None else compress(range(len(rd)), members[d])
+        return sorted([q for q in kept if rd[q] <= radius] if radius < math.inf else kept, key=rd.__getitem__)
+
+    _, cycles = _clearing_reduction(complex_like, p, rank)
+    return (
+        tuple(ChainVector(n_p, mask=v) for v in cycles.values()),
+        tuple(r[p][q] for q in cycles),
+    )

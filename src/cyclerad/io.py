@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .complexes import EmbeddedComplex, PointCloud, faces_of
-from .filtrations import Filtration
 from .z2 import ChainVector
+
+if TYPE_CHECKING:
+    from .filtrations import Filtration
 
 PathLike = Union[str, Path]
 
@@ -172,6 +174,8 @@ def read_scalars(path: PathLike) -> list[float]:
 def read_filtration(path: PathLike, cloud: PointCloud) -> Filtration:
     """One line per simplex, `value v0 v1 ...`, in filtration order.  The
     geometry comes separately; the file only carries the combinatorics."""
+    from .filtrations import Filtration  # loaded only by the requests that read one
+
     order = []
     values = []
     listed = set()

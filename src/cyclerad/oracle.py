@@ -9,9 +9,9 @@ oracle fail loudly instead of hanging.
 
 The linear algebra, one elimination step (``_reduce``) on dense bitmasks that
 serves membership, independence, kernels and solves, is redone here rather
-than routed through the site kernel in ``filtrations``, so the results inherit
-no bug from the machinery they check; only the boundary columns come from
-``complexes``. A candidate ball or a bar's birth prefix is a flag per
+than routed through the site kernel in ``complexes``, so the results inherit
+no bug from the machinery they check; of that module only the boundary
+columns are used. A candidate ball or a bar's birth prefix is a flag per
 canonical position of the complex, so every chain stays in the complex's own
 basis.  Two deliberately different routes to the same optimum exist (sphere
 enumeration in ``exact_optimal_homologous_cycle``, class unrolling in

@@ -20,7 +20,6 @@ from cyclerad.optimize import (
     opt_homologous_cycle,
     opt_homology_basis,
     opt_pers_hom_rep,
-    shorten_cycle,
 )
 from cyclerad.oracle import (
     BudgetExceededError,
@@ -29,6 +28,7 @@ from cyclerad.oracle import (
     exact_optimal_homologous_cycle,
 )
 from cyclerad.radius import site_radius
+from cyclerad.shorten import shorten_cycle
 from cyclerad.z2 import ChainVector
 
 REL = 1e-9

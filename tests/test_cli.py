@@ -14,9 +14,9 @@ import fixtures
 from conftest import OCTAHEDRON, accepted_by_point_cloud, holed_mesh, scaled_rows
 from test_golden import write_inputs
 
-from cyclerad.cli import _build_filtration, build_parser, main
+from cyclerad.cli import _persistence, build_parser, main
 from cyclerad.complexes import EmbeddedComplex, PointCloud
-from cyclerad.filtrations import compute_persistence, lower_star_filtration
+from cyclerad.filtrations import lower_star_filtration
 from cyclerad.io import (
     InputError,
     read_cycle,
@@ -606,9 +606,8 @@ def test_verify_checks_the_report_of_the_subcommand_it_runs(tmp_path, name):
     assert [c["algorithm"] for c in verified["checks"]] == expected
     if solver == "persistent":
         args = build_parser().parse_args(["verify", *argv])
-        filtration = _build_filtration(args)
-        bars = compute_persistence(filtration, args.p).bars(args.bars)
-        reps = [exact_min_persistent_rep(filtration, iv) for iv in bars]
+        persistence = _persistence(args)
+        reps = [exact_min_persistent_rep(persistence.filtration, iv) for iv in persistence.bars(args.bars)]
         assert [c["oracle"] for c in verified["checks"]] == [{"weight": r.weight, "site": r.site} for r in reps]
 
 
@@ -1011,6 +1010,10 @@ def test_exit_code_malformed_input_file(tmp_path, annulus_files, two_loop_files,
 # modules no request should load; numpy is a test and benchmark dependency only,
 # and dataclasses pulls in inspect
 NEVER_IMPORTED = ("numpy", "dataclasses", "inspect")
+# the cyclerad modules every request runs, and what a subcommand or --shorten adds to them
+EVERY_REQUEST = ["cli", "complexes", "io", "optimize", "radius", "z2"]
+ADDED_BY = {"persistent": ["filtrations"], "verify": ["filtrations", "oracle"], "--shorten": ["shorten"]}
+LOADED = "print(*sorted(m for m in sys.modules if m.startswith('cyclerad.')))\n"
 
 
 @pytest.mark.parametrize("args", [
@@ -1020,9 +1023,13 @@ NEVER_IMPORTED = ("numpy", "dataclasses", "inspect")
     ["verify", "--complex", "{off}", "--cycle", "{cyc}"],
     ["verify", "--complex", "{off}"],
     ["verify", "--points", "{ring}", "--rips", "0.9"],
+    ["localize", "--complex", "{off}", "--cycle", "{cyc}", "--shorten"],
+    ["basis", "--complex", "{off}", "--shorten"],
+    ["persistent", "--points", "{ring}", "--rips", "0.9", "--shorten"],
 ])
 def test_request_imports_only_what_it_runs(tmp_path, annulus_files, args):
-    """No request loads NEVER_IMPORTED, and only verify loads the oracle."""
+    """No request loads NEVER_IMPORTED, and each loads exactly the cyclerad
+    modules it runs: EVERY_REQUEST and what its subcommand and flags add."""
     _, off, cyc = annulus_files
     ring = tmp_path / "ring.csv"
     circle = fixtures.circle_cloud(12)
@@ -1032,10 +1039,17 @@ def test_request_imports_only_what_it_runs(tmp_path, annulus_files, args):
         "import sys\n"
         "from cyclerad.cli import main\n"
         f"code = main({argv!r})\n"
-        f"print(code, *(m in sys.modules for m in {NEVER_IMPORTED + ('cyclerad.oracle',)!r}))\n"
-    )
-    stdout = run_fresh(script)
-    assert stdout.split() == ["0", *["False"] * len(NEVER_IMPORTED), str(args[0] == "verify")]
+        f"print(code, *(m in sys.modules for m in {NEVER_IMPORTED!r}))\n"
+    ) + LOADED
+    status, loaded = run_fresh(script).splitlines()
+    assert status.split() == ["0", *["False"] * len(NEVER_IMPORTED)]
+    expected = EVERY_REQUEST + [m for a in args for m in ADDED_BY.get(a, [])]
+    assert loaded.split() == [f"cyclerad.{m}" for m in sorted(expected)]
+
+
+def test_importing_the_cli_loads_only_what_every_request_runs():
+    loaded = run_fresh("import sys\nimport cyclerad.cli\n" + LOADED)
+    assert loaded.split() == [f"cyclerad.{m}" for m in EVERY_REQUEST]
 
 
 def test_package_root_loads_submodules_on_first_use():

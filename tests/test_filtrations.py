@@ -36,6 +36,7 @@ from cyclerad.complexes import (
     face_columns,
     face_masks,
     faces_of,
+    site_essential_cycles,
 )
 from cyclerad.filtrations import (
     Filtration,
@@ -44,7 +45,6 @@ from cyclerad.filtrations import (
     compute_persistence,
     lower_star_filtration,
     rips_filtration,
-    site_essential_cycles,
 )
 from cyclerad.optimize import opt_persistent_basis
 from cyclerad.z2 import ChainVector, IncrementalSpan

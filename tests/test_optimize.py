@@ -30,24 +30,21 @@ from cyclerad.complexes import EmbeddedComplex, PointCloud, boundary_columns, di
 from cyclerad.filtrations import Filtration, compute_persistence, lower_star_filtration, rips_filtration
 from cyclerad.io import read_filtration
 from cyclerad.optimize import (
-    SHORTEN_PASSES,
     HomologyBasisResult,
     _bar_representatives,
-    _bfs_tree,
     _chosen_sites,
     _express_over,
     _result_for_cycle,
     _site_essential_cycles,
     _site_search,
-    _tree_path,
     describe_cycle,
     opt_homologous_cycle,
     opt_homology_basis,
     opt_pers_hom_rep,
     opt_persistent_basis,
-    shorten_cycle,
 )
 from cyclerad.radius import chain_vertices, exact_radius, site_radius
+from cyclerad.shorten import SHORTEN_PASSES, _bfs_tree, _tree_path, shorten_cycle
 from cyclerad.z2 import ChainVector, IncrementalSpan
 
 REL = 1e-9
