@@ -218,7 +218,8 @@ def run_ladders(work: Path, quick: bool) -> dict:
                      **work_counts(lambda: opt_pers_hom_rep(filtration, target))})
     rows[-1]["peak_rss_mb"] = fresh_peak_rss_mb(
         f"import sys\nsys.path.insert(0, {str(ROOT / 'scripts')!r})\nfrom bench import circle_rips, last_finite_bar\n"
-        f"from cyclerad.optimize import opt_pers_hom_rep\nf = circle_rips({n})\nopt_pers_hom_rep(f, last_finite_bar(f))")
+        "from cyclerad.optimize import opt_pers_hom_rep\n"
+        f"f = circle_rips({n})\nopt_pers_hom_rep(f, last_finite_bar(f))")
 
     rows = ladders["annulus-persistent"] = []
     for n, scale in pick(ANNULUS):

@@ -12,12 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import reduce
-from operator import add
 from pathlib import Path
 from typing import Optional
 
-from .complexes import MEMBERSHIP_REL_TOL, EmbeddedComplex
+from .complexes import MEMBERSHIP_REL_TOL, EmbeddedComplex, left_to_right_sum
 from .io import (
     InputError,
     read_cycle,
@@ -194,8 +192,7 @@ def _run_basis(args: argparse.Namespace) -> tuple[dict, int]:
         "problem": "basis",
         "p": args.p,
         "betti": len(rows),
-        # summed left to right: sum() of floats is compensated from Python 3.12 on
-        "total_weight": reduce(add, (row["r_v"] for row in rows), 0.0),
+        "total_weight": left_to_right_sum(row["r_v"] for row in rows),
         "results": rows,
     }, EXIT_OK
 

@@ -6,17 +6,17 @@ cloud. Within each dimension the simplices are kept sorted lexicographically;
 row/column in the package. A boundary matrix is a list of column masks over
 the canonical positions (``boundary_columns``).
 
-Complexes are immutable once built. A subcomplex, such as a filtration
-prefix or the part of a complex inside a ball, is not a complex of its own:
-it is a flag per canonical position of the complex it lies in, so its chains
-need no re-indexing. The site kernel takes a prefix that way, and the exact
-oracle its balls and prefixes.
+Complexes are immutable once built, apart from ``powers``, which grows on
+demand. A subcomplex, such as a filtration prefix or the part of a complex
+inside a ball, is not a complex of its own: it is a flag per canonical position
+of the complex it lies in, so its chains need no re-indexing. The site kernel
+takes a prefix that way, and the exact oracle its balls and prefixes.
 
 The package's one persistence kernel, ``_clearing_reduction``, reduces a
 subcomplex in the order its caller ranks: ``filtrations.compute_persistence``
 ranks by filtration index, and the solvers' ``site_essential_cycles`` by
 distance from a site, reading only the essential cycles. Both live here, by
-the face tables they read, so a request that builds no filtration never
+the face table they read, so a request that builds no filtration never
 loads ``filtrations``.
 
 Geometry is plain Python: points are float tuples, and every distance comes
@@ -61,11 +61,17 @@ def as_rows(coords) -> tuple[Point, ...]:
     return rows
 
 
+def left_to_right_sum(values: Iterable[float]) -> float:
+    """The values added left to right from 0.0: every float sum in the package folds so, since sum() of
+    floats is compensated from Python 3.12 on, and a report must keep its bits on every interpreter."""
+    return reduce(add, values, 0.0)
+
+
 def _check_spread(columns: Iterable[Sequence[float]], narrowest: float) -> None:
-    """Raise ValueError unless the points' squared bounding-box diagonal, summed left to right (sum() of
-    floats is compensated from Python 3.12 on), lies in [narrowest, MAX_SQUARED_DIAGONAL]."""
+    """Raise ValueError unless the points' squared bounding-box diagonal lies
+    in [narrowest, MAX_SQUARED_DIAGONAL]."""
     spread = [max(c) - min(c) for c in columns]
-    diagonal = reduce(add, map(mul, spread, spread), 0.0)
+    diagonal = left_to_right_sum(map(mul, spread, spread))
     if not narrowest <= diagonal <= MAX_SQUARED_DIAGONAL:
         # squared distances would overflow, or lose their bits below the normal floats
         raise ValueError(
@@ -132,21 +138,8 @@ def faces_of(simplex: Simplex) -> list[Simplex]:
     return [simplex[:k] + simplex[k + 1 :] for k in range(len(simplex))]
 
 
-def face_columns(complex_like, d: int) -> tuple[tuple[int, ...], ...]:
-    """The canonical (d-1)-positions of the d-simplices' faces, d >= 1:
-    column k holds the faces without vertex k (faces_of order), and entry i
-    of each column belongs to the simplex at canonical position i. Built once
-    per complex and dimension, so per-site work only indexes these columns."""
-    cached = complex_like._tables.get(d)
-    if cached is None:
-        positions, simplices = complex_like._positions, complex_like.simplices(d)
-        columns = (tuple([positions[s[:k] + s[k + 1 :]][1] for s in simplices]) for k in range(d + 1))
-        cached = complex_like._tables[d] = tuple(columns)
-    return cached
-
-
 def face_masks(faces: Sequence[Sequence[int]], row_bits: Sequence[int], positions: Sequence[int]) -> list[int]:
-    """Per simplex at these positions, the OR of row_bits over its faces (face_columns)."""
+    """Per simplex at these positions, the OR of row_bits over its faces (EmbeddedComplex.faces)."""
     first, *rest = faces
     masks = [row_bits[first[i]] for i in positions]
     for column in rest:
@@ -166,30 +159,37 @@ def _normalize_simplex(simplex: Iterable[int]) -> Simplex:
 
 class EmbeddedComplex:
     """A finite simplicial complex whose vertices index into a point cloud:
-    the given simplices and all of their faces."""
+    the given simplices and all of their faces. ``faces[d][k][i]``, built
+    with the complex, is the canonical position of the face without vertex k
+    (faces_of order) of the d-simplex at position i; ``faces[0]`` is empty."""
 
-    __slots__ = ("cloud", "_by_dim", "_positions", "_tables", "_powers")
+    __slots__ = ("cloud", "_by_dim", "_positions", "faces", "_powers")
 
     def __init__(self, cloud: PointCloud, simplices: Iterable[Iterable[int]]):
-        collected: set[Simplex] = set()
+        levels: list[set[Simplex]] = []  # the simplices with d + 1 vertices at index d
         for raw in simplices:
             s = _normalize_simplex(raw)
             if not s:
                 raise ValueError("empty simplex")
             if s[-1] >= cloud.n_points or s[0] < 0:
                 raise ValueError(f"simplex {s} references a vertex outside the cloud")
-            collected.add(s)
-        levels = [set() for _ in range(max(map(len, collected), default=0))]
-        for s in collected:
+            while len(levels) < len(s):
+                levels.append(set())
             levels[len(s) - 1].add(s)
-        for d in range(len(levels) - 1, 0, -1):
-            levels[d - 1] |= {s[:k] + s[k + 1 :] for s in levels[d] for k in range(d + 1)}
         self.cloud = cloud
-        self._by_dim = [tuple(sorted(level)) for level in levels]
-        self._positions: dict[Simplex, tuple[int, int]] = {
-            s: (d, i) for d, group in enumerate(self._by_dim) for i, s in enumerate(group)
-        }
-        self._tables: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._by_dim: list[tuple[Simplex, ...]] = [()] * len(levels)
+        self._positions: dict[Simplex, int] = {}
+        faces: list[tuple[tuple[int, ...], ...]] = [()] * len(levels)
+        sliced: list[list[Simplex]] = []  # sliced out of level d + 1, they close level d, then get its positions
+        for d in reversed(range(len(levels))):
+            group = self._by_dim[d] = tuple(sorted(levels[d]))
+            self._positions.update(zip(group, range(len(group))))
+            if sliced:
+                faces[d + 1] = tuple(tuple(map(self._positions.__getitem__, column)) for column in sliced)
+            sliced = [[s[:k] + s[k + 1 :] for s in group] for k in range(d + 1)] if d else []
+            for column in sliced:
+                levels[d - 1].update(column)
+        self.faces = tuple(faces)
         self._powers: list[int] = []
 
     def __repr__(self) -> str:
@@ -222,11 +222,8 @@ class EmbeddedComplex:
     def maximal_simplices(self) -> list[Simplex]:
         """Simplices that are no face of another, in canonical order; they
         generate the complex."""
-        top = []
-        for d, group in enumerate(self._by_dim):
-            covered = set().union(*face_columns(self, d + 1))
-            top += [s for q, s in enumerate(group) if q not in covered]
-        return top
+        covered = [set().union(*columns) for columns in self.faces[1:]] + [()]
+        return [s for group, cover in zip(self._by_dim, covered) for q, s in enumerate(group) if q not in cover]
 
     def has(self, simplex: Iterable[int]) -> bool:
         return tuple(simplex) in self._positions
@@ -236,7 +233,7 @@ class EmbeddedComplex:
         s = tuple(simplex)
         if s not in self._positions:
             raise KeyError(f"simplex {s} not in complex")
-        return self._positions[s][1]
+        return self._positions[s]
 
     def powers(self, n: int) -> list[int]:
         """A list whose first n entries are 1 << k, kept with the complex since
@@ -255,12 +252,12 @@ class EmbeddedComplex:
         indices = []
         for raw in simplices:
             s = _normalize_simplex(raw)
-            d, i = self._positions.get(s, (None, None))
-            if d is None:
+            i = self._positions.get(s)
+            if i is None:
                 raise KeyError(f"simplex {s} not in complex")
             if p is None:
-                p = d
-            elif d != p:
+                p = len(s) - 1
+            elif len(s) - 1 != p:
                 raise ValueError("chain mixes dimensions")
             indices.append(i)
         if p is None:
@@ -278,7 +275,7 @@ class EmbeddedComplex:
             return True
         if chain.ambient_size != self.n_simplices(p):
             raise ValueError("chain does not live in the complex's p-basis")
-        masks = face_masks(face_columns(self, p), self.powers(self.n_simplices(p - 1)), chain.support)
+        masks = face_masks(self.faces[p], self.powers(self.n_simplices(p - 1)), chain.support)
         return reduce(xor, masks) == 0
 
 
@@ -290,7 +287,7 @@ def boundary_columns(complex_like: EmbeddedComplex, p: int) -> list[int]:
     if p < 0 or not n_cols:
         return []
     row_bits = complex_like.powers(complex_like.n_simplices(p))
-    return face_masks(face_columns(complex_like, p + 1), row_bits, range(n_cols))
+    return face_masks(complex_like.faces[p + 1], row_bits, range(n_cols))
 
 
 # -- the clearing reduction ------------------------------------------------
@@ -322,7 +319,7 @@ def _clearing_reduction(
         row_bits = [0] * complex_like.n_simplices(d - 1)
         for position, bit in zip(below, complex_like.powers(len(below))):
             row_bits[position] = bit
-        return face_masks(face_columns(complex_like, d), row_bits, kept)
+        return face_masks(complex_like.faces[d], row_bits, kept)
 
     below, order, above = (rank(d) if 0 <= d <= complex_like.max_dim else [] for d in (p - 1, p, p + 1))
     owners: dict = {}
@@ -389,7 +386,7 @@ def site_essential_cycles(
     r = [[dist[v] for v, in complex_like.simplices(0)]]  # per dimension, canonical order
     for d in range(1, top + 1):
         # a simplex's first and last faces hold all its vertices
-        below, faces = r[-1], face_columns(complex_like, d)
+        below, faces = r[-1], complex_like.faces[d]
         r.append([below[i] if below[i] >= below[j] else below[j] for i, j in zip(faces[0], faces[-1])])
 
     def rank(d: int) -> list[int]:

@@ -26,7 +26,6 @@ from .complexes import (
     Simplex,
     _clearing_reduction,
     distances_from,
-    face_columns,
 )
 
 
@@ -60,15 +59,15 @@ class Filtration:
         # total, above every index, where the position is not listed
         self.indices = indices = [[total] * complex_like.n_simplices(d) for d in range(complex_like.max_dim + 1)]
         located = list(map(complex_like._positions.get, order))
-        for i, at in enumerate(located):
+        for i, (s, at) in enumerate(zip(order, located)):
             if at is not None:
-                indices[at[0]][at[1]] = i
+                indices[len(s) - 1][at] = i
         # (index, None) for a simplex not in the complex, (index, k) for its face without vertex k
-        # (column k of face_columns) born after it; an unlisted simplex's index, total, is above every face's
+        # (column k of faces[d]) born after it; an unlisted simplex's index, total, is above every face's
         late = [(located.index(None), None)] if None in located else []
         for d in range(1, len(indices)):
             below, index = indices[d - 1], indices[d]
-            late += [(i, k) for k, faces in enumerate(face_columns(complex_like, d))
+            late += [(i, k) for k, faces in enumerate(complex_like.faces[d])
                      for f, i in zip(faces, index) if below[f] > i]
         if late:
             i, k = min(late)

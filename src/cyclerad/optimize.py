@@ -40,14 +40,13 @@ radius, which prunes fewer of its neighbours.
 from __future__ import annotations
 
 import math
-from functools import reduce
-from operator import add
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .complexes import (
     EmbeddedComplex,
     boundary_columns,
     distances_from,
+    left_to_right_sum,
     within_radius,
 )
 # every solver calls the per-site kernel by this name, which perfbench/wrappers.json wraps
@@ -255,8 +254,7 @@ def opt_homology_basis(
     _site_search(complex_like, sites, evaluate, threshold, centred=True)
     # a cycle holds its creator and nothing born later, so its r is the max over its vertices
     cycles = tuple(_result_for_cycle(complex_like, c, p, v, r) for r, v, _, c in admitted)
-    # summed left to right: sum() of floats is compensated from Python 3.12 on
-    return HomologyBasisResult(cycles, reduce(add, (x.r_v for x in cycles), 0.0))
+    return HomologyBasisResult(cycles, left_to_right_sum(x.r_v for x in cycles))
 
 
 def _bar_representatives(

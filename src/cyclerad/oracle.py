@@ -21,15 +21,15 @@ enumeration in ``exact_optimal_homologous_cycle``, class unrolling in
 from __future__ import annotations
 
 import math
-from functools import reduce
 from itertools import combinations, compress
-from operator import add
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
-from .complexes import EmbeddedComplex, boundary_columns, distances_from, within_radius
-from .filtrations import Filtration, Interval
+from .complexes import EmbeddedComplex, boundary_columns, distances_from, left_to_right_sum, within_radius
 from .radius import exact_radius, min_enclosing_sphere, site_radius
 from .z2 import ChainVector
+
+if TYPE_CHECKING:
+    from .filtrations import Filtration, Interval
 
 
 MAX_SIMPLICES = 400
@@ -292,15 +292,14 @@ def exact_min_basis(
         class_best[cls] = min((weigh(ChainVector(n_p, mask=m)), m) for m in members)
 
     full_rank = (s for s in combinations(class_best, beta) if len(_independent(s)) == beta)
-    best_subset = min(full_rank, key=lambda s: reduce(add, (class_best[c][0] for c in s), 0.0), default=None)
+    best_subset = min(full_rank, key=lambda s: left_to_right_sum(class_best[c][0] for c in s), default=None)
     assert best_subset is not None  # the hbasis classes themselves qualify
 
     picked = sorted((class_best[c] for c in best_subset))
-    # weights are summed left to right, here and above: sum() of floats is compensated from Python 3.12 on
     return ExactBasis(
         cycles=tuple(ChainVector(n_p, mask=m) for _, m in picked),
         weights=tuple(w for w, _ in picked),
-        total_weight=reduce(add, (w for w, _ in picked), 0.0),
+        total_weight=left_to_right_sum(w for w, _ in picked),
     )
 
 

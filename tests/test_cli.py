@@ -1010,9 +1010,9 @@ def test_exit_code_malformed_input_file(tmp_path, annulus_files, two_loop_files,
 # modules no request should load; numpy is a test and benchmark dependency only,
 # and dataclasses pulls in inspect
 NEVER_IMPORTED = ("numpy", "dataclasses", "inspect")
-# the cyclerad modules every request runs, and what a subcommand or --shorten adds to them
+# the cyclerad modules every request runs, and what verify, a filtration source or --shorten adds to them
 EVERY_REQUEST = ["cli", "complexes", "io", "optimize", "radius", "z2"]
-ADDED_BY = {"persistent": ["filtrations"], "verify": ["filtrations", "oracle"], "--shorten": ["shorten"]}
+ADDED_BY = {"verify": ["oracle"], "--rips": ["filtrations"], "--shorten": ["shorten"]}
 LOADED = "print(*sorted(m for m in sys.modules if m.startswith('cyclerad.')))\n"
 
 
@@ -1029,7 +1029,8 @@ LOADED = "print(*sorted(m for m in sys.modules if m.startswith('cyclerad.')))\n"
 ])
 def test_request_imports_only_what_it_runs(tmp_path, annulus_files, args):
     """No request loads NEVER_IMPORTED, and each loads exactly the cyclerad
-    modules it runs: EVERY_REQUEST and what its subcommand and flags add."""
+    modules it runs: EVERY_REQUEST and what its subcommand and flags add.
+    Only a request that builds a filtration loads filtrations."""
     _, off, cyc = annulus_files
     ring = tmp_path / "ring.csv"
     circle = fixtures.circle_cloud(12)

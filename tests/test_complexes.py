@@ -3,11 +3,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fixtures
-from conftest import coordinate_rows, embedded_complexes, loopy_complexes
+from conftest import coordinate_rows, embedded_complexes, filtered_complexes, loopy_complexes
 from oracles import dense_from_columns, gf2_rank, mask_support, matmul, numpy_distances, rank
 
 from cyclerad.complexes import (
@@ -233,6 +233,50 @@ def test_is_cycle_and_maximal_simplices_follow_faces_of(complex_, data):
         assert complex_.is_cycle(chain, p) == (mask == 0)
     covered = {f for s in complex_.all_simplices() for f in faces_of(s)}
     assert complex_.maximal_simplices() == [s for s in complex_.all_simplices() if s not in covered]
+
+
+def lazy_face_table(complex_):
+    """The positions and face table as the complex used to build them: a
+    (dimension, position) pair per simplex, and per dimension d >= 1, on
+    first use, the faces' positions looked up from freshly sliced tuples."""
+    positions = {s: (d, i) for d in range(complex_.max_dim + 1) for i, s in enumerate(complex_.simplices(d))}
+
+    def face_columns(d):
+        simplices = complex_.simplices(d)
+        return tuple(tuple([positions[s[:k] + s[k + 1 :]][1] for s in simplices]) for k in range(d + 1))
+
+    return positions, face_columns
+
+
+TETRAHEDRA = EmbeddedComplex(
+    PointCloud([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 1.0, 1.0), (2.0, 0.0, 0.0)]),
+    [(0, 1, 2, 3), (1, 2, 3, 4), (1, 5), (5,)],
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    embedded_complexes(max_dim=3), loopy_complexes(), filtered_complexes(max_dim=3).map(lambda f: f.complex)
+))
+@example(EmbeddedComplex(PointCloud([(0.0,), (1.0,)]), []))
+@example(TETRAHEDRA)
+def test_face_table_matches_the_lazy_per_dimension_build(complex_):
+    """faces, position and chain agree with a (dimension, position) pair per
+    simplex and face columns built one dimension at a time on first use;
+    faces is tuples of tuples of int tuples, with no columns for vertices."""
+    positions, face_columns = lazy_face_table(complex_)
+    faces = complex_.faces
+    assert len(faces) == complex_.max_dim + 1
+    assert faces[:1] in ((), ((),))
+    assert [faces[d] for d in range(1, len(faces))] == [face_columns(d) for d in range(1, len(faces))]
+    assert type(faces) is tuple and all(type(t) is tuple for t in (*faces, *(c for f in faces for c in f)))
+    assert all(type(i) is int for f in faces for c in f for i in c)
+    assert complex_._positions == {s: i for s, (_, i) in positions.items()}
+    for s, (d, i) in positions.items():
+        assert complex_.position(s) == i
+        assert complex_.chain([s]) == complex_.chain([s], d) == ChainVector(complex_.n_simplices(d), [i])
+        with pytest.raises(ValueError, match="^chain mixes dimensions$"):
+            complex_.chain([s], d + 1)
 
 
 def test_chain_accepts_unsorted_vertex_tuples():

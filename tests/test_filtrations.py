@@ -33,7 +33,6 @@ from cyclerad.complexes import (
     PointCloud,
     boundary_columns,
     distances_from,
-    face_columns,
     face_masks,
     faces_of,
     site_essential_cycles,
@@ -658,7 +657,7 @@ def kernel_with_keys(complex_like, keys, p, members=None):
         row_bits = [0] * complex_like.n_simplices(d - 1)
         for position, bit in zip(below, complex_like.powers(len(below))):
             row_bits[position] = bit
-        return face_masks(face_columns(complex_like, d), row_bits, kept)
+        return face_masks(complex_like.faces[d], row_bits, kept)
 
     below, order, above = ranked(p - 1), ranked(p), ranked(p + 1)
     owners, deaths = {}, []
@@ -698,7 +697,7 @@ def site_cycles_by_flags(complex_like, site, p, members=None, radius=math.inf):
     dist = distances_from(complex_like.cloud.point(site), complex_like.cloud.columns)
     r = [[dist[v] for v, in complex_like.simplices(0)]]
     for d in range(1, min(p + 1, complex_like.max_dim) + 1):
-        below, faces = r[-1], face_columns(complex_like, d)
+        below, faces = r[-1], complex_like.faces[d]
         r.append([below[i] if below[i] >= below[j] else below[j] for i, j in zip(faces[0], faces[-1])])
     if radius < math.inf:
         ball = [[x <= radius for x in rd] for rd in r]
